@@ -25,6 +25,7 @@ import (
 	rt "repro/internal/runtime"
 	"repro/internal/simplify"
 	"repro/internal/telemetry"
+	"repro/internal/tgds"
 	"repro/internal/tm"
 )
 
@@ -156,56 +157,34 @@ func BenchmarkTuringChaseParallel(b *testing.B) {
 	reportGOMAXPROCS(b)
 }
 
-// BenchmarkPoolThroughput measures the multi-job scheduler on a fleet of
-// small independent chase jobs (the serving shape: one job per (D, Σ)
-// request), sequentially and with 4 pool workers.
-func BenchmarkPoolThroughput(b *testing.B) {
-	const jobs = 32
-	w := families.SLLower(2, 2, 2)
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			if workers > 1 {
-				requireMultiCore(b)
-			}
-			for i := 0; i < b.N; i++ {
-				p := rt.NewPool(workers)
-				for j := 0; j < jobs; j++ {
-					p.Submit(rt.ChaseJob(fmt.Sprintf("job-%d", j), w.Database, w.Sigma,
-						chase.Options{}, rt.Budget{}, nil))
-				}
-				results, stats := p.Run(context.Background())
-				if stats.Succeeded != jobs {
-					b.Fatalf("stats = %+v", stats)
-				}
-				if !results[0].Value.(*chase.Result).Terminated {
-					b.Fatal("unexpected budget hit")
-				}
-			}
-			reportGOMAXPROCS(b)
-		})
-	}
+// chaseBody returns the engine-job body that chases db with sigma, the
+// one every job of a bench fleet shares.
+func chaseBody(db *logic.Instance, sigma *tgds.Set) func(chase.Options) (*chase.Result, error) {
+	return func(o chase.Options) (*chase.Result, error) { return chase.Run(db, sigma, o), nil }
 }
 
 // BenchmarkSchedulerThroughput measures the streaming job scheduler on a
-// fleet of small chase jobs submitted incrementally against a bounded
-// admission queue (the serving shape: requests arrive continuously and
-// Submit blocks at the bound). The queue-bound sweep prices backpressure:
-// a tight bound forces the submitter to interleave with the workers, a
-// loose one approximates the batch pool. The cold/warm axis prices the
-// shared compilation cache on the streamed path, mirroring
-// BenchmarkPoolCompileCache for the batch path. Single-worker runs keep
-// the numbers meaningful on single-core runners; the multi-core variant
-// is gated like the other parallel benches.
+// fleet of small chase jobs (the serving shape: one job per (D, Σ)
+// request) submitted incrementally against a bounded admission queue
+// (requests arrive continuously and Submit blocks at the bound). The
+// queue-bound sweep prices backpressure: a tight bound forces the
+// submitter to interleave with the workers, a loose one admits the whole
+// fleet up front. The cold/warm axis prices the shared compilation cache,
+// passed through chase.Options.Compile, on the streamed path. Single-
+// worker runs keep the numbers meaningful on single-core runners; the
+// multi-core variant is gated like the other parallel benches.
 func BenchmarkSchedulerThroughput(b *testing.B) {
 	const jobs = 64
 	w := families.SLLower(2, 2, 2)
+	run := chaseBody(w.Database, w.Sigma)
 	runFleet := func(b *testing.B, workers, bound int, comp chase.Compiler) {
 		for i := 0; i < b.N; i++ {
-			s := rt.NewScheduler(rt.SchedulerConfig{Workers: workers, QueueBound: bound, Compiler: comp})
+			s := rt.NewScheduler(rt.SchedulerConfig{Workers: workers, QueueBound: bound})
 			tickets := make([]*rt.Ticket, jobs)
 			for j := 0; j < jobs; j++ {
-				tk, err := s.SubmitChase(fmt.Sprintf("job-%d", j), w.Database, w.Sigma,
-					chase.Options{}, rt.Budget{}, nil)
+				tk, err := s.SubmitChase(context.Background(), rt.ChaseSpec{
+					Name: fmt.Sprintf("job-%d", j), Options: chase.Options{Compile: comp}, Run: run,
+				})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -318,12 +297,13 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkPoolCompileCache measures the cross-request compilation cache
-// on the serving shapes it exists for: fleets of jobs sharing one Σ.
-// "cold" fleets rebuild Σ's artifacts inside every job, "warm" fleets
-// share a pre-populated compile.Cache; the cold-vs-warm delta is the
-// per-job compilation saving recorded in BENCH_cache.json. Single-worker
-// pools keep the comparison meaningful on single-core runners.
+// BenchmarkSchedulerCompileCache measures the cross-request compilation
+// cache on the serving shapes it exists for: scheduler fleets of jobs
+// sharing one Σ. "cold" fleets rebuild Σ's artifacts inside every job,
+// "warm" fleets share a pre-populated compile.Cache; the cold-vs-warm
+// delta is the per-job compilation saving recorded in BENCH_cache.json.
+// Single-worker schedulers keep the comparison meaningful on single-core
+// runners.
 //
 // Two fleet shapes bound the effect. chase fleets only save the engine's
 // per-run program compilation (deliberately cheap and lazy since the
@@ -331,29 +311,45 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 // chtrm -method ucq serving path, where the per-job saving is the whole
 // simplification + dependency-graph + UCQ construction and the cache
 // pays for itself immediately.
-func BenchmarkPoolCompileCache(b *testing.B) {
+func BenchmarkSchedulerCompileCache(b *testing.B) {
+	// runFleet admits one fleet through submit into a fresh single-worker
+	// scheduler as deep as the fleet, and fails on any job error.
+	runFleet := func(b *testing.B, jobs int, submit func(s *rt.Scheduler, j int) (*rt.Ticket, error)) {
+		for i := 0; i < b.N; i++ {
+			s := rt.NewScheduler(rt.SchedulerConfig{Workers: 1, QueueBound: jobs})
+			tickets := make([]*rt.Ticket, jobs)
+			for j := range tickets {
+				tk, err := submit(s, j)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tickets[j] = tk
+			}
+			for _, r := range rt.Gather(tickets) {
+				if r.Err != nil {
+					b.Fatalf("%s: %v", r.Name, r.Err)
+				}
+			}
+			s.Close()
+		}
+	}
 	b.Run("chase", func(b *testing.B) {
 		const jobs = 32
 		w := families.GLower(1, 1, 1) // 40+ guarded TGDs, multi-round chase
-		runFleet := func(b *testing.B, comp chase.Compiler) {
-			for i := 0; i < b.N; i++ {
-				p := rt.NewPool(1)
-				p.Compiler = comp
-				for j := 0; j < jobs; j++ {
-					p.SubmitChase(fmt.Sprintf("job-%d", j), w.Database, w.Sigma, chase.Options{}, rt.Budget{}, nil)
-				}
-				_, stats := p.Run(context.Background())
-				if stats.Succeeded != jobs {
-					b.Fatalf("stats = %+v", stats)
-				}
+		run := chaseBody(w.Database, w.Sigma)
+		chaseJobs := func(comp chase.Compiler) func(*rt.Scheduler, int) (*rt.Ticket, error) {
+			return func(s *rt.Scheduler, j int) (*rt.Ticket, error) {
+				return s.SubmitChase(context.Background(), rt.ChaseSpec{
+					Name: fmt.Sprintf("job-%d", j), Options: chase.Options{Compile: comp}, Run: run,
+				})
 			}
 		}
-		b.Run("cold", func(b *testing.B) { runFleet(b, nil) })
+		b.Run("cold", func(b *testing.B) { runFleet(b, jobs, chaseJobs(nil)) })
 		b.Run("warm", func(b *testing.B) {
 			cache := compile.NewCache(8)
 			cache.CompiledChase(w.Sigma)
 			b.ResetTimer()
-			runFleet(b, cache)
+			runFleet(b, jobs, chaseJobs(cache))
 		})
 	})
 	b.Run("decide-ucq", func(b *testing.B) {
@@ -364,41 +360,26 @@ func BenchmarkPoolCompileCache(b *testing.B) {
 			dbs[j] = logic.NewDatabase(logic.MakeAtom("q2",
 				logic.Constant(string(rune('a'+j%26)))))
 		}
-		// Failures surface as job errors, never as b.Fatal from a pool
-		// worker goroutine (testing.B forbids FailNow off the benchmark
-		// goroutine).
-		decide := func(db *logic.Instance, build func() (core.UCQ, error)) error {
-			q, err := build()
-			if err != nil {
-				return err
-			}
-			if q.EvalExact(db) {
-				return fmt.Errorf("unreachable predicate must not satisfy Q")
-			}
-			return nil
-		}
-		runFleet := func(b *testing.B, build func() (core.UCQ, error)) {
-			for i := 0; i < b.N; i++ {
-				p := rt.NewPool(1)
-				for j := 0; j < jobs; j++ {
-					db := dbs[j]
-					p.Submit(rt.Job{Name: fmt.Sprintf("decide-%d", j), Run: func(context.Context) (any, error) {
-						return nil, decide(db, build)
-					}})
-				}
-				results, stats := p.Run(context.Background())
-				if stats.Succeeded != jobs {
-					for _, r := range results {
-						if r.Err != nil {
-							b.Fatalf("%s: %v", r.Name, r.Err)
-						}
+		// Failures surface as job errors, never as b.Fatal from a
+		// scheduler worker goroutine (testing.B forbids FailNow off the
+		// benchmark goroutine).
+		decideJobs := func(build func() (core.UCQ, error)) func(*rt.Scheduler, int) (*rt.Ticket, error) {
+			return func(s *rt.Scheduler, j int) (*rt.Ticket, error) {
+				db := dbs[j]
+				return s.Submit(context.Background(), rt.Job{Name: fmt.Sprintf("decide-%d", j), Run: func(context.Context) (any, error) {
+					q, err := build()
+					if err != nil {
+						return nil, err
 					}
-					b.Fatalf("stats = %+v", stats)
-				}
+					if q.EvalExact(db) {
+						return nil, fmt.Errorf("unreachable predicate must not satisfy Q")
+					}
+					return nil, nil
+				}})
 			}
 		}
 		b.Run("cold", func(b *testing.B) {
-			runFleet(b, func() (core.UCQ, error) { return core.BuildUCQL(w.Sigma) })
+			runFleet(b, jobs, decideJobs(func() (core.UCQ, error) { return core.BuildUCQL(w.Sigma) }))
 		})
 		b.Run("warm", func(b *testing.B) {
 			cache := compile.NewCache(8)
@@ -406,7 +387,7 @@ func BenchmarkPoolCompileCache(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
-			runFleet(b, func() (core.UCQ, error) { return cache.UCQL(w.Sigma) })
+			runFleet(b, jobs, decideJobs(func() (core.UCQ, error) { return cache.UCQL(w.Sigma) }))
 		})
 	})
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cli/clitest"
@@ -83,4 +84,15 @@ func TestChtrmGolden(t *testing.T) {
 			Argv: []string{"-program", clitest.Example("unguarded.dlgp"), "-uniform"},
 		},
 	})
+}
+
+// -max-atoms 0 lifts the naive probe's cap. On a guarded Σ the exact
+// bound |D|·f_G(Σ) is too large to materialize, so the probe would chase
+// without a bound; it must be refused as a usage error (exit 2) at once.
+func TestChtrmNaiveNoCapRefused(t *testing.T) {
+	var stdout, stderr strings.Builder
+	code := run([]string{"-program", clitest.Example("guarded.dlgp"), "-method", "naive", "-max-atoms", "0"}, &stdout, &stderr)
+	if code != 2 || !strings.Contains(stderr.String(), "bad-request") || !strings.Contains(stderr.String(), "atom cap") {
+		t.Fatalf("exit %d, stderr %q: want exit 2 with a bad-request atom-cap error", code, stderr.String())
+	}
 }

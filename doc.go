@@ -38,15 +38,16 @@
 // Across runs, a streaming Scheduler serves fleets of independent chase
 // and decision jobs — one per (D, Σ) request, experiment point, or probe
 // — from a long-lived worker set behind a bounded admission queue:
-// concurrent Submit with backpressure at the bound (block or reject),
-// per-job budgets (atoms, rounds, wall-clock) and cancellation, per-job
-// results streamed over channels as jobs finish, round-level progress
-// events from running chase jobs, and graceful Drain/Close. The batch
-// Pool survives as a thin adapter that admits a whole batch and collates
-// the streamed results back into submission order, so batch and streamed
-// execution of one fleet are byte-identical (property-tested in
-// internal/runtime). Every tool takes -workers and -stream; determinism
-// makes both pure performance/observability knobs.
+// concurrent admission with backpressure at the bound (block or reject)
+// through two calls — Submit for opaque jobs, SubmitChase for chase-engine
+// jobs whose atom and round budgets live on chase.Options — wall-clock
+// budgets and cancellation, per-job results streamed over channels as
+// jobs finish, round-level progress events from running chase jobs, and
+// graceful Drain/Close. Gather collates a fleet's streamed results back
+// into submission order, and a scheduled fleet is byte-identical to a
+// direct chase.Run per job (property-tested in internal/runtime). Every
+// tool takes -workers and -stream; determinism makes both pure
+// performance/observability knobs.
 //
 // The public entry point is the service layer (internal/service): typed
 // request envelopes — ChaseRequest, DecideRequest, ExperimentRequest —

@@ -45,7 +45,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		naive, err := core.DecideNaive(db, rules, 100000)
+		naive, err := core.DecideNaive(db, rules, core.NaiveOptions{AtomCap: 100000})
 		if err != nil {
 			log.Fatal(err)
 		}

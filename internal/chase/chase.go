@@ -78,9 +78,9 @@ type Options struct {
 	// periodically inside the collect and apply phases; once it returns
 	// true the run stops and is reported as not terminated. When an
 	// Executor is attached, Interrupt may be polled from worker
-	// goroutines concurrently and must be safe for concurrent use
-	// (runtime.Interrupter is). The multi-job scheduler uses it to
-	// enforce wall-clock budgets and cancellation.
+	// goroutines concurrently and must be safe for concurrent use. The
+	// multi-job scheduler sets it on every engine job, polling the job's
+	// context to enforce wall-clock budgets and cancellation.
 	Interrupt func() bool
 	// RoundGranularInterrupt confines Interrupt polling to round
 	// boundaries: the mid-collect and mid-apply polls are skipped, so a

@@ -76,7 +76,7 @@ func (cs *CompiledSet) Matches(sigma *tgds.Set) bool {
 // cs.Matches(sigma) holds (Run verifies and degrades to a cold compile
 // otherwise, counting a miss); hit reports whether the set was served from
 // cache rather than compiled for this call. Implementations must be safe
-// for concurrent use: a Pool fleet calls them from many jobs at once.
+// for concurrent use: a scheduler fleet calls them from many jobs at once.
 type Compiler interface {
 	CompiledChase(sigma *tgds.Set) (cs *CompiledSet, hit bool)
 }

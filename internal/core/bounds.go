@@ -103,25 +103,17 @@ func float64FromBig(x *big.Int) float64 {
 }
 
 // NaiveBudget returns the naive decision procedure's atom budget
-// |D|·f_C(Σ) clamped to cap (cap <= 0 means no clamp, which requires a
-// materialized bound). The second result reports whether the returned
-// budget equals the exact bound (so exceeding it certifies an infinite
-// chase) rather than a clamp.
+// |D|·f_C(Σ) clamped to cap (cap <= 0 means no clamp). The second result
+// reports whether the returned budget equals the exact bound (so
+// exceeding it certifies an infinite chase) rather than the cap. A bound
+// that is not materialized or exceeds MaxInt32 atoms yields the cap — so
+// with no cap, an inexact budget <= 0, which DecideNaive refuses.
 func NaiveBudget(dbSize int, b Bounds, cap int) (int, bool) {
 	if b.Size == nil {
-		if cap <= 0 {
-			return 0, false
-		}
 		return cap, false
 	}
 	exact := new(big.Int).Mul(b.Size, big.NewInt(int64(dbSize)))
-	if cap > 0 && exact.Cmp(big.NewInt(int64(cap))) > 0 {
-		return cap, false
-	}
-	if !exact.IsInt64() || exact.Int64() > math.MaxInt32 {
-		if cap <= 0 {
-			return math.MaxInt32, false
-		}
+	if exact.Cmp(big.NewInt(math.MaxInt32)) > 0 || (cap > 0 && exact.Cmp(big.NewInt(int64(cap))) > 0) {
 		return cap, false
 	}
 	return int(exact.Int64()), true

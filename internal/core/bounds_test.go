@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"math/big"
 	"testing"
+	"time"
 
 	"repro/internal/parser"
 	"repro/internal/tgds"
@@ -78,8 +80,41 @@ func TestVerdictString(t *testing.T) {
 
 func TestDecideNaiveUnguardedRejected(t *testing.T) {
 	sigma := parser.MustParseRules(`r(X, Y), r(Y, Z) -> r(X, Z).`)
-	if _, err := DecideNaive(parser.MustParseDatabase(`r(a, b).`), sigma, 100); err == nil {
+	if _, err := DecideNaive(parser.MustParseDatabase(`r(a, b).`), sigma, NaiveOptions{AtomCap: 100}); err == nil {
 		t.Fatal("unbounded class must be rejected")
+	}
+}
+
+// With no atom cap, a naive probe whose bound |D|·f_C(Σ) is not
+// materialized (every non-trivial guarded set) or overflows MaxInt32
+// atoms used to run with MaxAtoms 0 — unlimited — or ~2^31, and never
+// returned on a non-terminating Σ. It must fail typed, at once.
+func TestDecideNaiveNoCapUnboundedRejected(t *testing.T) {
+	cases := []struct{ name, db, rules string }{
+		{"guarded, bound not materialized", `r(a, b, c). s(b).`, `
+			r(X, Y, W), s(Y) -> ∃Z r(Y, Z, W), s(Z).
+			t(X, Y, W) -> r(X, Y, W).
+			u(X) -> s(X).`},
+		{"simple linear, bound beyond MaxInt32", `r(a, b, c).`, `r(X, Y, W) -> ∃Z r(Y, Z, W).`},
+	}
+	for _, c := range cases {
+		db, sigma := parser.MustParseDatabase(c.db), parser.MustParseRules(c.rules)
+		if budget, exact := NaiveBudget(db.Len(), SizeBound(sigma, sigma.Classify()), 0); exact || budget > 0 {
+			t.Fatalf("%s: NaiveBudget = (%d, %v), want an inexact non-positive budget", c.name, budget, exact)
+		}
+		errc := make(chan error, 1)
+		go func() {
+			_, err := DecideNaive(db, sigma, NaiveOptions{})
+			errc <- err
+		}()
+		select {
+		case err := <-errc:
+			if !errors.Is(err, ErrUnboundedNaive) {
+				t.Fatalf("%s: err = %v, want ErrUnboundedNaive", c.name, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: the uncapped naive probe is still running after 5s", c.name)
+		}
 	}
 }
 

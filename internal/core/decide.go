@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/chase"
@@ -155,8 +156,8 @@ func DecideG(db *logic.Instance, sigma *tgds.Set) (*Verdict, error) {
 
 // Decide dispatches on the most restrictive class of Σ. For arbitrary
 // (unguarded) sets, for which the problem is undecidable (Section 3 /
-// [13]), it returns an error; use DecideNaiveWithBudget for a best-effort
-// semi-decision.
+// [13]), it returns an error; DecideNaive is the budgeted materialization
+// probe for classes with a size bound.
 func Decide(db *logic.Instance, sigma *tgds.Set) (*Verdict, error) {
 	return DecideWith(db, sigma, nil)
 }
@@ -178,38 +179,20 @@ func DecideWith(db *logic.Instance, sigma *tgds.Set, a Analyses) (*Verdict, erro
 	}
 }
 
-// DecideNaive runs the paper's naive procedure (Section 3): materialize
-// the chase and compare against the bound |D|·f_C(Σ) from item (2) of the
-// characterizations. The practical atom cap bounds memory; when the exact
-// bound exceeds the cap the procedure may return Unknown.
-func DecideNaive(db *logic.Instance, sigma *tgds.Set, atomCap int) (*Verdict, error) {
-	return DecideNaiveExec(db, sigma, atomCap, nil)
-}
+// ErrUnboundedNaive is returned by DecideNaive when the probe has no
+// atom cap and the exact bound |D|·f_C(Σ) is too large to serve as one
+// (not materialized, or beyond MaxInt32 atoms): the materialization would
+// then run without a bound on a non-terminating Σ. Test with errors.Is.
+var ErrUnboundedNaive = errors.New("core: the naive probe needs an atom cap: the bound |D|·f_C(Σ) is too large to materialize")
 
-// DecideNaiveExec is DecideNaive with the materialization's trigger
-// collection sharded across the executor's workers (nil or single-worker
-// executors run sequentially). The parallel engine is deterministic, so
-// the verdict — including the exact atom count in the certificate — is
-// identical either way.
-func DecideNaiveExec(db *logic.Instance, sigma *tgds.Set, atomCap int, exec chase.Executor) (*Verdict, error) {
-	return DecideNaiveWith(db, sigma, atomCap, exec, nil)
-}
-
-// DecideNaiveWith is DecideNaiveExec with the materialization's per-TGD
-// programs fetched through comp (a cross-request compilation cache; nil
-// compiles cold). The cache is a pure performance knob: the verdict is
-// identical either way.
-func DecideNaiveWith(db *logic.Instance, sigma *tgds.Set, atomCap int, exec chase.Executor, comp chase.Compiler) (*Verdict, error) {
-	return DecideNaiveOpt(db, sigma, NaiveOptions{AtomCap: atomCap, Executor: exec, Compiler: comp})
-}
-
-// NaiveOptions configures DecideNaiveOpt's materialization probe. Every
-// field is a pure performance or observability knob: the verdict is
-// identical for any combination.
+// NaiveOptions configures DecideNaive's materialization probe. Every
+// field but AtomCap is a pure performance or observability knob: the
+// verdict is identical for any combination.
 type NaiveOptions struct {
 	// AtomCap is the practical atom cap bounding the probe's memory; when
 	// the exact bound |D|·f_C(Σ) exceeds it the procedure may answer
-	// Unknown.
+	// Unknown. Zero means no cap, which requires a bound small enough to
+	// materialize (ErrUnboundedNaive otherwise).
 	AtomCap int
 	// Executor, when non-nil, shards the probe's trigger collection
 	// (nil or single-worker executors run sequentially).
@@ -223,15 +206,20 @@ type NaiveOptions struct {
 	Progress func(chase.Stats)
 }
 
-// DecideNaiveOpt is the naive procedure with its probe fully configured
-// through NaiveOptions.
-func DecideNaiveOpt(db *logic.Instance, sigma *tgds.Set, o NaiveOptions) (*Verdict, error) {
+// DecideNaive runs the paper's naive procedure (Section 3): materialize
+// the chase and compare against the bound |D|·f_C(Σ) from item (2) of the
+// characterizations. The atom cap bounds memory; when the exact bound
+// exceeds the cap the procedure may return Unknown.
+func DecideNaive(db *logic.Instance, sigma *tgds.Set, o NaiveOptions) (*Verdict, error) {
 	class := sigma.Classify()
 	if class == tgds.ClassTGD {
 		return nil, fmt.Errorf("core: the naive procedure needs a size bound, unavailable for arbitrary TGDs")
 	}
 	b := SizeBound(sigma, class)
 	budget, exact := NaiveBudget(db.Len(), b, o.AtomCap)
+	if !exact && budget <= 0 {
+		return nil, fmt.Errorf("%w (class %v, log2 f_C(Σ) ≈ %.1f)", ErrUnboundedNaive, class, b.Log2Size)
+	}
 	res := chase.Run(db, sigma, chase.Options{MaxAtoms: budget, Executor: o.Executor, Compile: o.Compiler, Progress: o.Progress})
 	v := &Verdict{Class: class, Method: "naive chase materialization"}
 	switch {

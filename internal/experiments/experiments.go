@@ -13,13 +13,13 @@ import (
 // default mode reproduces the numbers recorded in EXPERIMENTS.md.
 type Config struct {
 	Quick bool
-	// Workers bounds the job pool that pool-backed experiments (currently
-	// XP-RESTRICTED, the random-trial sweep) use to run independent sweep
-	// points concurrently (0 selects GOMAXPROCS, 1 forces sequential);
-	// timing-sensitive experiments stay sequential on purpose. Tables are
-	// identical for any worker count: workloads are generated sequentially
-	// so RNG streams stay fixed, and results are tallied in submission
-	// order.
+	// Workers sizes the scheduler that scheduler-backed experiments
+	// (currently XP-RESTRICTED, the random-trial sweep) use to run
+	// independent sweep points concurrently (0 selects GOMAXPROCS, 1
+	// forces sequential); timing-sensitive experiments stay sequential on
+	// purpose. Tables are identical for any worker count: workloads are
+	// generated sequentially so RNG streams stay fixed, and results are
+	// tallied in submission order.
 	Workers int
 	// Compiler, when non-nil, is the cross-request compilation cache
 	// chase-running experiments attach to their runs (the command passes

@@ -59,7 +59,7 @@ func runDeciders(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			naiveTime := timeIt(func() { nv, err = core.DecideNaive(work.Database, work.Sigma, 500000) })
+			naiveTime := timeIt(func() { nv, err = core.DecideNaive(work.Database, work.Sigma, core.NaiveOptions{AtomCap: 500000}) })
 			if err != nil {
 				return nil, err
 			}

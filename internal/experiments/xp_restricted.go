@@ -52,7 +52,7 @@ func runRestrictedGap(cfg Config) (*Table, error) {
 	// bounded queue exerts real backpressure (Submit blocks while the
 	// workers drain), completions surface on cfg.Stream as they happen,
 	// and Gather collates results back into submission order, so the
-	// table is identical to the old batch pool's for any worker count.
+	// table is identical for any worker count.
 	sched := rt.NewScheduler(rt.SchedulerConfig{Workers: cfg.Workers, QueueBound: 16})
 	defer sched.Close()
 	for _, g := range gens {
@@ -92,7 +92,7 @@ func runRestrictedGap(cfg Config) (*Table, error) {
 		tickets := make([]*rt.Ticket, len(workloads))
 		for i, w := range workloads {
 			w := w
-			ticket, err := sched.Submit(rt.Job{
+			ticket, err := sched.Submit(context.Background(), rt.Job{
 				Name: fmt.Sprintf("%s-trial-%d", g.name, i),
 				Run: func(context.Context) (any, error) {
 					// Both variant runs share one Σ, so with a compiler

@@ -15,7 +15,7 @@ func gatedScheduler(t *testing.T, bound int) (s *Scheduler, open func()) {
 	t.Helper()
 	s = NewScheduler(SchedulerConfig{Workers: 1, QueueBound: bound})
 	gate := make(chan struct{})
-	if _, err := s.Submit(Job{Name: "gate", Run: func(context.Context) (any, error) {
+	if _, err := s.Submit(context.Background(), Job{Name: "gate", Run: func(context.Context) (any, error) {
 		<-gate
 		return nil, nil
 	}}); err != nil {
@@ -49,12 +49,12 @@ func TestTenantFairAlternation(t *testing.T) {
 	// Tenant a's whole backlog is submitted before tenant b's first job —
 	// the worst case for b under plain FIFO.
 	for i := 0; i < perTenant; i++ {
-		if _, err := s.Submit(tagJob(&mu, &seq, JobMeta{Tenant: "a"}, "a")); err != nil {
+		if _, err := s.Submit(context.Background(), tagJob(&mu, &seq, JobMeta{Tenant: "a"}, "a")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < perTenant; i++ {
-		if _, err := s.Submit(tagJob(&mu, &seq, JobMeta{Tenant: "b"}, "b")); err != nil {
+		if _, err := s.Submit(context.Background(), tagJob(&mu, &seq, JobMeta{Tenant: "b"}, "b")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -91,7 +91,7 @@ func TestPriorityLanes(t *testing.T) {
 		{PriorityNormal, "norm2"}, {PriorityLow, "low2"}, {PriorityHigh, "high2"},
 	}
 	for _, sub := range submissions {
-		if _, err := s.Submit(tagJob(&mu, &seq, JobMeta{Priority: sub.prio}, sub.tag)); err != nil {
+		if _, err := s.Submit(context.Background(), tagJob(&mu, &seq, JobMeta{Priority: sub.prio}, sub.tag)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -145,7 +145,7 @@ func TestTenantStarvationBound(t *testing.T) {
 				return
 			default:
 			}
-			_, err := s.Submit(Job{Name: "noisy", Meta: JobMeta{Tenant: "noisy"}, Run: func(context.Context) (any, error) {
+			_, err := s.Submit(context.Background(), Job{Name: "noisy", Meta: JobMeta{Tenant: "noisy"}, Run: func(context.Context) (any, error) {
 				noisyStarts.Add(1)
 				return nil, nil
 			}})
@@ -158,7 +158,7 @@ func TestTenantStarvationBound(t *testing.T) {
 
 	for i := 0; i < quietJobs; i++ {
 		started := make(chan int64, 1)
-		tk, err := s.Submit(Job{Name: "quiet", Meta: JobMeta{Tenant: "quiet"}, Run: func(context.Context) (any, error) {
+		tk, err := s.Submit(context.Background(), Job{Name: "quiet", Meta: JobMeta{Tenant: "quiet"}, Run: func(context.Context) (any, error) {
 			started <- noisyStarts.Load()
 			return nil, nil
 		}})
@@ -183,8 +183,8 @@ func TestTenantStarvationBound(t *testing.T) {
 }
 
 // TestFairQueueSingleTenantFIFO: with one (anonymous) tenant at one
-// priority the fair queue degenerates to plain FIFO — the order the
-// batch Pool's determinism rests on.
+// priority the fair queue degenerates to plain FIFO — the order
+// single-submitter fleets collated by Gather rest on.
 func TestFairQueueSingleTenantFIFO(t *testing.T) {
 	s, open := gatedScheduler(t, 64)
 	defer s.Close()
@@ -194,7 +194,7 @@ func TestFairQueueSingleTenantFIFO(t *testing.T) {
 	)
 	const n = 16
 	for i := 0; i < n; i++ {
-		if _, err := s.Submit(tagJob(&mu, &seq, JobMeta{}, fmt.Sprintf("j%02d", i))); err != nil {
+		if _, err := s.Submit(context.Background(), tagJob(&mu, &seq, JobMeta{}, fmt.Sprintf("j%02d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}

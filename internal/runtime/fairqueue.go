@@ -3,9 +3,8 @@ package runtime
 // fairQueue is the scheduler's admission queue: strict priority lanes
 // (high before normal before low), round-robin across tenants within a
 // lane, FIFO within a tenant. A single tenant submitting at one priority
-// — every pre-service caller — therefore sees plain FIFO, which is what
-// keeps the batch Pool's submission-order determinism intact; a
-// multi-tenant service sees per-tenant fairness: one tenant's deep
+// — every experiment fleet — therefore sees plain FIFO; a multi-tenant
+// service sees per-tenant fairness: one tenant's deep
 // backlog delays another tenant's next job by at most one job per
 // competing tenant per dequeue (the starvation bound the fairness tests
 // pin down). Strict priority means a saturating stream of high-priority

@@ -12,7 +12,15 @@ import (
 	"repro/internal/logic"
 	"repro/internal/parser"
 	"repro/internal/telemetry"
+	"repro/internal/tgds"
 )
+
+// resumeSpec is the engine job that resumes cp over delta under opts.
+func resumeSpec(name string, cp *checkpoint.Checkpoint, sigma *tgds.Set, delta []*logic.Atom, opts chase.Options) ChaseSpec {
+	return ChaseSpec{Name: name, Options: opts, Resume: true, Run: func(o chase.Options) (*chase.Result, error) {
+		return cp.Resume(sigma, delta, o)
+	}}
+}
 
 // TestSchedulerResume runs a resume job through a traced scheduler and
 // checks the three contracts: the result is byte-identical to a direct
@@ -37,12 +45,12 @@ func TestSchedulerResume(t *testing.T) {
 	tel := telemetry.New()
 	tel.Trace = telemetry.NewTraceSink()
 	tel.Trace.SetClock(func() time.Time { return time.Unix(42, 0) })
-	s := NewScheduler(SchedulerConfig{Workers: 1, QueueBound: 2, Telemetry: tel,
-		Compiler: compile.NewCache(4)})
+	s := NewScheduler(SchedulerConfig{Workers: 1, QueueBound: 2, Telemetry: tel})
 	defer s.Close()
 
-	tk, err := s.SubmitResumeMeta(context.Background(), JobMeta{Tenant: "acme"},
-		"delta-1", cp, sigma, delta, chase.Options{}, Budget{}, nil)
+	spec := resumeSpec("delta-1", cp, sigma, delta, chase.Options{Compile: compile.NewCache(4)})
+	spec.Meta = JobMeta{Tenant: "acme"}
+	tk, err := s.SubmitChase(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,19 +87,18 @@ func TestSchedulerResume(t *testing.T) {
 
 	// A mismatched ontology fails the ticket with the typed error.
 	other := parser.MustParseRules(`e(X, Y) -> p(X).`)
-	tk2, err := s.SubmitResumeMeta(context.Background(), JobMeta{},
-		"bad", cp, other, nil, chase.Options{}, Budget{}, nil)
+	tk2, err := s.SubmitChase(context.Background(), resumeSpec("bad", cp, other, nil, chase.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := tk2.Wait(); !errors.Is(r.Err, checkpoint.ErrMismatch) {
-		t.Fatalf("mismatch resume: err = %v, want checkpoint.ErrMismatch", r.Err)
+	if r := tk2.Wait(); !errors.Is(r.Err, checkpoint.ErrMismatch) || r.Value != nil {
+		t.Fatalf("mismatch resume: err = %v value = %v, want checkpoint.ErrMismatch and no value", r.Err, r.Value)
 	}
 }
 
-// TestResumeJobBudget: a resumed run honors round budgets and reports
-// truncation through Terminated, not an error — same contract as
-// ChaseJob.
+// TestResumeJobBudget: a resumed run honors the round cap on its
+// chase.Options and reports truncation through Terminated, not an
+// error — the same contract as a fresh chase job.
 func TestResumeJobBudget(t *testing.T) {
 	db := parser.MustParseDatabase(`e(a, b).`)
 	sigma := parser.MustParseRules(`e(X, Y) -> ∃Z e(Y, Z).`)
@@ -102,8 +109,7 @@ func TestResumeJobBudget(t *testing.T) {
 	}
 	s := NewScheduler(SchedulerConfig{Workers: 1, QueueBound: 1})
 	defer s.Close()
-	tk, err := s.SubmitResumeMeta(context.Background(), JobMeta{},
-		"walk-on", cp, sigma, nil, chase.Options{}, Budget{MaxRounds: 3}, nil)
+	tk, err := s.SubmitChase(context.Background(), resumeSpec("walk-on", cp, sigma, nil, chase.Options{MaxRounds: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,18 +15,21 @@
 //   - Scheduler, the streaming multi-job runtime, serves fleets of
 //     independent chase and decision jobs — one per (D, Σ) request,
 //     experiment point, or probe — from a long-lived worker set behind a
-//     bounded admission queue. Submit is safe from any goroutine; the
-//     queue bound exerts backpressure (Block waits for a slot, Reject
-//     fails fast with ErrQueueFull); every job carries per-job budgets
-//     (atoms, rounds, wall-clock) and cancellation; results stream back
-//     over per-ticket channels as jobs finish, chase tickets additionally
-//     stream round-level progress (chase.Options.Progress, latest-wins);
-//     Drain and Close shut fleets down gracefully. Gather collates a
-//     fleet's streamed results back into submission order, which is how
-//     the batch Pool — now a thin single-use adapter over a Scheduler —
-//     preserves the pre-streaming determinism guarantees.
+//     bounded admission queue. Work is admitted two ways, safe from any
+//     goroutine: Submit takes an opaque Job (a decision, an experiment,
+//     a trial), SubmitChase a chase-engine job (ChaseSpec) whose run —
+//     a fresh chase or a resume — is configured entirely by its
+//     chase.Options, atom and round budgets included. The queue bound
+//     exerts backpressure (Block waits for a slot, Reject fails fast
+//     with ErrQueueFull); every job carries a wall-clock budget and
+//     cancellation; results stream back over per-ticket channels as
+//     jobs finish, engine tickets additionally stream round-level
+//     progress (latest-wins); Drain and Close shut fleets down
+//     gracefully. Gather collates a fleet's streamed results back into
+//     submission order, so batch aggregates are identical for any
+//     worker count.
 //
-// The two compose: a Scheduler job may itself carry an Executor, trading
+// The two compose: an engine job's Options may carry an Executor, trading
 // intra-run against cross-job parallelism.
 package runtime
 

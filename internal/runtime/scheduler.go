@@ -9,10 +9,7 @@ import (
 	"time"
 
 	"repro/internal/chase"
-	"repro/internal/checkpoint"
-	"repro/internal/logic"
 	"repro/internal/telemetry"
-	"repro/internal/tgds"
 )
 
 // Backpressure selects what Submit does when the admission queue is full.
@@ -83,13 +80,69 @@ type JobMeta struct {
 	Priority Priority
 }
 
+// Job is one opaque unit of scheduled work: a termination decision, an
+// experiment sweep, a trial. Run receives a context that is cancelled
+// when the job's wall-clock budget expires, its ticket is cancelled, or
+// the context it was submitted under is done; jobs are expected to
+// return promptly once it is.
+type Job struct {
+	Name string
+	// Meta is the job's admission metadata: the scheduler dequeues
+	// strictly by priority lane and round-robin across tenants within a
+	// lane. The zero value (anonymous tenant, normal priority) keeps the
+	// whole queue one FIFO, which Gather's submission-order collation of
+	// single-submitter fleets relies on.
+	Meta JobMeta
+	Wall time.Duration // wall-clock budget; 0 = none
+	Run  func(ctx context.Context) (any, error)
+}
+
+// ChaseSpec is one chase-engine job over (D, Σ): a fresh chase or one
+// resumed from a checkpoint. Every engine setting — variant, atom and
+// round budgets, executor, compiler, progress and observer hooks — lives
+// on Options; the scheduler adds only its own wiring (see SubmitChase).
+type ChaseSpec struct {
+	Name string
+	Meta JobMeta
+	Wall time.Duration // wall-clock budget, enforced through Options.Interrupt; 0 = none
+	// Options configures the run. Interrupt is always replaced by the
+	// job's context; Scratch, when nil, becomes the worker's pooled one.
+	Options chase.Options
+	// Run is the engine call: chase.Run for a chase, a checkpoint's
+	// Resume for a resume. It receives Options with the scheduler's
+	// wiring applied. A budget-truncated run is a result with
+	// Terminated == false, never an error; an error (e.g. a resume's
+	// ontology mismatch) fails the job.
+	Run func(chase.Options) (*chase.Result, error)
+	// Resume names the job's terminal trace span "resume" rather than
+	// "chase".
+	Resume bool
+}
+
+// JobResult is one job's outcome.
+type JobResult struct {
+	Name     string
+	Index    int
+	Value    any // an engine job's *chase.Result, an opaque job's own value
+	Err      error
+	Wall     time.Duration // the job's own wall-clock
+	TimedOut bool          // the job's wall budget expired
+	// Canceled reports that preemption — the ticket's Cancel or the
+	// submission context — stopped the job: it was skipped before
+	// starting, or surfaced the cancellation as its error. A job that
+	// absorbs the cancellation and still returns a value counts as
+	// succeeded; chase jobs report truncation through Result.Terminated,
+	// not here.
+	Canceled bool
+}
+
 // DefaultQueueBound is the admission-queue capacity selected when
 // SchedulerConfig.QueueBound is not positive.
 const DefaultQueueBound = 64
 
 // SchedulerConfig configures a Scheduler. The zero value is usable:
 // GOMAXPROCS workers, a DefaultQueueBound-deep queue, blocking
-// backpressure, no shared compiler.
+// backpressure, telemetry off.
 type SchedulerConfig struct {
 	// Workers is the number of job workers; <= 0 selects GOMAXPROCS(0).
 	Workers int
@@ -101,17 +154,13 @@ type SchedulerConfig struct {
 	// Backpressure selects Submit's behavior at the bound: Block (default)
 	// or Reject.
 	Backpressure Backpressure
-	// Compiler, when non-nil, is attached as chase.Options.Compile to every
-	// job submitted through SubmitChase that carries no compiler of its
-	// own, so a fleet of jobs sharing Σ pays ontology compilation once
-	// (internal/compile.Cache is the standard implementation).
-	Compiler chase.Compiler
 	// Telemetry, when it carries a registry, turns on the scheduler's
 	// observability: admission/completion counters by lane and tenant,
 	// the queue-depth gauge, the per-lane queue-wait histogram, the
 	// chase round/atom/trigger counters (fed through chase.Options.
 	// Observer on every SubmitChase job), and — when Telemetry.Trace is
-	// set — per-job spans (admit, queue, compile, sampled rounds, run).
+	// set — per-job spans (admit, queue, sampled rounds, compile, chase
+	// or resume, run).
 	// Nil disables everything at the cost of one nil check per site;
 	// results are byte-identical either way.
 	Telemetry *telemetry.Telemetry
@@ -120,21 +169,20 @@ type SchedulerConfig struct {
 // Scheduler is the streaming multi-job runtime: a long-lived worker set
 // behind a bounded admission queue with priority lanes and per-tenant
 // fair dequeue (see fairQueue; jobs carry their lane and tenant in
-// JobMeta, and the zero meta reproduces plain FIFO). Unlike the batch
-// Pool (which is a thin adapter over a Scheduler), a Scheduler accepts
-// Submit from any goroutine at any time, delivers every job's result
-// over its Ticket as the job finishes, supports per-job cancellation,
-// and shuts down gracefully via Drain and Close. A panicking job is contained: it fails its own ticket
-// (the panic value wrapped in the result's Err) and the workers keep
-// serving. It is the serving shape of the paper's non-uniform setting:
-// chase/decision requests for (Σ, D) pairs arrive continuously, not as
-// one pre-assembled batch.
+// JobMeta, and the zero meta reproduces plain FIFO). It admits work two
+// ways — Submit for opaque jobs, SubmitChase for chase-engine jobs —
+// from any goroutine at any time, delivers every job's result over its
+// Ticket as the job finishes, supports per-job cancellation, and shuts
+// down gracefully via Drain and Close. A panicking job is contained: it
+// fails its own ticket (the panic value wrapped in the result's Err)
+// and the workers keep serving. It is the serving shape of the paper's
+// non-uniform setting: chase/decision requests for (Σ, D) pairs arrive
+// continuously, not as one pre-assembled batch.
 type Scheduler struct {
-	workers  int
-	bound    int
-	policy   Backpressure
-	compiler chase.Compiler
-	tel      *schedTelemetry // nil: telemetry off (the benched fast path)
+	workers int
+	bound   int
+	policy  Backpressure
+	tel     *schedTelemetry // nil: telemetry off (the benched fast path)
 
 	// The admission queue is a fairQueue (priority lanes, per-tenant
 	// round-robin) guarded by qmu, metered by two token channels sized to
@@ -154,9 +202,10 @@ type Scheduler struct {
 	fair   fairQueue
 	queued int
 
-	// scratchReuses counts jobs that ran on a worker's already-warmed
-	// chase.Scratch (every RunScratch job after a worker's first) —
-	// the observable effect of the scratch pool, surfaced for stats.
+	// scratchReuses counts engine jobs that ran on a worker's
+	// already-warmed chase.Scratch (every engine job after a worker's
+	// first) — the observable effect of the scratch pool, surfaced for
+	// stats.
 	scratchReuses atomic.Int64
 
 	mu      sync.Mutex
@@ -170,12 +219,11 @@ type Scheduler struct {
 // NewScheduler starts a scheduler: its workers run until Close.
 func NewScheduler(cfg SchedulerConfig) *Scheduler {
 	s := &Scheduler{
-		workers:  NewExecutor(cfg.Workers).Workers(),
-		bound:    cfg.QueueBound,
-		policy:   cfg.Backpressure,
-		compiler: cfg.Compiler,
-		tel:      newSchedTelemetry(cfg.Telemetry),
-		closing:  make(chan struct{}),
+		workers: NewExecutor(cfg.Workers).Workers(),
+		bound:   cfg.QueueBound,
+		policy:  cfg.Backpressure,
+		tel:     newSchedTelemetry(cfg.Telemetry),
+		closing: make(chan struct{}),
 	}
 	if s.bound <= 0 {
 		s.bound = DefaultQueueBound
@@ -211,7 +259,8 @@ func (s *Scheduler) QueueLen() int {
 // through Wait) exactly once, round-level progress events of chase jobs
 // arrive on Progress, and Cancel preempts the job.
 type Ticket struct {
-	job      Job
+	job      Job        // an engine job's Name, Meta and Wall; Run unset
+	spec     *ChaseSpec // engine jobs only
 	index    int
 	ctx      context.Context
 	cancelFn context.CancelFunc
@@ -236,10 +285,10 @@ func (t *Ticket) Meta() JobMeta { return t.job.Meta }
 // Index returns the ticket's submission sequence number: unique per
 // scheduler and monotone in the order concurrent Submit calls entered the
 // scheduler — which is the submission order itself whenever one goroutine
-// submits the fleet, as the batch Pool does for its submission-order
-// aggregation. It is not an execution order (two racing Submits may be
-// claimed by workers in either order), and a blocked Submit that fails on
-// cancellation or Close leaves a gap in the sequence.
+// submits the fleet, as Gather's callers do. It is not an execution order
+// (two racing Submits may be claimed by workers in either order), and a
+// blocked Submit that fails on cancellation or Close leaves a gap in the
+// sequence.
 func (t *Ticket) Index() int { return t.index }
 
 // Done returns the channel on which the job's result is delivered
@@ -258,14 +307,14 @@ var closedProgress = func() chan chase.Stats {
 	return ch
 }()
 
-// Progress returns the round-level progress stream of a chase job
+// Progress returns the round-level progress stream of an engine job
 // submitted through SubmitChase: the engine's statistics at each round
 // boundary, with latest-wins semantics (a slow consumer only ever misses
 // intermediate events, never the stream's tail). The channel is closed
 // when the job finishes, just before the result is delivered.
 //
-// Contract for jobs with no progress stream (anything not submitted
-// through SubmitChase): Progress returns a shared, already-closed
+// Contract for jobs with no progress stream (opaque jobs submitted
+// through Submit): Progress returns a shared, already-closed
 // sentinel channel — never nil. A consumer that selects on Progress()
 // therefore observes an immediately-exhausted stream instead of the
 // forever-blocked select a nil channel would silently produce (the trap
@@ -298,86 +347,64 @@ func (t *Ticket) Wait() JobResult {
 	return t.result
 }
 
-// Submit admits a job. It is safe for concurrent use from any goroutine.
-// Under the Block policy a full queue makes Submit wait; under Reject it
-// returns ErrQueueFull. After Close, Submit returns ErrSchedulerClosed.
-func (s *Scheduler) Submit(j Job) (*Ticket, error) {
-	return s.submit(context.Background(), j, nil, nil)
+// Submit admits an opaque job. It is safe for concurrent use from any
+// goroutine. Under the Block policy a full queue makes Submit wait; under
+// Reject it returns ErrQueueFull. After Close, Submit returns
+// ErrSchedulerClosed. The job's context derives from ctx (in addition to
+// the ticket's own Cancel): cancelling ctx cancels the job. A job whose
+// context is already cancelled is still admitted when the queue has room
+// (it is skipped by its worker and reported as Canceled, so a fleet
+// queued behind a cancellation is classified job by job); a Submit
+// parked on a full queue, however, returns ctx.Err() as soon as ctx is
+// cancelled instead of waiting for a slot, so a dead request never leaks
+// a blocked submitter.
+func (s *Scheduler) Submit(ctx context.Context, j Job) (*Ticket, error) {
+	return s.submit(ctx, j, nil)
 }
 
-// SubmitIn is Submit with the job's context derived from ctx (in addition
-// to the ticket's own Cancel): cancelling ctx cancels the job. A job
-// whose context is already cancelled is still admitted when the queue has
-// room (it is skipped by its worker and reported as Canceled — the batch
-// Pool relies on this to classify jobs queued behind a cancellation); a
-// Submit parked on a full queue under the Block policy, however, returns
-// ctx.Err() as soon as ctx is cancelled instead of waiting for a slot, so
-// a dead request never leaks a blocked submitter.
-func (s *Scheduler) SubmitIn(ctx context.Context, j Job) (*Ticket, error) {
-	return s.submit(ctx, j, nil, nil)
+// SubmitChase admits a chase-engine job with Submit's admission,
+// backpressure and cancellation semantics. The scheduler wires the run
+// in one place (engineOptions): Interrupt polls the job's context, so
+// the wall budget and cancellation stop the engine mid-round; a nil
+// Options.Scratch becomes the worker's pooled scratch; each round's
+// Stats is forwarded, after any Options.Progress of the caller's, into
+// the ticket's latest-wins Progress stream; and with telemetry on, a
+// metering observer joins Options.Observer.
+func (s *Scheduler) SubmitChase(ctx context.Context, spec ChaseSpec) (*Ticket, error) {
+	return s.submit(ctx, Job{Name: spec.Name, Meta: spec.Meta, Wall: spec.Wall}, &spec)
 }
 
-// SubmitChase admits a ChaseJob wired to the scheduler's Compiler (when
-// opts carries none of its own) and to the ticket's Progress stream: the
-// run's chase.Options.Progress forwards each round-boundary Stats snapshot
-// into the ticket with latest-wins semantics.
-func (s *Scheduler) SubmitChase(name string, db *logic.Instance, sigma *tgds.Set, opts chase.Options, b Budget, exec chase.Executor) (*Ticket, error) {
-	return s.SubmitChaseIn(context.Background(), name, db, sigma, opts, b, exec)
-}
-
-// SubmitChaseIn is SubmitChase with the job's context derived from ctx.
-func (s *Scheduler) SubmitChaseIn(ctx context.Context, name string, db *logic.Instance, sigma *tgds.Set, opts chase.Options, b Budget, exec chase.Executor) (*Ticket, error) {
-	return s.SubmitChaseMeta(ctx, JobMeta{}, name, db, sigma, opts, b, exec)
-}
-
-// SubmitChaseMeta is SubmitChaseIn with the job's admission metadata
-// (tenant, priority lane) set; the service layer routes RequestMeta
-// through it.
-func (s *Scheduler) SubmitChaseMeta(ctx context.Context, meta JobMeta, name string, db *logic.Instance, sigma *tgds.Set, opts chase.Options, b Budget, exec chase.Executor) (*Ticket, error) {
-	opts, progress, obs := s.instrumentEngine(opts, "chase")
-	j := ChaseJob(name, db, sigma, opts, b, exec)
-	j.Meta = meta
-	return s.submit(ctx, j, progress, obs)
-}
-
-// SubmitResumeMeta admits a ResumeJob — a chase continued from a
-// checkpoint over a base-data delta — with the same wiring as
-// SubmitChaseMeta: the scheduler's Compiler when opts carries none, the
-// ticket's Progress stream, and (with telemetry on) the metering
-// observer, whose terminal trace span is "resume" rather than "chase".
-// The resumed run goes through the same engine, so budgets, Interrupt,
-// worker Scratch, and parallel Executors all apply unchanged.
-func (s *Scheduler) SubmitResumeMeta(ctx context.Context, meta JobMeta, name string, cp *checkpoint.Checkpoint, sigma *tgds.Set, delta []*logic.Atom, opts chase.Options, b Budget, exec chase.Executor) (*Ticket, error) {
-	opts, progress, obs := s.instrumentEngine(opts, "resume")
-	j := ResumeJob(name, cp, sigma, delta, opts, b, exec)
-	j.Meta = meta
-	return s.submit(ctx, j, progress, obs)
-}
-
-// instrumentEngine applies the scheduler's per-engine-job wiring to an
-// options value: the shared compiler (when the job brings none), the
-// latest-wins progress forward, and — with telemetry on — the metering
-// observer beside any observer the caller brought. The observer's trace
-// handle is filled in by submit, under the admission step, before the
-// job can reach a worker; kind names its terminal trace span.
-func (s *Scheduler) instrumentEngine(opts chase.Options, kind string) (chase.Options, chan chase.Stats, *chaseObserver) {
-	if opts.Compile == nil {
-		opts.Compile = s.compiler
+// engineOptions applies the scheduler's wiring to one engine job's
+// options; ctx is the job's context and sc the worker's scratch.
+func (s *Scheduler) engineOptions(t *Ticket, ctx context.Context, sc *chase.Scratch) chase.Options {
+	o := t.spec.Options
+	done := ctx.Done()
+	o.Interrupt = func() bool {
+		select {
+		case <-done:
+			return true
+		default:
+			return false
+		}
 	}
-	progress := make(chan chase.Stats, 1)
-	prev := opts.Progress
-	opts.Progress = func(st chase.Stats) {
+	if o.Scratch == nil {
+		o.Scratch = sc
+	}
+	prev, progress := o.Progress, t.progress
+	o.Progress = func(st chase.Stats) {
 		if prev != nil {
 			prev(st)
 		}
 		pushLatest(progress, st)
 	}
-	var obs *chaseObserver
 	if s.tel != nil {
-		obs = &chaseObserver{m: s.tel, kind: kind}
-		opts.Observer = chase.MultiObserver(opts.Observer, obs)
+		obs := &chaseObserver{m: s.tel, trace: t.trace, kind: "chase"}
+		if t.spec.Resume {
+			obs.kind = "resume"
+		}
+		o.Observer = chase.MultiObserver(o.Observer, obs)
 	}
-	return opts, progress, obs
+	return o
 }
 
 // pushLatest delivers st to a 1-buffered channel with latest-wins
@@ -404,10 +431,9 @@ func pushLatest(ch chan chase.Stats, st chase.Stats) {
 
 // admitted instruments one successful admission: the admission counter,
 // the queue-wait start mark, and — when tracing — the ticket's trace
-// with its admit event, shared with the chase observer. It runs before
-// enqueue, so the observer's trace handle is published to the worker
-// goroutine by the enqueue itself.
-func (s *Scheduler) admitted(t *Ticket, obs *chaseObserver) {
+// with its admit event. It runs before enqueue, so the trace handle is
+// published to the worker goroutine by the enqueue itself.
+func (s *Scheduler) admitted(t *Ticket) {
 	if s.tel == nil {
 		return
 	}
@@ -416,14 +442,11 @@ func (s *Scheduler) admitted(t *Ticket, obs *chaseObserver) {
 	t.enqueued = time.Now()
 	if s.tel.trace != nil {
 		t.trace = s.tel.trace.Job(t.job.Name, t.index)
-		if obs != nil {
-			obs.trace = t.trace
-		}
 		t.trace.Event("admit", "tenant", tenant, "lane", lane)
 	}
 }
 
-func (s *Scheduler) submit(ctx context.Context, j Job, progress chan chase.Stats, obs *chaseObserver) (*Ticket, error) {
+func (s *Scheduler) submit(ctx context.Context, j Job, spec *ChaseSpec) (*Ticket, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -435,11 +458,14 @@ func (s *Scheduler) submit(ctx context.Context, j Job, progress chan chase.Stats
 	tctx, cancel := context.WithCancel(ctx)
 	t := &Ticket{
 		job:      j,
+		spec:     spec,
 		index:    s.seq,
 		ctx:      tctx,
 		cancelFn: cancel,
 		done:     make(chan JobResult, 1),
-		progress: progress,
+	}
+	if spec != nil {
+		t.progress = make(chan chase.Stats, 1)
 	}
 	// Prefer admission: the non-blocking slot grab happens under the lock
 	// so the closed-check, index assignment, and admission are one atomic
@@ -452,7 +478,7 @@ func (s *Scheduler) submit(ctx context.Context, j Job, progress chan chase.Stats
 		s.seq++
 		s.active++
 		s.mu.Unlock()
-		s.admitted(t, obs)
+		s.admitted(t)
 		s.enqueue(t)
 		return t, nil
 	default:
@@ -482,7 +508,7 @@ func (s *Scheduler) submit(ctx context.Context, j Job, progress chan chase.Stats
 			cancel()
 			return nil, ErrSchedulerClosed
 		}
-		s.admitted(t, obs)
+		s.admitted(t)
 		s.enqueue(t)
 		return t, nil
 	case <-ctx.Done():
@@ -548,16 +574,16 @@ func (s *Scheduler) worker() {
 	}
 }
 
-// ScratchReuses returns how many jobs so far ran on a worker's
-// already-warmed scratch — 0 until some worker serves its second
-// scratch-aware job.
+// ScratchReuses returns how many engine jobs so far ran on a worker's
+// already-warmed scratch — 0 until some worker serves its second engine
+// job.
 func (s *Scheduler) ScratchReuses() int64 { return s.scratchReuses.Load() }
 
-// run executes one ticket and delivers its result. The classification
-// mirrors the batch Pool's contract: TimedOut means the job's own wall
-// budget expired; preemption through the ticket's context (Cancel or a
-// parent context's cancellation/deadline) is Canceled; a job that absorbs
-// the preemption and still returns a value counts as succeeded.
+// run executes one ticket and delivers its result. TimedOut means the
+// job's own wall budget expired; preemption through the ticket's context
+// (Cancel or a parent context's cancellation/deadline) is Canceled; a
+// job that absorbs the preemption and still returns a value counts as
+// succeeded.
 func (s *Scheduler) run(t *Ticket, sc *chase.Scratch) {
 	defer s.release()
 	defer t.cancelFn()
@@ -571,11 +597,11 @@ func (s *Scheduler) run(t *Ticket, sc *chase.Scratch) {
 		if t.job.Wall > 0 {
 			jctx, cancel = context.WithTimeout(t.ctx, t.job.Wall)
 		}
-		if t.job.RunScratch != nil && sc != nil && sc.Runs() > 0 {
+		if t.spec != nil && sc.Runs() > 0 {
 			s.scratchReuses.Add(1)
 		}
 		t0 := time.Now()
-		r.Value, r.Err = invoke(t.job, jctx, sc)
+		r.Value, r.Err = s.invoke(t, jctx, sc)
 		r.Wall = time.Since(t0)
 		r.TimedOut = t.job.Wall > 0 && jctx.Err() == context.DeadlineExceeded && t.ctx.Err() == nil
 		r.Canceled = r.Err != nil && t.ctx.Err() != nil && errors.Is(r.Err, t.ctx.Err())
@@ -597,16 +623,20 @@ func (s *Scheduler) run(t *Ticket, sc *chase.Scratch) {
 // ticket, not unwind a worker goroutine and kill every other tenant's
 // process. (The intra-run Executor keeps its own contract of re-panicking
 // on the calling goroutine — there the caller is the one run.)
-func invoke(j Job, ctx context.Context, sc *chase.Scratch) (v any, err error) {
+func (s *Scheduler) invoke(t *Ticket, ctx context.Context, sc *chase.Scratch) (v any, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			v, err = nil, fmt.Errorf("runtime: job %s panicked: %v", j.Name, p)
+			v, err = nil, fmt.Errorf("runtime: job %s panicked: %v", t.job.Name, p)
 		}
 	}()
-	if j.RunScratch != nil && sc != nil {
-		return j.RunScratch(ctx, sc)
+	if t.spec == nil {
+		return t.job.Run(ctx)
 	}
-	return j.Run(ctx)
+	res, err := t.spec.Run(s.engineOptions(t, ctx, sc))
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // Drain blocks until every admitted job has completed and its result been
@@ -648,9 +678,8 @@ func (s *Scheduler) Close() {
 
 // Gather waits for every ticket and returns the results collated in the
 // given (submission) order. It is the bridge from the streaming scheduler
-// back to batch semantics: the batch Pool and the experiment fleets use
-// it so their aggregates stay submission-ordered — and byte-identical to
-// the pre-streaming runtime. Callers that want completion-order events
+// back to batch semantics: experiment fleets use it so their aggregates
+// stay submission-ordered, identical for any worker count. Callers that want completion-order events
 // attach their own per-ticket watchers at submission time (as the
 // XP-RESTRICTED sweep does), which observes finishes even while the
 // submitter is still parked on the queue bound.

@@ -13,12 +13,13 @@ import (
 
 var errFleetProbe = errors.New("fleet probe failure")
 
-// The streaming regression contract: a fleet run through the streaming
-// Scheduler — submitted incrementally against a small bounded queue,
-// consumed in completion order, collated by Gather — yields exactly the
-// same JobResults (CanonicalKey, Stats, errors, order after collation) as
-// the batch Pool, for all three chase variants at 1 and 4 workers.
-func TestSchedulerFleetMatchesPool(t *testing.T) {
+// The streaming regression contract: a fleet run through the Scheduler —
+// submitted incrementally against a small bounded queue, collated by
+// Gather — yields exactly what a direct chase.Run per job yields
+// (termination, Stats, CanonicalKey), and its failing probe's error, for
+// all three chase variants at 1 and 4 workers. The workers' pooled
+// scratches and the scheduler's engine wiring must be invisible.
+func TestSchedulerFleetMatchesDirectRun(t *testing.T) {
 	rcfg := families.RandomConfig{
 		Predicates: 3, MaxArity: 3, Rules: 3, MaxHeadAtoms: 2,
 		ExistentialProb: 0.4, RepeatProb: 0.3, SideAtoms: 1,
@@ -36,79 +37,59 @@ func TestSchedulerFleetMatchesPool(t *testing.T) {
 	variants := []chase.Variant{chase.SemiOblivious, chase.Oblivious, chase.Restricted}
 	const budget = 400 // truncates the non-terminating workloads mid-run
 
-	// jobs builds the fleet fresh per run (Job.Run closures are stateless,
-	// but fresh construction mirrors two independent serving processes).
-	// The fleet mixes chase jobs with a failing probe so error propagation
-	// is compared too.
-	jobs := func(v chase.Variant) []Job {
-		var js []Job
-		for i, w := range workloads {
-			w := w
-			js = append(js, ChaseJob(fmt.Sprintf("%v-%d", v, i), w.Database, w.Sigma,
-				chase.Options{Variant: v, MaxAtoms: budget}, Budget{}, nil))
-		}
-		js = append(js, Job{Name: "probe", Run: func(context.Context) (any, error) {
-			return nil, errFleetProbe
-		}})
-		return js
-	}
-
 	for _, v := range variants {
+		opts := chase.Options{Variant: v, MaxAtoms: budget}
+		direct := make([]*chase.Result, len(workloads))
+		for i, w := range workloads {
+			direct[i] = chase.Run(w.Database, w.Sigma, opts)
+		}
 		for _, workers := range []int{1, 4} {
 			name := fmt.Sprintf("%v/w%d", v, workers)
-
-			p := NewPool(workers)
-			for _, j := range jobs(v) {
-				p.Submit(j)
-			}
-			batch, stats := p.Run(context.Background())
-
 			s := NewScheduler(SchedulerConfig{Workers: workers, QueueBound: 2})
-			tickets := make([]*Ticket, 0, len(batch))
-			for _, j := range jobs(v) {
-				tk, err := s.Submit(j) // blocks at the bound: real backpressure
+			// The fleet mixes chase jobs with a failing probe so error
+			// propagation is compared too; Submit blocks at the bound.
+			var tickets []*Ticket
+			for i, w := range workloads {
+				tk, err := s.SubmitChase(context.Background(), chaseSpec(fmt.Sprintf("%v-%d", v, i), w.Database, w.Sigma, opts))
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				tickets = append(tickets, tk)
 			}
-			streamed := Gather(tickets)
+			probe, err := s.Submit(context.Background(), Job{Name: "probe", Run: func(context.Context) (any, error) {
+				return nil, errFleetProbe
+			}})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			streamed := Gather(append(tickets, probe))
 			s.Close()
 
-			if stats.Failed != 1 || stats.Succeeded != len(batch)-1 {
-				t.Fatalf("%s: pool stats %+v", name, stats)
-			}
-			if len(streamed) != len(batch) {
-				t.Fatalf("%s: %d streamed results vs %d batch", name, len(streamed), len(batch))
-			}
-			for i := range batch {
-				b, g := batch[i], streamed[i]
-				if b.Name != g.Name || !errors.Is(g.Err, b.Err) || !errors.Is(b.Err, g.Err) {
-					t.Fatalf("%s: result %d diverges: batch {%s %v} vs streamed {%s %v}",
-						name, i, b.Name, b.Err, g.Name, g.Err)
+			for i, g := range streamed {
+				if g.Index != i {
+					t.Fatalf("%s: result %d collated under index %d", name, i, g.Index)
 				}
-				if g.Index != tickets[i].Index() {
-					t.Fatalf("%s: result %d collated under index %d, ticket %d",
-						name, i, g.Index, tickets[i].Index())
-				}
-				if b.Value == nil != (g.Value == nil) {
-					t.Fatalf("%s: result %d value presence diverges", name, i)
-				}
-				if b.Value == nil {
+				if i == len(workloads) {
+					if g.Name != "probe" || !errors.Is(g.Err, errFleetProbe) || g.Value != nil {
+						t.Fatalf("%s: probe result %+v, want its error", name, g)
+					}
 					continue
 				}
-				br, gr := b.Value.(*chase.Result), g.Value.(*chase.Result)
-				if br.Terminated != gr.Terminated {
-					t.Fatalf("%s: job %s terminated %v (batch) vs %v (streamed)",
-						name, b.Name, br.Terminated, gr.Terminated)
+				if g.Err != nil {
+					t.Fatalf("%s: job %s: %v", name, g.Name, g.Err)
 				}
-				if br.Stats != gr.Stats {
-					t.Fatalf("%s: job %s stats diverge:\nbatch    %+v\nstreamed %+v",
-						name, b.Name, br.Stats, gr.Stats)
+				want, got := direct[i], g.Value.(*chase.Result)
+				if want.Terminated != got.Terminated {
+					t.Fatalf("%s: job %s terminated %v (direct) vs %v (scheduled)",
+						name, g.Name, want.Terminated, got.Terminated)
 				}
-				if bk, gk := br.Instance.CanonicalKey(), gr.Instance.CanonicalKey(); bk != gk {
+				if want.Stats != got.Stats {
+					t.Fatalf("%s: job %s stats diverge:\ndirect    %+v\nscheduled %+v",
+						name, g.Name, want.Stats, got.Stats)
+				}
+				if wk, gk := want.Instance.CanonicalKey(), got.Instance.CanonicalKey(); wk != gk {
 					t.Fatalf("%s: job %s CanonicalKey diverges (%d vs %d atoms)",
-						name, b.Name, br.Instance.Len(), gr.Instance.Len())
+						name, g.Name, want.Instance.Len(), got.Instance.Len())
 				}
 			}
 		}

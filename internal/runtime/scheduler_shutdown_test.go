@@ -16,7 +16,7 @@ func TestTicketCancelAfterCompletionNoop(t *testing.T) {
 	s := NewScheduler(SchedulerConfig{Workers: 1})
 	defer s.Close()
 
-	tk, err := s.Submit(Job{Name: "done-first", Run: func(context.Context) (any, error) {
+	tk, err := s.Submit(context.Background(), Job{Name: "done-first", Run: func(context.Context) (any, error) {
 		return 42, nil
 	}})
 	if err != nil {
@@ -56,7 +56,7 @@ func TestTicketCancelCompletionRace(t *testing.T) {
 	defer s.Close()
 
 	for i := 0; i < 50; i++ {
-		tk, err := s.Submit(Job{Name: fmt.Sprintf("racer-%d", i), Run: func(ctx context.Context) (any, error) {
+		tk, err := s.Submit(context.Background(), Job{Name: fmt.Sprintf("racer-%d", i), Run: func(ctx context.Context) (any, error) {
 			select {
 			case <-ctx.Done():
 				return nil, ctx.Err()
@@ -92,12 +92,12 @@ func TestSchedulerCloseWakesParkedSubmits(t *testing.T) {
 		s := NewScheduler(SchedulerConfig{Workers: 1, QueueBound: bound, Backpressure: Block})
 
 		// Pin the worker, fill the queue.
-		running, err := s.Submit(g.job("running"))
+		running, err := s.Submit(context.Background(), g.job("running"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		g.waitStarted(t, 1)
-		queued, err := s.Submit(g.job("queued"))
+		queued, err := s.Submit(context.Background(), g.job("queued"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func TestSchedulerCloseWakesParkedSubmits(t *testing.T) {
 			ready.Add(1)
 			go func(i int) {
 				ready.Done()
-				_, err := s.Submit(g.job(fmt.Sprintf("parked-%d", i)))
+				_, err := s.Submit(context.Background(), g.job(fmt.Sprintf("parked-%d", i)))
 				errs <- err
 			}(i)
 		}
@@ -160,7 +160,7 @@ func TestSchedulerDrainRacingSubmit(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 8; j++ {
-				tk, err := s.Submit(Job{Name: fmt.Sprintf("d-%d-%d", i, j), Run: func(context.Context) (any, error) {
+				tk, err := s.Submit(context.Background(), Job{Name: fmt.Sprintf("d-%d-%d", i, j), Run: func(context.Context) (any, error) {
 					return nil, nil
 				}})
 				mu.Lock()
@@ -197,7 +197,7 @@ func TestSchedulerDrainRacingSubmit(t *testing.T) {
 			t.Fatalf("admitted job lost: %+v", r)
 		}
 	}
-	if _, err := s.Submit(Job{Name: "late", Run: func(context.Context) (any, error) { return nil, nil }}); !errors.Is(err, ErrSchedulerClosed) {
+	if _, err := s.Submit(context.Background(), Job{Name: "late", Run: func(context.Context) (any, error) { return nil, nil }}); !errors.Is(err, ErrSchedulerClosed) {
 		t.Fatalf("post-Close submit err = %v, want ErrSchedulerClosed", err)
 	}
 	if admitted == 0 {

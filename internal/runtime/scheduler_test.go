@@ -67,7 +67,7 @@ func TestSchedulerRejectBackpressureBound(t *testing.T) {
 
 	var tickets []*Ticket
 	for i := 0; i < workers; i++ {
-		tk, err := s.Submit(g.job(fmt.Sprintf("running-%d", i)))
+		tk, err := s.Submit(context.Background(), g.job(fmt.Sprintf("running-%d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestSchedulerRejectBackpressureBound(t *testing.T) {
 	g.waitStarted(t, workers) // both workers now hold a job off the queue
 
 	for i := 0; i < bound; i++ {
-		tk, err := s.Submit(g.job(fmt.Sprintf("queued-%d", i)))
+		tk, err := s.Submit(context.Background(), g.job(fmt.Sprintf("queued-%d", i)))
 		if err != nil {
 			t.Fatalf("submission %d within the bound rejected: %v", i, err)
 		}
@@ -85,7 +85,7 @@ func TestSchedulerRejectBackpressureBound(t *testing.T) {
 	if got := s.QueueLen(); got != bound {
 		t.Fatalf("QueueLen = %d, want the bound %d", got, bound)
 	}
-	if _, err := s.Submit(g.job("overflow")); !errors.Is(err, ErrQueueFull) {
+	if _, err := s.Submit(context.Background(), g.job("overflow")); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("Submit beyond the bound: err = %v, want ErrQueueFull", err)
 	}
 	if got := s.QueueLen(); got > bound {
@@ -157,7 +157,7 @@ func TestSchedulerStress(t *testing.T) {
 			defer submitWG.Done()
 			for i := 0; i < perSubmitter; i++ {
 				name := fmt.Sprintf("s%d-j%d", g, i)
-				tk, err := s.Submit(Job{Name: name, Run: func(ctx context.Context) (any, error) {
+				tk, err := s.Submit(context.Background(), Job{Name: name, Run: func(ctx context.Context) (any, error) {
 					ran.Add(1)
 					return name, ctx.Err()
 				}})
@@ -255,19 +255,19 @@ func TestSchedulerBlockedSubmitUnblocksOnClose(t *testing.T) {
 	s := NewScheduler(SchedulerConfig{Workers: workers, QueueBound: bound})
 	g := newGate(workers + bound + 1)
 
-	running, err := s.Submit(g.job("running"))
+	running, err := s.Submit(context.Background(), g.job("running"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.waitStarted(t, 1)
-	queued, err := s.Submit(g.job("queued"))
+	queued, err := s.Submit(context.Background(), g.job("queued"))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	blockedErr := make(chan error)
 	go func() {
-		_, err := s.Submit(g.job("blocked"))
+		_, err := s.Submit(context.Background(), g.job("blocked"))
 		blockedErr <- err
 	}()
 	closed := make(chan struct{})
@@ -290,7 +290,7 @@ func TestSchedulerBlockedSubmitUnblocksOnClose(t *testing.T) {
 			t.Fatalf("%s: %+v — Close must run admitted jobs to completion", tk.Name(), r)
 		}
 	}
-	if _, err := s.Submit(g.job("late")); !errors.Is(err, ErrSchedulerClosed) {
+	if _, err := s.Submit(context.Background(), g.job("late")); !errors.Is(err, ErrSchedulerClosed) {
 		t.Fatalf("Submit after Close: err = %v, want ErrSchedulerClosed", err)
 	}
 	s.Close() // idempotent
@@ -305,18 +305,18 @@ func TestSchedulerBlockedSubmitHonorsContext(t *testing.T) {
 	defer s.Close()
 	g := newGate(4)
 
-	if _, err := s.Submit(g.job("running")); err != nil {
+	if _, err := s.Submit(context.Background(), g.job("running")); err != nil {
 		t.Fatal(err)
 	}
 	g.waitStarted(t, 1)
-	if _, err := s.Submit(g.job("queued")); err != nil {
+	if _, err := s.Submit(context.Background(), g.job("queued")); err != nil {
 		t.Fatal(err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	blockedErr := make(chan error)
 	go func() {
-		_, err := s.SubmitIn(ctx, g.job("parked"))
+		_, err := s.Submit(ctx, g.job("parked"))
 		blockedErr <- err
 	}()
 	select {
@@ -337,7 +337,7 @@ func TestSchedulerBlockedSubmitHonorsContext(t *testing.T) {
 	// An already-cancelled context with queue room: admitted, then skipped.
 	close(g.release)
 	s.Drain() // empty the queue so the next Submit finds a free slot
-	tk, err := s.SubmitIn(ctx, g.job("doomed"))
+	tk, err := s.Submit(ctx, g.job("doomed"))
 	if err != nil {
 		t.Fatalf("Submit with room must admit a cancelled-context job, got %v", err)
 	}
@@ -353,12 +353,12 @@ func TestSchedulerCancelBeforeStart(t *testing.T) {
 	defer s.Close()
 	g := newGate(4)
 
-	if _, err := s.Submit(g.job("running")); err != nil {
+	if _, err := s.Submit(context.Background(), g.job("running")); err != nil {
 		t.Fatal(err)
 	}
 	g.waitStarted(t, 1)
 	var ran atomic.Bool
-	tk, err := s.Submit(Job{Name: "doomed", Run: func(context.Context) (any, error) {
+	tk, err := s.Submit(context.Background(), Job{Name: "doomed", Run: func(context.Context) (any, error) {
 		ran.Store(true)
 		return nil, nil
 	}})
@@ -383,7 +383,7 @@ func TestSchedulerChaseProgressStream(t *testing.T) {
 	s := NewScheduler(SchedulerConfig{Workers: 1, QueueBound: 1})
 	defer s.Close()
 
-	tk, err := s.SubmitChase("walk", db, sigma, chase.Options{}, Budget{MaxRounds: 40}, nil)
+	tk, err := s.SubmitChase(context.Background(), chaseSpec("walk", db, sigma, chase.Options{MaxRounds: 40}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,13 +428,13 @@ func TestSchedulerChaseProgressStream(t *testing.T) {
 func TestSchedulerContainsJobPanic(t *testing.T) {
 	s := NewScheduler(SchedulerConfig{Workers: 1, QueueBound: 2})
 	defer s.Close()
-	bad, err := s.Submit(Job{Name: "bad", Run: func(context.Context) (any, error) {
+	bad, err := s.Submit(context.Background(), Job{Name: "bad", Run: func(context.Context) (any, error) {
 		panic("job boom")
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	good, err := s.Submit(Job{Name: "good", Run: func(context.Context) (any, error) {
+	good, err := s.Submit(context.Background(), Job{Name: "good", Run: func(context.Context) (any, error) {
 		return 7, nil
 	}})
 	if err != nil {
@@ -456,7 +456,7 @@ func TestSchedulerServesSuccessiveFleets(t *testing.T) {
 	for fleet := 0; fleet < 3; fleet++ {
 		var tickets []*Ticket
 		for i := 0; i < 5; i++ {
-			tk, err := s.Submit(Job{Name: fmt.Sprintf("f%d-j%d", fleet, i), Run: func(context.Context) (any, error) {
+			tk, err := s.Submit(context.Background(), Job{Name: fmt.Sprintf("f%d-j%d", fleet, i), Run: func(context.Context) (any, error) {
 				return fleet, nil
 			}})
 			if err != nil {
@@ -486,7 +486,7 @@ func TestSchedulerTicketIndicesUnique(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < n/4; i++ {
-				tk, err := s.Submit(Job{Name: "j", Run: func(context.Context) (any, error) { return nil, nil }})
+				tk, err := s.Submit(context.Background(), Job{Name: "j", Run: func(context.Context) (any, error) { return nil, nil }})
 				if err != nil {
 					t.Error(err)
 					return
@@ -507,4 +507,128 @@ func TestSchedulerTicketIndicesUnique(t *testing.T) {
 	if len(seen) != n {
 		t.Fatalf("%d distinct indices, want %d", len(seen), n)
 	}
+}
+
+// Gather collates a single submitter's fleet back into submission order:
+// on a fresh scheduler each result's Index is its position, whatever
+// order the workers finished in.
+func TestGatherResultsInSubmissionOrder(t *testing.T) {
+	s := NewScheduler(SchedulerConfig{Workers: 4, QueueBound: 8})
+	defer s.Close()
+	const n = 40
+	tickets := make([]*Ticket, n)
+	for i := range tickets {
+		tk, err := s.Submit(context.Background(), Job{Name: fmt.Sprintf("job-%d", i), Run: func(context.Context) (any, error) {
+			return i * i, nil
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tickets[i] = tk
+	}
+	results := Gather(tickets)
+	if len(results) != n {
+		t.Fatalf("%d results, want %d", len(results), n)
+	}
+	for i, r := range results {
+		if r.Index != i || r.Name != fmt.Sprintf("job-%d", i) || r.Value != i*i || r.Err != nil {
+			t.Fatalf("result %d out of order or wrong: %+v", i, r)
+		}
+	}
+}
+
+// A job that outlives its own wall budget is TimedOut; one that absorbs
+// the expiry and still returns a value keeps it.
+func TestSchedulerWallBudgetTimesOut(t *testing.T) {
+	s := NewScheduler(SchedulerConfig{Workers: 1, QueueBound: 1})
+	defer s.Close()
+	tk, err := s.Submit(context.Background(), Job{Name: "slow", Wall: 10 * time.Millisecond, Run: func(ctx context.Context) (any, error) {
+		<-ctx.Done()
+		return "stopped", nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := tk.Wait(); !r.TimedOut || r.Canceled || r.Err != nil || r.Value != "stopped" {
+		t.Fatalf("result = %+v, want timed-out with value", r)
+	}
+}
+
+// A deadline on the submission context is the caller's event: a running
+// job that surfaces it must be classified Canceled (like the queued jobs
+// the same expiry skips), never TimedOut.
+func TestSchedulerParentDeadlineClassifiedCanceled(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	s := NewScheduler(SchedulerConfig{Workers: 1, QueueBound: 1})
+	defer s.Close()
+	tk, err := s.Submit(ctx, Job{Name: "obedient", Run: func(jctx context.Context) (any, error) {
+		<-jctx.Done()
+		return nil, jctx.Err()
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := tk.Wait(); !r.Canceled || r.TimedOut || !errors.Is(r.Err, context.DeadlineExceeded) {
+		t.Fatalf("result = %+v, want Canceled by the deadline and not TimedOut", r)
+	}
+}
+
+// Jobs still queued when their submission context is cancelled are
+// skipped and reported Canceled, each with the context's error.
+func TestSchedulerCancellationSkipsQueuedJobs(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	const queued = 5
+	s := NewScheduler(SchedulerConfig{Workers: 1, QueueBound: queued + 1})
+	defer s.Close()
+	release := make(chan struct{})
+	first, err := s.Submit(ctx, Job{Name: "canceller", Run: func(context.Context) (any, error) {
+		<-release
+		cancel()
+		return nil, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ran atomic.Int32
+	tickets := make([]*Ticket, queued)
+	for i := range tickets {
+		if tickets[i], err = s.Submit(ctx, Job{Name: "queued", Run: func(context.Context) (any, error) {
+			ran.Add(1)
+			return nil, nil
+		}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(release)
+	if r := first.Wait(); r.Err != nil || r.Canceled {
+		t.Fatalf("canceller: %+v, want success", r)
+	}
+	for _, r := range Gather(tickets) {
+		if !r.Canceled || !errors.Is(r.Err, context.Canceled) {
+			t.Fatalf("queued job result %+v, want cancelled", r)
+		}
+	}
+	if n := ran.Load(); n != 0 {
+		t.Fatalf("%d queued jobs ran after the cancellation", n)
+	}
+}
+
+// A ticket surfaces the admission metadata the job was submitted with.
+func TestTicketMeta(t *testing.T) {
+	s := NewScheduler(SchedulerConfig{Workers: 1, QueueBound: 1})
+	defer s.Close()
+	meta := JobMeta{Tenant: "acme", Priority: PriorityHigh}
+	tk, err := s.Submit(context.Background(), Job{
+		Name: "meta",
+		Meta: meta,
+		Run:  func(context.Context) (any, error) { return nil, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tk.Meta(); got != meta {
+		t.Fatalf("Meta() = %+v, want %+v", got, meta)
+	}
+	tk.Wait()
 }

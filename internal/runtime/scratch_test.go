@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -98,7 +99,7 @@ func TestSchedulerScratchReuseCounter(t *testing.T) {
 	const jobs = 5
 	tickets := make([]*Ticket, 0, jobs)
 	for i := 0; i < jobs; i++ {
-		tk, err := s.SubmitChase(fmt.Sprintf("job-%d", i), w.Database, w.Sigma, chase.Options{}, Budget{}, nil)
+		tk, err := s.SubmitChase(context.Background(), chaseSpec(fmt.Sprintf("job-%d", i), w.Database, w.Sigma, chase.Options{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +129,7 @@ func TestExplicitScratchWins(t *testing.T) {
 	opts := chase.Options{Scratch: sc}
 	s := NewScheduler(SchedulerConfig{Workers: 1, QueueBound: 2})
 	defer s.Close()
-	tk, err := s.SubmitChase("explicit", w.Database, w.Sigma, opts, Budget{}, nil)
+	tk, err := s.SubmitChase(context.Background(), chaseSpec("explicit", w.Database, w.Sigma, opts))
 	if err != nil {
 		t.Fatal(err)
 	}

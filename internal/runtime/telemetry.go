@@ -100,8 +100,8 @@ func outcomeOf(r JobResult) string {
 // only, so the non-atomic cursor fields are safe.
 type chaseObserver struct {
 	m     *schedTelemetry
-	trace *telemetry.JobTrace // set by submit before enqueue; nil when tracing is off
-	kind  string              // terminal span name; "" means "chase" ("resume" for resumed jobs)
+	trace *telemetry.JobTrace // the ticket's trace; nil when tracing is off
+	kind  string              // terminal span name: "chase", or "resume" for resumed jobs
 
 	started    bool
 	prevAtoms  int
@@ -113,16 +113,7 @@ type chaseObserver struct {
 // (powers of two — a deterministic, log-sized sample of arbitrarily
 // long runs), records a round span.
 func (o *chaseObserver) ObserveRound(st chase.Stats) {
-	if !o.started {
-		o.started = true
-		o.prevAtoms = st.InitialAtoms
-	}
-	o.m.rounds.Add(uint64(st.Rounds - o.prevRounds))
-	o.m.atoms.Add(uint64(st.Atoms - o.prevAtoms))
-	o.m.triggers.Add(uint64(st.TriggersFired - o.prevFired))
-	o.prevRounds = st.Rounds
-	o.prevAtoms = st.Atoms
-	o.prevFired = st.TriggersFired
+	o.bill(st)
 	if o.trace != nil && sampledRound(st.Rounds) {
 		o.trace.Event("round",
 			"round", strconv.Itoa(st.Rounds),
@@ -132,20 +123,11 @@ func (o *chaseObserver) ObserveRound(st chase.Stats) {
 }
 
 // ObserveDone records the run's compile-cache interaction and terminal
-// chase span. Counters were already fed round by round; a run
+// chase or resume span. Counters were already fed round by round; a run
 // interrupted before its first round boundary still reports its final
 // stats here, so account any remainder.
 func (o *chaseObserver) ObserveDone(st chase.Stats, terminated bool) {
-	if !o.started {
-		o.started = true
-		o.prevAtoms = st.InitialAtoms
-	}
-	o.m.rounds.Add(uint64(st.Rounds - o.prevRounds))
-	o.m.atoms.Add(uint64(st.Atoms - o.prevAtoms))
-	o.m.triggers.Add(uint64(st.TriggersFired - o.prevFired))
-	o.prevRounds = st.Rounds
-	o.prevAtoms = st.Atoms
-	o.prevFired = st.TriggersFired
+	o.bill(st)
 	if o.trace != nil {
 		if st.CompileHits+st.CompileMisses > 0 {
 			cache := "miss"
@@ -154,15 +136,23 @@ func (o *chaseObserver) ObserveDone(st chase.Stats, terminated bool) {
 			}
 			o.trace.Event("compile", "cache", cache)
 		}
-		kind := o.kind
-		if kind == "" {
-			kind = "chase"
-		}
-		o.trace.Event(kind,
+		o.trace.Event(o.kind,
 			"rounds", strconv.Itoa(st.Rounds),
 			"atoms", strconv.Itoa(st.Atoms),
 			"terminated", strconv.FormatBool(terminated))
 	}
+}
+
+// bill feeds the counters the deltas since the previous call.
+func (o *chaseObserver) bill(st chase.Stats) {
+	if !o.started {
+		o.started = true
+		o.prevAtoms = st.InitialAtoms
+	}
+	o.m.rounds.Add(uint64(st.Rounds - o.prevRounds))
+	o.m.atoms.Add(uint64(st.Atoms - o.prevAtoms))
+	o.m.triggers.Add(uint64(st.TriggersFired - o.prevFired))
+	o.prevRounds, o.prevAtoms, o.prevFired = st.Rounds, st.Atoms, st.TriggersFired
 }
 
 // sampledRound reports whether a round index is in the deterministic

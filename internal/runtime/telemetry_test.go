@@ -28,15 +28,15 @@ func TestSchedulerTelemetryMetrics(t *testing.T) {
 	const chaseJobs = 3
 	tickets := make([]*Ticket, 0, chaseJobs)
 	for i := 0; i < chaseJobs; i++ {
-		tk, err := s.SubmitChaseMeta(context.Background(),
-			JobMeta{Tenant: "acme", Priority: PriorityHigh},
-			fmt.Sprintf("job-%d", i), w.Database, w.Sigma, chase.Options{}, Budget{}, nil)
+		spec := chaseSpec(fmt.Sprintf("job-%d", i), w.Database, w.Sigma, chase.Options{})
+		spec.Meta = JobMeta{Tenant: "acme", Priority: PriorityHigh}
+		tk, err := s.SubmitChase(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tickets = append(tickets, tk)
 	}
-	fail, err := s.Submit(Job{Name: "boom", Run: func(context.Context) (any, error) {
+	fail, err := s.Submit(context.Background(), Job{Name: "boom", Run: func(context.Context) (any, error) {
 		return nil, errors.New("boom")
 	}})
 	if err != nil {
@@ -108,13 +108,13 @@ func TestSchedulerTelemetryTrace(t *testing.T) {
 	tel.Trace = telemetry.NewTraceSink()
 	base := time.Unix(42, 0)
 	tel.Trace.SetClock(func() time.Time { return base })
-	s := NewScheduler(SchedulerConfig{Workers: 1, QueueBound: 1, Telemetry: tel,
-		Compiler: compile.NewCache(4)})
+	s := NewScheduler(SchedulerConfig{Workers: 1, QueueBound: 1, Telemetry: tel})
 	defer s.Close()
 
 	db := parser.MustParseDatabase(`e(a, b).`)
 	sigma := parser.MustParseRules(`e(X, Y) -> ∃Z e(Y, Z).`)
-	tk, err := s.SubmitChase("walk", db, sigma, chase.Options{}, Budget{MaxRounds: 5}, nil)
+	tk, err := s.SubmitChase(context.Background(),
+		chaseSpec("walk", db, sigma, chase.Options{MaxRounds: 5, Compile: compile.NewCache(4)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestSchedulerTelemetryTrace(t *testing.T) {
 func TestTicketProgressSentinel(t *testing.T) {
 	s := NewScheduler(SchedulerConfig{Workers: 1, QueueBound: 1})
 	defer s.Close()
-	tk, err := s.Submit(Job{Name: "plain", Run: func(context.Context) (any, error) {
+	tk, err := s.Submit(context.Background(), Job{Name: "plain", Run: func(context.Context) (any, error) {
 		return 1, nil
 	}})
 	if err != nil {
@@ -221,7 +221,7 @@ func TestChaseObserverRemainder(t *testing.T) {
 	s := NewScheduler(SchedulerConfig{Workers: 1, QueueBound: 1, Telemetry: tel})
 	defer s.Close()
 	w := families.GLower(1, 1, 1)
-	tk, err := s.SubmitChase("one", w.Database, w.Sigma, chase.Options{}, Budget{}, nil)
+	tk, err := s.SubmitChase(context.Background(), chaseSpec("one", w.Database, w.Sigma, chase.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}

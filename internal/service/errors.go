@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"repro/internal/checkpoint"
+	"repro/internal/core"
 	"repro/internal/qos"
 	rt "repro/internal/runtime"
 	"repro/internal/wire"
@@ -136,7 +137,7 @@ func classify(err error) ErrorKind {
 		errors.Is(err, checkpoint.ErrCorrupt):
 		return KindDecode
 	case errors.Is(err, checkpoint.ErrMismatch), errors.Is(err, checkpoint.ErrNotResumable),
-		errors.Is(err, qos.ErrNoLearnedBound):
+		errors.Is(err, qos.ErrNoLearnedBound), errors.Is(err, core.ErrUnboundedNaive):
 		return KindBadRequest
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return KindCanceled

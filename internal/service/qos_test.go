@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/chase"
 	"repro/internal/compile"
+	"repro/internal/core"
 	"repro/internal/qos"
 	"repro/internal/telemetry"
 )
@@ -378,20 +379,32 @@ func TestServiceDecideQoS(t *testing.T) {
 		t.Fatalf("bounded naive probe: %+v", r)
 	}
 
-	// Anytime deadline on the probe is accepted; an explicit tighter
-	// AtomCap beats the learned one (exercised via a 1-atom cap).
-	tk, err = s.SubmitDecide(ctx, DecideRequest{
+	// Anytime deadline on a capped probe is accepted. The deadline alone
+	// does not bound the probe, and this Σ's bound |D|·f_SL(Σ) exceeds
+	// MaxInt32 atoms, so without a cap the probe is a bad request.
+	anytime := DecideRequest{
 		Meta:     RequestMeta{QoS: qos.Policy{Mode: qos.Anytime, Deadline: time.Hour}},
 		Method:   "naive",
 		Database: Payload{Instance: prog.Database},
 		Ontology: OntologyRef{Set: prog.Rules},
-	})
+	}
+	tk, err = s.SubmitDecide(ctx, anytime)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := tk.Wait(); r.Err != nil {
-		t.Fatalf("anytime naive probe: %v", r.Err)
+	if se := badRequest(t, tk.Wait().Err, "uncapped anytime naive probe"); !errors.Is(se, core.ErrUnboundedNaive) {
+		t.Fatalf("uncapped anytime naive probe: %v, want core.ErrUnboundedNaive", se)
 	}
+	anytime.AtomCap = 1000
+	tk, err = s.SubmitDecide(ctx, anytime)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := tk.Wait(); r.Err != nil || r.Verdict.Outcome != core.Finite {
+		t.Fatalf("anytime naive probe: %+v", r)
+	}
+	// An explicit tighter AtomCap beats the learned one (exercised via a
+	// 1-atom cap).
 	tk, err = s.SubmitDecide(ctx, DecideRequest{
 		Meta:     RequestMeta{QoS: qos.Policy{Mode: qos.Bounded}},
 		Method:   "naive",

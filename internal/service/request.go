@@ -247,7 +247,10 @@ type DecideRequest struct {
 	Database Payload // unused by "uniform"
 	Ontology OntologyRef
 	Method   string
-	// AtomCap bounds the naive probe's materialization.
+	// AtomCap bounds the naive probe's materialization. Zero means no
+	// cap, which only a bound |D|·f_C(Σ) small enough to materialize
+	// allows; otherwise the result fails KindBadRequest, wrapping
+	// core.ErrUnboundedNaive.
 	AtomCap int
 	Wall    time.Duration
 	// Workers parallelizes the naive probe's trigger collection.

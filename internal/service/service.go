@@ -94,7 +94,6 @@ func New(cfg Config) *Service {
 			Workers:      cfg.Workers,
 			QueueBound:   cfg.QueueBound,
 			Backpressure: cfg.Backpressure,
-			Compiler:     cache,
 			Telemetry:    cfg.Telemetry,
 		}),
 		cache: cache,
@@ -226,13 +225,16 @@ func (s *Service) SubmitChase(ctx context.Context, req ChaseRequest) (*Ticket, e
 		TrackForest:      req.TrackForest,
 		RecordDerivation: req.RecordDerivation,
 		NoSemiNaive:      req.NoSemiNaive,
+		Executor:         executor(req.Workers, req.Executor),
 		Progress:         req.Progress,
 		Compile:          s.cache,
 		Checkpoint:       req.Checkpoint,
 	}
 	s.applyChaseDecision(&opts, dec, fp)
-	t, err := s.sched.SubmitChaseMeta(ctx, req.Meta.jobMeta(), name, db, sigma, opts,
-		rt.Budget{Wall: dec.Wall}, executor(req.Workers, req.Executor))
+	t, err := s.sched.SubmitChase(ctx, rt.ChaseSpec{
+		Name: name, Meta: req.Meta.jobMeta(), Wall: dec.Wall, Options: opts,
+		Run: func(o chase.Options) (*chase.Result, error) { return chase.Run(db, sigma, o), nil },
+	})
 	if err != nil {
 		return nil, wrapErr(OpChase, name, KindInternal, err)
 	}
@@ -301,13 +303,17 @@ func (s *Service) SubmitDelta(ctx context.Context, req DeltaRequest) (*Ticket, e
 		TrackForest:      req.TrackForest,
 		RecordDerivation: req.RecordDerivation,
 		NoSemiNaive:      req.NoSemiNaive,
+		Executor:         executor(req.Workers, req.Executor),
 		Progress:         req.Progress,
 		Compile:          s.cache,
 		Checkpoint:       req.Chain,
 	}
 	s.applyChaseDecision(&opts, dec, cp.Fingerprint)
-	t, err := s.sched.SubmitResumeMeta(ctx, req.Meta.jobMeta(), name, cp, sigma, req.Delta, opts,
-		rt.Budget{Wall: dec.Wall}, executor(req.Workers, req.Executor))
+	delta := req.Delta
+	t, err := s.sched.SubmitChase(ctx, rt.ChaseSpec{
+		Name: name, Meta: req.Meta.jobMeta(), Wall: dec.Wall, Options: opts, Resume: true,
+		Run: func(o chase.Options) (*chase.Result, error) { return cp.Resume(sigma, delta, o) },
+	})
 	if err != nil {
 		return nil, wrapErr(OpResume, name, KindInternal, err)
 	}
@@ -349,7 +355,7 @@ func (s *Service) SubmitDecide(ctx context.Context, req DecideRequest) (*Ticket,
 		return nil, wrapErr(OpDecide, name, KindBadRequest, err)
 	}
 	j := rt.Job{Name: name, Meta: req.Meta.jobMeta(), Wall: req.Wall, Run: run}
-	t, err := s.sched.SubmitIn(ctx, j)
+	t, err := s.sched.Submit(ctx, j)
 	if err != nil {
 		return nil, wrapErr(OpDecide, name, KindInternal, err)
 	}
@@ -375,7 +381,7 @@ func (s *Service) decideRun(req DecideRequest, db *logic.Instance, sigma *tgds.S
 	case "naive":
 		exec := executor(req.Workers, nil)
 		return func(ctx context.Context) (any, error) {
-			return core.DecideNaiveOpt(db, sigma, core.NaiveOptions{
+			return core.DecideNaive(db, sigma, core.NaiveOptions{
 				AtomCap:  req.AtomCap,
 				Executor: exec,
 				Compiler: s.cache,
@@ -440,7 +446,7 @@ func (s *Service) SubmitExperiment(ctx context.Context, req ExperimentRequest) (
 	}
 	j := rt.Job{Name: name, Meta: req.Meta.jobMeta(), Wall: req.Wall,
 		Run: func(context.Context) (any, error) { return e.Run(cfg) }}
-	t, err := s.sched.SubmitIn(ctx, j)
+	t, err := s.sched.Submit(ctx, j)
 	if err != nil {
 		return nil, wrapErr(OpExperiment, name, KindInternal, err)
 	}

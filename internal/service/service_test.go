@@ -9,9 +9,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/chase"
 	"repro/internal/compile"
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/logic"
 	"repro/internal/parser"
@@ -357,6 +359,50 @@ func TestDecideMethods(t *testing.T) {
 		if r.Verdict == nil {
 			t.Fatalf("%s/%s: no verdict in %+v", c.scenario, c.method, r)
 		}
+	}
+}
+
+// TestDecideNaiveNoCapBadRequest: a naive probe with no atom cap on a Σ
+// whose bound |D|·f_C(Σ) is too large to materialize (a guarded set,
+// here) used to chase without a bound and hold its worker forever, wall
+// budget or not. It must come back KindBadRequest, and the worker must
+// be free for the next job.
+func TestDecideNaiveNoCapBadRequest(t *testing.T) {
+	prog := parserProg(t, `r(a, b, c). s(b).
+		r(X, Y, W), s(Y) -> ∃Z r(Y, Z, W), s(Z).
+		t(X, Y, W) -> r(X, Y, W).
+		u(X) -> s(X).`)
+	s := newService(t, Config{Workers: 1, QueueBound: 2})
+	req := DecideRequest{
+		Database: Payload{Instance: prog.Database},
+		Ontology: OntologyRef{Set: prog.Rules},
+		Method:   "naive",
+	}
+	for _, wall := range []time.Duration{0, time.Hour} {
+		req.Wall = wall
+		tk, err := s.SubmitDecide(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan Result, 1)
+		go func() { done <- tk.Wait() }()
+		select {
+		case r := <-done:
+			se := badRequest(t, r.Err, "uncapped naive probe")
+			if !errors.Is(se, core.ErrUnboundedNaive) {
+				t.Fatalf("err = %v, want core.ErrUnboundedNaive", se)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("wall %v: the uncapped naive probe still holds its worker after 5s", wall)
+		}
+	}
+	req.AtomCap = 500
+	tk, err := s.SubmitDecide(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := tk.Wait(); r.Err != nil || r.Verdict.Outcome != core.Unknown {
+		t.Fatalf("capped probe: %+v, want an Unknown verdict", r)
 	}
 }
 
