@@ -17,8 +17,10 @@
 // The data plane is integer-interned: internal/logic maintains a
 // process-wide symbol table mapping every term and predicate to a dense
 // int32 id, atoms carry their id tuple with a precomputed 64-bit hash,
-// instances index by ids, and the chase keys triggers and canonical nulls
-// by interned integer tuples. Strings appear only at the boundaries
+// instances index atoms by insertion sequence (every index holds int32
+// sequences keyed by ids, and atoms are read back from the insertion
+// order), and the chase keys triggers and canonical nulls by interned
+// integer tuples. Strings appear only at the boundaries
 // (internal/parser and rendering) and as the cross-run canonical identity
 // (Instance.CanonicalKey); see the internal/logic package comment for the
 // invariants.

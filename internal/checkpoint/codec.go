@@ -323,6 +323,12 @@ func Decode(data []byte) (*Checkpoint, error) {
 		return nil, err
 	}
 	c.State.Fired = make([][]int32, nfired)
+	// Every tuple costs a TGD index byte, a width byte and a byte per id,
+	// so the remaining input bounds all tuples' elements (index plus ids)
+	// and one backing array holds them without growing. Each tuple's
+	// capacity ends at its length, so an append to one never overwrites
+	// the next.
+	flat := make([]int32, 0, len(r.data)-r.pos-nfired)
 	for i := range c.State.Fired {
 		tgdIdx, err := r.count("fired TGD index")
 		if err != nil {
@@ -335,8 +341,8 @@ func Decode(data []byte) (*Checkpoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		tuple := make([]int32, 1, 1+nids)
-		tuple[0] = int32(tgdIdx)
+		start := len(flat)
+		flat = append(flat, int32(tgdIdx))
 		for range nids {
 			ti, err := r.count("fired term index")
 			if err != nil {
@@ -345,9 +351,9 @@ func Decode(data []byte) (*Checkpoint, error) {
 			if ti >= len(termIDs) {
 				return nil, fmt.Errorf("%w: fired key references term %d of %d", ErrCorrupt, ti, len(termIDs))
 			}
-			tuple = append(tuple, termIDs[ti])
+			flat = append(flat, termIDs[ti])
 		}
-		c.State.Fired[i] = tuple
+		c.State.Fired[i] = flat[start:len(flat):len(flat)]
 	}
 	if r.pos != len(r.data) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(r.data)-r.pos)

@@ -93,18 +93,23 @@ func homSearch(atoms []*Atom, i int, to *Instance, assign map[*Null]nullBinding)
 	}
 	pattern := atoms[i]
 	// Candidate targets: narrow by any ground or already-assigned position.
-	candidates := to.byPredID(pattern.pid)
+	p := to.byPred[pattern.pid]
+	candidates := p.rows
 	for pos, t := range pattern.Args {
+		if len(candidates) == 0 {
+			return false
+		}
 		id, ok := imageID(t, pattern.ids[pos], assign)
 		if !ok {
 			continue
 		}
-		list := to.atPositionID(pattern.pid, int32(pos), id)
+		list := to.postings[postingKey(p.col+int32(pos), id)]
 		if len(list) < len(candidates) {
 			candidates = list
 		}
 	}
-	for _, cand := range candidates {
+	for _, s := range candidates {
+		cand := to.order[s]
 		var newly []*Null
 		ok := true
 		for pos, t := range pattern.Args {

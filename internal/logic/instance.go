@@ -1,66 +1,95 @@
 package logic
 
 import (
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 )
 
 // Instance is a set of atoms over constants and nulls (a database when all
-// atoms are facts). Atom membership is resolved through the atoms'
-// precomputed hashes and interned id tuples; per-predicate-id and
-// per-(predicate, position, term id) indexes accelerate conjunctive
-// matching, and insertion order is remembered so that iteration and
-// semi-naive deltas are deterministic. No string key is built or hashed on
-// any of these paths.
+// atoms are facts). Atoms are stored once, in insertion order; an atom's
+// position in that order is its insertion sequence (what Seq returns), and
+// every index holds int32 sequences rather than atom pointers:
+//
+//   - the atom set maps each atom's precomputed hash to its sequence, so
+//     Add, Has, Canonical and Seq resolve an atom with one hash probe and
+//     an id-tuple comparison;
+//   - per predicate id, the rows are the sequences of the predicate's
+//     atoms;
+//   - postings list, per (predicate, position, term id), the sequences of
+//     the atoms carrying that term at that position. Each predicate's
+//     positions are numbered as instance columns when its first atom is
+//     inserted, so a posting is keyed by one uint64 (column, term id).
+//
+// Every list is ascending, because sequences are handed out in insertion
+// order: iteration and semi-naive deltas are deterministic, and an age
+// window (the atoms with sequence in [lo, hi)) is a binary-searched
+// sub-slice. No string key is built or hashed on any of these paths.
 //
 // Concurrency contract: an Instance is not safe for concurrent mutation,
 // but while no Add runs, every read — Atoms, Len, Seq, Has, Canonical,
-// ByPred, AtPosition, and homomorphism search over the instance — may be
-// issued from many goroutines simultaneously. The parallel chase collector
-// relies on this: rounds alternate a read-only matching phase (sharded
-// across workers) with a single-goroutine apply phase that mutates the
-// instance. Atom.Key() and methods built on it (String, CanonicalKey,
-// SortAtoms) are excluded from the contract: the key is cached lazily
-// without synchronization, so materialize keys only from one goroutine.
+// ByPred, AtPosition, HasDeltaFor, Clone, and homomorphism search over the
+// instance — may be issued from many goroutines simultaneously. The
+// parallel chase collector relies on this: rounds alternate a read-only
+// matching phase (sharded across workers) with a single-goroutine apply
+// phase that mutates the instance. A clone and its source may be mutated
+// by different goroutines: the array elements they share are never
+// written again (see Clone). Atom.Key() and methods built on it (String,
+// CanonicalKey, SortAtoms) are excluded from the contract: the key is
+// cached lazily without synchronization, so materialize keys only from one
+// goroutine.
 type Instance struct {
-	// first holds the (almost always unique) atom per hash; overflow
-	// carries further atoms on the rare hash collision, resolved by
-	// comparing id tuples. The split keeps Add at one map insert per atom
-	// instead of one slice allocation per atom.
-	first    map[uint64]*Atom
-	overflow map[uint64][]*Atom // nil until the first collision
+	// first holds the sequence of the (almost always unique) atom per
+	// hash; overflow carries further sequences on the rare hash collision.
+	// The split keeps Add at one map insert per atom instead of one slice
+	// allocation per atom.
+	first    map[uint64]int32
+	overflow map[uint64][]int32 // nil until the first collision
+	// order is the only place atoms are held: sequence s reads back as
+	// order[s].
 	order    []*Atom
-	// seq maps the instance's canonical atom pointer to its insertion
-	// sequence number.
-	seq    map[*Atom]int
-	byPred map[int32][]*Atom
-	// index maps (predicate id, argument position, term id) to the atoms
-	// that carry that term at that position; it accelerates bound-variable
-	// lookups during homomorphism search.
-	index map[posTermKey][]*Atom
+	byPred   map[int32]predRows
+	postings map[uint64][]int32 // postingKey(column, term id) -> sequences
+	ncols    int32              // columns numbered so far
+	// heads is the block new postings take their first sequence from
+	// (see newPosting).
+	heads []int32
 }
 
-type posTermKey struct {
-	pred int32
-	pos  int32
-	term int32
+// headBlock is the number of posting heads carved from one allocation.
+const headBlock = 128
+
+// predRows is one predicate's part of the index: the sequences of its
+// atoms and the instance column of its first position (position i is
+// column col+i).
+type predRows struct {
+	rows []int32
+	col  int32
+}
+
+func postingKey(col, term int32) uint64 {
+	return uint64(uint32(col))<<32 | uint64(uint32(term))
 }
 
 // NewInstance returns an empty instance.
-func NewInstance() *Instance {
+func NewInstance() *Instance { return newInstance(0) }
+
+// newInstance returns an empty instance sized for n atoms.
+func newInstance(n int) *Instance {
 	return &Instance{
-		first:  make(map[uint64]*Atom),
-		seq:    make(map[*Atom]int),
-		byPred: make(map[int32][]*Atom),
-		index:  make(map[posTermKey][]*Atom),
+		first:    make(map[uint64]int32, n),
+		order:    make([]*Atom, 0, n),
+		byPred:   make(map[int32]predRows),
+		postings: make(map[uint64][]int32, n),
 	}
 }
 
-// NewDatabase builds an instance from the given atoms; it is a convenience
-// constructor for literal databases.
+// NewDatabase builds an instance from the given atoms, in order, sized for
+// all of them up front.
 func NewDatabase(atoms ...*Atom) *Instance {
-	in := NewInstance()
+	in := newInstance(len(atoms))
 	for _, a := range atoms {
 		in.Add(a)
 	}
@@ -69,30 +98,54 @@ func NewDatabase(atoms ...*Atom) *Instance {
 
 // Add inserts the atom and reports whether it was new.
 func (in *Instance) Add(a *Atom) bool {
-	if b, ok := in.first[a.hash]; ok {
-		if b.sameAtom(a) {
+	seq := int32(len(in.order))
+	if s, ok := in.first[a.hash]; !ok {
+		in.first[a.hash] = seq
+	} else {
+		if in.order[s].sameAtom(a) {
 			return false
 		}
-		for _, c := range in.overflow[a.hash] {
-			if c.sameAtom(a) {
+		for _, s := range in.overflow[a.hash] {
+			if in.order[s].sameAtom(a) {
 				return false
 			}
 		}
 		if in.overflow == nil {
-			in.overflow = make(map[uint64][]*Atom)
+			in.overflow = make(map[uint64][]int32)
 		}
-		in.overflow[a.hash] = append(in.overflow[a.hash], a)
-	} else {
-		in.first[a.hash] = a
+		in.overflow[a.hash] = append(in.overflow[a.hash], seq)
 	}
-	in.seq[a] = len(in.order)
 	in.order = append(in.order, a)
-	in.byPred[a.pid] = append(in.byPred[a.pid], a)
+	p, ok := in.byPred[a.pid]
+	if !ok {
+		p.col = in.ncols
+		in.ncols += int32(len(a.ids))
+	}
+	p.rows = append(p.rows, seq)
+	in.byPred[a.pid] = p
 	for i, id := range a.ids {
-		k := posTermKey{pred: a.pid, pos: int32(i), term: id}
-		in.index[k] = append(in.index[k], a)
+		k := postingKey(p.col+int32(i), id)
+		if list, ok := in.postings[k]; ok {
+			in.postings[k] = append(list, seq)
+		} else {
+			in.postings[k] = in.newPosting(seq)
+		}
 	}
 	return true
+}
+
+// newPosting returns the one-element posting [seq], carved from the
+// instance's block of heads: most terms occur once per column, so most
+// postings never grow and cost no allocation of their own. The posting's
+// capacity ends at its length, so its first append moves it out of the
+// block.
+func (in *Instance) newPosting(seq int32) []int32 {
+	if len(in.heads) == cap(in.heads) {
+		in.heads = make([]int32, 0, headBlock)
+	}
+	in.heads = append(in.heads, seq)
+	n := len(in.heads)
+	return in.heads[n-1 : n : n]
 }
 
 // AddAll inserts every atom and returns the number of new atoms.
@@ -106,22 +159,32 @@ func (in *Instance) AddAll(atoms []*Atom) int {
 	return n
 }
 
+// lookup returns the insertion sequence of the atom equal to a, or -1.
+func (in *Instance) lookup(a *Atom) int {
+	s, ok := in.first[a.hash]
+	if !ok {
+		return -1
+	}
+	if b := in.order[s]; b == a || b.sameAtom(a) {
+		return int(s)
+	}
+	for _, s := range in.overflow[a.hash] {
+		if in.order[s].sameAtom(a) {
+			return int(s)
+		}
+	}
+	return -1
+}
+
 // Has reports whether the instance contains the atom.
-func (in *Instance) Has(a *Atom) bool { return in.Canonical(a) != nil }
+func (in *Instance) Has(a *Atom) bool { return in.lookup(a) >= 0 }
 
 // Canonical returns the instance's own copy of an atom equal to a, or nil
 // when absent. It lets callers exchange structurally equal atoms for the
 // pointer stored in the instance.
 func (in *Instance) Canonical(a *Atom) *Atom {
-	if b, ok := in.first[a.hash]; ok {
-		if b.sameAtom(a) {
-			return b
-		}
-		for _, c := range in.overflow[a.hash] {
-			if c.sameAtom(a) {
-				return c
-			}
-		}
+	if s := in.lookup(a); s >= 0 {
+		return in.order[s]
 	}
 	return nil
 }
@@ -133,47 +196,39 @@ func (in *Instance) Len() int { return len(in.order) }
 // callers must not modify it.
 func (in *Instance) Atoms() []*Atom { return in.order }
 
-// Seq returns the insertion sequence number of the atom, or -1 if absent.
-// Semi-naive evaluation treats atoms with sequence >= deltaStart as new.
-func (in *Instance) Seq(a *Atom) int {
-	if s, ok := in.seq[a]; ok {
-		return s
-	}
-	// a may be a structurally equal atom from elsewhere; resolve it to the
-	// instance's canonical pointer.
-	if c := in.Canonical(a); c != nil {
-		return in.seq[c]
-	}
-	return -1
-}
+// Seq returns the insertion sequence number of the atom (or of the
+// instance's atom equal to it), or -1 if absent. Semi-naive evaluation
+// treats atoms with sequence >= deltaStart as new.
+func (in *Instance) Seq(a *Atom) int { return in.lookup(a) }
 
-// ByPred returns the atoms with the given predicate, in insertion order.
-// The returned slice is shared; callers must not modify it.
+// ByPred returns the atoms with the given predicate, in insertion order,
+// as a fresh slice.
 func (in *Instance) ByPred(p Predicate) []*Atom {
 	// Lookup only: probing for an absent predicate must not intern it.
 	pid, ok := lookupPredID(p)
 	if !ok {
 		return nil
 	}
-	return in.byPred[pid]
+	return in.atomsAt(in.byPred[pid].rows)
 }
 
-// byPredID is ByPred for callers that already hold the interned id.
-func (in *Instance) byPredID(pid int32) []*Atom { return in.byPred[pid] }
-
 // HasDeltaFor reports whether the predicate (by interned id) gained at
-// least one atom with insertion sequence >= deltaStart. Per-predicate
-// lists are in insertion order, so the last atom decides. Semi-naive
-// matching and the parallel collector's shard generation share this probe
-// so their seed-skip decisions cannot diverge.
+// least one atom with insertion sequence >= deltaStart. Rows ascend, so
+// the last one decides. Semi-naive matching and the parallel collector's
+// shard generation share this probe so their seed-skip decisions cannot
+// diverge.
 func (in *Instance) HasDeltaFor(pid int32, deltaStart int) bool {
-	list := in.byPred[pid]
-	return len(list) > 0 && in.seq[list[len(list)-1]] >= deltaStart
+	rows := in.byPred[pid].rows
+	return len(rows) > 0 && int(rows[len(rows)-1]) >= deltaStart
 }
 
 // AtPosition returns the atoms that carry the given term at the given
-// 0-based argument position of the predicate.
+// 0-based argument position of the predicate, in insertion order, as a
+// fresh slice. A position outside [0, arity) holds no atoms.
 func (in *Instance) AtPosition(p Predicate, pos int, t Term) []*Atom {
+	if pos < 0 || pos >= p.Arity {
+		return nil
+	}
 	// Lookup only: probing for absent symbols must not intern them.
 	pid, ok := lookupPredID(p)
 	if !ok {
@@ -183,12 +238,23 @@ func (in *Instance) AtPosition(p Predicate, pos int, t Term) []*Atom {
 	if !ok {
 		return nil
 	}
-	return in.index[posTermKey{pred: pid, pos: int32(pos), term: tid}]
+	pr, ok := in.byPred[pid]
+	if !ok {
+		return nil
+	}
+	return in.atomsAt(in.postings[postingKey(pr.col+int32(pos), tid)])
 }
 
-// atPositionID is AtPosition on interned ids.
-func (in *Instance) atPositionID(pid, pos, term int32) []*Atom {
-	return in.index[posTermKey{pred: pid, pos: pos, term: term}]
+// atomsAt materializes a list of sequences as atoms.
+func (in *Instance) atomsAt(seqs []int32) []*Atom {
+	if len(seqs) == 0 {
+		return nil
+	}
+	out := make([]*Atom, len(seqs))
+	for i, s := range seqs {
+		out[i] = in.order[s]
+	}
+	return out
 }
 
 // Predicates returns the distinct predicates of the instance, sorted by
@@ -224,44 +290,34 @@ func (in *Instance) ActiveDomain() []Term {
 }
 
 // Clone returns an independent copy of the instance. Atoms are immutable
-// and shared; the index maps are copied directly instead of re-inserting
-// every atom, so cloning costs one map copy per index rather than a
-// rehash of the whole instance.
+// and shared, and so are the backing arrays of every sequence list: each
+// list is handed to the copy clipped to its length, so the first append
+// to it in either instance reallocates instead of writing where the other
+// reads, and the copy carves its new postings from heads of its own.
+// Sequences are append-only, so nothing else ever writes to a shared
+// array. Cloning costs one map copy per index, with no per-list
+// allocation and no rehash of the atoms.
 func (in *Instance) Clone() *Instance {
 	out := &Instance{
-		first:  make(map[uint64]*Atom, len(in.first)),
-		order:  cloneAtoms(in.order),
-		seq:    make(map[*Atom]int, len(in.seq)),
-		byPred: make(map[int32][]*Atom, len(in.byPred)),
-		index:  make(map[posTermKey][]*Atom, len(in.index)),
-	}
-	for h, a := range in.first {
-		out.first[h] = a
+		first:    maps.Clone(in.first),
+		order:    slices.Clip(in.order),
+		byPred:   make(map[int32]predRows, len(in.byPred)),
+		postings: make(map[uint64][]int32, len(in.postings)),
+		ncols:    in.ncols,
 	}
 	if in.overflow != nil {
-		out.overflow = make(map[uint64][]*Atom, len(in.overflow))
-		// Slices are copied at exact capacity so a later append in either
-		// instance reallocates instead of clobbering the shared backing
-		// array.
+		out.overflow = make(map[uint64][]int32, len(in.overflow))
 		for h, bucket := range in.overflow {
-			out.overflow[h] = cloneAtoms(bucket)
+			out.overflow[h] = slices.Clip(bucket)
 		}
 	}
-	for a, s := range in.seq {
-		out.seq[a] = s
+	for pid, p := range in.byPred {
+		p.rows = slices.Clip(p.rows)
+		out.byPred[pid] = p
 	}
-	for pid, list := range in.byPred {
-		out.byPred[pid] = cloneAtoms(list)
+	for k, list := range in.postings {
+		out.postings[k] = slices.Clip(list)
 	}
-	for k, list := range in.index {
-		out.index[k] = cloneAtoms(list)
-	}
-	return out
-}
-
-func cloneAtoms(list []*Atom) []*Atom {
-	out := make([]*Atom, len(list))
-	copy(out, list)
 	return out
 }
 

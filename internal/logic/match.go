@@ -1,7 +1,5 @@
 package logic
 
-import "sort"
-
 // This file implements homomorphism search: finding all substitutions h
 // from a conjunction of atoms (a TGD body, a query) into an instance such
 // that h maps every body atom onto some instance atom. It is a
@@ -144,9 +142,9 @@ func JoinStart(body []*Atom, inst *Instance) (start, candidates int) {
 		return -1, 0
 	}
 	start = 0
-	best := len(inst.byPredID(body[0].pid))
+	best := len(inst.byPred[body[0].pid].rows)
 	for i := 1; i < len(body); i++ {
-		if c := len(inst.byPredID(body[i].pid)); c < best {
+		if c := len(inst.byPred[body[i].pid].rows); c < best {
 			best, start = c, i
 		}
 	}
@@ -212,9 +210,9 @@ func (m *matcher) orderBody(body []*Atom, cons []deltaConstraint, start int) {
 	}
 	if start < 0 {
 		start = 0
-		best := len(m.inst.byPredID(body[0].pid))
+		best := len(m.inst.byPred[body[0].pid].rows)
 		for i := 1; i < n; i++ {
-			if c := len(m.inst.byPredID(body[i].pid)); c < best {
+			if c := len(m.inst.byPred[body[i].pid].rows); c < best {
 				best = c
 				start = i
 			}
@@ -424,9 +422,9 @@ func (m *matcher) backtrack(i int, yield func(*Match) bool) {
 		return
 	}
 	cons := m.constraints[i]
-	for _, cand := range m.candidates(i, cons) {
+	for _, s := range m.candidates(i, cons) {
 		mark := len(m.trail)
-		if m.unify(i, cand) {
+		if m.unify(i, m.inst.order[s]) {
 			m.backtrack(i+1, yield)
 			m.undo(mark)
 		}
@@ -436,17 +434,19 @@ func (m *matcher) backtrack(i int, yield func(*Match) bool) {
 	}
 }
 
-// candidates returns the smallest available index list for the i-th body
-// atom under the current bindings: if some argument is ground (a constant,
-// null, fresh term, or an already-bound variable slot), the positional
-// index narrows the scan; otherwise all atoms of the predicate are
-// scanned. Index lists are in insertion order, so age constraints slice
-// them by binary search instead of filtering — this keeps semi-naive
-// rounds linear in the delta.
-func (m *matcher) candidates(i int, cons deltaConstraint) []*Atom {
-	pid := m.body[i].pid
-	best := m.sliceByAge(m.inst.byPredID(pid), cons)
+// candidates returns the smallest available sequence list for the i-th
+// body atom under the current bindings: if some argument is ground (a
+// constant, null, fresh term, or an already-bound variable slot), its
+// posting narrows the scan; otherwise all rows of the predicate are
+// scanned. Lists ascend, so age constraints slice them by binary search
+// instead of filtering — this keeps semi-naive rounds linear in the delta.
+func (m *matcher) candidates(i int, cons deltaConstraint) []int32 {
+	p := m.inst.byPred[m.body[i].pid]
+	best := sliceByAge(p.rows, cons)
 	for pos, c := range m.code[i] {
+		if len(best) == 0 {
+			break
+		}
 		id := c
 		if c < 0 {
 			id = m.boundID[-1-c]
@@ -454,7 +454,7 @@ func (m *matcher) candidates(i int, cons deltaConstraint) []*Atom {
 				continue // unbound variable
 			}
 		}
-		list := m.sliceByAge(m.inst.atPositionID(pid, int32(pos), id), cons)
+		list := sliceByAge(m.inst.postings[postingKey(p.col+int32(pos), id)], cons)
 		if len(list) < len(best) {
 			best = list
 		}
@@ -462,24 +462,35 @@ func (m *matcher) candidates(i int, cons deltaConstraint) []*Atom {
 	return best
 }
 
-// sliceByAge restricts an insertion-ordered atom list to the constraint's
-// age window.
-func (m *matcher) sliceByAge(list []*Atom, cons deltaConstraint) []*Atom {
+// sliceByAge restricts an ascending sequence list to the constraint's age
+// window.
+func sliceByAge(list []int32, cons deltaConstraint) []int32 {
 	switch cons.mode {
 	case mustBeNew:
-		i := sort.Search(len(list), func(k int) bool { return m.inst.Seq(list[k]) >= cons.bound })
-		list = list[i:]
+		list = list[seqsBelow(list, cons.bound):]
 		if cons.hi < maxSeq {
-			j := sort.Search(len(list), func(k int) bool { return m.inst.Seq(list[k]) >= cons.hi })
-			list = list[:j]
+			list = list[:seqsBelow(list, cons.hi)]
 		}
 		return list
 	case mustBeOld:
-		i := sort.Search(len(list), func(k int) bool { return m.inst.Seq(list[k]) >= cons.bound })
-		return list[:i]
+		return list[:seqsBelow(list, cons.bound)]
 	default:
 		return list
 	}
+}
+
+// seqsBelow returns how many sequences of the ascending list are below s.
+func seqsBelow(list []int32, s int) int {
+	lo, hi := 0, len(list)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if int(list[h]) < s {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo
 }
 
 // unify extends the current bindings so that the i-th body atom maps onto

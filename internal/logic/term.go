@@ -171,20 +171,26 @@ func (f *NullFactory) InternTuple(tuple []int32, depth int) (*Null, bool) {
 	return n, true
 }
 
-// newNull carves the next null out of the factory's current block: nulls
-// escape with the instance that references them, so blocks are abandoned
-// (never recycled) once full, and the per-null heap cost amortizes to
-// 1/nullChunk allocations. Names are built lazily by String.
+// newNull creates the null with the factory's next dense id.
 func (f *NullFactory) newNull(depth int) *Null {
+	n := f.carve(f.base+len(f.all), depth)
+	f.all = append(f.all, n)
+	return n
+}
+
+// carve creates a null in the factory's current block: nulls escape with
+// the instance that references them, so blocks are abandoned (never
+// recycled) once full, and the per-null heap cost amortizes to 1/nullChunk
+// allocations. Names are built lazily by String.
+func (f *NullFactory) carve(id, depth int) *Null {
 	const nullChunk = 64
 	if len(f.chunk) == cap(f.chunk) {
 		f.chunk = make([]Null, 0, nullChunk)
 	}
 	f.chunk = f.chunk[:len(f.chunk)+1]
 	n := &f.chunk[len(f.chunk)-1]
-	*n = Null{id: f.base + len(f.all), depth: depth}
+	*n = Null{id: id, depth: depth}
 	n.gid = registerNull(n)
-	f.all = append(f.all, n)
 	if depth > f.maxDepth {
 		f.maxDepth = depth
 	}
@@ -207,14 +213,16 @@ func (f *NullFactory) NullAt(id, depth int) *Null {
 	if f.byID == nil {
 		f.byID = make(map[int]*Null)
 	}
-	n := &Null{id: id, depth: depth}
-	n.gid = registerNull(n)
+	n := f.carve(id, depth)
 	f.byID[id] = n
-	if depth > f.maxDepth {
-		f.maxDepth = depth
-	}
 	return n
 }
+
+// LookupNullAt returns the NullAt-created null with the given factory id,
+// or nil when there is none. Unlike NullAt it never creates a null, so a
+// decoder can check a declaration against the stream's earlier ones
+// before it commits to anything.
+func (f *NullFactory) LookupNullAt(id int) *Null { return f.byID[id] }
 
 // Len returns the number of nulls created so far.
 func (f *NullFactory) Len() int { return len(f.all) }

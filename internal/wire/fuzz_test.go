@@ -31,6 +31,11 @@ func FuzzWireRoundTrip(f *testing.F) {
 		logic.MakeAtom("r", n1, logic.Fresh(3)),
 		logic.MakeAtom("zero"),
 	)))
+	// A null declared at two depths must fail, not merge (the second seed
+	// is the delta form of the same defect).
+	f.Add(twoDepthSnapshot())
+	_, delta := redeclaringDelta()
+	f.Add(delta)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in, err := DecodeSnapshot(data)
 		if err != nil {

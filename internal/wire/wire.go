@@ -259,6 +259,7 @@ func (e *encoder) atoms(atoms []*logic.Atom) {
 // sections on one decoder and relies on this latch.
 type Decoder struct {
 	nulls *logic.NullFactory
+	arena logic.AtomArena // the stream's atoms, owned by the decoded instance
 	inst  *logic.Instance
 	err   error // first decode error; poisons all later calls
 }
@@ -307,13 +308,13 @@ func (d *Decoder) Snapshot(data []byte) (*logic.Instance, error) {
 	if err := r.header(kindSnapshot); err != nil {
 		return nil, d.poison(err)
 	}
-	in := logic.NewInstance()
-	if err := d.section(r, in); err != nil {
+	atoms, err := d.section(r)
+	if err != nil {
 		return nil, d.poison(err)
 	}
 	meterDecoded(len(data))
-	d.inst = in
-	return in, nil
+	d.inst = logic.NewDatabase(atoms...)
+	return d.inst, nil
 }
 
 // Apply decodes a delta encoding and appends its atoms to the decoded
@@ -342,12 +343,12 @@ func (d *Decoder) Apply(data []byte) (int, error) {
 	if base != d.inst.Len() {
 		return 0, d.poison(fmt.Errorf("%w: delta base %d, instance holds %d atoms", ErrDeltaMismatch, base, d.inst.Len()))
 	}
-	before := d.inst.Len()
-	if err := d.section(r, d.inst); err != nil {
+	atoms, err := d.section(r)
+	if err != nil {
 		return 0, d.poison(err)
 	}
 	meterDecoded(len(data))
-	return d.inst.Len() - before, nil
+	return d.inst.AddAll(atoms), nil
 }
 
 // DecodeSnapshot decodes a self-contained snapshot with a private
@@ -363,114 +364,129 @@ type termRec struct {
 	a, b      int
 }
 
-// section decodes one manifest+atoms section into in. Decoding is
-// parse-then-materialize: the whole encoding is parsed and validated —
-// index ranges, tags, trailing bytes — before a single null is interned
-// or atom added, so corrupt input leaves both the stream's instance and
-// its null factory exactly as they were (Apply's atomicity rests on
-// this).
-func (d *Decoder) section(r *reader, in *logic.Instance) error {
+// section decodes one manifest+atoms section into its atoms, in order.
+// Decoding is parse-then-materialize: the whole encoding is parsed and
+// validated — index ranges, tags, null depths, trailing bytes — before a
+// single null is interned or atom built, so corrupt input leaves both the
+// stream's instance and its null factory exactly as they were (Apply's
+// atomicity rests on this). Symbols are interned once per manifest entry,
+// not once per occurrence, and atoms are carved from the stream's arena.
+func (d *Decoder) section(r *reader) ([]*logic.Atom, error) {
 	npreds, err := r.records("predicate count")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	preds := make([]logic.Predicate, npreds)
 	for i := range preds {
 		name, err := r.str("predicate name")
 		if err != nil {
-			return err
+			return nil, err
 		}
 		arity, err := r.count("predicate arity")
 		if err != nil {
-			return err
+			return nil, err
 		}
 		preds[i] = logic.Predicate{Name: name, Arity: arity}
 	}
 	nterms, err := r.records("term count")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	recs := make([]termRec, nterms)
+	var depths map[int]int // null id -> depth declared in this section
 	for i := range recs {
 		tag, err := r.byte("term tag")
 		if err != nil {
-			return err
+			return nil, err
 		}
 		rec := termRec{tag: tag}
 		switch tag {
 		case 'c':
 			if rec.str, err = r.str("constant"); err != nil {
-				return err
+				return nil, err
 			}
 		case 'f':
 			if rec.a, err = r.int("fresh value"); err != nil {
-				return err
+				return nil, err
 			}
 		case 'n':
 			if rec.a, err = r.count("null id"); err != nil {
-				return err
+				return nil, err
 			}
 			if rec.b, err = r.count("null depth"); err != nil {
-				return err
+				return nil, err
 			}
+			// A null is one term at one depth. Accepting a second depth
+			// would silently merge two declared terms into the first one.
+			if n := d.nulls.LookupNullAt(rec.a); n != nil && n.Depth() != rec.b {
+				return nil, fmt.Errorf("%w: null %d declared at depth %d, the stream has it at depth %d", ErrCorrupt, rec.a, rec.b, n.Depth())
+			}
+			if depths == nil {
+				depths = make(map[int]int)
+			}
+			if depth, ok := depths[rec.a]; ok && depth != rec.b {
+				return nil, fmt.Errorf("%w: null %d declared at depths %d and %d", ErrCorrupt, rec.a, depth, rec.b)
+			}
+			depths[rec.a] = rec.b
 		case 'v':
 			if rec.str, err = r.str("variable"); err != nil {
-				return err
+				return nil, err
 			}
 		case 'o':
 			if rec.str, err = r.str("foreign key"); err != nil {
-				return err
+				return nil, err
 			}
 			if rec.str2, err = r.str("foreign rendering"); err != nil {
-				return err
+				return nil, err
 			}
 			if builtinKeyPrefix(rec.str) {
-				return fmt.Errorf("%w: foreign term with built-in identity key %q", ErrCorrupt, rec.str)
+				return nil, fmt.Errorf("%w: foreign term with built-in identity key %q", ErrCorrupt, rec.str)
 			}
 		default:
-			return fmt.Errorf("%w: unknown term tag %q", ErrCorrupt, tag)
+			return nil, fmt.Errorf("%w: unknown term tag %q", ErrCorrupt, tag)
 		}
 		recs[i] = rec
 	}
 	natoms, err := r.records("atom count")
 	if err != nil {
-		return err
+		return nil, err
 	}
-	atomPreds := make([]int, natoms)
-	atomArgs := make([][]int, natoms)
-	for ai := 0; ai < natoms; ai++ {
+	atomPreds := make([]int32, natoms)
+	// Every atom costs a predicate index byte and every argument at least
+	// one more, so the remaining input bounds the flat argument array.
+	args := make([]int32, 0, len(r.data)-r.pos-natoms)
+	maxArity := 0
+	for ai := range atomPreds {
 		pi, err := r.count("atom predicate index")
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if pi >= len(preds) {
-			return fmt.Errorf("%w: atom %d references predicate %d of %d", ErrCorrupt, ai, pi, len(preds))
+			return nil, fmt.Errorf("%w: atom %d references predicate %d of %d", ErrCorrupt, ai, pi, len(preds))
 		}
-		p := preds[pi]
-		if p.Arity > len(r.data)-r.pos {
-			// Every argument costs at least one byte; reject before the
-			// argument slice is even allocated.
-			return fmt.Errorf("%w: truncated atom %d", ErrCorrupt, ai)
+		arity := preds[pi].Arity
+		if arity > len(r.data)-r.pos {
+			return nil, fmt.Errorf("%w: truncated atom %d", ErrCorrupt, ai)
 		}
-		idx := make([]int, p.Arity)
-		for i := range idx {
+		for range arity {
 			ti, err := r.count("atom term index")
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if ti >= len(recs) {
-				return fmt.Errorf("%w: atom %d references term %d of %d", ErrCorrupt, ai, ti, len(recs))
+				return nil, fmt.Errorf("%w: atom %d references term %d of %d", ErrCorrupt, ai, ti, len(recs))
 			}
-			idx[i] = ti
+			args = append(args, int32(ti))
 		}
-		atomPreds[ai] = pi
-		atomArgs[ai] = idx
+		atomPreds[ai] = int32(pi)
+		maxArity = max(maxArity, arity)
 	}
 	if r.pos != len(r.data) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(r.data)-r.pos)
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(r.data)-r.pos)
 	}
 	// Fully validated: materialize. Nothing below can fail.
 	terms := make([]logic.Term, len(recs))
+	termIDs := make([]int32, len(recs))
 	for i, rec := range recs {
 		switch rec.tag {
 		case 'c':
@@ -484,15 +500,24 @@ func (d *Decoder) section(r *reader, in *logic.Instance) error {
 		default:
 			terms[i] = opaque{key: rec.str, str: rec.str2}
 		}
+		termIDs[i] = logic.IDOf(terms[i])
 	}
-	for ai := range atomPreds {
-		args := make([]logic.Term, len(atomArgs[ai]))
-		for i, ti := range atomArgs[ai] {
-			args[i] = terms[ti]
+	predIDs := make([]int32, len(preds))
+	for i, p := range preds {
+		predIDs[i] = logic.PredIDOf(p)
+	}
+	atoms := make([]*logic.Atom, natoms)
+	atomArgs := make([]logic.Term, maxArity)
+	atomIDs := make([]int32, maxArity)
+	for ai, pi := range atomPreds {
+		p := preds[pi]
+		for i, ti := range args[:p.Arity] {
+			atomArgs[i], atomIDs[i] = terms[ti], termIDs[ti]
 		}
-		in.Add(logic.NewAtom(preds[atomPreds[ai]], args...))
+		args = args[p.Arity:]
+		atoms[ai] = d.arena.NewAtomFromIDs(p, atomArgs[:p.Arity], predIDs[pi], atomIDs[:p.Arity])
 	}
-	return nil
+	return atoms, nil
 }
 
 // reader is a bounds-checked cursor over one encoding.

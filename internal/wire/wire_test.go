@@ -403,6 +403,86 @@ func TestDecodeErrors(t *testing.T) {
 	})
 }
 
+// TestDecodeRejectsNullAtTwoDepths: a null is one term at one depth, so
+// an encoding that declares the same null id at two depths — twice in one
+// manifest, or in a delta against the stream's snapshot — is corrupt.
+// Accepting it would merge the two declared terms into the first one:
+// two atoms decode as one, or a delta atom silently keeps the older
+// depth. The check runs in the parse phase, so the failed frame leaves the
+// instance and the null factory untouched.
+func TestDecodeRejectsNullAtTwoDepths(t *testing.T) {
+	if in, err := DecodeSnapshot(twoDepthSnapshot()); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("snapshot with null 0 at depths 1 and 5: err = %v (decoded %v), want ErrCorrupt", err, in)
+	}
+
+	d := NewDecoder()
+	snap, delta := redeclaringDelta()
+	if _, err := d.Snapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	before := d.Instance().CanonicalKey()
+	if n, err := d.Apply(delta); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("delta re-declaring null 0 at depth 5: added %d atoms, err = %v, want ErrCorrupt", n, err)
+	}
+	if got := d.Instance().CanonicalKey(); got != before {
+		t.Fatalf("failed delta changed the instance: %s, want %s", got, before)
+	}
+	if n := d.nulls.LookupNullAt(0); n == nil || n.Depth() != 1 {
+		t.Fatalf("null 0 after the failed delta: %v, want depth 1", n)
+	}
+	if n := d.nulls.LookupNullAt(1); n != nil {
+		t.Fatalf("failed delta created null 1 (depth %d)", n.Depth())
+	}
+}
+
+// twoDepthSnapshot hand-assembles a snapshot whose manifest declares null
+// 0 at depth 1 and again at depth 5, with atoms p(t0) and p(t1).
+func twoDepthSnapshot() []byte {
+	e := &encoder{}
+	e.header(kindSnapshot)
+	e.uint(1) // one predicate
+	e.str("p")
+	e.uint(1) // arity
+	e.uint(2) // two terms
+	for _, depth := range []uint64{1, 5} {
+		e.buf = append(e.buf, 'n')
+		e.uint(0)
+		e.uint(depth)
+	}
+	e.uint(2) // two atoms
+	e.uint(0)
+	e.uint(0)
+	e.uint(0)
+	e.uint(1)
+	return e.buf
+}
+
+// redeclaringDelta returns a snapshot holding p(null 0 at depth 1) and a
+// delta on it whose manifest re-declares null 0 at depth 5 and a new null
+// 1, with atom q(t0, t1).
+func redeclaringDelta() (snapshot, delta []byte) {
+	nulls := logic.NewNullFactory()
+	snapshot = EncodeSnapshot(logic.NewDatabase(logic.MakeAtom("p", nulls.NullAt(0, 1))))
+	e := &encoder{}
+	e.header(kindDelta)
+	e.uint(1) // base
+	e.uint(1) // one predicate
+	e.str("q")
+	e.uint(2) // arity
+	e.uint(2) // two terms
+	e.buf = append(e.buf, 'n')
+	e.uint(0)
+	e.uint(5)
+	e.buf = append(e.buf, 'n')
+	e.uint(1)
+	e.uint(2)
+	e.uint(1) // one atom
+	e.uint(0)
+	e.uint(0)
+	e.uint(1)
+	return snapshot, e.buf
+}
+
 // foreignWithKey hand-assembles a snapshot whose single manifest term is
 // a foreign record carrying the given identity key.
 func foreignWithKey(key string) []byte {
