@@ -122,7 +122,7 @@ func (q UCQ) EvalExact(db *logic.Instance) bool {
 
 func (q UCQ) eval(db *logic.Instance, match func([]logic.Term, []int) bool) bool {
 	for _, d := range q.Disjuncts {
-		for _, a := range db.ByPred(d.Pred) {
+		for a := range db.AtomsOf(d.Pred) {
 			if d.Pattern == nil || match(a.Args, d.Pattern) {
 				return true
 			}

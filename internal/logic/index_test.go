@@ -123,8 +123,8 @@ func (fx *indexFixture) atom(rng *rand.Rand) *Atom {
 	return NewAtom(p, args...)
 }
 
-// check compares every index read — ByPred, AtPosition, Seq, HasDeltaFor
-// — with a brute-force filter of in.Atoms().
+// check compares every index read — ByPred, AtomsOf, AtPosition, Seq,
+// HasDeltaFor — with a brute-force filter of in.Atoms().
 func (fx *indexFixture) check(t *testing.T, label string, in *Instance, rng *rand.Rand) {
 	t.Helper()
 	atoms := in.Atoms()
@@ -132,6 +132,15 @@ func (fx *indexFixture) check(t *testing.T, label string, in *Instance, rng *ran
 		want := filter(atoms, func(a *Atom) bool { return a.Pred == p })
 		if got := in.ByPred(p); !slices.Equal(got, want) {
 			t.Fatalf("%s: ByPred(%v) = %v, want %v", label, p, got, want)
+		}
+		if got := slices.Collect(in.AtomsOf(p)); !slices.Equal(got, want) {
+			t.Fatalf("%s: AtomsOf(%v) = %v, want %v", label, p, got, want)
+		}
+		for a := range in.AtomsOf(p) {
+			if a != want[0] {
+				t.Fatalf("%s: AtomsOf(%v) starts at %v, want %v", label, p, a, want[0])
+			}
+			break
 		}
 		for pos := -1; pos <= p.Arity+1; pos++ {
 			for _, tm := range append(fx.terms, fx.absent.terms...) {

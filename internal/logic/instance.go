@@ -1,6 +1,7 @@
 package logic
 
 import (
+	"iter"
 	"maps"
 	"slices"
 	"sort"
@@ -30,8 +31,8 @@ import (
 //
 // Concurrency contract: an Instance is not safe for concurrent mutation,
 // but while no Add runs, every read — Atoms, Len, Seq, Has, Canonical,
-// ByPred, AtPosition, HasDeltaFor, Clone, and homomorphism search over the
-// instance — may be issued from many goroutines simultaneously. The
+// ByPred, AtomsOf, AtPosition, HasDeltaFor, Clone, and homomorphism search
+// over the instance — may be issued from many goroutines simultaneously. The
 // parallel chase collector relies on this: rounds alternate a read-only
 // matching phase (sharded across workers) with a single-goroutine apply
 // phase that mutates the instance. A clone and its source may be mutated
@@ -53,13 +54,7 @@ type Instance struct {
 	byPred   map[int32]predRows
 	postings map[uint64][]int32 // postingKey(column, term id) -> sequences
 	ncols    int32              // columns numbered so far
-	// heads is the block new postings take their first sequence from
-	// (see newPosting).
-	heads []int32
 }
-
-// headBlock is the number of posting heads carved from one allocation.
-const headBlock = 128
 
 // predRows is one predicate's part of the index: the sequences of its
 // atoms and the instance column of its first position (position i is
@@ -125,27 +120,9 @@ func (in *Instance) Add(a *Atom) bool {
 	in.byPred[a.pid] = p
 	for i, id := range a.ids {
 		k := postingKey(p.col+int32(i), id)
-		if list, ok := in.postings[k]; ok {
-			in.postings[k] = append(list, seq)
-		} else {
-			in.postings[k] = in.newPosting(seq)
-		}
+		in.postings[k] = append(in.postings[k], seq)
 	}
 	return true
-}
-
-// newPosting returns the one-element posting [seq], carved from the
-// instance's block of heads: most terms occur once per column, so most
-// postings never grow and cost no allocation of their own. The posting's
-// capacity ends at its length, so its first append moves it out of the
-// block.
-func (in *Instance) newPosting(seq int32) []int32 {
-	if len(in.heads) == cap(in.heads) {
-		in.heads = make([]int32, 0, headBlock)
-	}
-	in.heads = append(in.heads, seq)
-	n := len(in.heads)
-	return in.heads[n-1 : n : n]
 }
 
 // AddAll inserts every atom and returns the number of new atoms.
@@ -203,13 +180,29 @@ func (in *Instance) Seq(a *Atom) int { return in.lookup(a) }
 
 // ByPred returns the atoms with the given predicate, in insertion order,
 // as a fresh slice.
-func (in *Instance) ByPred(p Predicate) []*Atom {
+func (in *Instance) ByPred(p Predicate) []*Atom { return in.atomsAt(in.rowsOf(p)) }
+
+// AtomsOf yields the atoms with the given predicate, in insertion order,
+// read straight from the index: unlike ByPred it copies nothing, so a scan
+// that stops at its first hit costs no more than the atoms it visits.
+func (in *Instance) AtomsOf(p Predicate) iter.Seq[*Atom] {
+	return func(yield func(*Atom) bool) {
+		for _, s := range in.rowsOf(p) {
+			if !yield(in.order[s]) {
+				return
+			}
+		}
+	}
+}
+
+// rowsOf returns the sequences of the predicate's atoms.
+func (in *Instance) rowsOf(p Predicate) []int32 {
 	// Lookup only: probing for an absent predicate must not intern it.
 	pid, ok := lookupPredID(p)
 	if !ok {
 		return nil
 	}
-	return in.atomsAt(in.byPred[pid].rows)
+	return in.byPred[pid].rows
 }
 
 // HasDeltaFor reports whether the predicate (by interned id) gained at
@@ -293,9 +286,8 @@ func (in *Instance) ActiveDomain() []Term {
 // and shared, and so are the backing arrays of every sequence list: each
 // list is handed to the copy clipped to its length, so the first append
 // to it in either instance reallocates instead of writing where the other
-// reads, and the copy carves its new postings from heads of its own.
-// Sequences are append-only, so nothing else ever writes to a shared
-// array. Cloning costs one map copy per index, with no per-list
+// reads. Sequences are append-only, so nothing else ever writes to a
+// shared array. Cloning costs one map copy per index, with no per-list
 // allocation and no rehash of the atoms.
 func (in *Instance) Clone() *Instance {
 	out := &Instance{
