@@ -97,8 +97,8 @@
 // first-class serving artifact: Capture wraps a chase that ran with
 // Options.Checkpoint into a Checkpoint (instance + fired-trigger set +
 // null high-water mark + semi-naive delta window), Encode serializes it
-// portably (an embedded wire snapshot plus a fired-key term manifest in
-// the wire codec's tag vocabulary, sealed by a checksum; Decode is
+// portably (an embedded wire snapshot plus a fired-key term manifest of
+// wire term records, sealed by a checksum; Decode is
 // bounds-checked and fuzzed — hostile bytes fail typed, never panic),
 // and Resume continues the semi-naive iteration with new base atoms
 // landing in the resumed round's delta window, so only the delta's
@@ -116,7 +116,7 @@
 // layer on the network: chased is a worker daemon serving a framed
 // binary protocol over TCP or unix sockets (length-prefixed frames;
 // Register/Submit requests, Registered/Progress/Result/Error answers;
-// message bodies in the wire codec's varint vocabulary, every decoder
+// message bodies written and read through internal/codec, every decoder
 // bounds-checked and fuzzed), dispatching to an embedded Service. A
 // Coordinator fans jobs over N workers with tenant-fair placement,
 // warms cold workers through the ontology pull handshake (an unknown
@@ -130,6 +130,17 @@
 // byte-identical (key, stats, rendered derivation) to the in-process
 // fleet, pinned per scenario and variant by the equivalence suites and
 // by cmd/chase -fleet, whose goldens are the single-process ones.
+//
+// Every binary format — wire snapshots and deltas, checkpoint artifacts,
+// fleet message bodies, and QoS learned-bound blobs — is written and
+// read through one bounds-checked cursor, internal/codec. Each read names
+// its bound (a Value fits int32, a Len fits the remaining input, so no
+// count sizes an allocation beyond the input), every error wraps the
+// owning format's sentinel, and FuzzReader fuzzes the cursor once for
+// all four formats. The term-record vocabulary (constants, fresh terms,
+// nulls as factory id + depth, variables, foreign keys) lives only in
+// internal/wire, whose AppendTerm/ReadTerm the checkpoint manifest
+// reuses.
 //
 // The anytime serving tier (internal/qos) turns the paper's central
 // hazard — non-uniform termination: whether the chase halts depends on

@@ -34,8 +34,10 @@ import (
 // Executor abstracts the worker pool the parallel collector runs on;
 // internal/runtime provides the standard implementation. Map must invoke
 // task(i, w) exactly once for every i in [0, n), from at most Workers()
-// goroutines, where w in [0, Workers()) identifies the calling worker
-// slot, and must not return before every invocation has completed.
+// goroutines, where w in [0, min(Workers(), n)) identifies the calling
+// worker slot, and must not return before every invocation has completed.
+// The collector sizes its worker-slot state by that bound, never by
+// Workers() alone, so an executor may report any width.
 type Executor interface {
 	Workers() int
 	Map(n int, task func(task, worker int))
@@ -176,10 +178,10 @@ func (e *engine) collectParallel(deltaStart int) []pendingTrigger {
 		}
 	}
 	sc.taskBuf = tasks
-	if len(sc.workers) < exec.Workers() {
+	if slots := min(exec.Workers(), len(tasks)); len(sc.workers) < slots {
 		// Worker-slot state (matchers, interners, slabs) persists across
 		// rounds and runs; growing the pool keeps the existing slots.
-		ws := make([]collectWorker, exec.Workers())
+		ws := make([]collectWorker, slots)
 		copy(ws, sc.workers)
 		sc.workers = ws
 	}

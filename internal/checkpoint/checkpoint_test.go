@@ -5,13 +5,12 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/chase"
 	"repro/internal/logic"
 	"repro/internal/parser"
+	"repro/internal/runtime"
 	"repro/internal/tgds"
 )
 
@@ -163,7 +162,7 @@ func TestDifferentialResume(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/w%d", name, v, workers), func(t *testing.T) {
 					var exec chase.Executor
 					if workers > 1 {
-						exec = newTestExecutor(workers)
+						exec = runtime.NewExecutor(workers)
 					}
 					forest := allGuarded(prog.Rules)
 					opts := chase.Options{
@@ -252,7 +251,7 @@ func TestDifferentialDelta(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/w%d", name, v, workers), func(t *testing.T) {
 					var exec chase.Executor
 					if workers > 1 {
-						exec = newTestExecutor(workers)
+						exec = runtime.NewExecutor(workers)
 					}
 					all := prog.Database.Atoms()
 					base := logic.NewInstance()
@@ -356,40 +355,4 @@ func TestChainedCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameInstance(t, "second-generation resume", res2.Instance, full.Instance)
-}
-
-// testExecutor is a minimal chase.Executor for the differential suite —
-// dynamic task claiming over a fixed worker count, the same contract as
-// internal/runtime.Executor (which this package cannot import: runtime's
-// ResumeJob depends on checkpoint).
-type testExecutor struct{ workers int }
-
-func newTestExecutor(workers int) chase.Executor { return &testExecutor{workers: workers} }
-
-func (e *testExecutor) Workers() int { return e.workers }
-
-func (e *testExecutor) Map(n int, task func(i, w int)) {
-	workers := min(e.workers, n)
-	if workers <= 1 {
-		for i := range n {
-			task(i, 0)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for slot := range workers {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				task(i, slot)
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -7,8 +7,15 @@ import (
 
 	"repro/internal/chase"
 	"repro/internal/logic"
-	"repro/internal/wire"
 )
+
+// foreign is a term kind defined outside internal/logic. A decoded
+// foreign record interns through the symbol table's foreign-key path,
+// so it resolves to the same symbol id as the original value.
+type foreign struct{ key, rendering string }
+
+func (f foreign) Key() string    { return f.key }
+func (f foreign) String() string { return f.rendering }
 
 // The fired-key manifest speaks the wire codec's full tag vocabulary,
 // not just the constants and nulls a ground chase produces: fresh terms
@@ -31,10 +38,7 @@ func TestCodecSyntheticTermManifest(t *testing.T) {
 		t.Fatal("setup: null atom not found")
 	}
 
-	foreign, err := wire.ForeignTerm("ext:probe", "⟨probe⟩")
-	if err != nil {
-		t.Fatal(err)
-	}
+	probe := foreign{key: "ext:probe", rendering: "⟨probe⟩"}
 	cp := &Checkpoint{
 		Variant:    chase.Oblivious,
 		Terminated: true,
@@ -47,7 +51,7 @@ func TestCodecSyntheticTermManifest(t *testing.T) {
 			Fired: [][]int32{
 				{0, logic.IDOf(logic.Constant("a")), nullID},
 				{1, logic.IDOf(logic.Fresh(-9)), logic.IDOf(logic.Variable("X"))},
-				{2, logic.IDOf(foreign)},
+				{2, logic.IDOf(probe)},
 			},
 		},
 	}
@@ -96,17 +100,13 @@ func TestDecodeResealedDamage(t *testing.T) {
 
 	inst := logic.NewInstance()
 	inst.Add(logic.MakeAtom("p", logic.Constant("a")))
-	foreign, err := wire.ForeignTerm("ext:d", "⟨d⟩")
-	if err != nil {
-		t.Fatal(err)
-	}
 	cp := &Checkpoint{
 		Instance: inst,
 		State: &chase.ResumeState{
 			DeltaStart: inst.Len(),
 			Fired: [][]int32{
 				{0, logic.IDOf(logic.Fresh(5)), logic.IDOf(logic.Variable("Y"))},
-				{1, logic.IDOf(foreign), logic.IDOf(logic.Constant("a"))},
+				{1, logic.IDOf(foreign{key: "ext:d", rendering: "⟨d⟩"}), logic.IDOf(logic.Constant("a"))},
 			},
 		},
 	}

@@ -57,6 +57,11 @@ func seedArtifacts(tb testing.TB) [][]byte {
 // same bytes. The fixpoint is asserted from the first re-encode on, not
 // against the input: a valid-but-non-canonical artifact may re-encode
 // differently, but the encoder's output must be stable.
+//
+// Each input is checked twice: as raw bytes, and as a payload sealed
+// with its checksum. Almost every mutation of a raw artifact fails the
+// checksum before a single field is parsed; the sealed form takes the
+// mutation past that gate to the parser.
 func FuzzCheckpointRoundTrip(f *testing.F) {
 	for _, data := range seedArtifacts(f) {
 		f.Add(data)
@@ -64,41 +69,48 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 		mutated := append([]byte{}, data...)
 		mutated[len(mutated)/3] ^= 0x10
 		f.Add(mutated)
+		f.Add(data[:len(data)-checksumLen])
 	}
 	f.Add([]byte{})
 	f.Add([]byte("CP"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cp, err := Decode(data)
-		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("decode failed with untyped error: %v", err)
-			}
-			return
-		}
-		enc1, err := cp.Encode()
-		if err != nil {
-			t.Fatalf("re-encode of a decoded checkpoint failed: %v", err)
-		}
-		cp2, err := Decode(enc1)
-		if err != nil {
-			t.Fatalf("decode of a re-encoded checkpoint failed: %v", err)
-		}
-		enc2, err := cp2.Encode()
-		if err != nil {
-			t.Fatalf("second re-encode failed: %v", err)
-		}
-		if !bytes.Equal(enc1, enc2) {
-			t.Fatal("encode∘decode is not a fixpoint")
-		}
-		if cp2.Fingerprint != cp.Fingerprint || cp2.Exact != cp.Exact ||
-			cp2.Variant != cp.Variant || cp2.Terminated != cp.Terminated ||
-			cp2.Rounds != cp.Rounds ||
-			cp2.State.NextNullID != cp.State.NextNullID ||
-			cp2.State.DeltaStart != cp.State.DeltaStart ||
-			len(cp2.State.Fired) != len(cp.State.Fired) {
-			t.Fatal("round trip altered checkpoint header or state")
-		}
+		checkRoundTrip(t, data)
+		checkRoundTrip(t, seal(bytes.Clone(data)))
 	})
+}
+
+func checkRoundTrip(t *testing.T, data []byte) {
+	t.Helper()
+	cp, err := Decode(data)
+	if err != nil {
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("decode failed with untyped error: %v", err)
+		}
+		return
+	}
+	enc1, err := cp.Encode()
+	if err != nil {
+		t.Fatalf("re-encode of a decoded checkpoint failed: %v", err)
+	}
+	cp2, err := Decode(enc1)
+	if err != nil {
+		t.Fatalf("decode of a re-encoded checkpoint failed: %v", err)
+	}
+	enc2, err := cp2.Encode()
+	if err != nil {
+		t.Fatalf("second re-encode failed: %v", err)
+	}
+	if !bytes.Equal(enc1, enc2) {
+		t.Fatal("encode∘decode is not a fixpoint")
+	}
+	if cp2.Fingerprint != cp.Fingerprint || cp2.Exact != cp.Exact ||
+		cp2.Variant != cp.Variant || cp2.Terminated != cp.Terminated ||
+		cp2.Rounds != cp.Rounds ||
+		cp2.State.NextNullID != cp.State.NextNullID ||
+		cp2.State.DeltaStart != cp.State.DeltaStart ||
+		len(cp2.State.Fired) != len(cp.State.Fired) {
+		t.Fatal("round trip altered checkpoint header or state")
+	}
 }
 
 // TestFuzzCorpusIsValid keeps the checked-in corpus honest: every seed

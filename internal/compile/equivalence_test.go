@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/chase"
 	"repro/internal/families"
 	"repro/internal/logic"
+	"repro/internal/runtime"
 )
 
 // The cache's core contract: a cached run is byte-identical to a cold
@@ -80,7 +80,7 @@ func TestCacheEquivalenceRandomPools(t *testing.T) {
 				// Warm with a parallel executor: the cached programs feed
 				// the sharded collector too.
 				parOpts := cachedOpts
-				parOpts.Executor = &testExecutor{workers: 3}
+				parOpts.Executor = runtime.NewExecutor(3)
 				compareRuns(t, name+"/warm-parallel", w, cold, chase.Run(w.Database, w.Sigma, parOpts), v)
 
 				// Concurrent-shared: several goroutines race the same
@@ -182,37 +182,4 @@ func forestEdges(inst *logic.Instance, f *chase.Forest) map[string]string {
 		}
 	}
 	return edges
-}
-
-// testExecutor is a minimal chase.Executor standing in for
-// internal/runtime.Executor, which this package's tests can no longer
-// import (runtime depends on compile through checkpoint).
-type testExecutor struct{ workers int }
-
-func (e *testExecutor) Workers() int { return e.workers }
-
-func (e *testExecutor) Map(n int, task func(i, w int)) {
-	workers := min(e.workers, n)
-	if workers <= 1 {
-		for i := range n {
-			task(i, 0)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for slot := range workers {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				task(i, slot)
-			}
-		}()
-	}
-	wg.Wait()
 }

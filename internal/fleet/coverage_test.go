@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/chase"
+	"repro/internal/codec"
 	"repro/internal/compile"
 	"repro/internal/parser"
 	"repro/internal/service"
@@ -90,14 +91,14 @@ func TestMessageTruncationSweep(t *testing.T) {
 		t.Fatalf("submit round trip lost fields: %+v", m)
 	}
 	// A size field beyond int32 is corrupt even when bytes remain.
-	var w mwriter
-	w.str("n")
-	w.str("t")
-	w.int(0)
-	w.fp(compile.Fingerprint{})
-	w.byte(0)
-	w.uint(1 << 40) // maxAtoms out of range
-	if _, err := decodeSubmit(w.buf); !errors.Is(err, ErrFrame) {
+	var w codec.Writer
+	w.Str("n")
+	w.Str("t")
+	w.Int(0)
+	w.Raw(new(compile.Fingerprint)[:])
+	w.Byte(0)
+	w.Uint(1 << 40) // maxAtoms out of range
+	if _, err := decodeSubmit(w.Bytes()); !errors.Is(err, ErrFrame) {
 		t.Fatalf("oversize size field: %v, want ErrFrame", err)
 	}
 }

@@ -8,10 +8,11 @@
 // A connection carries a sequence of frames, each a fixed 8-byte header
 // — magic "FL", version byte, message-kind byte, 4-byte big-endian body
 // length — followed by the body. Bodies are varint/length-prefixed
-// records in the style of internal/wire. The client speaks strictly
-// sequentially: one Register or Submit frame, then it reads frames
-// until the terminal answer for that request (Registered, Result, or
-// Error; a Submit may be preceded by any number of Progress frames).
+// records written and read through internal/codec, the cursor
+// internal/wire and internal/checkpoint use too. The client speaks
+// strictly sequentially: one Register or Submit frame, then it reads
+// frames until the terminal answer for that request (Registered, Result,
+// or Error; a Submit may be preceded by any number of Progress frames).
 // All three cross-process identities ride the frames unchanged: the
 // database payload is an internal/wire snapshot (CanonicalKey-,
 // order-, and Stats-preserving), the ontology is internal/compile's

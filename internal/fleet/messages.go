@@ -1,12 +1,11 @@
 package fleet
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math"
 	"time"
 
 	"repro/internal/chase"
+	"repro/internal/codec"
 	"repro/internal/compile"
 	"repro/internal/qos"
 	"repro/internal/service"
@@ -93,24 +92,24 @@ const (
 // Result flag bits.
 const flagTerminated = 1
 
-// mwriter builds message bodies: unsigned varints, zigzag-signed
-// varints, length-prefixed strings and blobs.
-type mwriter struct {
-	buf []byte
+// writeStats writes the full chase.Stats in field order.
+func writeStats(w *codec.Writer, s chase.Stats) {
+	for _, v := range statsFields(&s) {
+		w.Uint(uint64(*v))
+	}
 }
 
-func (w *mwriter) uint(v uint64)             { w.buf = binary.AppendUvarint(w.buf, v) }
-func (w *mwriter) int(v int64)               { w.buf = binary.AppendVarint(w.buf, v) }
-func (w *mwriter) str(s string)              { w.uint(uint64(len(s))); w.buf = append(w.buf, s...) }
-func (w *mwriter) blob(b []byte)             { w.uint(uint64(len(b))); w.buf = append(w.buf, b...) }
-func (w *mwriter) byte(b byte)               { w.buf = append(w.buf, b) }
-func (w *mwriter) fp(fp compile.Fingerprint) { w.buf = append(w.buf, fp[:]...) }
-
-// stats writes the full chase.Stats in field order.
-func (w *mwriter) stats(s chase.Stats) {
-	for _, v := range statsFields(&s) {
-		w.uint(uint64(*v))
+// readStats reads what writeStats wrote.
+func readStats(r *codec.Reader) (chase.Stats, error) {
+	var s chase.Stats
+	for _, f := range statsFields(&s) {
+		v, err := r.Value("stats field")
+		if err != nil {
+			return s, err
+		}
+		*f = v
 	}
+	return s, nil
 }
 
 // statsFields enumerates the Stats fields in their one wire order.
@@ -123,173 +122,65 @@ func statsFields(s *chase.Stats) [10]*int {
 	}
 }
 
-// mreader consumes message bodies with the same defensive posture as
-// internal/wire's reader: every length is checked against the remaining
-// input before a single byte is allocated, so hostile bodies fail with
-// ErrFrame instead of panicking or ballooning.
-type mreader struct {
-	data []byte
-	pos  int
-}
-
-func (r *mreader) remaining() int { return len(r.data) - r.pos }
-
-func (r *mreader) uint(what string) (uint64, error) {
-	v, n := binary.Uvarint(r.data[r.pos:])
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: truncated %s varint", ErrFrame, what)
-	}
-	r.pos += n
-	return v, nil
-}
-
-func (r *mreader) int(what string) (int64, error) {
-	v, n := binary.Varint(r.data[r.pos:])
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: truncated %s varint", ErrFrame, what)
-	}
-	r.pos += n
-	return v, nil
-}
-
-// count reads a length/count varint bounded by the remaining input: a
-// record costs at least one byte, so a count beyond remaining() is
-// corrupt regardless of record shape.
-func (r *mreader) count(what string) (int, error) {
-	v, err := r.uint(what)
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(r.remaining()) {
-		return 0, fmt.Errorf("%w: %s count %d exceeds %d remaining bytes", ErrFrame, what, v, r.remaining())
-	}
-	return int(v), nil
-}
-
-// size reads an int-valued field that must fit a non-negative int.
-func (r *mreader) size(what string) (int, error) {
-	v, err := r.uint(what)
-	if err != nil {
-		return 0, err
-	}
-	if v > math.MaxInt32 {
-		return 0, fmt.Errorf("%w: %s %d out of range", ErrFrame, what, v)
-	}
-	return int(v), nil
-}
-
-func (r *mreader) str(what string) (string, error) {
-	n, err := r.count(what + " length")
-	if err != nil {
-		return "", err
-	}
-	s := string(r.data[r.pos : r.pos+n])
-	r.pos += n
-	return s, nil
-}
-
-func (r *mreader) blob(what string) ([]byte, error) {
-	n, err := r.count(what + " length")
-	if err != nil {
-		return nil, err
-	}
-	b := make([]byte, n)
-	copy(b, r.data[r.pos:r.pos+n])
-	r.pos += n
-	return b, nil
-}
-
-func (r *mreader) byte(what string) (byte, error) {
-	if r.remaining() < 1 {
-		return 0, fmt.Errorf("%w: truncated %s byte", ErrFrame, what)
-	}
-	b := r.data[r.pos]
-	r.pos++
-	return b, nil
-}
-
-func (r *mreader) fp() (compile.Fingerprint, error) {
+// readFingerprint reads a raw compile fingerprint.
+func readFingerprint(r *codec.Reader) (compile.Fingerprint, error) {
 	var fp compile.Fingerprint
-	if r.remaining() < len(fp) {
-		return fp, fmt.Errorf("%w: truncated fingerprint", ErrFrame)
-	}
-	copy(fp[:], r.data[r.pos:])
-	r.pos += len(fp)
-	return fp, nil
-}
-
-func (r *mreader) stats() (chase.Stats, error) {
-	var s chase.Stats
-	for _, f := range statsFields(&s) {
-		v, err := r.size("stats field")
-		if err != nil {
-			return s, err
-		}
-		*f = v
-	}
-	return s, nil
-}
-
-// done rejects trailing bytes: a valid body is consumed exactly, which
-// is what makes encode∘decode a fixpoint on valid frames.
-func (r *mreader) done() error {
-	if r.pos != len(r.data) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrFrame, r.remaining())
-	}
-	return nil
+	b, err := r.Raw(len(fp), "fingerprint")
+	copy(fp[:], b)
+	return fp, err
 }
 
 func encodeRegister(m registerMsg) []byte {
-	w := &mwriter{}
-	w.str(m.Rules)
-	w.blob(m.Bounds)
-	return w.buf
+	var w codec.Writer
+	w.Str(m.Rules)
+	w.Blob(m.Bounds)
+	return w.Bytes()
 }
 
 func decodeRegister(body []byte) (registerMsg, error) {
-	r := &mreader{data: body}
+	r := codec.NewReader(body, ErrFrame)
 	var m registerMsg
 	var err error
-	if m.Rules, err = r.str("rules"); err != nil {
+	if m.Rules, err = r.Str("rules"); err != nil {
 		return registerMsg{}, err
 	}
-	if m.Bounds, err = r.blob("bounds"); err != nil {
+	if m.Bounds, err = r.Blob("bounds"); err != nil {
 		return registerMsg{}, err
 	}
 	if len(m.Bounds) == 0 {
 		m.Bounds = nil
 	}
-	return m, r.done()
+	return m, r.Done()
 }
 
 func encodeRegistered(m registeredMsg) []byte {
-	w := &mwriter{}
-	w.fp(m.Fingerprint)
-	return w.buf
+	var w codec.Writer
+	w.Raw(m.Fingerprint[:])
+	return w.Bytes()
 }
 
 func decodeRegistered(body []byte) (registeredMsg, error) {
-	r := &mreader{data: body}
-	fp, err := r.fp()
+	r := codec.NewReader(body, ErrFrame)
+	fp, err := readFingerprint(r)
 	if err != nil {
 		return registeredMsg{}, err
 	}
-	return registeredMsg{Fingerprint: fp}, r.done()
+	return registeredMsg{Fingerprint: fp}, r.Done()
 }
 
 func encodeSubmit(m submitMsg) []byte {
-	w := &mwriter{}
-	w.str(m.Name)
-	w.str(m.Tenant)
-	w.int(int64(m.Priority))
-	w.fp(m.Fingerprint)
-	w.byte(byte(m.Variant))
-	w.uint(uint64(m.MaxAtoms))
-	w.uint(uint64(m.MaxRounds))
-	w.uint(uint64(m.Workers))
-	w.byte(byte(m.QoS.Mode))
-	w.uint(uint64(m.QoS.Deadline))
-	w.uint(uint64(m.QoS.Rounds))
+	var w codec.Writer
+	w.Str(m.Name)
+	w.Str(m.Tenant)
+	w.Int(int64(m.Priority))
+	w.Raw(m.Fingerprint[:])
+	w.Byte(byte(m.Variant))
+	w.Uint(uint64(m.MaxAtoms))
+	w.Uint(uint64(m.MaxRounds))
+	w.Uint(uint64(m.Workers))
+	w.Byte(byte(m.QoS.Mode))
+	w.Uint(uint64(m.QoS.Deadline))
+	w.Uint(uint64(m.QoS.Rounds))
 	var flags byte
 	if m.QoS.Learn {
 		flags |= flagLearnBound
@@ -306,37 +197,34 @@ func encodeSubmit(m submitMsg) []byte {
 	if m.WantProgress {
 		flags |= flagWantProgress
 	}
-	w.byte(flags)
-	w.blob(m.Snapshot)
-	w.uint(uint64(len(m.Deltas)))
+	w.Byte(flags)
+	w.Blob(m.Snapshot)
+	w.Uint(uint64(len(m.Deltas)))
 	for _, d := range m.Deltas {
-		w.blob(d)
+		w.Blob(d)
 	}
-	return w.buf
+	return w.Bytes()
 }
 
 func decodeSubmit(body []byte) (submitMsg, error) {
-	r := &mreader{data: body}
+	r := codec.NewReader(body, ErrFrame)
 	var m submitMsg
 	var err error
-	if m.Name, err = r.str("name"); err != nil {
+	if m.Name, err = r.Str("name"); err != nil {
 		return m, err
 	}
-	if m.Tenant, err = r.str("tenant"); err != nil {
+	if m.Tenant, err = r.Str("tenant"); err != nil {
 		return m, err
 	}
-	prio, err := r.int("priority")
+	prio, err := r.Int("priority")
 	if err != nil {
 		return m, err
 	}
-	if prio < math.MinInt32 || prio > math.MaxInt32 {
-		return m, fmt.Errorf("%w: priority %d out of range", ErrFrame, prio)
-	}
 	m.Priority = service.Priority(prio)
-	if m.Fingerprint, err = r.fp(); err != nil {
+	if m.Fingerprint, err = readFingerprint(r); err != nil {
 		return m, err
 	}
-	variant, err := r.byte("variant")
+	variant, err := r.Byte("variant")
 	if err != nil {
 		return m, err
 	}
@@ -344,141 +232,141 @@ func decodeSubmit(body []byte) (submitMsg, error) {
 	case chase.SemiOblivious, chase.Oblivious, chase.Restricted:
 		m.Variant = chase.Variant(variant)
 	default:
-		return m, fmt.Errorf("%w: unknown chase variant %d", ErrFrame, variant)
+		return m, r.Errorf("unknown chase variant %d", variant)
 	}
-	if m.MaxAtoms, err = r.size("maxAtoms"); err != nil {
+	if m.MaxAtoms, err = r.Value("maxAtoms"); err != nil {
 		return m, err
 	}
-	if m.MaxRounds, err = r.size("maxRounds"); err != nil {
+	if m.MaxRounds, err = r.Value("maxRounds"); err != nil {
 		return m, err
 	}
-	if m.Workers, err = r.size("workers"); err != nil {
+	if m.Workers, err = r.Value("workers"); err != nil {
 		return m, err
 	}
-	mode, err := r.byte("qos mode")
+	mode, err := r.Byte("qos mode")
 	if err != nil {
 		return m, err
 	}
 	if mode > byte(qos.Anytime) {
-		return m, fmt.Errorf("%w: unknown QoS mode %d", ErrFrame, mode)
+		return m, r.Errorf("unknown QoS mode %d", mode)
 	}
 	m.QoS.Mode = qos.Mode(mode)
-	deadline, err := r.uint("qos deadline")
+	deadline, err := r.Uint("qos deadline")
 	if err != nil {
 		return m, err
 	}
 	if deadline > math.MaxInt64 {
-		return m, fmt.Errorf("%w: QoS deadline %d out of range", ErrFrame, deadline)
+		return m, r.Errorf("QoS deadline %d out of range", deadline)
 	}
 	m.QoS.Deadline = time.Duration(deadline)
-	if m.QoS.Rounds, err = r.size("qos rounds"); err != nil {
+	if m.QoS.Rounds, err = r.Value("qos rounds"); err != nil {
 		return m, err
 	}
-	flags, err := r.byte("flags")
+	flags, err := r.Byte("flags")
 	if err != nil {
 		return m, err
 	}
 	if flags&^(flagRecordDerivation|flagTrackForest|flagNoSemiNaive|flagWantProgress|flagLearnBound) != 0 {
-		return m, fmt.Errorf("%w: unknown submit flags %#x", ErrFrame, flags)
+		return m, r.Errorf("unknown submit flags %#x", flags)
 	}
 	m.QoS.Learn = flags&flagLearnBound != 0
 	m.RecordDerivation = flags&flagRecordDerivation != 0
 	m.TrackForest = flags&flagTrackForest != 0
 	m.NoSemiNaive = flags&flagNoSemiNaive != 0
 	m.WantProgress = flags&flagWantProgress != 0
-	if m.Snapshot, err = r.blob("snapshot"); err != nil {
+	if m.Snapshot, err = r.Blob("snapshot"); err != nil {
 		return m, err
 	}
-	n, err := r.count("delta")
+	n, err := r.Len("delta count")
 	if err != nil {
 		return m, err
 	}
 	for i := 0; i < n; i++ {
-		d, err := r.blob("delta")
+		d, err := r.Blob("delta")
 		if err != nil {
 			return m, err
 		}
 		m.Deltas = append(m.Deltas, d)
 	}
-	return m, r.done()
+	return m, r.Done()
 }
 
 func encodeProgress(s chase.Stats) []byte {
-	w := &mwriter{}
-	w.stats(s)
-	return w.buf
+	var w codec.Writer
+	writeStats(&w, s)
+	return w.Bytes()
 }
 
 func decodeProgress(body []byte) (chase.Stats, error) {
-	r := &mreader{data: body}
-	s, err := r.stats()
+	r := codec.NewReader(body, ErrFrame)
+	s, err := readStats(r)
 	if err != nil {
 		return s, err
 	}
-	return s, r.done()
+	return s, r.Done()
 }
 
 func encodeResult(m resultMsg) []byte {
-	w := &mwriter{}
+	var w codec.Writer
 	var flags byte
 	if m.Terminated {
 		flags |= flagTerminated
 	}
-	w.byte(flags)
-	w.byte(byte(m.Source))
-	w.stats(m.Stats)
-	w.blob(m.Snapshot)
-	w.str(m.Derivation)
-	return w.buf
+	w.Byte(flags)
+	w.Byte(byte(m.Source))
+	writeStats(&w, m.Stats)
+	w.Blob(m.Snapshot)
+	w.Str(m.Derivation)
+	return w.Bytes()
 }
 
 func decodeResult(body []byte) (resultMsg, error) {
-	r := &mreader{data: body}
+	r := codec.NewReader(body, ErrFrame)
 	var m resultMsg
-	flags, err := r.byte("flags")
+	flags, err := r.Byte("flags")
 	if err != nil {
 		return m, err
 	}
 	if flags&^flagTerminated != 0 {
-		return m, fmt.Errorf("%w: unknown result flags %#x", ErrFrame, flags)
+		return m, r.Errorf("unknown result flags %#x", flags)
 	}
 	m.Terminated = flags&flagTerminated != 0
-	source, err := r.byte("budget source")
+	source, err := r.Byte("budget source")
 	if err != nil {
 		return m, err
 	}
 	if source > byte(qos.SourceLearnedBound) {
-		return m, fmt.Errorf("%w: unknown budget source %d", ErrFrame, source)
+		return m, r.Errorf("unknown budget source %d", source)
 	}
 	m.Source = qos.Source(source)
-	if m.Stats, err = r.stats(); err != nil {
+	if m.Stats, err = readStats(r); err != nil {
 		return m, err
 	}
-	if m.Snapshot, err = r.blob("snapshot"); err != nil {
+	if m.Snapshot, err = r.Blob("snapshot"); err != nil {
 		return m, err
 	}
-	if m.Derivation, err = r.str("derivation"); err != nil {
+	if m.Derivation, err = r.Str("derivation"); err != nil {
 		return m, err
 	}
-	return m, r.done()
+	return m, r.Done()
 }
 
 func encodeError(m errorMsg) []byte {
-	w := &mwriter{}
-	w.str(m.Code)
-	w.str(m.Message)
-	return w.buf
+	var w codec.Writer
+	w.Str(m.Code)
+	w.Str(m.Message)
+	return w.Bytes()
 }
 
 func decodeError(body []byte) (errorMsg, error) {
-	r := &mreader{data: body}
+	r := codec.NewReader(body, ErrFrame)
 	var m errorMsg
 	var err error
-	if m.Code, err = r.str("code"); err != nil {
+	if m.Code, err = r.Str("code"); err != nil {
 		return m, err
 	}
-	if m.Message, err = r.str("message"); err != nil {
+	if m.Message, err = r.Str("message"); err != nil {
 		return m, err
 	}
-	return m, r.done()
+	return m, r.Done()
 }

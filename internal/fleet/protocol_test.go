@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/chase"
+	"repro/internal/codec"
 	"repro/internal/compile"
 	"repro/internal/parser"
 	"repro/internal/service"
@@ -63,44 +64,44 @@ func TestMessageDecodeAdversarial(t *testing.T) {
 		t.Fatal("submit with trailing bytes decoded")
 	}
 	// Rebuild with a hostile flags value through the writer.
-	var w mwriter
-	w.str("n")
-	w.str("t")
-	w.int(0)
-	w.fp(compile.Fingerprint{})
-	w.byte(0)      // variant
-	w.uint(0)      // maxAtoms
-	w.uint(0)      // maxRounds
-	w.uint(0)      // workers
-	w.byte(0)      // qos mode
-	w.uint(0)      // qos deadline
-	w.uint(0)      // qos rounds
-	w.byte(1 << 7) // unknown flag bit
-	w.blob(nil)
-	w.uint(0)
-	if _, err := decodeSubmit(w.buf); err == nil {
+	var w codec.Writer
+	w.Str("n")
+	w.Str("t")
+	w.Int(0)
+	w.Raw(new(compile.Fingerprint)[:])
+	w.Byte(0)      // variant
+	w.Uint(0)      // maxAtoms
+	w.Uint(0)      // maxRounds
+	w.Uint(0)      // workers
+	w.Byte(0)      // qos mode
+	w.Uint(0)      // qos deadline
+	w.Uint(0)      // qos rounds
+	w.Byte(1 << 7) // unknown flag bit
+	w.Blob(nil)
+	w.Uint(0)
+	if _, err := decodeSubmit(w.Bytes()); err == nil {
 		t.Fatal("submit with unknown flag bit decoded")
 	}
-	var w2 mwriter
-	w2.str("n")
-	w2.str("t")
-	w2.int(0)
-	w2.fp(compile.Fingerprint{})
-	w2.byte(9) // unknown variant
-	if _, err := decodeSubmit(w2.buf); err == nil {
+	var w2 codec.Writer
+	w2.Str("n")
+	w2.Str("t")
+	w2.Int(0)
+	w2.Raw(new(compile.Fingerprint)[:])
+	w2.Byte(9) // unknown variant
+	if _, err := decodeSubmit(w2.Bytes()); err == nil {
 		t.Fatal("submit with unknown variant decoded")
 	}
-	var w3 mwriter
-	w3.str("n")
-	w3.str("t")
-	w3.int(0)
-	w3.fp(compile.Fingerprint{})
-	w3.byte(0) // variant
-	w3.uint(0) // maxAtoms
-	w3.uint(0) // maxRounds
-	w3.uint(0) // workers
-	w3.byte(9) // unknown qos mode
-	if _, err := decodeSubmit(w3.buf); err == nil {
+	var w3 codec.Writer
+	w3.Str("n")
+	w3.Str("t")
+	w3.Int(0)
+	w3.Raw(new(compile.Fingerprint)[:])
+	w3.Byte(0) // variant
+	w3.Uint(0) // maxAtoms
+	w3.Uint(0) // maxRounds
+	w3.Uint(0) // workers
+	w3.Byte(9) // unknown qos mode
+	if _, err := decodeSubmit(w3.Bytes()); err == nil {
 		t.Fatal("submit with unknown QoS mode decoded")
 	}
 	if _, err := decodeResult([]byte{0xFF, 0x01}); err == nil {

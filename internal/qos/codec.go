@@ -1,12 +1,10 @@
 package qos
 
 import (
-	"encoding/binary"
 	"errors"
-	"fmt"
-	"math"
 
 	"repro/internal/chase"
+	"repro/internal/codec"
 	"repro/internal/compile"
 )
 
@@ -19,10 +17,10 @@ var ErrCorrupt = errors.New("qos: corrupt learned-bound encoding")
 // larger count is corrupt by construction.
 const maxEncodedBounds = 8
 
-// EncodeBounds renders a fingerprint's learned bounds in the wire
-// codec's varint vocabulary: a uvarint record count, then per record the
-// variant byte, uvarint rounds, uvarint atoms, and an observed byte
-// (0/1). Records must be sorted by strictly increasing variant —
+// EncodeBounds renders a fingerprint's learned bounds through
+// internal/codec: a uvarint record count, then per record the variant
+// byte, uvarint rounds, uvarint atoms, and an observed byte (0/1).
+// Records must be sorted by strictly increasing variant —
 // compile.Cache.Bounds returns exactly that shape — so the encoding is
 // canonical: DecodeBounds rejects anything else, and re-encoding a
 // decoded blob reproduces it byte for byte. The fleet coordinator ships
@@ -31,18 +29,19 @@ func EncodeBounds(bounds []compile.VariantBound) []byte {
 	if len(bounds) == 0 {
 		return nil
 	}
-	buf := binary.AppendUvarint(nil, uint64(len(bounds)))
+	var w codec.Writer
+	w.Uint(uint64(len(bounds)))
 	for _, vb := range bounds {
-		buf = append(buf, byte(vb.Variant))
-		buf = binary.AppendUvarint(buf, uint64(vb.Bound.Rounds))
-		buf = binary.AppendUvarint(buf, uint64(vb.Bound.Atoms))
+		w.Byte(byte(vb.Variant))
+		w.Uint(uint64(vb.Bound.Rounds))
+		w.Uint(uint64(vb.Bound.Atoms))
 		if vb.Bound.Observed {
-			buf = append(buf, 1)
+			w.Byte(1)
 		} else {
-			buf = append(buf, 0)
+			w.Byte(0)
 		}
 	}
-	return buf
+	return w.Bytes()
 }
 
 // DecodeBounds parses an EncodeBounds blob, rejecting non-canonical
@@ -53,60 +52,51 @@ func DecodeBounds(data []byte) ([]compile.VariantBound, error) {
 	if len(data) == 0 {
 		return nil, nil
 	}
-	pos := 0
-	uvarint := func(what string) (uint64, error) {
-		v, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("%w: bad %s varint", ErrCorrupt, what)
-		}
-		pos += n
-		return v, nil
-	}
-	count, err := uvarint("count")
+	r := codec.NewReader(data, ErrCorrupt)
+	count, err := r.Uint("count")
 	if err != nil {
 		return nil, err
 	}
 	if count == 0 || count > maxEncodedBounds {
-		return nil, fmt.Errorf("%w: record count %d", ErrCorrupt, count)
+		return nil, r.Errorf("record count %d", count)
 	}
 	out := make([]compile.VariantBound, 0, count)
 	prev := chase.Variant(-1)
-	for i := uint64(0); i < count; i++ {
-		if pos >= len(data) {
-			return nil, fmt.Errorf("%w: truncated record", ErrCorrupt)
+	for range count {
+		b, err := r.Byte("variant")
+		if err != nil {
+			return nil, err
 		}
-		v := chase.Variant(data[pos])
-		pos++
-		if v < chase.SemiOblivious || v > chase.Restricted {
-			return nil, fmt.Errorf("%w: unknown variant %d", ErrCorrupt, v)
+		v := chase.Variant(b)
+		if v > chase.Restricted {
+			return nil, r.Errorf("unknown variant %d", v)
 		}
 		if v <= prev {
-			return nil, fmt.Errorf("%w: variants out of order", ErrCorrupt)
+			return nil, r.Errorf("variants out of order")
 		}
 		prev = v
-		rounds, err := uvarint("rounds")
+		rounds, err := r.Value("rounds")
 		if err != nil {
 			return nil, err
 		}
-		atoms, err := uvarint("atoms")
+		atoms, err := r.Value("atoms")
 		if err != nil {
 			return nil, err
 		}
-		if rounds > math.MaxInt32 || atoms > math.MaxInt32 {
-			return nil, fmt.Errorf("%w: counter overflow", ErrCorrupt)
+		observed, err := r.Byte("observed flag")
+		if err != nil {
+			return nil, err
 		}
-		if pos >= len(data) || data[pos] > 1 {
-			return nil, fmt.Errorf("%w: bad observed flag", ErrCorrupt)
+		if observed > 1 {
+			return nil, r.Errorf("bad observed flag %d", observed)
 		}
-		observed := data[pos] == 1
-		pos++
 		out = append(out, compile.VariantBound{
 			Variant: v,
-			Bound:   compile.LearnedBound{Rounds: int(rounds), Atoms: int(atoms), Observed: observed},
+			Bound:   compile.LearnedBound{Rounds: rounds, Atoms: atoms, Observed: observed == 1},
 		})
 	}
-	if pos != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-pos)
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -173,6 +174,28 @@ func (c *countingExec) Workers() int { return c.inner.Workers() }
 func (c *countingExec) Map(n int, task func(i, w int)) {
 	c.maps++
 	c.inner.Map(n, task)
+}
+
+// An executor's width is untrusted input — a fleet Submit frame carries
+// it — so the collector must size its worker slots by the tasks a round
+// has, not by Workers(): at MaxInt32 slots the array would take over a
+// terabyte, and the failed allocation kills the process. A run at that
+// width must complete and equal the sequential one.
+func TestParallelChaseUnboundedWidth(t *testing.T) {
+	workloads := map[string]families.Workload{
+		"GLower":     families.GLower(1, 1, 1),
+		"SLLower":    families.SLLower(2, 2, 2),
+		"University": families.University(5, 1),
+	}
+	for name, w := range workloads {
+		for _, v := range []chase.Variant{chase.SemiOblivious, chase.Oblivious, chase.Restricted} {
+			opts := chase.Options{Variant: v, MaxAtoms: 2000, RecordDerivation: true}
+			seq := chase.Run(w.Database, w.Sigma, opts)
+			opts.Executor = NewExecutor(math.MaxInt32)
+			par := chase.Run(w.Database, w.Sigma, opts)
+			compareRuns(t, fmt.Sprintf("%s/%v", name, v), w, seq, par, v)
+		}
+	}
 }
 
 // The ablation path (NoSemiNaive) bypasses the parallel collector by

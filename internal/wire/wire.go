@@ -40,8 +40,9 @@
 //
 // # Wire format
 //
-// All integers are unsigned varints (encoding/binary), except fresh-term
-// values, which are zigzag-signed; strings are length-prefixed. Layout:
+// The encoding is written and read through internal/codec: all integers
+// are unsigned varints, except fresh-term values, which are zigzag-signed;
+// strings are length-prefixed. Layout:
 //
 //	magic "CW", kind byte ('S' snapshot, 'D' delta), version varint (1)
 //	delta only: base varint (required instance length before applying)
@@ -56,11 +57,10 @@
 package wire
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
+	"repro/internal/codec"
 	"repro/internal/logic"
 )
 
@@ -96,22 +96,9 @@ func (o opaque) Key() string { return o.key }
 
 func (o opaque) String() string { return o.str }
 
-// ForeignTerm reconstructs a foreign term kind from its wire identity —
-// the (key, rendering) pair an encoder emits under the 'o' tag. It
-// rejects keys in the built-in kinds' key spaces for the same reason the
-// decoder does: interning them as foreign would mint a second symbol id
-// for an existing identity. internal/checkpoint uses it to decode the
-// fired-trigger term manifest, which mirrors this package's tags.
-func ForeignTerm(key, rendering string) (logic.Term, error) {
-	if builtinKeyPrefix(key) {
-		return nil, fmt.Errorf("%w: foreign term with built-in identity key %q", ErrCorrupt, key)
-	}
-	return opaque{key: key, str: rendering}, nil
-}
-
 // builtinKeyPrefix reports whether the key belongs to one of logic's
 // built-in term kinds. Encoders never emit such keys under the foreign
-// tag; decoders reject them, because interning them as foreign would
+// tag; ReadTerm rejects them, because interning them as foreign would
 // create a second symbol id for an existing identity key.
 func builtinKeyPrefix(key string) bool {
 	if len(key) < 2 || key[1] != 0 {
@@ -128,11 +115,11 @@ func builtinKeyPrefix(key string) bool {
 // of the instance's ordered atom sequence (no process-local state leaks
 // in), so equal instances encode byte-identically across processes.
 func EncodeSnapshot(in *logic.Instance) []byte {
-	e := &encoder{buf: make([]byte, 0, 64+16*in.Len())}
-	e.header(kindSnapshot)
-	e.atoms(in.Atoms())
-	meterEncoded(len(e.buf))
-	return e.buf
+	w := codec.NewWriter(64 + 16*in.Len())
+	writeHeader(w, kindSnapshot)
+	writeAtoms(w, in.Atoms())
+	meterEncoded(len(w.Bytes()))
+	return w.Bytes()
 }
 
 // EncodeDelta encodes the atoms with insertion sequence >= from — one
@@ -146,35 +133,22 @@ func EncodeDelta(in *logic.Instance, from int) []byte {
 	if from > len(all) {
 		from = len(all)
 	}
-	e := &encoder{buf: make([]byte, 0, 64+16*(len(all)-from))}
-	e.header(kindDelta)
-	e.uint(uint64(from))
-	e.atoms(all[from:])
-	meterEncoded(len(e.buf))
-	return e.buf
+	w := codec.NewWriter(64 + 16*(len(all)-from))
+	writeHeader(w, kindDelta)
+	w.Uint(uint64(from))
+	writeAtoms(w, all[from:])
+	meterEncoded(len(w.Bytes()))
+	return w.Bytes()
 }
 
-type encoder struct {
-	buf []byte
+func writeHeader(w *codec.Writer, kind byte) {
+	w.Raw([]byte{'C', 'W', kind})
+	w.Uint(Version)
 }
 
-func (e *encoder) header(kind byte) {
-	e.buf = append(e.buf, 'C', 'W', kind)
-	e.uint(Version)
-}
-
-func (e *encoder) uint(v uint64) {
-	e.buf = binary.AppendUvarint(e.buf, v)
-}
-
-func (e *encoder) str(s string) {
-	e.uint(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-// atoms writes the symbol manifest (first-occurrence order) followed by
-// the atom section.
-func (e *encoder) atoms(atoms []*logic.Atom) {
+// writeAtoms writes the symbol manifest (first-occurrence order) followed
+// by the atom section.
+func writeAtoms(w *codec.Writer, atoms []*logic.Atom) {
 	var (
 		preds     []logic.Predicate
 		predIdx   = make(map[logic.Predicate]int)
@@ -204,43 +178,119 @@ func (e *encoder) atoms(atoms []*logic.Atom) {
 		}
 		atomTerms[ai] = idx
 	}
-	e.uint(uint64(len(preds)))
+	w.Uint(uint64(len(preds)))
 	for _, p := range preds {
-		e.str(p.Name)
-		e.uint(uint64(p.Arity))
+		w.Str(p.Name)
+		w.Uint(uint64(p.Arity))
 	}
-	e.uint(uint64(len(terms)))
+	w.Uint(uint64(len(terms)))
 	for _, t := range terms {
-		switch x := t.(type) {
-		case logic.Constant:
-			e.buf = append(e.buf, 'c')
-			e.str(string(x))
-		case logic.Fresh:
-			e.buf = append(e.buf, 'f')
-			e.buf = binary.AppendVarint(e.buf, int64(x))
-		case *logic.Null:
-			e.buf = append(e.buf, 'n')
-			e.uint(uint64(x.ID()))
-			e.uint(uint64(x.Depth()))
-		case logic.Variable:
-			// Instances are normally ground, but the codec is total: a
-			// variable must not fall into the foreign branch, whose
-			// built-in "v\x00" key the decoder categorically rejects.
-			e.buf = append(e.buf, 'v')
-			e.str(string(x))
-		default:
-			e.buf = append(e.buf, 'o')
-			e.str(t.Key())
-			e.str(t.String())
-		}
+		AppendTerm(w, t)
 	}
-	e.uint(uint64(len(atoms)))
+	w.Uint(uint64(len(atoms)))
 	for ai := range atoms {
-		e.uint(uint64(atomPreds[ai]))
+		w.Uint(uint64(atomPreds[ai]))
 		for _, ti := range atomTerms[ai] {
-			e.uint(uint64(ti))
+			w.Uint(uint64(ti))
 		}
 	}
+}
+
+// AppendTerm writes one manifest term record: the tag byte and its
+// payload (see the package doc's layout). Nulls are written under their
+// portable identity, (factory id, depth); internal/checkpoint's fired-key
+// manifest uses the same records.
+func AppendTerm(w *codec.Writer, t logic.Term) {
+	switch x := t.(type) {
+	case logic.Constant:
+		w.Byte('c')
+		w.Str(string(x))
+	case logic.Fresh:
+		w.Byte('f')
+		w.Int(int64(x))
+	case *logic.Null:
+		w.Byte('n')
+		w.Uint(uint64(x.ID()))
+		w.Uint(uint64(x.Depth()))
+	case logic.Variable:
+		// Instances are normally ground, but the codec is total: a
+		// variable must not fall into the foreign branch, whose built-in
+		// "v\x00" key ReadTerm categorically rejects.
+		w.Byte('v')
+		w.Str(string(x))
+	default:
+		w.Byte('o')
+		w.Str(t.Key())
+		w.Str(t.String())
+	}
+}
+
+// TermRecord is one parsed manifest term record, not yet a term: nulls
+// need the decoding stream's identity to resolve, so Null hands their
+// portable identity to the caller and Term builds every other kind.
+type TermRecord struct {
+	tag       byte
+	str, str2 string
+	a, b      int
+}
+
+// ReadTerm reads one record written by AppendTerm. Its errors wrap the
+// reader's sentinel: an unknown tag, a truncated payload, or a foreign
+// record claiming a built-in identity key (interning it as foreign would
+// mint a second symbol id for an existing identity).
+func ReadTerm(r *codec.Reader) (TermRecord, error) {
+	var (
+		rec TermRecord
+		err error
+	)
+	if rec.tag, err = r.Byte("term tag"); err != nil {
+		return rec, err
+	}
+	switch rec.tag {
+	case 'c':
+		rec.str, err = r.Str("constant")
+	case 'f':
+		rec.a, err = r.Int("fresh value")
+	case 'n':
+		if rec.a, err = r.Value("null id"); err == nil {
+			rec.b, err = r.Value("null depth")
+		}
+	case 'v':
+		rec.str, err = r.Str("variable")
+	case 'o':
+		if rec.str, err = r.Str("foreign key"); err == nil {
+			rec.str2, err = r.Str("foreign rendering")
+		}
+		if err == nil && builtinKeyPrefix(rec.str) {
+			err = r.Errorf("foreign term with built-in identity key %q", rec.str)
+		}
+	default:
+		err = r.Errorf("unknown term tag %q", rec.tag)
+	}
+	return rec, err
+}
+
+// Null reports whether the record is a null and, if so, its portable
+// identity: the factory id and depth the caller resolves against its
+// stream's nulls.
+func (rec TermRecord) Null() (id, depth int, ok bool) {
+	return rec.a, rec.b, rec.tag == 'n'
+}
+
+// Term builds the record's term. A null record has no term outside its
+// stream, so Term returns nil for one; resolve it through Null.
+func (rec TermRecord) Term() logic.Term {
+	switch rec.tag {
+	case 'c':
+		return logic.Constant(rec.str)
+	case 'f':
+		return logic.Fresh(rec.a)
+	case 'v':
+		return logic.Variable(rec.str)
+	case 'o':
+		return opaque{key: rec.str, str: rec.str2}
+	}
+	return nil
 }
 
 // Decoder decodes one snapshot and any number of subsequent deltas into a
@@ -304,8 +354,8 @@ func (d *Decoder) Snapshot(data []byte) (*logic.Instance, error) {
 	if d.inst != nil {
 		return nil, d.poison(fmt.Errorf("%w: decoder already holds a snapshot", ErrCorrupt))
 	}
-	r := &reader{data: data}
-	if err := r.header(kindSnapshot); err != nil {
+	r := codec.NewReader(data, ErrCorrupt)
+	if err := readHeader(r, kindSnapshot); err != nil {
 		return nil, d.poison(err)
 	}
 	atoms, err := d.section(r)
@@ -332,11 +382,11 @@ func (d *Decoder) Apply(data []byte) (int, error) {
 	if d.inst == nil {
 		return 0, d.poison(fmt.Errorf("%w: delta applied before any snapshot", ErrCorrupt))
 	}
-	r := &reader{data: data}
-	if err := r.header(kindDelta); err != nil {
+	r := codec.NewReader(data, ErrCorrupt)
+	if err := readHeader(r, kindDelta); err != nil {
 		return 0, d.poison(err)
 	}
-	base, err := r.count("delta base")
+	base, err := r.Value("delta base")
 	if err != nil {
 		return 0, d.poison(err)
 	}
@@ -357,13 +407,6 @@ func DecodeSnapshot(data []byte) (*logic.Instance, error) {
 	return NewDecoder().Snapshot(data)
 }
 
-// termRec is one parsed (not yet materialized) manifest term record.
-type termRec struct {
-	tag       byte
-	str, str2 string
-	a, b      int
-}
-
 // section decodes one manifest+atoms section into its atoms, in order.
 // Decoding is parse-then-materialize: the whole encoding is parsed and
 // validated — index ranges, tags, null depths, trailing bytes — before a
@@ -371,134 +414,95 @@ type termRec struct {
 // stream's instance and its null factory exactly as they were (Apply's
 // atomicity rests on this). Symbols are interned once per manifest entry,
 // not once per occurrence, and atoms are carved from the stream's arena.
-func (d *Decoder) section(r *reader) ([]*logic.Atom, error) {
-	npreds, err := r.records("predicate count")
+func (d *Decoder) section(r *codec.Reader) ([]*logic.Atom, error) {
+	npreds, err := r.Len("predicate count")
 	if err != nil {
 		return nil, err
 	}
 	preds := make([]logic.Predicate, npreds)
 	for i := range preds {
-		name, err := r.str("predicate name")
+		name, err := r.Str("predicate name")
 		if err != nil {
 			return nil, err
 		}
-		arity, err := r.count("predicate arity")
+		arity, err := r.Value("predicate arity")
 		if err != nil {
 			return nil, err
 		}
 		preds[i] = logic.Predicate{Name: name, Arity: arity}
 	}
-	nterms, err := r.records("term count")
+	nterms, err := r.Len("term count")
 	if err != nil {
 		return nil, err
 	}
-	recs := make([]termRec, nterms)
+	recs := make([]TermRecord, nterms)
 	var depths map[int]int // null id -> depth declared in this section
 	for i := range recs {
-		tag, err := r.byte("term tag")
+		rec, err := ReadTerm(r)
 		if err != nil {
 			return nil, err
 		}
-		rec := termRec{tag: tag}
-		switch tag {
-		case 'c':
-			if rec.str, err = r.str("constant"); err != nil {
-				return nil, err
-			}
-		case 'f':
-			if rec.a, err = r.int("fresh value"); err != nil {
-				return nil, err
-			}
-		case 'n':
-			if rec.a, err = r.count("null id"); err != nil {
-				return nil, err
-			}
-			if rec.b, err = r.count("null depth"); err != nil {
-				return nil, err
-			}
+		if id, depth, ok := rec.Null(); ok {
 			// A null is one term at one depth. Accepting a second depth
 			// would silently merge two declared terms into the first one.
-			if n := d.nulls.LookupNullAt(rec.a); n != nil && n.Depth() != rec.b {
-				return nil, fmt.Errorf("%w: null %d declared at depth %d, the stream has it at depth %d", ErrCorrupt, rec.a, rec.b, n.Depth())
+			if n := d.nulls.LookupNullAt(id); n != nil && n.Depth() != depth {
+				return nil, r.Errorf("null %d declared at depth %d, the stream has it at depth %d", id, depth, n.Depth())
 			}
 			if depths == nil {
 				depths = make(map[int]int)
 			}
-			if depth, ok := depths[rec.a]; ok && depth != rec.b {
-				return nil, fmt.Errorf("%w: null %d declared at depths %d and %d", ErrCorrupt, rec.a, depth, rec.b)
+			if prev, ok := depths[id]; ok && prev != depth {
+				return nil, r.Errorf("null %d declared at depths %d and %d", id, prev, depth)
 			}
-			depths[rec.a] = rec.b
-		case 'v':
-			if rec.str, err = r.str("variable"); err != nil {
-				return nil, err
-			}
-		case 'o':
-			if rec.str, err = r.str("foreign key"); err != nil {
-				return nil, err
-			}
-			if rec.str2, err = r.str("foreign rendering"); err != nil {
-				return nil, err
-			}
-			if builtinKeyPrefix(rec.str) {
-				return nil, fmt.Errorf("%w: foreign term with built-in identity key %q", ErrCorrupt, rec.str)
-			}
-		default:
-			return nil, fmt.Errorf("%w: unknown term tag %q", ErrCorrupt, tag)
+			depths[id] = depth
 		}
 		recs[i] = rec
 	}
-	natoms, err := r.records("atom count")
+	natoms, err := r.Len("atom count")
 	if err != nil {
 		return nil, err
 	}
 	atomPreds := make([]int32, natoms)
 	// Every atom costs a predicate index byte and every argument at least
 	// one more, so the remaining input bounds the flat argument array.
-	args := make([]int32, 0, len(r.data)-r.pos-natoms)
+	args := make([]int32, 0, r.Remaining()-natoms)
 	maxArity := 0
 	for ai := range atomPreds {
-		pi, err := r.count("atom predicate index")
+		pi, err := r.Value("atom predicate index")
 		if err != nil {
 			return nil, err
 		}
 		if pi >= len(preds) {
-			return nil, fmt.Errorf("%w: atom %d references predicate %d of %d", ErrCorrupt, ai, pi, len(preds))
+			return nil, r.Errorf("atom %d references predicate %d of %d", ai, pi, len(preds))
 		}
 		arity := preds[pi].Arity
-		if arity > len(r.data)-r.pos {
-			return nil, fmt.Errorf("%w: truncated atom %d", ErrCorrupt, ai)
+		if arity > r.Remaining() {
+			return nil, r.Errorf("truncated atom %d", ai)
 		}
 		for range arity {
-			ti, err := r.count("atom term index")
+			ti, err := r.Value("atom term index")
 			if err != nil {
 				return nil, err
 			}
 			if ti >= len(recs) {
-				return nil, fmt.Errorf("%w: atom %d references term %d of %d", ErrCorrupt, ai, ti, len(recs))
+				return nil, r.Errorf("atom %d references term %d of %d", ai, ti, len(recs))
 			}
 			args = append(args, int32(ti))
 		}
 		atomPreds[ai] = int32(pi)
 		maxArity = max(maxArity, arity)
 	}
-	if r.pos != len(r.data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(r.data)-r.pos)
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	// Fully validated: materialize. Nothing below can fail.
 	terms := make([]logic.Term, len(recs))
 	termIDs := make([]int32, len(recs))
 	for i, rec := range recs {
-		switch rec.tag {
-		case 'c':
-			terms[i] = logic.Constant(rec.str)
-		case 'f':
-			terms[i] = logic.Fresh(rec.a)
-		case 'n':
-			terms[i] = d.nulls.NullAt(rec.a, rec.b)
-		case 'v':
-			terms[i] = logic.Variable(rec.str)
-		default:
-			terms[i] = opaque{key: rec.str, str: rec.str2}
+		if id, depth, ok := rec.Null(); ok {
+			terms[i] = d.nulls.NullAt(id, depth)
+		} else {
+			terms[i] = rec.Term()
 		}
 		termIDs[i] = logic.IDOf(terms[i])
 	}
@@ -520,83 +524,20 @@ func (d *Decoder) section(r *reader) ([]*logic.Atom, error) {
 	return atoms, nil
 }
 
-// reader is a bounds-checked cursor over one encoding.
-type reader struct {
-	data []byte
-	pos  int
-}
-
-func (r *reader) header(kind byte) error {
-	if len(r.data) < 3 || r.data[0] != 'C' || r.data[1] != 'W' {
-		return fmt.Errorf("%w: bad magic", ErrCorrupt)
+func readHeader(r *codec.Reader, kind byte) error {
+	magic, err := r.Raw(3, "header")
+	if err != nil || magic[0] != 'C' || magic[1] != 'W' {
+		return r.Errorf("bad magic")
 	}
-	if r.data[2] != kind {
-		return fmt.Errorf("%w: kind %q, want %q", ErrCorrupt, r.data[2], kind)
+	if magic[2] != kind {
+		return r.Errorf("kind %q, want %q", magic[2], kind)
 	}
-	r.pos = 3
-	v, err := r.count("version")
+	v, err := r.Value("version")
 	if err != nil {
 		return err
 	}
 	if v != Version {
-		return fmt.Errorf("%w: version %d, want %d", ErrCorrupt, v, Version)
+		return r.Errorf("version %d, want %d", v, Version)
 	}
 	return nil
-}
-
-func (r *reader) byte(what string) (byte, error) {
-	if r.pos >= len(r.data) {
-		return 0, fmt.Errorf("%w: truncated %s", ErrCorrupt, what)
-	}
-	b := r.data[r.pos]
-	r.pos++
-	return b, nil
-}
-
-// count reads an unsigned varint constrained to a sane int range; every
-// count, index, and id in the format goes through it, which bounds what
-// hostile input can make the decoder allocate.
-func (r *reader) count(what string) (int, error) {
-	v, n := binary.Uvarint(r.data[r.pos:])
-	if n <= 0 || v > math.MaxInt32 {
-		return 0, fmt.Errorf("%w: bad %s varint", ErrCorrupt, what)
-	}
-	r.pos += n
-	return int(v), nil
-}
-
-// records is count for section sizes: every record costs at least one
-// byte, so a count larger than the remaining input is corrupt — rejected
-// here, before any count-sized allocation happens.
-func (r *reader) records(what string) (int, error) {
-	n, err := r.count(what)
-	if err != nil {
-		return 0, err
-	}
-	if n > len(r.data)-r.pos {
-		return 0, fmt.Errorf("%w: %s %d exceeds remaining input", ErrCorrupt, what, n)
-	}
-	return n, nil
-}
-
-func (r *reader) int(what string) (int, error) {
-	v, n := binary.Varint(r.data[r.pos:])
-	if n <= 0 || v > math.MaxInt32 || v < math.MinInt32 {
-		return 0, fmt.Errorf("%w: bad %s varint", ErrCorrupt, what)
-	}
-	r.pos += n
-	return int(v), nil
-}
-
-func (r *reader) str(what string) (string, error) {
-	n, err := r.count(what + " length")
-	if err != nil {
-		return "", err
-	}
-	if r.pos+n > len(r.data) {
-		return "", fmt.Errorf("%w: truncated %s", ErrCorrupt, what)
-	}
-	s := string(r.data[r.pos : r.pos+n])
-	r.pos += n
-	return s, nil
 }

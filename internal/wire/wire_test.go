@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/chase"
+	"repro/internal/codec"
 	"repro/internal/logic"
 	"repro/internal/parser"
 )
@@ -438,23 +439,23 @@ func TestDecodeRejectsNullAtTwoDepths(t *testing.T) {
 // twoDepthSnapshot hand-assembles a snapshot whose manifest declares null
 // 0 at depth 1 and again at depth 5, with atoms p(t0) and p(t1).
 func twoDepthSnapshot() []byte {
-	e := &encoder{}
-	e.header(kindSnapshot)
-	e.uint(1) // one predicate
-	e.str("p")
-	e.uint(1) // arity
-	e.uint(2) // two terms
+	var w codec.Writer
+	writeHeader(&w, kindSnapshot)
+	w.Uint(1) // one predicate
+	w.Str("p")
+	w.Uint(1) // arity
+	w.Uint(2) // two terms
 	for _, depth := range []uint64{1, 5} {
-		e.buf = append(e.buf, 'n')
-		e.uint(0)
-		e.uint(depth)
+		w.Byte('n')
+		w.Uint(0)
+		w.Uint(depth)
 	}
-	e.uint(2) // two atoms
-	e.uint(0)
-	e.uint(0)
-	e.uint(0)
-	e.uint(1)
-	return e.buf
+	w.Uint(2) // two atoms
+	w.Uint(0)
+	w.Uint(0)
+	w.Uint(0)
+	w.Uint(1)
+	return w.Bytes()
 }
 
 // redeclaringDelta returns a snapshot holding p(null 0 at depth 1) and a
@@ -463,40 +464,40 @@ func twoDepthSnapshot() []byte {
 func redeclaringDelta() (snapshot, delta []byte) {
 	nulls := logic.NewNullFactory()
 	snapshot = EncodeSnapshot(logic.NewDatabase(logic.MakeAtom("p", nulls.NullAt(0, 1))))
-	e := &encoder{}
-	e.header(kindDelta)
-	e.uint(1) // base
-	e.uint(1) // one predicate
-	e.str("q")
-	e.uint(2) // arity
-	e.uint(2) // two terms
-	e.buf = append(e.buf, 'n')
-	e.uint(0)
-	e.uint(5)
-	e.buf = append(e.buf, 'n')
-	e.uint(1)
-	e.uint(2)
-	e.uint(1) // one atom
-	e.uint(0)
-	e.uint(0)
-	e.uint(1)
-	return snapshot, e.buf
+	var w codec.Writer
+	writeHeader(&w, kindDelta)
+	w.Uint(1) // base
+	w.Uint(1) // one predicate
+	w.Str("q")
+	w.Uint(2) // arity
+	w.Uint(2) // two terms
+	w.Byte('n')
+	w.Uint(0)
+	w.Uint(5)
+	w.Byte('n')
+	w.Uint(1)
+	w.Uint(2)
+	w.Uint(1) // one atom
+	w.Uint(0)
+	w.Uint(0)
+	w.Uint(1)
+	return snapshot, w.Bytes()
 }
 
 // foreignWithKey hand-assembles a snapshot whose single manifest term is
 // a foreign record carrying the given identity key.
 func foreignWithKey(key string) []byte {
-	e := &encoder{}
-	e.header(kindSnapshot)
-	e.uint(1) // one predicate
-	e.str("p")
-	e.uint(1) // arity
-	e.uint(1) // one term
-	e.buf = append(e.buf, 'o')
-	e.str(key)
-	e.str("x")
-	e.uint(1) // one atom
-	e.uint(0)
-	e.uint(0)
-	return e.buf
+	var w codec.Writer
+	writeHeader(&w, kindSnapshot)
+	w.Uint(1) // one predicate
+	w.Str("p")
+	w.Uint(1) // arity
+	w.Uint(1) // one term
+	w.Byte('o')
+	w.Str(key)
+	w.Str("x")
+	w.Uint(1) // one atom
+	w.Uint(0)
+	w.Uint(0)
+	return w.Bytes()
 }
