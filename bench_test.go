@@ -540,6 +540,28 @@ func BenchmarkDeciders(b *testing.B) {
 	})
 }
 
+// BenchmarkDecideGuarded measures one Theorem 8.3 decision in the shape of
+// perfbench's decide-guarded workload: RandomGuarded Σ-seed 8 (5
+// predicates, 6 rules, arity at most 3) against 200-fact databases over 40
+// constants, cycling through a fixed pool of them. CI pins its allocs/op.
+func BenchmarkDecideGuarded(b *testing.B) {
+	cfg := families.DefaultRandomConfig()
+	cfg.Predicates, cfg.Rules, cfg.MaxArity = 5, 6, 3
+	sigma := families.RandomGuarded(rand.New(rand.NewSource(8)), cfg)
+	dbs := make([]*logic.Instance, 16)
+	for i := range dbs {
+		dbs[i] = families.RandomDatabase(rand.New(rand.NewSource(int64(i+1))), sigma, 200, 40)
+	}
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		if _, err := core.DecideG(dbs[i%len(dbs)], sigma); err != nil {
+			b.Fatal(err)
+		}
+		i++
+	}
+}
+
 // BenchmarkUCQEval measures UCQ evaluation over a growing database (the
 // AC⁰ data-complexity procedure's data-side cost).
 func BenchmarkUCQEval(b *testing.B) {

@@ -34,6 +34,7 @@ import (
 	"syscall"
 
 	"repro/internal/fleet"
+	rt "repro/internal/runtime"
 	"repro/internal/service"
 	"repro/internal/telemetry"
 )
@@ -49,8 +50,8 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	listen := fs.String("listen", "127.0.0.1:0", "fleet listen address (host:port, or a socket path with -network unix)")
 	network := fs.String("network", "tcp", "listen network: tcp or unix")
-	workers := fs.Int("workers", 0, "chase worker pool size per job (0 = sequential)")
-	queueBound := fs.Int("queue-bound", 0, "scheduler admission queue bound (0 = unbounded)")
+	workers := fs.Int("workers", 0, "scheduler job workers: jobs run at once (0 = GOMAXPROCS)")
+	queueBound := fs.Int("queue-bound", 0, fmt.Sprintf("scheduler admission queue bound (0 = the scheduler default, %d)", rt.DefaultQueueBound))
 	httpAddr := fs.String("http", "", "serve /healthz and /metrics on this address (empty = off)")
 	if err := fs.Parse(argv); err != nil {
 		return 2

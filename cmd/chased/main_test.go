@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"path/filepath"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/compile"
 	"repro/internal/fleet"
 	"repro/internal/parser"
+	rt "repro/internal/runtime"
 	"repro/internal/service"
 	"repro/internal/wire"
 )
@@ -186,6 +188,31 @@ func TestDaemonBadFlags(t *testing.T) {
 	}
 	if code := run(context.Background(), []string{"-listen", "999.999.999.999:1"}, &out, &errb); code != 1 {
 		t.Fatalf("unbindable listen exit %d, want 1", code)
+	}
+}
+
+// TestDaemonHelp: -h exits 2 without binding, and the help text states
+// what -workers and -queue-bound set: the embedded scheduler's job-worker
+// count and admission queue bound, with 0 selecting their defaults.
+func TestDaemonHelp(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run(context.Background(), []string{"-h"}, &out, &errb); code != 2 {
+		t.Fatalf("-h exit %d, want 2", code)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("-h wrote to stdout: %q", out.String())
+	}
+	help := errb.String()
+	for _, want := range []string{
+		"scheduler job workers: jobs run at once (0 = GOMAXPROCS)",
+		fmt.Sprintf("scheduler admission queue bound (0 = the scheduler default, %d)", rt.DefaultQueueBound),
+	} {
+		if !strings.Contains(help, want) {
+			t.Errorf("-h output lacks %q:\n%s", want, help)
+		}
+	}
+	if strings.Contains(help, "per job") || strings.Contains(help, "sequential") || strings.Contains(help, "unbounded") {
+		t.Errorf("-h output still describes a per-job pool or an unbounded queue:\n%s", help)
 	}
 }
 

@@ -137,10 +137,15 @@ func (r *Reader) Int(what string) (int, error) {
 }
 
 // Value reads an unsigned varint in [0, MaxInt32].
-func (r *Reader) Value(what string) (int, error) {
+func (r *Reader) Value(what string) (int, error) { return r.value(what, "") }
+
+// value is Value for the field named what+suffix. The two parts are
+// joined only on the error path, so naming a derived field such as a
+// string's length costs no allocation per read.
+func (r *Reader) value(what, suffix string) (int, error) {
 	v, n := binary.Uvarint(r.data[r.pos:])
 	if n <= 0 || v > math.MaxInt32 {
-		return 0, r.Errorf("bad %s varint", what)
+		return 0, r.Errorf("bad %s%s varint", what, suffix)
 	}
 	r.pos += n
 	return int(v), nil
@@ -150,13 +155,16 @@ func (r *Reader) Value(what string) (int, error) {
 // after it. Every record, string byte or blob byte it counts costs at
 // least one byte, so a larger count is corrupt; rejecting it here bounds
 // every count-sized allocation by the input.
-func (r *Reader) Len(what string) (int, error) {
-	n, err := r.Value(what)
+func (r *Reader) Len(what string) (int, error) { return r.length(what, "") }
+
+// length is Len for the field named what+suffix (see value).
+func (r *Reader) length(what, suffix string) (int, error) {
+	n, err := r.value(what, suffix)
 	if err != nil {
 		return 0, err
 	}
 	if n > r.Remaining() {
-		return 0, r.Errorf("%s %d exceeds the %d remaining bytes", what, n, r.Remaining())
+		return 0, r.Errorf("%s%s %d exceeds the %d remaining bytes", what, suffix, n, r.Remaining())
 	}
 	return n, nil
 }
@@ -169,7 +177,7 @@ func (r *Reader) Str(what string) (string, error) {
 
 // Blob reads length-prefixed bytes. The result aliases the input.
 func (r *Reader) Blob(what string) ([]byte, error) {
-	n, err := r.Len(what + " length")
+	n, err := r.length(what, " length")
 	if err != nil {
 		return nil, err
 	}

@@ -186,3 +186,33 @@ func TestReaderBounds(t *testing.T) {
 		t.Fatalf("Len = %d, %v with %d remaining", n, err, r.Remaining())
 	}
 }
+
+// TestBlobLengthErrors pins the texts of a string or blob length's
+// errors: the field is named "<what> length", although the name is only
+// built when a read fails.
+func TestBlobLengthErrors(t *testing.T) {
+	for _, c := range []struct {
+		write func(*Writer)
+		want  string
+	}{
+		{func(w *Writer) { w.Byte(0x80) }, "codec test: corrupt: bad name length varint"},
+		{func(w *Writer) { w.Uint(math.MaxInt32 + 1) }, "codec test: corrupt: bad name length varint"},
+		{func(w *Writer) { w.Uint(3); w.Raw([]byte("ab")) }, "codec test: corrupt: name length 3 exceeds the 2 remaining bytes"},
+	} {
+		var w Writer
+		c.write(&w)
+		for _, read := range []func(*Reader) error{
+			func(r *Reader) error { _, err := r.Str("name"); return err },
+			func(r *Reader) error { _, err := r.Blob("name"); return err },
+		} {
+			err := read(NewReader(w.Bytes(), errTest))
+			if err == nil || err.Error() != c.want || !errors.Is(err, errTest) {
+				t.Errorf("read of %x: err = %v, want %q wrapping the sentinel", w.Bytes(), err, c.want)
+			}
+		}
+	}
+	r := NewReader([]byte("\x02ok"), errTest)
+	if s, err := r.Str("name"); s != "ok" || err != nil || r.Done() != nil {
+		t.Fatalf("Str = %q, %v", s, err)
+	}
+}

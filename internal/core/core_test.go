@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/chase"
 	"repro/internal/families"
+	"repro/internal/logic"
 	"repro/internal/parser"
 	"repro/internal/tgds"
 )
@@ -205,6 +206,28 @@ func TestTheorem83Property(t *testing.T) {
 	if finite < 15 || infinite < 3 {
 		t.Fatalf("weak coverage: %d finite, %d infinite", finite, infinite)
 	}
+}
+
+// A guarded decision leaves the process-wide symbol table almost as it
+// found it. The completion numbers its existential placeholders per
+// trigger, so the tens of thousands of witnesses one GLower(1,1,1)
+// decision invents share a handful of symbols.
+func TestDecideGSymbolGrowth(t *testing.T) {
+	w := families.GLower(1, 1, 1)
+	probe := func(name string) int32 {
+		return logic.IDOf(logic.Constant("decide-g symbol probe " + name))
+	}
+	before := probe("before")
+	if _, err := DecideG(w.Database, w.Sigma); err != nil {
+		t.Fatal(err)
+	}
+	// The probes themselves take one id each, so a decision that interns
+	// nothing leaves after = before+1.
+	grown := probe("after") - before - 1
+	if grown > 32 {
+		t.Fatalf("one DecideG on GLower(1,1,1) interned %d ground symbols, want at most 32", grown)
+	}
+	t.Logf("one DecideG on GLower(1,1,1) interned %d ground symbols", grown)
 }
 
 // The UCQ procedures agree with the syntactic deciders.

@@ -2,6 +2,7 @@ package guarded
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/logic"
 	"repro/internal/tgds"
@@ -10,18 +11,60 @@ import (
 // Engine computes completions for a fixed guarded TGD set. It memoizes
 // canonical type closures across calls, so repeated completions (as in
 // linearization) share work.
+//
+// Invariant: every state in order[:stable] is final. A stabilization
+// returns only after a pass in which no state grew; from then on a state's
+// atom set is fixed, so are its triggers and child types, and its children
+// are older states, final as well. Expanding it again could add nothing,
+// so each stabilization expands only the states created since the last
+// one and then advances stable to the end of order.
 type Engine struct {
 	sigma  *tgds.Set
-	states map[string]*state
+	rules  []rule
+	reg    registry
+	states []*state // by type id; nil for a type that never was a child node
 	order  []*state
-	fresh  int // placeholder counter
+	stable int
+	// preds lists every predicate an instance of the engine can hold:
+	// sch(Σ) and the predicates of every instance completed so far.
+	preds []predRef
+	known map[int32]bool // ids of preds
+	mm    logic.Matcher  // no yield callback of the engine starts another match
+	canon canon
+	adds  []*logic.Atom // deriveOver's result, reused
+	heads []*logic.Atom // the current trigger's head atoms
+	own   []bool        // per canonical index of the current lift: own term?
+	phIDs []int32       // interned ids of placeholder 1, 2, ...
+}
+
+type predRef struct {
+	pred logic.Predicate
+	pid  int32
 }
 
 // state is the memoized closure of a canonical type: the atoms over the
 // type's guard domain known to be in the chase.
 type state struct {
-	typ   *Type
 	atoms *logic.Instance
+}
+
+// rule is a TGD compiled for derivation. terms and ids are its value
+// table: the frontier images of the current match first (overwritten per
+// match), then the placeholders of the existential variables, then the
+// head's constants.
+type rule struct {
+	body  []*logic.Atom
+	frIDs []int32
+	heads []headAtom
+	terms []logic.Term
+	ids   []int32
+}
+
+type headAtom struct {
+	pred logic.Predicate
+	pid  int32
+	src  []int32 // per argument: its index in the value table
+	ex   bool    // some argument is an existential placeholder
 }
 
 // NewEngine validates that every TGD of sigma is guarded and returns an
@@ -32,155 +75,219 @@ func NewEngine(sigma *tgds.Set) (*Engine, error) {
 			return nil, fmt.Errorf("guarded: TGD %v is not guarded", t)
 		}
 	}
-	return &Engine{sigma: sigma, states: make(map[string]*state)}, nil
+	e := &Engine{
+		sigma: sigma,
+		reg:   registry{keys: logic.NewTupleInterner()},
+		known: make(map[int32]bool),
+	}
+	for _, p := range sigma.Schema() {
+		e.notePred(p, logic.PredIDOf(p))
+	}
+	for _, t := range sigma.TGDs {
+		e.rules = append(e.rules, e.compile(t))
+	}
+	return e, nil
+}
+
+// compile builds the rule of a TGD. The i-th existential variable is
+// placeholder i+1 in every trigger of every TGD: placeholders only need to
+// be distinct within one trigger's head.
+func (e *Engine) compile(t *tgds.TGD) rule {
+	fr := t.FrontierIDs()
+	r := rule{body: t.Body, frIDs: fr, terms: make([]logic.Term, len(fr)), ids: make([]int32, len(fr))}
+	var exIDs []int32
+	for i, z := range t.Existential() {
+		if i == len(e.phIDs) {
+			e.phIDs = append(e.phIDs, logic.IDOf(placeholder(i+1)))
+		}
+		exIDs = append(exIDs, logic.IDOf(z))
+		r.terms = append(r.terms, placeholder(i+1))
+		r.ids = append(r.ids, e.phIDs[i])
+	}
+	for _, a := range t.Head {
+		h := headAtom{pred: a.Pred, pid: a.PredID(), src: make([]int32, len(a.Args))}
+		for i, term := range a.Args {
+			id := a.ArgID(i)
+			if k := slices.Index(fr, id); k >= 0 {
+				h.src[i] = int32(k)
+			} else if k := slices.Index(exIDs, id); k >= 0 {
+				h.src[i] = int32(len(fr) + k)
+				h.ex = true
+			} else {
+				h.src[i] = int32(len(r.ids)) // a constant
+				r.terms = append(r.terms, term)
+				r.ids = append(r.ids, id)
+			}
+		}
+		r.heads = append(r.heads, h)
+	}
+	return r
+}
+
+// notePred records a predicate an instance of the engine may hold.
+func (e *Engine) notePred(p logic.Predicate, pid int32) {
+	if !e.known[pid] {
+		e.known[pid] = true
+		e.preds = append(e.preds, predRef{p, pid})
+	}
 }
 
 func (e *Engine) getState(t *Type) *state {
-	if s, ok := e.states[t.Key()]; ok {
+	e.states = growTo(e.states, t.id)
+	if s := e.states[t.id]; s != nil {
 		return s
 	}
-	s := &state{typ: t, atoms: logic.NewInstance()}
-	for _, a := range t.Atoms {
-		s.atoms.Add(a)
-	}
-	e.states[t.Key()] = s
+	s := &state{atoms: logic.NewDatabase(t.Atoms...)}
+	e.states[t.id] = s
 	e.order = append(e.order, s)
 	return s
 }
 
-func (e *Engine) nextPlaceholder() placeholder {
-	e.fresh++
-	return placeholder(e.fresh)
+// growTo extends s with zero values until id indexes it.
+func growTo[T any](s []T, id int32) []T {
+	for int(id) >= len(s) {
+		var zero T
+		s = append(s, zero)
+	}
+	return s
 }
 
-// stabilize runs the global fixpoint: every state is expanded until no
-// state's atom set grows. New states created during a pass are processed
-// within the same pass.
+// stabilize runs the global fixpoint over the states that are not yet
+// final: each is expanded until no state's atom set grows. New states
+// created during a pass are processed within the same pass.
 func (e *Engine) stabilize() {
 	for {
 		changed := false
-		for i := 0; i < len(e.order); i++ {
-			if e.expandState(e.order[i]) {
+		for i := e.stable; i < len(e.order); i++ {
+			s := e.order[i]
+			if s.atoms.AddAll(e.deriveOver(s.atoms, nil)) > 0 {
 				changed = true
 			}
 		}
 		if !changed {
+			e.stable = len(e.order)
 			return
 		}
 	}
 }
 
-// expandState performs one derivation pass over a state and reports
-// whether its closure grew.
-func (e *Engine) expandState(s *state) bool {
-	additions := e.deriveOver(s.atoms, nil)
-	grew := false
-	for _, a := range additions {
-		if s.atoms.Add(a) {
-			grew = true
-		}
-	}
-	return grew
-}
-
 // deriveOver performs one round of derivation over the given atom set
 // (the atoms of a node) and returns the new atoms over the node's own
-// domain. A term belongs to the node's domain iff it is not a placeholder;
-// when keep is non-nil it further restricts which terms count as "own"
-// (used by the top-level completion where the node's domain is dom(I)).
+// domain, in a buffer the next call reuses. A term belongs to the node's
+// domain iff it is not a placeholder; when keep is non-nil it further
+// restricts which term ids count as "own" (used by the top-level
+// completion where the node's domain is dom(I)).
 //
 // Derivations with existential witnesses spawn canonical child nodes whose
 // closures are looked up (and seeded on demand); atoms of a child closure
 // that mention only own terms are lifted back.
 func (e *Engine) deriveOver(atoms *logic.Instance, keep map[int32]bool) []*logic.Atom {
-	isOwn := func(t logic.Term) bool {
-		if _, ph := t.(placeholder); ph {
-			return false
-		}
-		if keep != nil {
-			return keep[logic.IDOf(t)]
-		}
-		return true
-	}
-	ownAtom := func(a *logic.Atom) bool {
-		for _, t := range a.Args {
-			if !isOwn(t) {
-				return false
+	e.adds = e.adds[:0]
+	for i := range e.rules {
+		r := &e.rules[i]
+		e.mm.MatchAllExt(r.body, atoms, -1, func(m *logic.Match) bool {
+			// Overwrite the frontier entries of the value table in place.
+			m.AppendImageTerms(r.terms[:0], r.frIDs)
+			m.AppendImageIDs(r.ids[:0], r.frIDs)
+			e.heads = e.heads[:0]
+			for _, h := range r.heads {
+				args := make([]logic.Term, len(h.src))
+				ids := make([]int32, len(h.src))
+				for j, s := range h.src {
+					args[j], ids[j] = r.terms[s], r.ids[s]
+				}
+				e.heads = append(e.heads, logic.NewAtomFromIDs(h.pred, args, h.pid, ids))
 			}
-		}
-		return true
-	}
-
-	var additions []*logic.Atom
-	for _, t := range e.sigma.TGDs {
-		t := t
-		logic.MatchAll(t.Body, atoms, -1, func(h logic.Substitution) bool {
-			mu := h.Clone()
-			for _, z := range t.Existential() {
-				mu[z] = e.nextPlaceholder()
-			}
-			heads := make([]*logic.Atom, len(t.Head))
-			for i, ha := range t.Head {
-				heads[i] = mu.ApplyAtom(ha)
-			}
-			for _, ha := range heads {
-				if ownAtom(ha) {
+			for j, ha := range e.heads {
+				if !r.heads[j].ex && allKept(ha, keep) {
 					if !atoms.Has(ha) {
-						additions = append(additions, ha)
+						e.adds = append(e.adds, ha)
 					}
 					continue
 				}
-				// Child node: known atoms over dom(ha) from the current
-				// node and the sibling head atoms.
-				known := collectOver(atoms, heads, ha)
-				childType, ren := Canonicalize(ha, known)
-				child := e.getState(childType)
-				for _, ca := range child.atoms.Atoms() {
-					orig, ok := ren.InvertAtom(ca)
-					if !ok {
-						continue
-					}
-					if ownAtom(orig) && !atoms.Has(orig) {
-						additions = append(additions, orig)
-					}
-				}
+				e.lift(atoms, ha, keep)
 			}
 			return true
 		})
 	}
-	return additions
+	return e.adds
 }
 
-// collectOver gathers the atoms of the instance plus the extra atoms whose
-// terms all lie within the guard atom's domain.
-func collectOver(in *logic.Instance, extra []*logic.Atom, guard *logic.Atom) []*logic.Atom {
-	dom := make(map[int32]bool, len(guard.Args))
-	for i := range guard.Args {
-		dom[guard.ArgID(i)] = true
+// lift looks up the child node of the head atom ha: its known atoms are
+// the node's atoms over dom(ha) and the trigger's head atoms over dom(ha).
+// The atoms of the child closure that mention only own terms and are new
+// to the node are appended to adds.
+func (e *Engine) lift(atoms *logic.Instance, ha *logic.Atom, keep map[int32]bool) {
+	c := &e.canon
+	c.begin(ha)
+	e.addOver(c, atoms)
+	for _, h := range e.heads {
+		c.add(h)
 	}
-	within := func(a *logic.Atom) bool {
-		for i := range a.Args {
-			if !dom[a.ArgID(i)] {
-				return false
+	c.finish()
+	child := e.getState(e.reg.intern(c))
+	e.own = e.own[:0]
+	for _, id := range c.ren.ids {
+		e.own = append(e.own, !slices.Contains(e.phIDs, id) && (keep == nil || keep[id]))
+	}
+next:
+	for _, ca := range child.atoms.Atoms() {
+		// A closure atom may carry a head constant of Σ, which has no
+		// canonical integer and so no inverse: it is not lifted.
+		for _, t := range ca.Args {
+			if f, ok := t.(logic.Fresh); !ok || f < 1 || int(f) > len(e.own) || !e.own[f-1] {
+				continue next
 			}
 		}
+		if orig, _ := c.ren.InvertAtom(ca); !atoms.Has(orig) {
+			e.adds = append(e.adds, orig)
+		}
+	}
+}
+
+// allKept reports whether every term of the atom is kept (nil keeps all).
+func allKept(a *logic.Atom, keep map[int32]bool) bool {
+	if keep == nil {
 		return true
 	}
-	var out []*logic.Atom
-	seen := make(map[string]bool)
-	for _, a := range in.Atoms() {
-		if within(a) && !seen[a.Key()] {
-			seen[a.Key()] = true
-			out = append(out, a)
+	for i := range a.Args {
+		if !keep[a.ArgID(i)] {
+			return false
 		}
 	}
-	for _, a := range extra {
-		if within(a) && !seen[a.Key()] {
-			seen[a.Key()] = true
-			out = append(out, a)
+	return true
+}
+
+// addOver adds to the canonicalization every atom of the instance over
+// dom(guard). Such an atom has its first argument in dom(guard), so it is
+// read from the (position 0, t) postings of each domain term t, predicate
+// by predicate; atoms of nullary predicates are read whole. The order of
+// the additions is irrelevant: the renaming is fixed by the guard, and
+// finish sorts.
+func (e *Engine) addOver(c *canon, in *logic.Instance) {
+	for _, p := range e.preds {
+		if p.pred.Arity == 0 {
+			for a := range in.AtomsOf(p.pred) {
+				c.add(a)
+			}
+			continue
+		}
+		for _, id := range c.ren.ids {
+			for a := range in.AtomsAt(p.pid, 0, id) {
+				c.add(a)
+			}
 		}
 	}
-	return out
+}
+
+// typeOf returns the registered canonical type of the atom a of the
+// instance: a's guard pattern with every atom of the instance over dom(a).
+func (e *Engine) typeOf(in *logic.Instance, a *logic.Atom) *Type {
+	c := &e.canon
+	c.begin(a)
+	e.addOver(c, in)
+	c.finish()
+	return e.reg.intern(c)
 }
 
 // Complete returns complete(I, Σ): every atom of chase(I, Σ) whose terms
@@ -196,43 +303,24 @@ func Complete(in *logic.Instance, sigma *tgds.Set) (*logic.Instance, error) {
 
 // Complete is the memoizing variant of the package-level Complete.
 func (e *Engine) Complete(in *logic.Instance) *logic.Instance {
-	c := in.Clone()
 	keep := make(map[int32]bool)
-	for _, t := range in.ActiveDomain() {
-		keep[logic.IDOf(t)] = true
+	for _, a := range in.Atoms() {
+		e.notePred(a.Pred, a.PredID())
+		for i := range a.Args {
+			keep[a.ArgID(i)] = true
+		}
 	}
+	c := in.Clone()
 	for {
-		additions := e.deriveOver(c, keep)
+		grew := c.AddAll(e.deriveOver(c, keep)) > 0
 		// Resolve all pending child closures before judging progress.
 		e.stabilize()
-		grew := false
-		for _, a := range additions {
-			if c.Add(a) {
-				grew = true
-			}
-		}
 		if !grew {
 			// One more derivation pass now that children stabilized: the
 			// lifts may have become available only after stabilization.
-			additions = e.deriveOver(c, keep)
-			for _, a := range additions {
-				if c.Add(a) {
-					grew = true
-				}
-			}
-			if !grew {
+			if c.AddAll(e.deriveOver(c, keep)) == 0 {
 				return c
 			}
 		}
 	}
-}
-
-// TypeOf returns type_{D,Σ}(α): the atoms of chase(D, Σ) that mention only
-// terms of α. The atom must belong to the database.
-func TypeOf(db *logic.Instance, sigma *tgds.Set, a *logic.Atom) ([]*logic.Atom, error) {
-	c, err := Complete(db, sigma)
-	if err != nil {
-		return nil, err
-	}
-	return AtomsOver(c, a), nil
 }

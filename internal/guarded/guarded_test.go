@@ -69,6 +69,41 @@ func TestCompleteTwoLevelFeedback(t *testing.T) {
 	}
 }
 
+// Completions of shapes the random grids never generate, each against the
+// chase's atoms over dom(D):
+//   - head constants of Σ, c in dom(D) and d not: atoms over c are derived
+//     below a null and lifted back, atoms mentioning d stay out, and m(a),
+//     derived from k(a,d), is lifted through it;
+//   - a nullary side atom: the child node below f(b,⊥) must know flag()
+//     to derive g(b).
+func TestCompleteUncommonShapes(t *testing.T) {
+	for _, c := range []struct{ rules, db, want string }{
+		{
+			rules: `e(X, Y) -> ∃Z f(Y, Z, c).
+				f(Y, Z, W) -> g(Y, W).
+				g(Y, W) -> h(Y).
+				e(X, Y) -> k(X, d).
+				k(X, W) -> m(X).`,
+			db:   `e(a, b). e(b, c).`,
+			want: "{e(a,b), e(b,c), g(b,c), g(c,c), h(b), h(c), m(a), m(b)}",
+		},
+		{
+			rules: `e(X, Y) -> ∃Z f(Y, Z).
+				f(Y, Z), flag() -> g(Y).`,
+			db:   `e(a, b). flag().`,
+			want: "{e(a,b), flag(), g(b)}",
+		},
+	} {
+		got, err := Complete(parser.MustParseDatabase(c.db), parser.MustParseRules(c.rules))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != c.want {
+			t.Errorf("complete(%s) = %v, want %s", c.db, got, c.want)
+		}
+	}
+}
+
 // Property: for random guarded inputs whose chase terminates, the
 // completion equals the chase atoms over dom(D).
 func TestCompleteAgreesWithChase(t *testing.T) {
@@ -314,6 +349,37 @@ func TestEngineRejectsUnguarded(t *testing.T) {
 	if _, err := NewEngine(sigma); err == nil {
 		t.Fatal("unguarded set must be rejected")
 	}
+}
+
+// TypeOf returns type_{D,Σ}(α): the atoms of chase(D, Σ) that mention only
+// terms of α, found by scanning the whole completion. The atom must belong
+// to the database.
+func TypeOf(db *logic.Instance, sigma *tgds.Set, a *logic.Atom) ([]*logic.Atom, error) {
+	c, err := Complete(db, sigma)
+	if err != nil {
+		return nil, err
+	}
+	return atomsOverByScan(c, a), nil
+}
+
+// atomsOverByScan returns the atoms of the instance whose terms all occur
+// in the guard's domain, by a scan of every atom.
+func atomsOverByScan(in *logic.Instance, guard *logic.Atom) []*logic.Atom {
+	dom := make(map[int32]bool)
+	for i := range guard.Args {
+		dom[guard.ArgID(i)] = true
+	}
+	var out []*logic.Atom
+next:
+	for _, a := range in.Atoms() {
+		for i := range a.Args {
+			if !dom[a.ArgID(i)] {
+				continue next
+			}
+		}
+		out = append(out, a)
+	}
+	return out
 }
 
 func TestTypeOf(t *testing.T) {

@@ -2,6 +2,7 @@ package guarded
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/logic"
@@ -23,11 +24,13 @@ type TypeInfo struct {
 // lin(D), which is sound and complete for chase equivalence and for the
 // ChTrm(G) decider (DESIGN.md, "Reachable linearization").
 type Linearizer struct {
-	sigma  *tgds.Set
-	engine *Engine
-	reg    map[string]*TypeInfo // type key -> info
-	byPred map[logic.Predicate]*TypeInfo
-	names  int
+	sigma    *tgds.Set
+	arity    int       // ar(Σ)
+	guardIDs [][]int32 // per TGD of Σ: its guard's argument ids
+	engine   *Engine
+	infos    []*TypeInfo // by type id in the engine's registry; nil until named
+	byPred   map[logic.Predicate]*TypeInfo
+	names    int
 }
 
 // NewLinearizer validates guardedness and returns a linearizer for Σ.
@@ -36,17 +39,31 @@ func NewLinearizer(sigma *tgds.Set) (*Linearizer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Linearizer{
+	l := &Linearizer{
 		sigma:  sigma,
+		arity:  sigma.Arity(),
 		engine: e,
-		reg:    make(map[string]*TypeInfo),
 		byPred: make(map[logic.Predicate]*TypeInfo),
-	}, nil
+	}
+	for _, t := range sigma.TGDs {
+		l.guardIDs = append(l.guardIDs, argIDs(t.Guard()))
+	}
+	return l, nil
+}
+
+// argIDs returns the interned ids of the atom's arguments.
+func argIDs(a *logic.Atom) []int32 {
+	ids := make([]int32, len(a.Args))
+	for i := range ids {
+		ids[i] = a.ArgID(i)
+	}
+	return ids
 }
 
 // intern registers (or retrieves) the type predicate for a canonical type.
 func (l *Linearizer) intern(t *Type) *TypeInfo {
-	if info, ok := l.reg[t.Key()]; ok {
+	l.infos = growTo(l.infos, t.id)
+	if info := l.infos[t.id]; info != nil {
 		return info
 	}
 	l.names++
@@ -55,7 +72,7 @@ func (l *Linearizer) intern(t *Type) *TypeInfo {
 		Type: t,
 		Pred: logic.Predicate{Name: name, Arity: t.Guard.Pred.Arity},
 	}
-	l.reg[t.Key()] = info
+	l.infos[t.id] = info
 	l.byPred[info.Pred] = info
 	return info
 }
@@ -71,7 +88,7 @@ func (l *Linearizer) Info(p logic.Predicate) (*TypeInfo, bool) {
 // on the full type space is |sch(Σ)|·ar(Σ)^ar(Σ)·2^(|sch(Σ)|·ar(Σ)^ar(Σ));
 // the reachable fragment is usually dramatically smaller, which is what
 // makes the ChTrm(G) decider practical.
-func (l *Linearizer) TypeCount() int { return len(l.reg) }
+func (l *Linearizer) TypeCount() int { return l.names }
 
 // Database computes lin(D): every fact R(t̄) becomes [τ](t̄) where τ is
 // the canonical form of R(t̄)'s type in chase(D, Σ).
@@ -82,8 +99,7 @@ func (l *Linearizer) Database(db *logic.Instance) (*logic.Instance, error) {
 	completed := l.engine.Complete(db)
 	out := logic.NewInstance()
 	for _, a := range db.Atoms() {
-		typ, _ := Canonicalize(a, AtomsOver(completed, a))
-		info := l.intern(typ)
+		info := l.intern(l.engine.typeOf(completed, a))
 		out.Add(logic.NewAtom(info.Pred, a.Args...))
 	}
 	return out, nil
@@ -98,10 +114,10 @@ func (l *Linearizer) Linearize(db *logic.Instance) (*logic.Instance, *tgds.Set, 
 	}
 	out := tgds.NewSet()
 	var queue []*Type
-	visited := make(map[string]bool)
+	var visited []bool // by type id
 	enqueue := func(t *Type) {
-		if !visited[t.Key()] {
-			visited[t.Key()] = true
+		if visited = growTo(visited, t.id); !visited[t.id] {
+			visited[t.id] = true
 			queue = append(queue, t)
 		}
 	}
@@ -133,24 +149,28 @@ func (l *Linearizer) Linearize(db *logic.Instance) (*logic.Instance, *tgds.Set, 
 // type τ and a homomorphism h from body(σ) to atoms(τ) mapping guard(σ)
 // onto guard(τ), together with the head types they mention.
 func (l *Linearizer) linearizeType(t *Type) ([]*tgds.TGD, []*Type, error) {
-	tatoms := logic.NewInstance()
-	for _, a := range t.Atoms {
-		tatoms.Add(a)
-	}
+	tatoms := logic.NewDatabase(t.Atoms...)
 	var rules []*tgds.TGD
 	var children []*Type
-	arSigma := l.sigma.Arity()
-	for _, sig := range l.sigma.TGDs {
-		guard := sig.Guard()
+	want := argIDs(t.Guard)
+	var img []int32
+	for k, sig := range l.sigma.TGDs {
+		if sig.Guard().PredID() != t.Guard.PredID() {
+			continue // h(guard(σ)) = guard(τ) is impossible
+		}
 		var homs []logic.Substitution
-		logic.MatchAll(sig.Body, tatoms, -1, func(h logic.Substitution) bool {
-			if h.ApplyAtom(guard).Equal(t.Guard) {
-				homs = append(homs, h.Clone())
+		// All homomorphisms are collected before any trigger is
+		// linearized: linearizing completes instances through the same
+		// engine, and so through the same matcher.
+		l.engine.mm.MatchAllExt(sig.Body, tatoms, -1, func(m *logic.Match) bool {
+			img = m.AppendImageIDs(img[:0], l.guardIDs[k])
+			if slices.Equal(img, want) {
+				homs = append(homs, m.Substitution())
 			}
 			return true
 		})
 		for _, h := range homs {
-			rule, kids, err := l.linearizeTrigger(t, sig, h, arSigma)
+			rule, kids, err := l.linearizeTrigger(t, sig, h)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -161,34 +181,28 @@ func (l *Linearizer) linearizeType(t *Type) ([]*tgds.TGD, []*Type, error) {
 	return rules, children, nil
 }
 
-func (l *Linearizer) linearizeTrigger(t *Type, sig *tgds.TGD, h logic.Substitution, arSigma int) (*tgds.TGD, []*Type, error) {
-	// f maps head variables to canonical integers: frontier variables to
-	// their h-images, the i-th existential variable to ar(Σ)+i.
-	f := h.Clone()
+// linearizeTrigger linearizes σ under the homomorphism h, which it owns.
+func (l *Linearizer) linearizeTrigger(t *Type, sig *tgds.TGD, h logic.Substitution) (*tgds.TGD, []*Type, error) {
+	// h now maps head variables to canonical integers: frontier variables
+	// to their images, the i-th existential variable to ar(Σ)+i.
 	for i, z := range sig.Existential() {
-		f[z] = logic.Fresh(arSigma + i + 1)
+		h[z] = logic.Fresh(l.arity + i + 1)
 	}
 	alphas := make([]*logic.Atom, len(sig.Head))
 	for i, ha := range sig.Head {
-		alphas[i] = f.ApplyAtom(ha)
+		alphas[i] = h.ApplyAtom(ha)
 	}
 	// I = {α1..αm} ∪ atoms(τ), completed.
-	inst := logic.NewInstance()
-	for _, a := range t.Atoms {
-		inst.Add(a)
-	}
-	for _, a := range alphas {
-		inst.Add(a)
-	}
+	inst := logic.NewDatabase(t.Atoms...)
+	inst.AddAll(alphas)
 	completed := l.engine.Complete(inst)
 
 	body := logic.NewAtom(l.intern(t).Pred, sig.Guard().Args...)
 	heads := make([]*logic.Atom, len(sig.Head))
 	var children []*Type
 	for i, alpha := range alphas {
-		childType, _ := Canonicalize(alpha, AtomsOver(completed, alpha))
-		info := l.intern(childType)
-		heads[i] = logic.NewAtom(info.Pred, sig.Head[i].Args...)
+		childType := l.engine.typeOf(completed, alpha)
+		heads[i] = logic.NewAtom(l.intern(childType).Pred, sig.Head[i].Args...)
 		children = append(children, childType)
 	}
 	rule, err := tgds.New([]*logic.Atom{body}, heads)

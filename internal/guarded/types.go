@@ -10,11 +10,24 @@
 // only dom(α) are determined by the type of α. The engine maintains a
 // global fixpoint over canonical (guard pattern, known atoms) nodes with
 // memoized closures; children lift derived atoms over shared terms back to
-// their parents until stabilization.
+// their parents until stabilization. When a stabilization returns, every
+// closure is final: its atom set no longer changes, so its triggers and
+// child types are fixed, and those children already exist and are final
+// too. Each stabilization therefore expands only the closures created
+// since the previous one, and one completion stabilizes each closure once.
+//
+// Canonical types are identified by ids, not strings: a type's key is the
+// guard's (predicate id, canonical positions) tuple followed by the
+// type's distinct atom tuples in ascending order, looked up in a
+// per-engine registry. A hit builds nothing; only a miss materializes the
+// *Type. The atoms over a guard's domain are found through the instance's
+// posting index (every such atom has its first argument in dom(α)), so a
+// completion and a linearization do work linear in the database.
 package guarded
 
 import (
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/logic"
@@ -23,35 +36,15 @@ import (
 // placeholder is a fresh-term marker used during completion for
 // existential witnesses. Placeholders never leak out of the engine: they
 // are canonicalized away in child nodes and filtered from lifted atoms.
+// They only need to be distinct within one trigger's head, so a TGD's
+// i-th existential variable is always placeholder i+1, and the symbol
+// table holds at most max |∃(σ)| of them.
 type placeholder int
 
 // Key implements logic.Term.
-func (p placeholder) Key() string { return "g\x00" + itoa(int(p)) }
+func (p placeholder) Key() string { return "g\x00" + strconv.Itoa(int(p)) }
 
-func (p placeholder) String() string { return "*" + itoa(int(p)) }
-
-func itoa(n int) string {
-	// strconv.Itoa without the import dance in hot paths.
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
-}
+func (p placeholder) String() string { return "*" + strconv.Itoa(int(p)) }
 
 // Type is a canonical Σ-type: a guard atom whose arguments are the
 // canonical integers 1..k (logic.Fresh, first occurrence order as in the
@@ -61,11 +54,25 @@ type Type struct {
 	Guard *logic.Atom
 	// Atoms holds the type's atoms (guard included), sorted by key.
 	Atoms []*logic.Atom
-	key   string
+	id    int32  // dense id in its engine's registry; -1 outside one
+	key   string // built lazily by Key
 }
 
-// Key returns the canonical identity of the type.
-func (t *Type) Key() string { return t.key }
+// Key returns the canonical identity of the type as a string, comparable
+// across engines and processes. Engines identify types by their id key
+// and never build it. Like Atom.Key, it is cached without synchronization.
+func (t *Type) Key() string {
+	if t.key == "" {
+		var b strings.Builder
+		b.WriteString(t.Guard.Key())
+		for _, a := range t.Atoms {
+			b.WriteByte('\x03')
+			b.WriteString(a.Key())
+		}
+		t.key = b.String()
+	}
+	return t.key
+}
 
 // Width returns the number of distinct canonical integers of the guard.
 func (t *Type) Width() int {
@@ -89,47 +96,24 @@ func (t *Type) String() string {
 	return t.Guard.String() + " | {" + strings.Join(others, ", ") + "}"
 }
 
-func makeType(guard *logic.Atom, atoms []*logic.Atom) *Type {
-	sorted := make([]*logic.Atom, 0, len(atoms)+1)
-	seen := make(map[string]bool, len(atoms)+1)
-	add := func(a *logic.Atom) {
-		if !seen[a.Key()] {
-			seen[a.Key()] = true
-			sorted = append(sorted, a)
+// Renaming maps the canonical integers of a type back to the terms they
+// rename: canonical integer c stands for terms[c-1], whose interned id is
+// ids[c-1].
+type Renaming struct {
+	terms []logic.Term
+	ids   []int32
+}
+
+// index returns the 0-based canonical index of the term id, or -1 when the
+// term is outside the renaming's domain. Domains have at most ar(Σ) terms,
+// so a scan beats a map.
+func (r *Renaming) index(id int32) int {
+	for k, x := range r.ids {
+		if x == id {
+			return k
 		}
 	}
-	add(guard)
-	for _, a := range atoms {
-		add(a)
-	}
-	logic.SortAtoms(sorted)
-	var b strings.Builder
-	b.WriteString(guard.Key())
-	for _, a := range sorted {
-		b.WriteByte('\x03')
-		b.WriteString(a.Key())
-	}
-	return &Type{Guard: guard, Atoms: sorted, key: b.String()}
-}
-
-// Renaming maps original terms (by interned symbol id) to canonical
-// integers and back.
-type Renaming struct {
-	fwd map[int32]logic.Fresh
-	inv map[logic.Fresh]logic.Term
-}
-
-// Forward returns the canonical integer for the term; the boolean reports
-// whether the term is in the renaming's domain.
-func (r *Renaming) Forward(t logic.Term) (logic.Fresh, bool) {
-	f, ok := r.fwd[logic.IDOf(t)]
-	return f, ok
-}
-
-// Invert maps a canonical integer back to the original term.
-func (r *Renaming) Invert(f logic.Fresh) (logic.Term, bool) {
-	t, ok := r.inv[f]
-	return t, ok
+	return -1
 }
 
 // InvertAtom maps an atom over canonical integers back to original terms.
@@ -137,18 +121,97 @@ func (r *Renaming) Invert(f logic.Fresh) (logic.Term, bool) {
 // cannot happen for atoms over the type's domain).
 func (r *Renaming) InvertAtom(a *logic.Atom) (*logic.Atom, bool) {
 	args := make([]logic.Term, len(a.Args))
+	ids := make([]int32, len(a.Args))
 	for i, t := range a.Args {
 		f, ok := t.(logic.Fresh)
-		if !ok {
+		if !ok || f < 1 || int(f) > len(r.ids) {
 			return nil, false
 		}
-		orig, ok := r.inv[f]
-		if !ok {
-			return nil, false
-		}
-		args[i] = orig
+		args[i], ids[i] = r.terms[f-1], r.ids[f-1]
 	}
-	return logic.NewAtom(a.Pred, args...), true
+	return logic.NewAtomFromIDs(a.Pred, args, a.PredID(), ids), true
+}
+
+// canon canonicalizes a guard atom and atoms over its domain into the id
+// key of their type. Its buffers are reused across canonicalizations, so
+// computing a key allocates nothing.
+type canon struct {
+	ren   Renaming
+	tuple []int32 // the added atoms' tuples: predicate id, then canonical integers
+	spans []span  // where each added atom's tuple sits in tuple; spans[0] is the guard
+	key   []int32
+}
+
+type span struct{ off, end int32 }
+
+func (c *canon) at(s span) []int32 { return c.tuple[s.off:s.end] }
+
+// begin starts a canonicalization: the guard's terms are renamed to
+// 1..k in first-occurrence order, and the guard is the first atom.
+func (c *canon) begin(guard *logic.Atom) {
+	c.ren.terms, c.ren.ids = c.ren.terms[:0], c.ren.ids[:0]
+	c.tuple, c.spans = c.tuple[:0], c.spans[:0]
+	for i, t := range guard.Args {
+		if id := guard.ArgID(i); c.ren.index(id) < 0 {
+			c.ren.terms = append(c.ren.terms, t)
+			c.ren.ids = append(c.ren.ids, id)
+		}
+	}
+	c.add(guard)
+}
+
+// add records the atom when all its terms lie in dom(guard) and reports
+// whether it did.
+func (c *canon) add(a *logic.Atom) bool {
+	off := int32(len(c.tuple))
+	c.tuple = append(c.tuple, a.PredID())
+	for i := range a.Args {
+		k := c.ren.index(a.ArgID(i))
+		if k < 0 {
+			c.tuple = c.tuple[:off]
+			return false
+		}
+		c.tuple = append(c.tuple, int32(k+1))
+	}
+	c.spans = append(c.spans, span{off, int32(len(c.tuple))})
+	return true
+}
+
+// finish computes the id key: the guard's tuple, then the distinct tuples
+// of all added atoms (guard included) in ascending order. A predicate id
+// fixes its tuple's length, so the key decodes unambiguously. After finish,
+// spans holds the distinct tuples in key order.
+func (c *canon) finish() []int32 {
+	c.key = append(c.key[:0], c.at(c.spans[0])...)
+	slices.SortFunc(c.spans, func(x, y span) int { return slices.Compare(c.at(x), c.at(y)) })
+	c.spans = slices.CompactFunc(c.spans, func(x, y span) bool { return slices.Equal(c.at(x), c.at(y)) })
+	for _, s := range c.spans {
+		c.key = append(c.key, c.at(s)...)
+	}
+	return c.key
+}
+
+// build materializes the finished key as a *Type over logic.Fresh terms,
+// with its atoms sorted by key.
+func (c *canon) build() *Type {
+	t := &Type{id: -1, Atoms: make([]*logic.Atom, len(c.spans))}
+	gtuple := c.key[:1+logic.PredOfID(c.key[0]).Arity]
+	for i, s := range c.spans {
+		tuple := c.at(s)
+		pred := logic.PredOfID(tuple[0])
+		args := make([]logic.Term, len(tuple)-1)
+		ids := make([]int32, len(tuple)-1)
+		for j, k := range tuple[1:] {
+			args[j] = logic.Fresh(k)
+			ids[j] = logic.IDOf(args[j])
+		}
+		t.Atoms[i] = logic.NewAtomFromIDs(pred, args, tuple[0], ids)
+		if slices.Equal(tuple, gtuple) {
+			t.Guard = t.Atoms[i]
+		}
+	}
+	logic.SortAtoms(t.Atoms)
+	return t
 }
 
 // Canonicalize builds the canonical type of a guard atom together with the
@@ -156,72 +219,33 @@ func (r *Renaming) InvertAtom(a *logic.Atom) (*logic.Atom, bool) {
 // containing terms outside dom(guard) are rejected by panicking: call
 // sites filter beforehand.
 func Canonicalize(guard *logic.Atom, atoms []*logic.Atom) (*Type, *Renaming) {
-	r := &Renaming{fwd: make(map[int32]logic.Fresh), inv: make(map[logic.Fresh]logic.Term)}
-	next := 1
-	rename := func(t logic.Term, id int32) logic.Fresh {
-		if f, ok := r.fwd[id]; ok {
-			return f
-		}
-		f := logic.Fresh(next)
-		next++
-		r.fwd[id] = f
-		r.inv[f] = t
-		return f
-	}
-	gargs := make([]logic.Term, len(guard.Args))
-	for i, t := range guard.Args {
-		gargs[i] = rename(t, guard.ArgID(i))
-	}
-	cguard := logic.NewAtom(guard.Pred, gargs...)
-	catoms := make([]*logic.Atom, 0, len(atoms))
+	var c canon
+	c.begin(guard)
 	for _, a := range atoms {
-		args := make([]logic.Term, len(a.Args))
-		ok := true
-		for i := range a.Args {
-			f, in := r.fwd[a.ArgID(i)]
-			if !in {
-				ok = false
-				break
-			}
-			args[i] = f
-		}
-		if !ok {
+		if !c.add(a) {
 			panic("guarded: atom outside guard domain in Canonicalize: " + a.String())
 		}
-		catoms = append(catoms, logic.NewAtom(a.Pred, args...))
 	}
-	return makeType(cguard, catoms), r
+	c.finish()
+	return c.build(), &c.ren
 }
 
-// AtomsOver returns the atoms of the instance whose terms all occur in the
-// given atom's domain (the candidate type atoms of α).
-func AtomsOver(in *logic.Instance, guard *logic.Atom) []*logic.Atom {
-	dom := make(map[int32]bool)
-	for i := range guard.Args {
-		dom[guard.ArgID(i)] = true
-	}
-	var out []*logic.Atom
-	for _, a := range in.Atoms() {
-		ok := true
-		for i := range a.Args {
-			if !dom[a.ArgID(i)] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, a)
-		}
-	}
-	return out
+// registry interns canonical types by id key, numbering them densely in
+// discovery order.
+type registry struct {
+	keys  *logic.TupleInterner
+	types []*Type
 }
 
-// sortPreds sorts predicates by name then arity (shared helper).
-func sortPreds(ps []logic.Predicate) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Name != ps[j].Name {
-			return ps[i].Name < ps[j].Name
-		}
-		return ps[i].Arity < ps[j].Arity
-	})
+// intern returns the registered type of the finished canonicalization,
+// building it on first sight.
+func (r *registry) intern(c *canon) *Type {
+	id, fresh := r.keys.Intern(c.key)
+	if !fresh {
+		return r.types[id]
+	}
+	t := c.build()
+	t.id = id
+	r.types = append(r.types, t)
+	return t
 }

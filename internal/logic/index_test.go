@@ -123,8 +123,8 @@ func (fx *indexFixture) atom(rng *rand.Rand) *Atom {
 	return NewAtom(p, args...)
 }
 
-// check compares every index read — ByPred, AtomsOf, AtPosition, Seq,
-// HasDeltaFor — with a brute-force filter of in.Atoms().
+// check compares every index read — ByPred, AtomsOf, AtPosition, AtomsAt,
+// Seq, HasDeltaFor — with a brute-force filter of in.Atoms().
 func (fx *indexFixture) check(t *testing.T, label string, in *Instance, rng *rand.Rand) {
 	t.Helper()
 	atoms := in.Atoms()
@@ -149,6 +149,20 @@ func (fx *indexFixture) check(t *testing.T, label string, in *Instance, rng *ran
 				})
 				if got := in.AtPosition(p, pos, tm); !slices.Equal(got, want) {
 					t.Fatalf("%s: AtPosition(%v, %d, %v) = %v, want %v", label, p, pos, tm, got, want)
+				}
+				pid, pok := lookupPredID(p)
+				tid, tok := lookupTermID(tm)
+				if !pok || !tok {
+					continue // AtomsAt takes ids; a never-interned symbol has none
+				}
+				if got := slices.Collect(in.AtomsAt(pid, pos, tid)); !slices.Equal(got, want) {
+					t.Fatalf("%s: AtomsAt(%v, %d, %v) = %v, want %v", label, p, pos, tm, got, want)
+				}
+				for a := range in.AtomsAt(pid, pos, tid) {
+					if a != want[0] {
+						t.Fatalf("%s: AtomsAt(%v, %d, %v) starts at %v, want %v", label, p, pos, tm, a, want[0])
+					}
+					break
 				}
 			}
 		}

@@ -31,16 +31,16 @@ import (
 //
 // Concurrency contract: an Instance is not safe for concurrent mutation,
 // but while no Add runs, every read — Atoms, Len, Seq, Has, Canonical,
-// ByPred, AtomsOf, AtPosition, HasDeltaFor, Clone, and homomorphism search
-// over the instance — may be issued from many goroutines simultaneously. The
-// parallel chase collector relies on this: rounds alternate a read-only
-// matching phase (sharded across workers) with a single-goroutine apply
-// phase that mutates the instance. A clone and its source may be mutated
-// by different goroutines: the array elements they share are never
-// written again (see Clone). Atom.Key() and methods built on it (String,
-// CanonicalKey, SortAtoms) are excluded from the contract: the key is
-// cached lazily without synchronization, so materialize keys only from one
-// goroutine.
+// ByPred, AtomsOf, AtPosition, AtomsAt, HasDeltaFor, Clone, and
+// homomorphism search over the instance — may be issued from many
+// goroutines simultaneously. The parallel chase collector relies on this:
+// rounds alternate a read-only matching phase (sharded across workers)
+// with a single-goroutine apply phase that mutates the instance. A clone
+// and its source may be mutated by different goroutines: the array
+// elements they share are never written again (see Clone). Atom.Key() and
+// methods built on it (String, CanonicalKey, SortAtoms) are excluded from
+// the contract: the key is cached lazily without synchronization, so
+// materialize keys only from one goroutine.
 type Instance struct {
 	// first holds the sequence of the (almost always unique) atom per
 	// hash; overflow carries further sequences on the rare hash collision.
@@ -236,6 +236,26 @@ func (in *Instance) AtPosition(p Predicate, pos int, t Term) []*Atom {
 		return nil
 	}
 	return in.atomsAt(in.postings[postingKey(pr.col+int32(pos), tid)])
+}
+
+// AtomsAt yields the atoms of the predicate with interned id pid that
+// carry the term with interned id tid at 0-based argument position pos, in
+// insertion order, read straight from the index. It is to AtPosition what
+// AtomsOf is to ByPred: it copies nothing, and since it takes ids it
+// consults no symbol table either. A predicate absent from the instance,
+// or a position outside [0, arity), yields no atoms.
+func (in *Instance) AtomsAt(pid int32, pos int, tid int32) iter.Seq[*Atom] {
+	return func(yield func(*Atom) bool) {
+		pr, ok := in.byPred[pid]
+		if !ok || pos < 0 || pos >= PredOfID(pid).Arity {
+			return
+		}
+		for _, s := range in.postings[postingKey(pr.col+int32(pos), tid)] {
+			if !yield(in.order[s]) {
+				return
+			}
+		}
+	}
 }
 
 // atomsAt materializes a list of sequences as atoms.
