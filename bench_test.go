@@ -41,10 +41,9 @@ func requireMultiCore(b *testing.B) {
 }
 
 // reportGOMAXPROCS stamps the runner's parallelism onto the benchmark
-// line as a gomaxprocs metric, so numbers copied into the BENCH_*.json
-// environment_note fields carry their provenance automatically — a
-// single-CPU container's output can never be misread as a multi-core
-// result.
+// line as a gomaxprocs metric, so every recorded number carries its
+// provenance — a single-CPU container's output can never be misread as
+// a multi-core result.
 func reportGOMAXPROCS(b *testing.B) {
 	b.ReportMetric(float64(goruntime.GOMAXPROCS(0)), "gomaxprocs")
 }
@@ -301,7 +300,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 // cache on the serving shapes it exists for: scheduler fleets of jobs
 // sharing one Σ. "cold" fleets rebuild Σ's artifacts inside every job,
 // "warm" fleets share a pre-populated compile.Cache; the cold-vs-warm
-// delta is the per-job compilation saving recorded in BENCH_cache.json.
+// delta is the per-job compilation saving.
 // Single-worker schedulers keep the comparison meaningful on single-core
 // runners.
 //

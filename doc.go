@@ -95,22 +95,27 @@
 //
 // Incremental re-chase (internal/checkpoint) makes a finished run a
 // first-class serving artifact: Capture wraps a chase that ran with
-// Options.Checkpoint into a Checkpoint (instance + fired-trigger set +
-// null high-water mark + semi-naive delta window), Encode serializes it
-// portably (an embedded wire snapshot plus a fired-key term manifest of
-// wire term records, sealed by a checksum; Decode is
+// Options.Checkpoint into a Checkpoint (instance + null high-water mark
+// + semi-naive delta window), Encode serializes it portably (a header
+// and an embedded wire snapshot, sealed by a checksum; Decode is
 // bounds-checked and fuzzed — hostile bytes fail typed, never panic),
 // and Resume continues the semi-naive iteration with new base atoms
 // landing in the resumed round's delta window, so only the delta's
-// consequences are derived. The artifact carries the ontology's compile
-// fingerprint (service.DeltaRequest resolves Σ through the registry by
-// it when none is attached) and an exact clause-sequence digest (fired
-// keys embed clause positions, so a resume demands Σ verbatim —
-// checkpoint.ErrMismatch otherwise). A differential harness pins resume
-// ≡ full re-chase across every example scenario, variant, and worker
-// count, with checkpoints cut at every intermediate round; the CLI
-// surface is chase -checkpoint/-resume, and scheduler-level resume jobs
-// trace a terminal "resume" span.
+// consequences are derived. The fired-trigger set does not travel: at a
+// clean round boundary it is exactly the keys of the matches inside the
+// checkpointed prefix, so a resumed run checks a new key against that
+// prefix (one bounded search per fresh key) — for the semi-oblivious
+// chase, the paper's (σ, h|fr) trigger identity. The artifact carries
+// the ontology's compile fingerprint (service.DeltaRequest resolves Σ
+// through the registry by it when none is attached) and an exact
+// clause-sequence digest (the continuation's byte identity and
+// canonical null names follow clause order, so a resume demands Σ
+// verbatim — checkpoint.ErrMismatch otherwise). A differential harness
+// pins resume ≡ full re-chase across every example scenario, variant,
+// and worker count, with checkpoints cut at every intermediate round,
+// and over random guarded ontologies; the CLI surface is chase
+// -checkpoint/-resume, and scheduler-level resume jobs trace a terminal
+// "resume" span.
 //
 // The distributed fleet (internal/fleet, cmd/chased) puts the service
 // layer on the network: chased is a worker daemon serving a framed
@@ -139,8 +144,8 @@
 // owning format's sentinel, and FuzzReader fuzzes the cursor once for
 // all four formats. The term-record vocabulary (constants, fresh terms,
 // nulls as factory id + depth, variables, foreign keys) lives only in
-// internal/wire, whose AppendTerm/ReadTerm the checkpoint manifest
-// reuses.
+// internal/wire, whose ReadTerm the checkpoint decoder reuses to skip a
+// version-1 artifact's fired-trigger manifest.
 //
 // The anytime serving tier (internal/qos) turns the paper's central
 // hazard — non-uniform termination: whether the chase halts depends on
@@ -152,7 +157,7 @@
 // coordinator ships to cold workers alongside the ontology pull).
 // Requests carry a policy in RequestMeta.QoS: Exact is the default and
 // costs nothing (CI pins the zero policy to the hot-path allocation
-// baseline, BENCH_qos.json); Bounded serves under the learned bound,
+// baseline); Bounded serves under the learned bound,
 // failing fast with the wrap-checkable qos.ErrNoLearnedBound when none
 // was profiled; Anytime serves whatever whole rounds fit a deadline or
 // an explicit round quota. Anytime truncation happens only at round
@@ -175,7 +180,7 @@
 // collector bridges compile.Stats. Telemetry is opt-in via
 // Config.Telemetry and free when off — every instrumentation site is a
 // nil check, and CI pins the disabled path's allocation profile
-// (BENCH_obs.json) against the recorded hot-path baselines. The CLIs
+// against the hot-path baselines its comments record. The CLIs
 // surface it as -stats (stderr key-value block), -metrics, and -trace;
 // stdout and the goldens stay byte-identical.
 package repro

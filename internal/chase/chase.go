@@ -121,15 +121,14 @@ type Options struct {
 	// way. A set that fails the CompiledSet.Matches safety check is
 	// discarded (counted as a miss) and the run compiles cold.
 	Compile Compiler
-	// Checkpoint requests that the run's resumable state — the fired-
-	// trigger set, the null factory's high-water mark, and the unprocessed
-	// delta window — be captured into Result.Resume when the run ends at a
-	// clean round boundary (terminated, MaxRounds, or an interrupt between
-	// rounds). A run stopped mid-round (the MaxAtoms break inside the
-	// apply phase, an interrupt inside collect or apply) has triggers
-	// interned but never applied, so no state is captured and
-	// Result.Resume stays nil. Off by default: capture copies the fired
-	// set out of the (possibly pooled) scratch.
+	// Checkpoint requests that the run's resumable state — the null
+	// factory's high-water mark and the unprocessed delta window — be
+	// captured into Result.Resume when the run ends at a clean round
+	// boundary (terminated, MaxRounds, or an interrupt between rounds),
+	// where a resume can derive the fired-trigger set from the instance.
+	// A run stopped mid-round (the MaxAtoms break inside the apply phase,
+	// an interrupt inside collect or apply) has triggers interned but
+	// never applied, so no state is captured and Result.Resume stays nil.
 	Checkpoint bool
 }
 
@@ -243,7 +242,7 @@ func (e *engine) finish() *Result {
 	res := &Result{Instance: e.inst, Terminated: terminated, Forest: e.forest, Derivation: e.derivation, nulls: e.nulls}
 	res.Stats = e.stats()
 	if e.opts.Checkpoint && !e.dirty {
-		res.Resume = e.captureResume()
+		res.Resume = &ResumeState{NextNullID: e.nulls.NextID(), DeltaStart: e.delta, Variant: e.opts.Variant}
 	}
 	if e.opts.Observer != nil {
 		e.opts.Observer.ObserveDone(res.Stats, terminated)
@@ -311,6 +310,9 @@ type engine struct {
 	// advances it each round; at a clean exit it marks where an unseen
 	// suffix (if any) starts, which is what checkpoint capture records.
 	delta int
+	// prefix is a resumed run's checkpointed prefix length, whose
+	// matches count as fired (firedBefore); 0 for a fresh run.
+	prefix int
 	// resumed disables the first round's full enumeration: a resumed run's
 	// round 1 is a semi-naive continuation over [delta, len), not a fresh
 	// start.
@@ -406,8 +408,8 @@ func (e *engine) collect(deltaStart int) []pendingTrigger {
 	if (e.rounds == 1 && !e.resumed) || e.opts.NoSemiNaive {
 		// A fresh run's first round enumerates the whole instance; a
 		// resumed run's first round is a semi-naive continuation over the
-		// checkpoint's recorded window (the fired set already covers every
-		// homomorphism older rounds considered).
+		// checkpoint's recorded window (every homomorphism inside the
+		// prefix was considered before the checkpoint).
 		ds = -1
 	}
 	if e.opts.Executor != nil && e.opts.Executor.Workers() > 1 && !e.opts.NoSemiNaive {
@@ -433,7 +435,7 @@ func (e *engine) collect(deltaStart int) []pendingTrigger {
 			}
 			e.sc.keyBuf = append(e.sc.keyBuf[:0], int32(ti))
 			e.sc.keyBuf = m.AppendImageIDs(e.sc.keyBuf, fireVars)
-			if _, fresh := e.sc.fired.Intern(e.sc.keyBuf); !fresh {
+			if _, fresh := e.sc.fired.Intern(e.sc.keyBuf); !fresh || e.prefix > 0 && e.firedBefore(e.sc.keyBuf) {
 				return true
 			}
 			key := e.sc.slabs.keys.Copy(e.sc.keyBuf)

@@ -204,7 +204,7 @@ func (e *engine) collectParallel(deltaStart int) []pendingTrigger {
 	pending := sc.pending[:0]
 	for i := range out {
 		for _, c := range out[i] {
-			if _, fresh := sc.fired.Intern(c.key); fresh {
+			if _, fresh := sc.fired.Intern(c.key); fresh && (e.prefix == 0 || !e.firedBefore(c.key)) {
 				pending = append(pending, c.p)
 			}
 		}

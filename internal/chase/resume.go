@@ -4,18 +4,24 @@ package chase
 // and the Resume entry point that continues semi-naive iteration from it
 // after a base-data delta, instead of re-chasing from scratch.
 //
-// The state a resumed run needs is exactly three things the engine
-// already maintains: the fired-trigger set (so old triggers are not
-// re-fired — for the semi-oblivious and oblivious chases that is what
-// makes the result agree with the full re-chase, and for the restricted
-// chase what keeps the derivation fair), the null factory's high-water
-// mark (so new nulls never reuse a factory-local id, and hence a Key, a
-// checkpointed null carries — the NewNullFactoryAt discipline), and the
-// instance length where the last unprocessed semi-naive window begins
-// (so a checkpoint taken mid-saturation continues with the window its
-// next round would have used). The delta atoms a caller injects land
-// after the checkpointed atoms in insertion order, so they fall inside
-// the resumed first round's window automatically.
+// The state a resumed run needs is two numbers the engine already
+// maintains: the null factory's high-water mark (so new nulls never
+// reuse a factory-local id, and hence a Key, a checkpointed null
+// carries — the NewNullFactoryAt discipline), and the instance length
+// where the last unprocessed semi-naive window begins (so a checkpoint
+// taken mid-saturation continues with the window its next round would
+// have used). The delta atoms a caller injects land after the
+// checkpointed atoms in insertion order, so they fall inside the resumed
+// first round's window automatically.
+//
+// The fired-trigger set needs no state: at a clean round boundary the
+// run has considered exactly the matches inside the prefix
+// P = I[0:DeltaStart), so a resumed run counts a fire key it has not
+// seen yet as fired iff some match inside P carries its images
+// (firedBefore). Old triggers thus stay fired — for the semi-oblivious
+// and oblivious chases that is what makes the result agree with the
+// full re-chase, and for the restricted chase what keeps the derivation
+// fair.
 //
 // Equivalence contract, verified by internal/checkpoint's differential
 // suite: resuming with an empty delta reproduces the original final
@@ -37,14 +43,10 @@ import (
 )
 
 // ResumeState is the engine-level resumable state of a run that ended at
-// a clean round boundary (Options.Checkpoint). It is process-local: the
-// ids inside Fired are interned symbol ids of this process's symbol
-// table. internal/checkpoint owns the portable, wire-encodable form.
+// a clean round boundary (Options.Checkpoint). It holds no symbol ids, so
+// it means the same in any process that holds the same instance;
+// internal/checkpoint owns the portable, wire-encodable form.
 type ResumeState struct {
-	// Fired holds the run's fired-trigger keys — the interned
-	// (TGD index, key-variable image ids) tuples — in interning order,
-	// copied out of the run's scratch (they survive scratch reuse).
-	Fired [][]int32
 	// NextNullID is the run's null-factory high-water mark: the first
 	// factory-local id a resumed run may assign. It can exceed the
 	// largest null id in the instance — a trigger whose atoms were all
@@ -53,47 +55,28 @@ type ResumeState struct {
 	// DeltaStart is the instance length at which the run's unprocessed
 	// semi-naive window begins: the run's final length when it
 	// terminated (empty window), the start of the last round's additions
-	// when it stopped on MaxRounds.
+	// when it stopped on MaxRounds. The atoms before it are the prefix
+	// whose matches the run has considered.
 	DeltaStart int
-	// Variant is the run's chase variant. Fired keys are
-	// variant-specific (frontier images vs full homomorphism), so a
-	// resume must use the same variant.
+	// Variant is the run's chase variant. Fire keys are variant-specific
+	// (frontier images vs full homomorphism), so a resume must use the
+	// same variant.
 	Variant Variant
-}
-
-// captureResume copies the resumable state out of the engine before its
-// (possibly pooled) scratch is recycled. Caller guarantees a clean round
-// boundary (!e.dirty).
-func (e *engine) captureResume() *ResumeState {
-	st := &ResumeState{
-		NextNullID: e.nulls.NextID(),
-		DeltaStart: e.delta,
-		Variant:    e.opts.Variant,
-	}
-	total := 0
-	e.sc.fired.Each(func(t []int32) { total += len(t) })
-	buf := make([]int32, 0, total)
-	st.Fired = make([][]int32, 0, e.sc.fired.Len())
-	e.sc.fired.Each(func(t []int32) {
-		start := len(buf)
-		buf = append(buf, t...)
-		st.Fired = append(st.Fired, buf[start:len(buf):len(buf)])
-	})
-	return st
 }
 
 // Resume continues a chase from a captured ResumeState: base is the
 // checkpointed instance, delta the base-data atoms added since (they are
 // appended to a clone of base, so they land inside the resumed first
-// round's semi-naive window). The fired-trigger set is re-seeded from
-// st, new nulls are numbered from st.NextNullID (or above the delta's
-// own nulls, whichever is higher — delta atoms carrying null ids that
-// collide with checkpointed ones can never capture an invented id), and
-// iteration proceeds exactly as Run's would have: budgets, executor,
-// scratch pooling, compile cache, forest and derivation tracking all
-// apply unchanged. Stats count the resumed rounds only.
+// round's semi-naive window). Triggers whose matches lie inside base's
+// first st.DeltaStart atoms count as fired, new nulls are numbered from
+// st.NextNullID (or above the delta's own nulls, whichever is higher —
+// delta atoms carrying null ids that collide with checkpointed ones can
+// never capture an invented id), and iteration proceeds exactly as Run's
+// would have: budgets, executor, scratch pooling, compile cache, forest
+// and derivation tracking all apply unchanged. Stats count the resumed
+// rounds only.
 //
-// opts.Variant must equal st.Variant — fired keys mean different things
+// opts.Variant must equal st.Variant — fire keys mean different things
 // per variant — and a resumed run may itself set Options.Checkpoint,
 // chaining checkpoints. The inputs are not modified.
 func Resume(base *logic.Instance, delta []*logic.Atom, sigma *tgds.Set, st *ResumeState, opts Options) (*Result, error) {
@@ -113,10 +96,24 @@ func Resume(base *logic.Instance, delta []*logic.Atom, sigma *tgds.Set, st *Resu
 	e := newEngine(inst, sigma, opts, max(st.NextNullID, inst.MaxNullID()+1))
 	e.resumed = true
 	e.delta = st.DeltaStart
-	for _, t := range st.Fired {
-		e.sc.fired.Intern(t)
-	}
+	e.prefix = st.DeltaStart
 	return e.finish(), nil
+}
+
+// firedBefore reports whether the checkpointed prefix of a resumed run
+// fired the trigger with this fire key (TGD index, then key-variable
+// image ids), which the run has just interned for the first time. It is
+// one search bounded to inst[0:prefix) with the key's images pre-bound:
+// for the semi-oblivious chase the paper's (σ, h|fr) identity, for the
+// oblivious and restricted chases a membership probe. Both collectors
+// call it after a fresh intern when prefix > 0 — a fresh run never does
+// — so the parallel merge stays identical to the sequential collector.
+func (e *engine) firedBefore(key []int32) bool {
+	if e.sc.prefix == nil {
+		e.sc.prefix = new(logic.Matcher)
+	}
+	t := e.sigma.TGDs[key[0]]
+	return e.sc.prefix.ExistsBefore(t.Body, e.inst, e.prefix, fireVarsOf(t, e.opts.Variant), key[1:])
 }
 
 // NullNames assigns every null this run invented its canonical,

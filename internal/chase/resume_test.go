@@ -46,8 +46,8 @@ func TestResumeEmptyDeltaByteIdentical(t *testing.T) {
 
 // Checkpoint at every intermediate round of a terminating chase; resuming
 // with an empty delta must converge to the same final instance
-// byte-identically, including null ids (off-by-one seeding of the delta
-// window or the fired set would show up here immediately).
+// byte-identically, including null ids (an off-by-one delta window or
+// checkpointed prefix would show up here immediately).
 func TestResumeFromEveryRound(t *testing.T) {
 	dbSrc := `e(a, b). e(b, c). e(c, d). e(d, e2). s(a).`
 	rules := `e(X, Y), s(X) -> ∃W m(Y, W).
@@ -142,6 +142,37 @@ func TestResumeDeltaMatchesFullRechase(t *testing.T) {
 		}
 		if !strings.Contains(got, "⊥{") {
 			t.Fatalf("%v: canonical form should name at least one null:\n%s", v, got)
+		}
+	}
+}
+
+// A trigger considered before the checkpoint stays fired after it. The
+// delta atom e(c, b) gives e(X, Y) → ∃Z m(Y, Z) the frontier image
+// Y ↦ b, which e(a, b) already fired: the semi-oblivious and restricted
+// resumes must add no second m atom, while the oblivious chase keys
+// nulls by the whole match and adds one. Each count is the full
+// re-chase's, with semi-naive and with NoSemiNaive resumed rounds.
+func TestResumeKeepsOldTriggersFired(t *testing.T) {
+	const rules = `e(X, Y) -> ∃Z m(Y, Z).`
+	sigma := parser.MustParseRules(rules)
+	delta := parser.MustParseDatabase(`e(c, b).`).Atoms()
+	m := logic.Predicate{Name: "m", Arity: 2}
+	for _, tc := range []struct {
+		v     Variant
+		wantM int
+	}{{SemiOblivious, 1}, {Oblivious, 2}, {Restricted, 1}} {
+		for _, naive := range []bool{false, true} {
+			full := run(t, `e(a, b).`, rules, Options{Variant: tc.v, Checkpoint: true, NoSemiNaive: naive})
+			res, err := Resume(full.Instance, delta, sigma, full.Resume, Options{Variant: tc.v, NoSemiNaive: naive})
+			if err != nil {
+				t.Fatalf("%v naive=%v: resume: %v", tc.v, naive, err)
+			}
+			if !res.Terminated {
+				t.Fatalf("%v naive=%v: resumed run must terminate", tc.v, naive)
+			}
+			if got := len(res.Instance.ByPred(m)); got != tc.wantM {
+				t.Fatalf("%v naive=%v: %d m atoms after the resume, want %d:\n%v", tc.v, naive, got, tc.wantM, res.Instance)
+			}
 		}
 	}
 }

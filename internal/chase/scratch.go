@@ -45,6 +45,7 @@ func (s *trigSlabs) rewind() {
 // The zero value is not usable — construct with NewScratch.
 type Scratch struct {
 	matcher logic.Matcher        // sequential collect's compiled-body buffers
+	prefix  *logic.Matcher       // resumed runs' prefix searches; nil until the first
 	fired   *logic.TupleInterner // fired-trigger keys; Reset keeps map+arena capacity
 	arena   logic.AtomArena      // head-instantiation atoms; reset abandons (atoms escape)
 	slabs   trigSlabs            // sequential collect's trigger tuples

@@ -3,6 +3,8 @@ package checkpoint
 import (
 	"crypto/sha256"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -33,8 +35,9 @@ func captureEncoded(t *testing.T, src string) (*parser.Program, *chase.Result, [
 
 // A checkpoint from ontology A refuses to resume against ontology B —
 // and, sharper, against a clause-reordered version of A itself: the
-// canonical fingerprint cannot tell those apart, but fired-trigger keys
-// are positional, so the exact clause-sequence digest must.
+// canonical fingerprint cannot tell those apart, but the continuation's
+// byte identity and canonical null names follow clause order, so the
+// exact clause-sequence digest must.
 func TestValidateRejectsWrongOntology(t *testing.T) {
 	const a = `e(a, b). s(a).
 		e(X, Y), s(X) -> ∃W m(Y, W).
@@ -103,18 +106,34 @@ func TestDecodeRejectsDamage(t *testing.T) {
 func TestDecodeRejectsInternalDefects(t *testing.T) {
 	_, _, data := captureEncoded(t, `e(a, b). s(a).
 		e(X, Y), s(X) -> ∃W m(Y, W).`)
-	payload := data[:len(data)-checksumLen]
-
-	// Find the embedded wire snapshot and cut one byte out of the
-	// payload's tail (the fired sections), then re-seal.
-	cases := map[string]func([]byte) []byte{
-		"fired section cut": func(p []byte) []byte { return p[:len(p)-1] },
-		"magic":             func(p []byte) []byte { q := append([]byte{}, p...); q[0] = 'X'; return q },
-		"version":           func(p []byte) []byte { q := append([]byte{}, p...); q[2] = 0x63; return q },
+	v1, err := os.ReadFile(filepath.Join("testdata", "quickstart-v1.checkpoint"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, mutate := range cases {
+	withVersion := func(v byte) func([]byte) []byte {
+		return func(p []byte) []byte { q := append([]byte{}, p...); q[2] = v; return q }
+	}
+	cutLast := func(p []byte) []byte { return p[:len(p)-1] }
+	cases := map[string]struct {
+		artifact []byte
+		mutate   func([]byte) []byte
+	}{
+		// The last byte of a version-2 payload is the snapshot's; of a
+		// version-1 payload, the fired sections'.
+		"snapshot cut":      {data, cutLast},
+		"fired section cut": {v1, cutLast},
+		"magic":             {data, func(p []byte) []byte { q := append([]byte{}, p...); q[0] = 'X'; return q }},
+		"version":           {data, withVersion(0x63)},
+		"version 0":         {data, withVersion(0)},
+		// A version-2 body labelled version 1 lacks the fired sections.
+		"version 1 without fired sections": {data, withVersion(1)},
+		// A version-1 body labelled version 2 has trailing bytes.
+		"version 2 with fired sections": {v1, withVersion(2)},
+	}
+	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
-			q := mutate(append([]byte{}, payload...))
+			payload := tc.artifact[:len(tc.artifact)-checksumLen]
+			q := tc.mutate(append([]byte{}, payload...))
 			if _, err := Decode(seal(q)); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("err = %v, want ErrCorrupt", err)
 			}
@@ -256,8 +275,10 @@ func TestEncodeRejectsConflatableNulls(t *testing.T) {
 }
 
 // seal appends a fresh checksum so interior mutations reach the
-// structural validators instead of dying at the integrity gate.
+// structural validators instead of dying at the integrity gate. It
+// returns a new slice: appending in place would overwrite the bytes
+// after a truncated prefix, which callers go on to read.
 func seal(payload []byte) []byte {
 	sum := sha256.Sum256(payload)
-	return append(payload, sum[:checksumLen]...)
+	return append(payload[:len(payload):len(payload)], sum[:checksumLen]...)
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/chase"
 	"repro/internal/compile"
+	"repro/internal/families"
 	"repro/internal/logic"
 	"repro/internal/parser"
 	"repro/internal/wire"
@@ -42,8 +43,7 @@ func benchProgram(tb testing.TB, n int) *parser.Program {
 //
 // The delta extends the path by one edge, so the resumed semi-naive
 // window holds one atom and only its ~n consequences are derived, while
-// a full re-chase re-joins all ~n²/2 pairs. Recorded in
-// BENCH_resume.json.
+// a full re-chase re-joins all ~n²/2 pairs.
 func BenchmarkResumeVsFull(b *testing.B) {
 	const n = 64
 	prog := benchProgram(b, n)
@@ -121,4 +121,45 @@ func BenchmarkResumeVsFull(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkCheckpointCycle is one resume-delta request at the layer
+// level: Decode a University(100) artifact, Resume it with one new
+// student's enrolment, Capture the result and Encode the next artifact,
+// with a warm compile cache. CI pins its allocs/op.
+func BenchmarkCheckpointCycle(b *testing.B) {
+	w := families.University(100, 1)
+	cache := compile.NewCache(8)
+	opts := chase.Options{Compile: cache, Checkpoint: true}
+	base := chase.Run(w.Database, w.Sigma, opts)
+	if !base.Terminated {
+		b.Fatal("base run must terminate")
+	}
+	cp, err := Capture(w.Sigma, base)
+	if err != nil {
+		b.Fatal(err)
+	}
+	artifact, err := cp.Encode()
+	if err != nil {
+		b.Fatal(err)
+	}
+	delta := []*logic.Atom{logic.MakeAtom("enrolled", logic.Constant("new0"), logic.Constant("c0"))}
+	b.ReportAllocs()
+	for b.Loop() {
+		dec, err := Decode(artifact)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := dec.Resume(w.Sigma, delta, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		next, err := Capture(w.Sigma, res)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := next.Encode(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

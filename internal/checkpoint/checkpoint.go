@@ -11,15 +11,21 @@
 // fresh process needs to rebuild it: the final instance as a wire
 // snapshot (internal/wire preserves insertion order, null factory ids,
 // and depths — the identities semi-naive resume depends on), the
-// fired-trigger key tuples re-expressed over a portable term manifest
-// (process-local symbol ids never reach the wire; see the format notes
-// in codec.go), the null-factory high-water mark, the semi-naive window
-// start, the chase variant, and the ontology's identity — both the
-// order-insensitive canonical fingerprint (compile.Of) and an exact
-// clause-sequence digest, because fired keys embed each TGD's position
-// in the set: a reordered but logically identical ontology shares the
-// fingerprint yet would misattribute every fired key, so Validate
-// rejects it.
+// null-factory high-water mark, the semi-naive window start, the chase
+// variant, and the ontology's identity — both the order-insensitive
+// canonical fingerprint (compile.Of) and an exact clause-sequence
+// digest. It holds no fired-trigger set: at a clean round boundary the
+// run had considered exactly the matches inside the snapshot's first
+// DeltaStart atoms, so a resumed run derives the set from the snapshot
+// (see internal/chase's resume.go). Version-1 artifacts, which carried
+// the set, still decode; their fired sections are skipped.
+//
+// The exact digest stays necessary without fired keys. The fingerprint
+// cannot tell a reordered but logically identical ontology from the
+// original, yet the continuation's byte identity and its canonical null
+// names (⊥{TGD index...}) follow clause order: resuming against a
+// reordered set would fire in another order and name nulls after other
+// clause positions than the checkpointed run did. Validate rejects it.
 //
 // # Trust model
 //
@@ -42,9 +48,9 @@ import (
 	"repro/internal/wire"
 )
 
-// Version is the artifact version this package encodes (and the only
-// one it decodes).
-const Version = 1
+// Version is the artifact version this package encodes. Decode also
+// reads version 1, whose fired-trigger sections it skips (see codec.go).
+const Version = 2
 
 var (
 	// ErrCorrupt reports an artifact this package cannot decode: bad
@@ -55,8 +61,9 @@ var (
 	ErrCorrupt = errors.New("checkpoint: corrupt artifact")
 	// ErrMismatch reports a checkpoint resumed against the wrong
 	// ontology: a different canonical fingerprint, or the same
-	// fingerprint with a different clause sequence (fired-trigger keys
-	// embed clause positions, so even reordering breaks resume).
+	// fingerprint with a different clause sequence (the continuation's
+	// byte identity and canonical null names follow clause order, so
+	// even reordering breaks resume).
 	ErrMismatch = errors.New("checkpoint: ontology mismatch")
 	// ErrNotResumable reports a chase result that carries no resumable
 	// state: Options.Checkpoint was off, or the run stopped at a dirty
@@ -72,7 +79,7 @@ type Checkpoint struct {
 	// ontology in the service registry.
 	Fingerprint compile.Fingerprint
 	// Exact is the ontology's exact clause-sequence digest
-	// (ExactDigest): fired keys embed clause positions, so resume
+	// (ExactDigest): the continuation follows clause order, so resume
 	// additionally requires this to match.
 	Exact [sha256.Size]byte
 	// Variant is the chase variant the checkpointed run used; a resume
@@ -89,8 +96,7 @@ type Checkpoint struct {
 	// it is owned by the checkpoint's internal wire stream; ApplyDelta
 	// appends to it.
 	Instance *logic.Instance
-	// State is the engine-level resume state, expressed over this
-	// process's symbol ids.
+	// State is the engine-level resume state.
 	State *chase.ResumeState
 
 	// dec is the wire stream a decoded checkpoint's instance came from;
@@ -103,7 +109,8 @@ type Checkpoint struct {
 // ExactDigest digests the ontology's exact clause sequence: each TGD's
 // canonical rendering (tgds.TGD.Key — deterministic for a given clause)
 // in set order. Unlike compile.Of it distinguishes reorderings and
-// duplicates, which is exactly what positional fired-trigger keys need.
+// duplicates, which is exactly what a continuation whose firing order
+// and null names follow clause positions needs.
 func ExactDigest(sigma *tgds.Set) [sha256.Size]byte {
 	h := sha256.New()
 	for _, t := range sigma.TGDs {
@@ -117,9 +124,10 @@ func ExactDigest(sigma *tgds.Set) [sha256.Size]byte {
 
 // Capture wraps a finished run's resumable state as a checkpoint bound
 // to sigma. It fails with ErrNotResumable when the run captured none
-// (Options.Checkpoint off, or a dirty stop — a mid-round interrupt or
-// mid-apply budget cut leaves fired keys without their atoms). The
-// checkpoint aliases the result's instance and state; it does not copy.
+// (Options.Checkpoint off, or a dirty stop — after a mid-round interrupt
+// or mid-apply budget cut the instance no longer tells which triggers
+// fired). The checkpoint aliases the result's instance and state; it
+// does not copy.
 func Capture(sigma *tgds.Set, res *chase.Result) (*Checkpoint, error) {
 	if res == nil || res.Resume == nil {
 		return nil, fmt.Errorf("%w: the run captured no resume state (Options.Checkpoint off, or a dirty stop)", ErrNotResumable)
@@ -136,26 +144,27 @@ func Capture(sigma *tgds.Set, res *chase.Result) (*Checkpoint, error) {
 }
 
 // Validate checks that sigma is the ontology the checkpoint was captured
-// under: same canonical fingerprint, and — because fired-trigger keys
-// embed each clause's position in the set — the same exact clause
-// sequence. Both failures are ErrMismatch.
+// under: same canonical fingerprint, and — because the continuation's
+// byte identity and canonical null names follow each clause's position
+// in the set — the same exact clause sequence. Both failures are
+// ErrMismatch.
 func (c *Checkpoint) Validate(sigma *tgds.Set) error {
 	if fp := compile.Of(sigma); fp != c.Fingerprint {
 		return fmt.Errorf("%w: checkpoint captured under ontology %s, resuming against %s", ErrMismatch, c.Fingerprint, fp)
 	}
 	if ExactDigest(sigma) != c.Exact {
-		return fmt.Errorf("%w: same fingerprint but a different clause sequence; fired-trigger keys are positional, re-chase from scratch instead", ErrMismatch)
+		return fmt.Errorf("%w: same fingerprint but a different clause sequence; the continuation follows clause order, re-chase from scratch instead", ErrMismatch)
 	}
 	return nil
 }
 
 // Resume validates sigma against the checkpoint and continues the chase
 // over it: delta atoms (if any) are injected into the resumed first
-// round's semi-naive window, the fired-trigger set and null numbering
-// are seeded from the checkpoint, and iteration proceeds under opts —
-// whose Variant field is overwritten with the checkpoint's (the run is
-// pinned to it). Set opts.Checkpoint to chain a new checkpoint off the
-// resumed run.
+// round's semi-naive window, triggers matched inside the checkpointed
+// prefix count as fired, null numbering continues from the checkpoint,
+// and iteration proceeds under opts — whose Variant field is overwritten
+// with the checkpoint's (the run is pinned to it). Set opts.Checkpoint
+// to chain a new checkpoint off the resumed run.
 func (c *Checkpoint) Resume(sigma *tgds.Set, delta []*logic.Atom, opts chase.Options) (*chase.Result, error) {
 	if err := c.Validate(sigma); err != nil {
 		return nil, err

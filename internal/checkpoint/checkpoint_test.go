@@ -100,9 +100,6 @@ func roundTrip(t *testing.T, prog *parser.Program, res *chase.Result) *Checkpoin
 	if dec.State.NextNullID != cp.State.NextNullID || dec.State.DeltaStart != cp.State.DeltaStart {
 		t.Fatalf("resume scalars changed: %+v vs %+v", dec.State, cp.State)
 	}
-	if len(dec.State.Fired) != len(cp.State.Fired) {
-		t.Fatalf("fired set size %d, want %d", len(dec.State.Fired), len(cp.State.Fired))
-	}
 	sameInstance(t, "decoded snapshot", dec.Instance, res.Instance)
 	return dec
 }
@@ -305,7 +302,7 @@ func TestDifferentialDelta(t *testing.T) {
 // intermediate round — through the full encode/decode cycle — and
 // resumes each with an empty delta: all of them must converge to the
 // full run's final instance byte-identically. This is the test that
-// catches off-by-one seeding of the semi-naive window or the fired set.
+// catches an off-by-one semi-naive window or checkpointed prefix.
 func TestPropertyEveryRound(t *testing.T) {
 	for name, prog := range scenarios(t) {
 		for _, v := range variants {
@@ -355,4 +352,40 @@ func TestChainedCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameInstance(t, "second-generation resume", res2.Instance, full.Instance)
+}
+
+// TestVersion1Artifact keeps version-1 artifacts readable. The fixture
+// is examples/dlgp/quickstart.checkpoint as recorded before version 2
+// dropped the fired-trigger sections; resumed with quickstart-delta.dlgp
+// it must give the same instance, byte for byte, and the same Stats as
+// the checked-in version-2 artifact.
+func TestVersion1Artifact(t *testing.T) {
+	progs := scenarios(t)
+	delta := progs["quickstart-delta"]
+	var results []*chase.Result
+	for _, path := range []string{
+		filepath.Join("testdata", "quickstart-v1.checkpoint"),
+		filepath.Join("..", "..", "examples", "dlgp", "quickstart.checkpoint"),
+	} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, err := Decode(data)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		res, err := cp.Resume(delta.Rules, delta.Database.Atoms(), chase.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		results = append(results, res)
+	}
+	if v := results[1]; v == nil || v.Stats.Atoms == v.Stats.InitialAtoms {
+		t.Fatal("setup: the delta should derive atoms")
+	}
+	sameInstance(t, "version 1 vs version 2 resume", results[0].Instance, results[1].Instance)
+	if results[0].Stats != results[1].Stats || results[0].Terminated != results[1].Terminated {
+		t.Fatalf("stats diverge: version 1 %+v, version 2 %+v", results[0].Stats, results[1].Stats)
+	}
 }

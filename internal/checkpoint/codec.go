@@ -1,9 +1,10 @@
 package checkpoint
 
 // The artifact format, written and read through internal/codec. All
-// integers are unsigned varints; strings are length-prefixed. Layout:
+// integers are unsigned varints; strings are length-prefixed. Layout of
+// version 2, the one Encode writes:
 //
-//	magic "CP", version varint (1)
+//	magic "CP", version varint (2)
 //	fingerprint: 32 raw bytes (compile.Of)
 //	exact digest: 32 raw bytes (ExactDigest)
 //	variant varint
@@ -12,28 +13,25 @@ package checkpoint
 //	next null id varint (factory high-water mark)
 //	delta start varint (semi-naive window start)
 //	snapshot: length varint + a wire snapshot of the instance
-//	fired term manifest: count; per term: a wire term record
-//	    (wire.AppendTerm: tag byte + payload, nulls as factory id +
-//	    depth; first-occurrence order over the fired tuples' term ids)
-//	fired tuples: count; per tuple: TGD index varint, id count varint,
-//	    then manifest indexes
 //	checksum: first 8 bytes of the SHA-256 of everything before it
 //
-// Like the wire codec, the encoding is a pure function of the
-// checkpoint's content: process-local symbol ids never appear (fired
-// tuples are re-expressed over the manifest), so equal checkpoints
-// encode byte-identically in any process and encode∘decode is a
-// fixpoint (FuzzCheckpointRoundTrip pins both down).
+// Version 1 carried two more sections between the snapshot and the
+// checksum: the fired-trigger keys, as a term manifest (count, then one
+// wire term record per term) and the tuples over it (count; per tuple a
+// TGD index, an id count and that many manifest indexes). A resumed run
+// derives the fired set from the snapshot's first DeltaStart atoms, so
+// Decode still reads version 1, checks those sections' bounds and term
+// records, and discards them.
 //
-// Null identity crosses the artifact in two sections — the snapshot and
-// the fired manifest — under the same (factory id, depth) portable
-// identity, and the decoder resolves fired nulls against the snapshot's:
-// every fired-key id came from a matched instance atom, so a fired null
-// that does not occur in the snapshot is corrupt. Encoding enforces the
-// identity's precondition: two distinct nulls sharing a factory id (as
-// decoded instances from independent streams can) would silently merge
-// on the wire, so Encode refuses such instances instead of producing an
-// artifact that decodes to something else.
+// Like the wire codec, the encoding is a pure function of the
+// checkpoint's content — process-local symbol ids never appear — so
+// equal checkpoints encode byte-identically in any process and
+// encode∘decode is a fixpoint (FuzzCheckpointRoundTrip pins both down).
+// Encoding enforces the snapshot's null identity precondition: two
+// distinct nulls sharing a factory id (as decoded instances from
+// independent streams can) would silently merge on the wire, so Encode
+// refuses such instances instead of producing an artifact that decodes
+// to something else.
 
 import (
 	"crypto/sha256"
@@ -47,41 +45,30 @@ import (
 
 const checksumLen = 8
 
-// Encode serializes the checkpoint. It fails when the checkpoint's terms
-// cannot be expressed portably: a fired key referencing a symbol id with
-// no registered term, or distinct nulls sharing a factory id (their wire
-// identities would collide and decode as one null).
+// Encode serializes the checkpoint. It fails when the instance cannot
+// be expressed portably: distinct nulls sharing a factory id would
+// collide on the wire and decode as one null.
 func (c *Checkpoint) Encode() ([]byte, error) {
 	if c.State == nil || c.Instance == nil {
 		return nil, fmt.Errorf("checkpoint: encode of an incomplete checkpoint")
 	}
-	// The (factory id -> null) injection the wire identity requires,
-	// over every null the artifact mentions: instance atoms first, then
-	// fired keys (which should all occur in the instance anyway).
-	// Nulls live in their factory, not the process symbol table, so the
-	// same sweep also builds the (symbol id -> null) view the fired-key
-	// manifest needs — logic.TermOfID cannot resolve a null's id.
+	// The (factory id -> null) injection the wire identity requires.
 	byID := make(map[int]*logic.Null)
-	nullOfGID := make(map[int32]*logic.Null)
-	checkNull := func(n *logic.Null) error {
-		if prev, ok := byID[n.ID()]; ok && prev != n {
-			return fmt.Errorf("checkpoint: distinct nulls share factory id %d; the instance is not portable", n.ID())
-		}
-		byID[n.ID()] = n
-		return nil
-	}
 	for _, a := range c.Instance.Atoms() {
-		for i, t := range a.Args {
+		for _, t := range a.Args {
 			if n, ok := t.(*logic.Null); ok {
-				if err := checkNull(n); err != nil {
-					return nil, err
+				if prev, ok := byID[n.ID()]; ok && prev != n {
+					return nil, fmt.Errorf("checkpoint: distinct nulls share factory id %d; the instance is not portable", n.ID())
 				}
-				nullOfGID[a.ArgID(i)] = n
+				byID[n.ID()] = n
 			}
 		}
 	}
 
-	w := codec.NewWriter(256 + 16*c.Instance.Len())
+	snap := wire.EncodeSnapshot(c.Instance)
+	// 128 bytes hold the header (two digests, a flag byte and five
+	// varints of at most 10 bytes each) and the checksum.
+	w := codec.NewWriter(128 + len(snap))
 	w.Raw([]byte{'C', 'P'})
 	w.Uint(Version)
 	w.Raw(c.Fingerprint[:])
@@ -95,58 +82,18 @@ func (c *Checkpoint) Encode() ([]byte, error) {
 	w.Uint(uint64(c.Rounds))
 	w.Uint(uint64(c.State.NextNullID))
 	w.Uint(uint64(c.State.DeltaStart))
-	w.Blob(wire.EncodeSnapshot(c.Instance))
-
-	// Fired term manifest in first-occurrence order.
-	var (
-		terms   []logic.Term
-		termIdx = make(map[int32]int)
-	)
-	for _, tuple := range c.State.Fired {
-		if len(tuple) == 0 {
-			return nil, fmt.Errorf("checkpoint: empty fired-trigger key")
-		}
-		for _, id := range tuple[1:] {
-			if _, ok := termIdx[id]; ok {
-				continue
-			}
-			var t logic.Term
-			if n, ok := nullOfGID[id]; ok {
-				t = n
-			} else if t = logic.TermOfID(id); t == nil {
-				// Every fired-key id came from a matched instance atom, so
-				// it is either a null of the instance (resolved above) or a
-				// table-registered ground term.
-				return nil, fmt.Errorf("checkpoint: fired key references unregistered symbol id %d", id)
-			}
-			termIdx[id] = len(terms)
-			terms = append(terms, t)
-		}
-	}
-	w.Uint(uint64(len(terms)))
-	for _, t := range terms {
-		wire.AppendTerm(w, t)
-	}
-	w.Uint(uint64(len(c.State.Fired)))
-	for _, tuple := range c.State.Fired {
-		w.Uint(uint64(tuple[0]))
-		w.Uint(uint64(len(tuple) - 1))
-		for _, id := range tuple[1:] {
-			w.Uint(uint64(termIdx[id]))
-		}
-	}
-
+	w.Blob(snap)
 	sum := sha256.Sum256(w.Bytes())
 	w.Raw(sum[:checksumLen])
 	return w.Bytes(), nil
 }
 
-// Decode parses and validates an artifact. The returned checkpoint owns
-// a wire stream positioned after the snapshot, so ApplyDelta can append
-// delta blobs with null identity resolved correctly. Every defect —
-// checksum mismatch, truncation, bad section, a fired key referencing a
-// null the snapshot does not contain — fails with ErrCorrupt wrapping
-// the specifics; hostile input never panics.
+// Decode parses and validates an artifact of version 1 or 2. The
+// returned checkpoint owns a wire stream positioned after the snapshot,
+// so ApplyDelta can append delta blobs with null identity resolved
+// correctly. Every defect — checksum mismatch, truncation, bad section,
+// a delta window past the snapshot — fails with ErrCorrupt wrapping the
+// specifics; hostile input never panics.
 func Decode(data []byte) (*Checkpoint, error) {
 	if len(data) < 2+1+2*sha256.Size+checksumLen {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than any artifact", ErrCorrupt, len(data))
@@ -164,8 +111,8 @@ func Decode(data []byte) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	if v != Version {
-		return nil, r.Errorf("version %d, want %d", v, Version)
+	if v != 1 && v != Version {
+		return nil, r.Errorf("version %d, want 1 or %d", v, Version)
 	}
 	c := &Checkpoint{State: &chase.ResumeState{}}
 	fp, err := r.Raw(sha256.Size, "fingerprint")
@@ -216,75 +163,51 @@ func Decode(data []byte) (*Checkpoint, error) {
 		return nil, r.Errorf("delta window starts at %d, snapshot holds %d atoms", c.State.DeltaStart, c.Instance.Len())
 	}
 
-	// Fired-key nulls resolve against the snapshot's: every fired key id
-	// came from a matched instance atom.
-	nullByID := make(map[int]*logic.Null)
-	for _, a := range c.Instance.Atoms() {
-		for _, t := range a.Args {
-			if n, ok := t.(*logic.Null); ok {
-				nullByID[n.ID()] = n
-			}
-		}
-	}
-	nterms, err := r.Len("fired term count")
-	if err != nil {
-		return nil, err
-	}
-	termIDs := make([]int32, nterms)
-	for i := range termIDs {
-		rec, err := wire.ReadTerm(r)
-		if err != nil {
+	if v == 1 {
+		if err := skipFired(r); err != nil {
 			return nil, err
 		}
-		term := rec.Term()
-		if id, depth, ok := rec.Null(); ok {
-			n := nullByID[id]
-			if n == nil {
-				return nil, r.Errorf("fired key references null %d, which the snapshot does not contain", id)
-			}
-			if n.Depth() != depth {
-				return nil, r.Errorf("fired key null %d at depth %d, snapshot has depth %d", id, depth, n.Depth())
-			}
-			term = n
-		}
-		termIDs[i] = logic.IDOf(term)
-	}
-	nfired, err := r.Len("fired tuple count")
-	if err != nil {
-		return nil, err
-	}
-	c.State.Fired = make([][]int32, nfired)
-	// Every tuple costs a TGD index byte, a width byte and a byte per id,
-	// so the remaining input bounds all tuples' elements (index plus ids)
-	// and one backing array holds them without growing. Each tuple's
-	// capacity ends at its length, so an append to one never overwrites
-	// the next.
-	flat := make([]int32, 0, r.Remaining()-nfired)
-	for i := range c.State.Fired {
-		tgdIdx, err := r.Value("fired TGD index")
-		if err != nil {
-			return nil, err
-		}
-		nids, err := r.Len("fired key width")
-		if err != nil {
-			return nil, err
-		}
-		start := len(flat)
-		flat = append(flat, int32(tgdIdx))
-		for range nids {
-			ti, err := r.Value("fired term index")
-			if err != nil {
-				return nil, err
-			}
-			if ti >= len(termIDs) {
-				return nil, r.Errorf("fired key references term %d of %d", ti, len(termIDs))
-			}
-			flat = append(flat, termIDs[ti])
-		}
-		c.State.Fired[i] = flat[start:len(flat):len(flat)]
 	}
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return c, nil
+}
+
+// skipFired reads a version-1 artifact's fired-trigger sections — the
+// term manifest and the tuples over it — and discards them, with the
+// bounds checks version 1's decoder applied.
+func skipFired(r *codec.Reader) error {
+	nterms, err := r.Len("fired term count")
+	if err != nil {
+		return err
+	}
+	for range nterms {
+		if _, err := wire.ReadTerm(r); err != nil {
+			return err
+		}
+	}
+	nfired, err := r.Len("fired tuple count")
+	if err != nil {
+		return err
+	}
+	for range nfired {
+		if _, err := r.Value("fired TGD index"); err != nil {
+			return err
+		}
+		nids, err := r.Len("fired key width")
+		if err != nil {
+			return err
+		}
+		for range nids {
+			ti, err := r.Value("fired term index")
+			if err != nil {
+				return err
+			}
+			if ti >= nterms {
+				return r.Errorf("fired key references term %d of %d", ti, nterms)
+			}
+		}
+	}
+	return nil
 }

@@ -6,91 +6,59 @@ import (
 	"testing"
 
 	"repro/internal/chase"
+	"repro/internal/codec"
 	"repro/internal/logic"
+	"repro/internal/wire"
 )
 
-// foreign is a term kind defined outside internal/logic. A decoded
-// foreign record interns through the symbol table's foreign-key path,
-// so it resolves to the same symbol id as the original value.
+// foreign is a term kind defined outside internal/logic, written under
+// the wire codec's foreign tag.
 type foreign struct{ key, rendering string }
 
 func (f foreign) Key() string    { return f.key }
 func (f foreign) String() string { return f.rendering }
 
-// The fired-key manifest speaks the wire codec's full tag vocabulary,
-// not just the constants and nulls a ground chase produces: fresh terms
-// ('f', zigzag-signed), variables ('v'), and foreign term kinds ('o')
-// must survive encode∘decode, and the decoded checkpoint must re-encode
-// to the identical bytes (the fixpoint the format promises).
-func TestCodecSyntheticTermManifest(t *testing.T) {
-	inst := logic.NewInstance()
-	inst.Add(logic.MakeAtom("p", logic.Constant("a")))
-	f := logic.NewNullFactory()
-	n, _ := f.Intern("seed", 2)
-	inst.Add(logic.MakeAtom("q", n))
-	var nullID int32 = -1
-	for _, a := range inst.Atoms() {
-		if a.Pred.Name == "q" {
-			nullID = a.ArgID(0)
-		}
-	}
-	if nullID < 0 {
-		t.Fatal("setup: null atom not found")
-	}
+// asV1 rewrites a version-2 artifact as version 1, with the fired-trigger
+// sections that fired writes between the snapshot and the checksum.
+func asV1(v2 []byte, fired func(w *codec.Writer)) []byte {
+	payload := bytes.Clone(v2[:len(v2)-checksumLen])
+	payload[2] = 1 // the version varint follows the two magic bytes
+	w := codec.NewWriter(64)
+	fired(w)
+	return seal(append(payload, w.Bytes()...))
+}
 
-	probe := foreign{key: "ext:probe", rendering: "⟨probe⟩"}
-	cp := &Checkpoint{
-		Variant:    chase.Oblivious,
-		Terminated: true,
-		Rounds:     3,
-		Instance:   inst,
-		State: &chase.ResumeState{
-			Variant:    chase.Oblivious,
-			NextNullID: 7,
-			DeltaStart: inst.Len(),
-			Fired: [][]int32{
-				{0, logic.IDOf(logic.Constant("a")), nullID},
-				{1, logic.IDOf(logic.Fresh(-9)), logic.IDOf(logic.Variable("X"))},
-				{2, logic.IDOf(probe)},
-			},
-		},
+// everyTag writes version-1 fired sections whose manifest carries every
+// wire term tag — constant, null, fresh, variable and foreign — so the
+// version-1 skip path walks each tag's record.
+func everyTag(w *codec.Writer) {
+	terms := []logic.Term{
+		logic.Constant("a"),
+		logic.NewNullFactoryAt(3).NullAt(4, 1),
+		logic.Fresh(-9),
+		logic.Variable("X"),
+		foreign{key: "ext:probe", rendering: "⟨probe⟩"},
 	}
-	data, err := cp.Encode()
-	if err != nil {
-		t.Fatal(err)
+	w.Uint(uint64(len(terms)))
+	for _, t := range terms {
+		wire.AppendTerm(w, t)
 	}
-	got, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Variant != cp.Variant || !got.Terminated || got.Rounds != cp.Rounds {
-		t.Fatalf("header round trip: %+v", got)
-	}
-	if got.State.NextNullID != 7 || got.State.DeltaStart != inst.Len() {
-		t.Fatalf("state round trip: %+v", got.State)
-	}
-	if len(got.State.Fired) != len(cp.State.Fired) {
-		t.Fatalf("%d fired tuples, want %d", len(got.State.Fired), len(cp.State.Fired))
-	}
-	for i, tuple := range got.State.Fired {
-		if len(tuple) != len(cp.State.Fired[i]) || tuple[0] != cp.State.Fired[i][0] {
-			t.Fatalf("fired tuple %d = %v, want shape of %v", i, tuple, cp.State.Fired[i])
+	tuples := [][]uint64{{0, 0, 1}, {1, 2, 3, 4}} // TGD index, then manifest indexes
+	w.Uint(uint64(len(tuples)))
+	for _, tuple := range tuples {
+		w.Uint(tuple[0])
+		w.Uint(uint64(len(tuple) - 1))
+		for _, ti := range tuple[1:] {
+			w.Uint(ti)
 		}
-	}
-	again, err := got.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, again) {
-		t.Fatal("encode∘decode is not a fixpoint over the synthetic manifest")
 	}
 }
 
 // Re-sealed damage: a writer that truncates or flips bytes and then
 // fixes the checksum reaches the structural validators, which must fail
-// typed at every cut point and never panic — over an artifact whose
-// manifest carries every term tag, so the per-tag decode error paths are
-// all walked.
+// typed at every cut point and never panic — over a captured artifact,
+// and over a synthetic version-1 artifact whose fired manifest carries
+// every term tag, so the skip path's per-tag error paths are all walked.
 func TestDecodeResealedDamage(t *testing.T) {
 	artifacts := map[string][]byte{}
 	_, _, captured := captureEncoded(t, `person(alice). knows(alice, bob).
@@ -100,19 +68,14 @@ func TestDecodeResealedDamage(t *testing.T) {
 
 	inst := logic.NewInstance()
 	inst.Add(logic.MakeAtom("p", logic.Constant("a")))
-	cp := &Checkpoint{
-		Instance: inst,
-		State: &chase.ResumeState{
-			DeltaStart: inst.Len(),
-			Fired: [][]int32{
-				{0, logic.IDOf(logic.Fresh(5)), logic.IDOf(logic.Variable("Y"))},
-				{1, logic.IDOf(foreign{key: "ext:d", rendering: "⟨d⟩"}), logic.IDOf(logic.Constant("a"))},
-			},
-		},
-	}
-	synthetic, err := cp.Encode()
+	cp := &Checkpoint{Instance: inst, State: &chase.ResumeState{DeltaStart: inst.Len()}}
+	v2, err := cp.Encode()
 	if err != nil {
 		t.Fatal(err)
+	}
+	synthetic := asV1(v2, everyTag)
+	if _, err := Decode(synthetic); err != nil {
+		t.Fatalf("synthetic version-1 artifact: %v", err)
 	}
 	artifacts["synthetic"] = synthetic
 
@@ -145,25 +108,13 @@ func TestDecodeResealedDamage(t *testing.T) {
 	}
 }
 
-// Encode's refusals: incomplete checkpoints, empty fired keys, and fired
-// keys naming symbol ids with no registered term are diagnosed, not
-// encoded into artifacts that cannot decode.
+// Encode refuses an incomplete checkpoint instead of writing an artifact
+// that cannot decode.
 func TestEncodeRefusals(t *testing.T) {
 	if _, err := (&Checkpoint{}).Encode(); err == nil {
 		t.Fatal("incomplete checkpoint must refuse to encode")
 	}
-
-	inst := logic.NewInstance()
-	inst.Add(logic.MakeAtom("p", logic.Constant("a")))
-	empty := &Checkpoint{Instance: inst, State: &chase.ResumeState{Fired: [][]int32{{}}}}
-	if _, err := empty.Encode(); err == nil {
-		t.Fatal("empty fired key must refuse to encode")
-	}
-
-	unregistered := &Checkpoint{Instance: inst, State: &chase.ResumeState{
-		Fired: [][]int32{{0, 1<<30 + 7}},
-	}}
-	if _, err := unregistered.Encode(); err == nil {
-		t.Fatal("fired key with an unregistered symbol id must refuse to encode")
+	if _, err := (&Checkpoint{Instance: logic.NewInstance()}).Encode(); err == nil {
+		t.Fatal("checkpoint without resume state must refuse to encode")
 	}
 }

@@ -1,6 +1,7 @@
 package logic
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -325,5 +326,59 @@ func TestSortAtomsDeterminism(t *testing.T) {
 	sorted := SortAtoms([]*Atom{a, b})
 	if sorted[0] != b {
 		t.Fatal("atoms must sort by key")
+	}
+}
+
+// TestExistsBefore compares the prefix-bounded existence search with a
+// brute-force filter: enumerate every match inside the instance's first
+// bound atoms and keep those that agree with the pre-bound images. One
+// Matcher serves every call, so buffer reuse across bodies is covered.
+func TestExistsBefore(t *testing.T) {
+	x, y, z := Variable("X"), Variable("Y"), Variable("Z")
+	bodies := [][]*Atom{
+		{MakeAtom("E", x, y), MakeAtom("E", y, z)},
+		{MakeAtom("E", x, x)},
+		{MakeAtom("S", y), MakeAtom("E", x, y)},
+		{MakeAtom("E", x, Constant("a"))},
+		{},
+	}
+	consts := []Term{Constant("a"), Constant("b"), Constant("c"), Constant("d")}
+	rng := rand.New(rand.NewSource(5))
+	var mm Matcher
+	for trial := range 300 {
+		in := NewInstance()
+		for range rng.Intn(10) {
+			if rng.Intn(3) == 0 {
+				in.Add(MakeAtom("S", consts[rng.Intn(3)]))
+			} else {
+				in.Add(MakeAtom("E", consts[rng.Intn(3)], consts[rng.Intn(3)]))
+			}
+		}
+		bound := rng.Intn(in.Len() + 1)
+		prefix := NewDatabase(in.Atoms()[:bound]...)
+		body := bodies[trial%len(bodies)]
+		var vars, ids []int32
+		want := Substitution{}
+		for _, v := range []Variable{x, y, z} {
+			if rng.Intn(2) == 0 {
+				c := consts[rng.Intn(len(consts))] // d occurs in no atom
+				vars, ids = append(vars, IDOf(v)), append(ids, IDOf(c))
+				want[v] = c
+			}
+		}
+		brute := false
+		MatchAll(body, prefix, -1, func(s Substitution) bool {
+			for v, c := range want {
+				if img, ok := s[v]; ok && img != c {
+					return true
+				}
+			}
+			brute = true
+			return false
+		})
+		if got := mm.ExistsBefore(body, in, bound, vars, ids); got != brute {
+			t.Fatalf("trial %d: ExistsBefore(%v, bound %d, %v) = %v, brute force %v over\n%v",
+				trial, body, bound, want, got, brute, in)
+		}
 	}
 }

@@ -304,6 +304,58 @@ func ExtendOne(body []*Atom, inst *Instance, base Substitution) Substitution {
 	return found
 }
 
+// ExistsBefore reports whether some homomorphism from body into inst maps
+// every body atom onto an atom with insertion sequence below bound and
+// each variable vars[i] (given by interned id) onto the term with id
+// ids[i]. Variables that do not occur in the body are ignored. Before
+// any join it probes, for every body occurrence of a pre-bound variable,
+// whether an atom below bound carries the image there; most searches for
+// a trigger that involves a newer term end at that probe. The join then
+// starts at the first atom with a pre-bound variable. A resumed chase
+// uses it to tell whether a trigger was fired before its checkpoint.
+func (mm *Matcher) ExistsBefore(body []*Atom, inst *Instance, bound int, vars, ids []int32) bool {
+	m := &mm.m
+	m.inst = inst
+	m.stopped = false
+	if len(body) == 0 {
+		return true // the empty homomorphism maps no atom
+	}
+	cons := m.anyAgeCons(len(body))
+	start := -1
+	for i, a := range body {
+		cons[i] = deltaConstraint{mode: mustBeOld, bound: bound}
+		p := inst.byPred[a.pid]
+		if len(p.rows) == 0 || int(p.rows[0]) >= bound {
+			return false
+		}
+		for pos, id := range a.ids {
+			for k, v := range vars {
+				if v != id {
+					continue
+				}
+				if list := inst.postings[postingKey(p.col+int32(pos), ids[k])]; len(list) == 0 || int(list[0]) >= bound {
+					return false
+				}
+				if start < 0 {
+					start = i
+				}
+			}
+		}
+	}
+	m.compile(body, cons, start)
+	for i := range m.boundID {
+		m.boundID[i] = -1
+	}
+	m.trail = m.trail[:0]
+	for k, v := range vars {
+		if s := m.slot(v); s >= 0 {
+			m.boundID[s] = ids[k]
+		}
+	}
+	m.backtrack(0, func(*Match) bool { return false })
+	return m.stopped
+}
+
 type constraintMode int
 
 const (

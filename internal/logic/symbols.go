@@ -353,17 +353,6 @@ func (ti *TupleInterner) Reset() {
 // Len returns the number of distinct tuples interned.
 func (ti *TupleInterner) Len() int { return len(ti.starts) - 1 }
 
-// Each calls fn for every interned tuple, in interning order (dense id
-// order). The slice passed to fn aliases the interner's arena: fn must
-// not retain or mutate it, and no Intern or Reset may run during the
-// walk. Checkpoint capture uses it to copy the chase's fired-trigger set
-// out of a pooled scratch before the scratch is recycled.
-func (ti *TupleInterner) Each(fn func(tuple []int32)) {
-	for id := range int32(len(ti.starts) - 1) {
-		fn(ti.at(id))
-	}
-}
-
 func (ti *TupleInterner) at(id int32) []int32 {
 	return ti.arena[ti.starts[id]:ti.starts[id+1]]
 }

@@ -11,8 +11,9 @@ import (
 // registration (names, labels, buckets) happens once at NewScheduler, so
 // the per-job path only touches atomics. A nil *schedTelemetry is the
 // disabled scheduler: every instrumentation site guards on it, and the
-// disabled path's allocation profile is pinned by
-// BenchmarkTelemetryOverhead / BENCH_obs.json.
+// disabled path's allocation profile is pinned by CI's allocs/op
+// ceilings on the serving benches (BenchmarkTelemetryOverhead prices
+// the enabled observer against it).
 type schedTelemetry struct {
 	trace *telemetry.TraceSink // nil when tracing is off
 

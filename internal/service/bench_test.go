@@ -14,7 +14,7 @@ import (
 // against each other: the in-process fast path (instance attached) vs
 // the remote shape (registered fingerprint + wire snapshot decoded at
 // admission). The delta between the two is the wire codec's round-trip
-// overhead per job — recorded in BENCH_service.json.
+// overhead per job.
 func BenchmarkServiceSubmit(b *testing.B) {
 	prog, err := parser.Parse(`
 		person(alice). person(bob). knows(alice, bob).
@@ -96,8 +96,7 @@ func BenchmarkServiceSubmit(b *testing.B) {
 }
 
 // reportGOMAXPROCS stamps the runner's parallelism onto the benchmark
-// line, so numbers copied into BENCH_*.json environment_note fields
-// carry their provenance automatically.
+// line, so every recorded number carries its provenance.
 func reportGOMAXPROCS(b *testing.B) {
 	b.ReportMetric(float64(goruntime.GOMAXPROCS(0)), "gomaxprocs")
 }

@@ -12,13 +12,12 @@ import (
 // BenchmarkQoSSubmit prices the QoS tier against the plain submission
 // path. The disabled case is BenchmarkServiceSubmit/inprocess's exact
 // workload under a zero policy — CI holds it to the same allocation
-// ceiling (BENCH_alloc.json's 262 allocs/op +2%), so the policy layer
+// ceiling (262 allocs/op +2%), so the policy layer
 // stays free for requests that don't use it. The mode cases price what
 // each policy adds: learn (a recorder observer per run), bounded (a
 // bound-store lookup at admission), and anytime with a round quota (the
 // deterministic truncation shape; the infinite family never terminates,
-// so every op exercises the truncation-source resolution too). Recorded
-// in BENCH_qos.json.
+// so every op exercises the truncation-source resolution too).
 func BenchmarkQoSSubmit(b *testing.B) {
 	prog, err := parser.Parse(`
 		person(alice). person(bob). knows(alice, bob).

@@ -187,7 +187,7 @@ type ChaseRequest struct {
 	// Checkpoint asks the run to capture resumable state at a clean stop
 	// (chase.Options.Checkpoint), so the ticket's EncodeCheckpoint can
 	// emit a portable artifact a later DeltaRequest continues from. Off
-	// by default: capture retains the fired-trigger set past the run.
+	// by default.
 	Checkpoint bool
 }
 

@@ -39,9 +39,9 @@
 //
 // Everything is opt-in. A nil *Telemetry (or nil Observer / Meter /
 // JobTrace) disables the corresponding instrumentation at the cost of
-// one nil check on the hot path; BenchmarkTelemetryOverhead and
-// BENCH_obs.json pin that the disabled-path allocation profile of the
-// serving benches is unchanged.
+// one nil check on the hot path; BenchmarkTelemetryOverhead and CI's
+// allocs/op ceilings pin that the disabled-path allocation profile of
+// the serving benches is unchanged.
 //
 // Handler exposes a registry (plus a health callback) over HTTP —
 // GET /healthz, /metrics, /metrics.json — the first piece of the future
