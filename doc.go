@@ -17,10 +17,11 @@
 // The data plane is integer-interned: internal/logic maintains a
 // process-wide symbol table mapping every term and predicate to a dense
 // int32 id, atoms carry their id tuple with a precomputed 64-bit hash,
-// instances index atoms by insertion sequence (every index holds int32
-// sequences keyed by ids, and atoms are read back from the insertion
-// order), and the chase keys triggers and canonical nulls by interned
-// integer tuples. Strings appear only at the boundaries
+// instances index atoms by insertion sequence (flat open-addressed tables
+// with no pointers map hashes, predicate ids and (column, term id) keys to
+// int32 sequence lists kept in one arena, and atoms are read back from
+// the insertion order), and the chase keys triggers and canonical nulls by
+// interned integer tuples in tables of the same kind. Strings appear only at the boundaries
 // (internal/parser and rendering) and as the cross-run canonical identity
 // (Instance.CanonicalKey); see the internal/logic package comment for the
 // invariants.

@@ -152,8 +152,14 @@ func TestUniversity(t *testing.T) {
 	if len(students) == 0 {
 		t.Fatal("students must be derived from enrollments")
 	}
+	advisor := logic.PredIDOf(logic.Predicate{Name: "advisor", Arity: 2})
 	for _, s := range students {
-		if len(res.Instance.AtPosition(logic.Predicate{Name: "advisor", Arity: 2}, 0, s.Args[0])) == 0 {
+		found := false
+		for range res.Instance.AtomsAt(advisor, 0, s.ArgID(0)) {
+			found = true
+			break
+		}
+		if !found {
 			t.Fatalf("student %v has no advisor", s)
 		}
 	}

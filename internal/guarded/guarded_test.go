@@ -139,8 +139,10 @@ func TestCompleteAgreesWithChase(t *testing.T) {
 		}
 		// Expected: chase atoms over dom(D).
 		dom := map[string]bool{}
-		for _, tm := range db.ActiveDomain() {
-			dom[tm.Key()] = true
+		for _, a := range db.Atoms() {
+			for _, tm := range a.Args {
+				dom[tm.Key()] = true
+			}
 		}
 		want := logic.NewInstance()
 		for _, a := range res.Instance.Atoms() {

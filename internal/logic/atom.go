@@ -106,7 +106,7 @@ func (a *Atom) ArgID(i int) int32 { return a.ids[i] }
 func (a *Atom) Hash() uint64 { return a.hash }
 
 // sameAtom reports id-tuple equality; callers have typically already
-// matched hashes through a bucket lookup.
+// matched hash tags through a table probe.
 func (a *Atom) sameAtom(b *Atom) bool {
 	return a.pid == b.pid && int32sEqual(a.ids, b.ids)
 }
@@ -158,20 +158,6 @@ func (a *Atom) Variables() []Variable {
 		if v, ok := t.(Variable); ok && !seen[v] {
 			seen[v] = true
 			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// Terms returns the distinct terms of the atom in order of first
-// occurrence (the set dom(α) for ground atoms).
-func (a *Atom) Terms() []Term {
-	var out []Term
-	seen := make(map[int32]bool)
-	for i, t := range a.Args {
-		if id := a.ids[i]; !seen[id] {
-			seen[id] = true
-			out = append(out, t)
 		}
 	}
 	return out

@@ -93,8 +93,11 @@ func homSearch(atoms []*Atom, i int, to *Instance, assign map[*Null]nullBinding)
 	}
 	pattern := atoms[i]
 	// Candidate targets: narrow by any ground or already-assigned position.
-	p := to.byPred[pattern.pid]
-	candidates := p.rows
+	p := to.pred(pattern.pid)
+	if p == nil {
+		return false
+	}
+	candidates := to.list(p.rows)
 	for pos, t := range pattern.Args {
 		if len(candidates) == 0 {
 			return false
@@ -103,7 +106,7 @@ func homSearch(atoms []*Atom, i int, to *Instance, assign map[*Null]nullBinding)
 		if !ok {
 			continue
 		}
-		list := to.postings[postingKey(p.col+int32(pos), id)]
+		list := to.posting(p.col+int32(pos), id)
 		if len(list) < len(candidates) {
 			candidates = list
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -15,72 +16,154 @@ func withHash(a *Atom, h uint64) *Atom {
 	return a
 }
 
-// TestInstanceHashCollision drives the atom set's overflow path: two
-// distinct atoms that share a hash must both be kept, resolved and matched,
-// duplicates of either must be rejected, and a clone's bucket must be its
-// own.
+// lastSlotTag returns a hash tag whose probe starts at the last slot of
+// every table of up to 2^16 slots, so a chain of entries sharing it wraps
+// past the table's end at every size a test reaches.
+func lastSlotTag() uint32 {
+	for tag := uint32(1); ; tag++ {
+		if home(uint64(tag), 1<<16) == 1<<16-1 {
+			return tag
+		}
+	}
+}
+
+// checkWrappedChain fails unless the table grew through at least three
+// doublings and its probe chain for lastSlotTag runs from the last slot
+// into the first.
+func checkWrappedChain(t *testing.T, label string, tab tagTable) {
+	t.Helper()
+	if len(tab.slots) < minSlots<<3 {
+		t.Fatalf("%s: table has %d slots; want at least three doublings of %d", label, len(tab.slots), minSlots)
+	}
+	if tab.slots[len(tab.slots)-1] == 0 || tab.slots[0] == 0 {
+		t.Fatalf("%s: the colliding chain does not wrap past the table's end", label)
+	}
+}
+
+// TestInstanceHashCollision forges atoms that all share one hash, whose
+// probe starts at the table's last slot: every atom must be kept,
+// resolved, rejected as a duplicate and matched while the chain wraps
+// past the table's end and the table doubles under it, and a clone that
+// grows apart from its source after that must keep its own table.
 func TestInstanceHashCollision(t *testing.T) {
-	const h = 0x5eed
+	h := uint64(lastSlotTag())<<32 | 0x5eed
 	p := Predicate{Name: "coll", Arity: 1}
-	atom := func(c string) *Atom { return withHash(NewAtom(p, Constant(c)), h) }
-	a, b := atom("a"), atom("b")
+	atom := func(i int) *Atom { return withHash(NewAtom(p, Constant(fmt.Sprint("coll:", i))), h) }
+	collided := func(in *Instance) []string {
+		var got []string
+		MatchAll([]*Atom{NewAtom(p, Variable("X"))}, in, -1, func(s Substitution) bool {
+			got = append(got, s[Variable("X")].String())
+			return true
+		})
+		return got
+	}
+	names := func(lo, hi int) []string {
+		var out []string
+		for i := lo; i < hi; i++ {
+			out = append(out, fmt.Sprint("coll:", i))
+		}
+		return out
+	}
+	resolves := func(label string, in *Instance, i, want int) {
+		t.Helper()
+		twin := atom(i)
+		if got := in.lookup(twin); got != want {
+			t.Fatalf("%s: lookup(%v) = %d, want %d", label, twin, got, want)
+		}
+		if got := in.Canonical(twin); got != in.Atoms()[want] {
+			t.Fatalf("%s: Canonical(%v) = %p, want the stored %p", label, twin, got, in.Atoms()[want])
+		}
+		if !in.Has(twin) || in.Add(twin) {
+			t.Fatalf("%s: %v not found, or added twice", label, twin)
+		}
+	}
+	absent := func(label string, in *Instance, i int) {
+		t.Helper()
+		if a := atom(i); in.Has(a) || in.lookup(a) != -1 || in.Canonical(a) != nil {
+			t.Fatalf("%s: absent %v resolved", label, a)
+		}
+	}
 
+	const n = 100
 	in := NewInstance()
-	if !in.Add(a) || !in.Add(b) {
-		t.Fatal("distinct atoms with equal hashes must both be added")
-	}
-	if in.Len() != 2 || len(in.overflow[h]) != 1 {
-		t.Fatalf("Len = %d, overflow bucket %v; want 2 atoms, one in overflow", in.Len(), in.overflow[h])
-	}
-	for want, x := range []*Atom{a, b} {
-		twin := atom(x.Args[0].(Constant).String())
-		if got := in.Seq(twin); got != want {
-			t.Errorf("Seq(%v) = %d, want %d", twin, got, want)
-		}
-		if got := in.Canonical(twin); got != x {
-			t.Errorf("Canonical(%v) = %p, want the stored %p", twin, got, x)
-		}
-		if !in.Has(twin) {
-			t.Errorf("Has(%v) = false", twin)
-		}
-		if in.Add(twin) {
-			t.Errorf("duplicate of %v added", twin)
+	for i := range n {
+		if !in.Add(atom(i)) {
+			t.Fatalf("distinct atom %d with an equal hash rejected", i)
 		}
 	}
-	if c := atom("c"); in.Has(c) || in.Seq(c) != -1 || in.Canonical(c) != nil {
-		t.Error("an absent atom in a collided bucket resolved")
+	checkWrappedChain(t, "source", in.atoms)
+	for i := range n {
+		resolves("source", in, i, i)
 	}
-	var got []string
-	MatchAll([]*Atom{NewAtom(p, Variable("X"))}, in, -1, func(s Substitution) bool {
-		got = append(got, s[Variable("X")].String())
-		return true
-	})
-	if !slices.Equal(got, []string{"a", "b"}) {
-		t.Errorf("MatchAll found %v, want [a b]", got)
+	absent("source", in, n)
+	if got := collided(in); !slices.Equal(got, names(0, n)) {
+		t.Fatalf("MatchAll found %v, want %v", got, names(0, n))
 	}
 
-	// Two more colliding atoms leave the overflow bucket with spare
-	// capacity, where an unclipped clone would append in place.
-	in.Add(atom("e"))
-	in.Add(atom("f"))
+	// The clone doubles its table again while the source gains one plain
+	// atom and one more colliding atom, so the two chains differ in
+	// length, in slots and in the sequences they hold.
 	cl := in.Clone()
-	c, d := atom("c"), atom("d")
-	if !cl.Add(c) {
-		t.Fatal("clone rejected a new colliding atom")
+	for i := n; i < 2*n; i++ {
+		if !cl.Add(atom(i)) {
+			t.Fatalf("clone rejected colliding atom %d", i)
+		}
 	}
-	// One more atom on the original first, so d's sequence differs from
-	// c's and a shared bucket slot could not hide behind an equal value.
-	if !in.Add(NewAtom(p, Constant("g"))) || !in.Add(d) {
-		t.Fatal("original rejected a new atom")
+	if !in.Add(NewAtom(p, Constant("coll:plain"))) || !in.Add(atom(2*n)) {
+		t.Fatal("source rejected a new atom after the clone")
 	}
-	if len(in.overflow[h]) != 4 || len(cl.overflow[h]) != 4 {
-		t.Fatalf("overflow buckets: original %v, clone %v; want 4 each", in.overflow[h], cl.overflow[h])
+	if len(cl.atoms.slots) <= len(in.atoms.slots) {
+		t.Fatalf("clone table has %d slots, source %d; want the clone's to have doubled", len(cl.atoms.slots), len(in.atoms.slots))
 	}
-	if in.Has(c) || !in.Has(d) || cl.Has(d) || !cl.Has(c) {
-		t.Fatal("an Add on one side of a clone changed the other's bucket")
+	for i := range n {
+		resolves("source after clone", in, i, i)
+		resolves("clone", cl, i, i)
 	}
-	if in.Seq(d) != 5 || cl.Seq(c) != 4 || in.Seq(b) != 1 || cl.Seq(b) != 1 {
-		t.Fatalf("sequences after divergent Adds: original d=%d b=%d, clone c=%d b=%d", in.Seq(d), in.Seq(b), cl.Seq(c), cl.Seq(b))
+	for i := n; i < 2*n; i++ {
+		resolves("clone", cl, i, i)
+		absent("source after clone", in, i)
+	}
+	resolves("source after clone", in, 2*n, n+1)
+	absent("clone", cl, 2*n)
+	if got := collided(cl); !slices.Equal(got, names(0, 2*n)) {
+		t.Fatalf("MatchAll on the clone found %v, want %v", got, names(0, 2*n))
+	}
+	if got, want := collided(in), append(names(0, n), "coll:plain", fmt.Sprint("coll:", 2*n)); !slices.Equal(got, want) {
+		t.Fatalf("MatchAll on the source found %v, want %v", got, want)
+	}
+}
+
+// TestTupleInternerCollision forges tuples that share one hash through
+// the interner's hash seam: each must get its own id while the chain
+// wraps past the table's end and the table doubles under it, and Reset
+// must forget them all.
+func TestTupleInternerCollision(t *testing.T) {
+	h := uint64(lastSlotTag())<<32 | 0x5eed
+	tuple := func(i int) []int32 { return []int32{int32(i), int32(-i), 7} }
+	const n = 100
+	ti := NewTupleInterner()
+	for range 2 {
+		for i := range n {
+			if id, fresh := ti.intern(tuple(i), h); id != int32(i) || !fresh {
+				t.Fatalf("intern(%v) = %d, %v; want %d, fresh", tuple(i), id, fresh, i)
+			}
+		}
+		checkWrappedChain(t, "interner", ti.ids)
+		for i := range n {
+			if id, fresh := ti.intern(tuple(i), h); id != int32(i) || fresh {
+				t.Fatalf("re-intern(%v) = %d, %v; want %d, known", tuple(i), id, fresh, i)
+			}
+			if !ti.has(tuple(i), h) {
+				t.Fatalf("has(%v) = false", tuple(i))
+			}
+		}
+		if ti.has(tuple(n), h) || ti.has(tuple(0), h^1<<32) || ti.Len() != n {
+			t.Fatalf("an absent tuple resolved, or Len = %d, want %d", ti.Len(), n)
+		}
+		ti.Reset()
+		if ti.Len() != 0 || ti.has(tuple(0), h) {
+			t.Fatal("Reset kept a tuple")
+		}
 	}
 }
 
@@ -96,7 +179,9 @@ type indexFixture struct {
 	}
 }
 
-func newIndexFixture() *indexFixture {
+// newIndexFixture draws terms from ix:a, ix:b, ix:c, a fresh term, three
+// nulls and consts further constants.
+func newIndexFixture(consts int) *indexFixture {
 	fx := &indexFixture{
 		preds: []Predicate{{Name: "ix:r", Arity: 2}, {Name: "ix:s", Arity: 3}, {Name: "ix:r", Arity: 1}, {Name: "ix:z", Arity: 0}},
 		terms: []Term{Constant("ix:a"), Constant("ix:b"), Constant("ix:c"), Fresh(7)},
@@ -105,6 +190,9 @@ func newIndexFixture() *indexFixture {
 	for i := range 3 {
 		n, _ := nulls.Intern(fmt.Sprint(i), i+1)
 		fx.terms = append(fx.terms, n)
+	}
+	for i := range consts {
+		fx.terms = append(fx.terms, Constant(fmt.Sprint("ix:k", i)))
 	}
 	interned := Predicate{Name: "ix:absent", Arity: 2}
 	PredIDOf(interned)
@@ -123,11 +211,27 @@ func (fx *indexFixture) atom(rng *rand.Rand) *Atom {
 	return NewAtom(p, args...)
 }
 
-// check compares every index read — ByPred, AtomsOf, AtPosition, AtomsAt,
-// Seq, HasDeltaFor — with a brute-force filter of in.Atoms().
+// check compares every index read — ByPred, AtomsOf, AtomsAt (so every
+// posting), Predicates, HasDeltaFor and the atom set — with a brute-force
+// filter of in.Atoms().
 func (fx *indexFixture) check(t *testing.T, label string, in *Instance, rng *rand.Rand) {
 	t.Helper()
 	atoms := in.Atoms()
+	var preds []Predicate
+	for _, p := range fx.preds {
+		if slices.ContainsFunc(atoms, func(a *Atom) bool { return a.Pred == p }) {
+			preds = append(preds, p)
+		}
+	}
+	slices.SortFunc(preds, func(p, q Predicate) int {
+		if p.Name != q.Name {
+			return strings.Compare(p.Name, q.Name)
+		}
+		return p.Arity - q.Arity
+	})
+	if got := in.Predicates(); !slices.Equal(got, preds) {
+		t.Fatalf("%s: Predicates() = %v, want %v", label, got, preds)
+	}
 	for _, p := range append(fx.preds, fx.absent.preds...) {
 		want := filter(atoms, func(a *Atom) bool { return a.Pred == p })
 		if got := in.ByPred(p); !slices.Equal(got, want) {
@@ -142,19 +246,17 @@ func (fx *indexFixture) check(t *testing.T, label string, in *Instance, rng *ran
 			}
 			break
 		}
+		pid, pok := lookupPredID(p)
+		if !pok {
+			continue // AtomsAt and HasDeltaFor take ids; a never-interned predicate has none
+		}
 		for pos := -1; pos <= p.Arity+1; pos++ {
 			for _, tm := range append(fx.terms, fx.absent.terms...) {
-				want := filter(atoms, func(a *Atom) bool {
-					return a.Pred == p && pos >= 0 && pos < p.Arity && a.Args[pos] == tm
-				})
-				if got := in.AtPosition(p, pos, tm); !slices.Equal(got, want) {
-					t.Fatalf("%s: AtPosition(%v, %d, %v) = %v, want %v", label, p, pos, tm, got, want)
-				}
-				pid, pok := lookupPredID(p)
 				tid, tok := lookupTermID(tm)
-				if !pok || !tok {
-					continue // AtomsAt takes ids; a never-interned symbol has none
+				if !tok {
+					continue
 				}
+				want := filter(want, func(a *Atom) bool { return pos >= 0 && pos < p.Arity && a.Args[pos] == tm })
 				if got := slices.Collect(in.AtomsAt(pid, pos, tid)); !slices.Equal(got, want) {
 					t.Fatalf("%s: AtomsAt(%v, %d, %v) = %v, want %v", label, p, pos, tm, got, want)
 				}
@@ -166,58 +268,68 @@ func (fx *indexFixture) check(t *testing.T, label string, in *Instance, rng *ran
 				}
 			}
 		}
-		pid := PredIDOf(p)
+		last := -1
+		if len(want) > 0 {
+			last = slices.Index(atoms, want[len(want)-1])
+		}
 		for d := 0; d <= len(atoms)+1; d++ {
-			want := slices.ContainsFunc(atoms[min(d, len(atoms)):], func(a *Atom) bool { return a.Pred == p })
-			if got := in.HasDeltaFor(pid, d); got != want {
-				t.Fatalf("%s: HasDeltaFor(%v, %d) = %v, want %v", label, p, d, got, want)
+			if got := in.HasDeltaFor(pid, d); got != (d <= last) {
+				t.Fatalf("%s: HasDeltaFor(%v, %d) = %v, want %v", label, p, d, got, d <= last)
 			}
 		}
 	}
 	for i, a := range atoms {
-		if got := in.Seq(NewAtom(a.Pred, a.Args...)); got != i {
-			t.Fatalf("%s: Seq(%v) = %d, want %d", label, a, got, i)
+		if got := in.lookup(NewAtom(a.Pred, a.Args...)); got != i {
+			t.Fatalf("%s: lookup(%v) = %d, want %d", label, a, got, i)
 		}
 	}
 	for range 20 {
 		a := fx.atom(rng)
-		if got, want := in.Seq(a), slices.IndexFunc(atoms, a.Equal); got != want {
-			t.Fatalf("%s: Seq(%v) = %d, want %d", label, a, got, want)
+		if got, want := in.lookup(a), slices.IndexFunc(atoms, a.Equal); got != want {
+			t.Fatalf("%s: lookup(%v) = %d, want %d", label, a, got, want)
 		}
 	}
 }
 
 // TestInstanceIndexAgreesWithScan checks the index against a brute-force
 // scan on seeded random instances, including absent predicates and terms,
-// out-of-range positions, and a clone that diverges from its source.
+// out-of-range positions, and a clone that diverges from its source. The
+// small instances cover the edge cases; the large ones, up to 3k atoms,
+// cross many doublings of every table and move long postings through the
+// sequence arena again and again, on both sides of a clone.
 func TestInstanceIndexAgreesWithScan(t *testing.T) {
-	fx := newIndexFixture()
-	for seed := int64(1); seed <= 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		in := NewInstance()
-		for range rng.Intn(60) {
-			in.Add(fx.atom(rng))
+	for _, tc := range []struct {
+		seeds        int64
+		consts, size int
+	}{{seeds: 20, consts: 0, size: 60}, {seeds: 3, consts: 30, size: 3000}} {
+		fx := newIndexFixture(tc.consts)
+		for seed := int64(1); seed <= tc.seeds; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			label := fmt.Sprintf("size %d seed %d", tc.size, seed)
+			in := NewInstance()
+			for range rng.Intn(tc.size) {
+				in.Add(fx.atom(rng))
+			}
+			fx.check(t, label+" source", in, rng)
+			cl := in.Clone()
+			for range rng.Intn(tc.size / 2) {
+				in.Add(fx.atom(rng))
+			}
+			for range rng.Intn(tc.size / 2) {
+				cl.Add(fx.atom(rng))
+			}
+			fx.check(t, label+" source after clone", in, rng)
+			fx.check(t, label+" clone", cl, rng)
 		}
-		fx.check(t, fmt.Sprintf("seed %d source", seed), in, rng)
-		cl := in.Clone()
-		for range rng.Intn(30) {
-			in.Add(fx.atom(rng))
-		}
-		for range rng.Intn(30) {
-			cl.Add(fx.atom(rng))
-		}
-		fx.check(t, fmt.Sprintf("seed %d source after clone", seed), in, rng)
-		fx.check(t, fmt.Sprintf("seed %d clone", seed), cl, rng)
 	}
 }
 
 // TestCloneConcurrentDivergence exercises the clone half of the Instance
-// concurrency contract under -race: clones share their source's sequence
-// arrays, so goroutines cloning one frozen instance and growing their
-// clones, and a source and its clone growing on two goroutines, must
-// never touch an element another one reads.
+// concurrency contract under -race: goroutines cloning one frozen
+// instance and growing their clones, and a source and its clone growing on
+// two goroutines, must never touch an element another one reads.
 func TestCloneConcurrentDivergence(t *testing.T) {
-	fx := newIndexFixture()
+	fx := newIndexFixture(0)
 	rng := rand.New(rand.NewSource(99))
 	base := NewInstance()
 	for range 200 {

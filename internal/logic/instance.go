@@ -2,7 +2,6 @@ package logic
 
 import (
 	"iter"
-	"maps"
 	"slices"
 	"sort"
 	"strconv"
@@ -11,57 +10,65 @@ import (
 
 // Instance is a set of atoms over constants and nulls (a database when all
 // atoms are facts). Atoms are stored once, in insertion order; an atom's
-// position in that order is its insertion sequence (what Seq returns), and
-// every index holds int32 sequences rather than atom pointers:
+// position in that order is its insertion sequence, and every index holds
+// int32 sequences rather than atom pointers, in flat open-addressed tables
+// (table.go):
 //
-//   - the atom set maps each atom's precomputed hash to its sequence, so
-//     Add, Has, Canonical and Seq resolve an atom with one hash probe and
-//     an id-tuple comparison;
+//   - the atom set is one []uint64 of slots, each packing the top half of
+//     an atom's hash with its sequence, so Add, Has and Canonical resolve
+//     an atom with one probe and an id-tuple comparison;
 //   - per predicate id, the rows are the sequences of the predicate's
-//     atoms;
+//     atoms, found through a small table of predicate ids;
 //   - postings list, per (predicate, position, term id), the sequences of
 //     the atoms carrying that term at that position. Each predicate's
 //     positions are numbered as instance columns when its first atom is
 //     inserted, so a posting is keyed by one uint64 (column, term id).
 //
+// Every row list and posting lives in one []int32 sequence arena, as an
+// (offset, length) pair with room up to the next power of two; a full list
+// moves to the arena's end at twice the size, so a posting that never
+// grows past one sequence costs 4 bytes and no allocation. Offsets are
+// int32, which bounds the arena at 2^31-1 entries (Add panics beyond it).
+//
 // Every list is ascending, because sequences are handed out in insertion
 // order: iteration and semi-naive deltas are deterministic, and an age
 // window (the atoms with sequence in [lo, hi)) is a binary-searched
-// sub-slice. No string key is built or hashed on any of these paths.
+// sub-slice. No string key is built or hashed on any of these paths, and
+// since no index array holds a pointer, the garbage collector scans only
+// the atoms.
 //
 // Concurrency contract: an Instance is not safe for concurrent mutation,
-// but while no Add runs, every read — Atoms, Len, Seq, Has, Canonical,
-// ByPred, AtomsOf, AtPosition, AtomsAt, HasDeltaFor, Clone, and
-// homomorphism search over the instance — may be issued from many
-// goroutines simultaneously. The parallel chase collector relies on this:
-// rounds alternate a read-only matching phase (sharded across workers)
-// with a single-goroutine apply phase that mutates the instance. A clone
-// and its source may be mutated by different goroutines: the array
-// elements they share are never written again (see Clone). Atom.Key() and
-// methods built on it (String, CanonicalKey, SortAtoms) are excluded from
-// the contract: the key is cached lazily without synchronization, so
-// materialize keys only from one goroutine.
+// but while no Add runs, every read — Atoms, Len, Has, Canonical, ByPred,
+// AtomsOf, AtomsAt, HasDeltaFor, Predicates, Clone, and homomorphism
+// search over the instance — may be issued from many goroutines
+// simultaneously: only Add writes, and no read grows a table. The
+// parallel chase collector relies on this: rounds alternate a read-only
+// matching phase (sharded across workers) with a single-goroutine apply
+// phase that mutates the instance. A clone and its source may be mutated
+// by different goroutines, since a clone shares no index array with its
+// source (see Clone). Atom.Key() and methods built on it (String,
+// CanonicalKey, SortAtoms) are excluded from the contract: the key is
+// cached lazily without synchronization, so materialize keys only from
+// one goroutine.
 type Instance struct {
-	// first holds the sequence of the (almost always unique) atom per
-	// hash; overflow carries further sequences on the rare hash collision.
-	// The split keeps Add at one map insert per atom instead of one slice
-	// allocation per atom.
-	first    map[uint64]int32
-	overflow map[uint64][]int32 // nil until the first collision
 	// order is the only place atoms are held: sequence s reads back as
 	// order[s].
 	order    []*Atom
-	byPred   map[int32]predRows
-	postings map[uint64][]int32 // postingKey(column, term id) -> sequences
-	ncols    int32              // columns numbered so far
+	atoms    tagTable // hash tag -> sequence
+	predAt   tagTable // predicate id -> index in preds
+	preds    []predRows
+	postings postingTable
+	seqs     []int32 // the sequence arena every row list and posting lives in
+	ncols    int32   // columns numbered so far
 }
 
-// predRows is one predicate's part of the index: the sequences of its
-// atoms and the instance column of its first position (position i is
+// predRows is one predicate's part of the index: its id, the sequences of
+// its atoms, and the instance column of its first position (position i is
 // column col+i).
 type predRows struct {
-	rows []int32
+	pid  int32
 	col  int32
+	rows seqList
 }
 
 func postingKey(col, term int32) uint64 {
@@ -69,22 +76,21 @@ func postingKey(col, term int32) uint64 {
 }
 
 // NewInstance returns an empty instance.
-func NewInstance() *Instance { return newInstance(0) }
-
-// newInstance returns an empty instance sized for n atoms.
-func newInstance(n int) *Instance {
-	return &Instance{
-		first:    make(map[uint64]int32, n),
-		order:    make([]*Atom, 0, n),
-		byPred:   make(map[int32]predRows),
-		postings: make(map[uint64][]int32, n),
-	}
-}
+func NewInstance() *Instance { return &Instance{} }
 
 // NewDatabase builds an instance from the given atoms, in order, sized for
 // all of them up front.
 func NewDatabase(atoms ...*Atom) *Instance {
-	in := newInstance(len(atoms))
+	cells := len(atoms)
+	for _, a := range atoms {
+		cells += len(a.ids)
+	}
+	in := &Instance{
+		order:    make([]*Atom, 0, len(atoms)),
+		atoms:    tagTable{slots: make([]uint64, tableSlots(len(atoms)))},
+		postings: postingTable{slots: make([]posting, tableSlots(len(atoms)))},
+		seqs:     make([]int32, 0, 2*cells),
+	}
 	for _, a := range atoms {
 		in.Add(a)
 	}
@@ -93,36 +99,36 @@ func NewDatabase(atoms ...*Atom) *Instance {
 
 // Add inserts the atom and reports whether it was new.
 func (in *Instance) Add(a *Atom) bool {
+	in.atoms.reserve()
+	tag := uint32(a.hash >> 32)
+	s, free := in.atoms.find(tag, func(s int32) bool { return in.order[s].sameAtom(a) })
+	if s >= 0 {
+		return false
+	}
 	seq := int32(len(in.order))
-	if s, ok := in.first[a.hash]; !ok {
-		in.first[a.hash] = seq
-	} else {
-		if in.order[s].sameAtom(a) {
-			return false
-		}
-		for _, s := range in.overflow[a.hash] {
-			if in.order[s].sameAtom(a) {
-				return false
-			}
-		}
-		if in.overflow == nil {
-			in.overflow = make(map[uint64][]int32)
-		}
-		in.overflow[a.hash] = append(in.overflow[a.hash], seq)
-	}
+	in.atoms.put(free, tag, seq)
 	in.order = append(in.order, a)
-	p, ok := in.byPred[a.pid]
-	if !ok {
-		p.col = in.ncols
-		in.ncols += int32(len(a.ids))
+	p := in.pred(a.pid)
+	if p == nil {
+		p = in.addPred(a.pid, len(a.ids))
 	}
-	p.rows = append(p.rows, seq)
-	in.byPred[a.pid] = p
+	p.rows = in.push(p.rows, seq)
 	for i, id := range a.ids {
-		k := postingKey(p.col+int32(i), id)
-		in.postings[k] = append(in.postings[k], seq)
+		ps := in.postings.claim(postingKey(p.col+int32(i), id))
+		ps.list = in.push(ps.list, seq)
 	}
 	return true
+}
+
+// addPred enters a predicate with the given arity into the index,
+// numbering its positions as the next columns.
+func (in *Instance) addPred(pid int32, arity int) *predRows {
+	in.predAt.reserve()
+	_, free := in.predAt.find(uint32(pid), anyValue)
+	in.predAt.put(free, uint32(pid), int32(len(in.preds)))
+	in.preds = append(in.preds, predRows{pid: pid, col: in.ncols})
+	in.ncols += int32(arity)
+	return &in.preds[len(in.preds)-1]
 }
 
 // AddAll inserts every atom and returns the number of new atoms.
@@ -138,19 +144,35 @@ func (in *Instance) AddAll(atoms []*Atom) int {
 
 // lookup returns the insertion sequence of the atom equal to a, or -1.
 func (in *Instance) lookup(a *Atom) int {
-	s, ok := in.first[a.hash]
-	if !ok {
-		return -1
+	s, _ := in.atoms.find(uint32(a.hash>>32), func(s int32) bool {
+		b := in.order[s]
+		return b == a || b.sameAtom(a)
+	})
+	return int(s)
+}
+
+// pred returns the index entry of the predicate with id pid, or nil when
+// the instance holds none of its atoms.
+func (in *Instance) pred(pid int32) *predRows {
+	if i, _ := in.predAt.find(uint32(pid), anyValue); i >= 0 {
+		return &in.preds[i]
 	}
-	if b := in.order[s]; b == a || b.sameAtom(a) {
-		return int(s)
+	return nil
+}
+
+// rows returns the sequences of the atoms of the predicate with id pid.
+func (in *Instance) rows(pid int32) []int32 {
+	if p := in.pred(pid); p != nil {
+		return in.list(p.rows)
 	}
-	for _, s := range in.overflow[a.hash] {
-		if in.order[s].sameAtom(a) {
-			return int(s)
-		}
-	}
-	return -1
+	return nil
+}
+
+// posting returns the sequences of the atoms carrying term id tid in
+// instance column col, a column of a predicate the instance holds atoms
+// of (so the posting table has slots).
+func (in *Instance) posting(col, tid int32) []int32 {
+	return in.list(in.postings.slots[in.postings.find(postingKey(col, tid))].list)
 }
 
 // Has reports whether the instance contains the atom.
@@ -172,11 +194,6 @@ func (in *Instance) Len() int { return len(in.order) }
 // Atoms returns the atoms in insertion order. The returned slice is shared;
 // callers must not modify it.
 func (in *Instance) Atoms() []*Atom { return in.order }
-
-// Seq returns the insertion sequence number of the atom (or of the
-// instance's atom equal to it), or -1 if absent. Semi-naive evaluation
-// treats atoms with sequence >= deltaStart as new.
-func (in *Instance) Seq(a *Atom) int { return in.lookup(a) }
 
 // ByPred returns the atoms with the given predicate, in insertion order,
 // as a fresh slice.
@@ -202,7 +219,7 @@ func (in *Instance) rowsOf(p Predicate) []int32 {
 	if !ok {
 		return nil
 	}
-	return in.byPred[pid].rows
+	return in.rows(pid)
 }
 
 // HasDeltaFor reports whether the predicate (by interned id) gained at
@@ -211,46 +228,23 @@ func (in *Instance) rowsOf(p Predicate) []int32 {
 // shard generation share this probe so their seed-skip decisions cannot
 // diverge.
 func (in *Instance) HasDeltaFor(pid int32, deltaStart int) bool {
-	rows := in.byPred[pid].rows
+	rows := in.rows(pid)
 	return len(rows) > 0 && int(rows[len(rows)-1]) >= deltaStart
-}
-
-// AtPosition returns the atoms that carry the given term at the given
-// 0-based argument position of the predicate, in insertion order, as a
-// fresh slice. A position outside [0, arity) holds no atoms.
-func (in *Instance) AtPosition(p Predicate, pos int, t Term) []*Atom {
-	if pos < 0 || pos >= p.Arity {
-		return nil
-	}
-	// Lookup only: probing for absent symbols must not intern them.
-	pid, ok := lookupPredID(p)
-	if !ok {
-		return nil
-	}
-	tid, ok := lookupTermID(t)
-	if !ok {
-		return nil
-	}
-	pr, ok := in.byPred[pid]
-	if !ok {
-		return nil
-	}
-	return in.atomsAt(in.postings[postingKey(pr.col+int32(pos), tid)])
 }
 
 // AtomsAt yields the atoms of the predicate with interned id pid that
 // carry the term with interned id tid at 0-based argument position pos, in
-// insertion order, read straight from the index. It is to AtPosition what
-// AtomsOf is to ByPred: it copies nothing, and since it takes ids it
-// consults no symbol table either. A predicate absent from the instance,
-// or a position outside [0, arity), yields no atoms.
+// insertion order, read straight from the index. Like AtomsOf it copies
+// nothing, and since it takes ids it consults no symbol table either. A
+// predicate absent from the instance, or a position outside [0, arity),
+// yields no atoms.
 func (in *Instance) AtomsAt(pid int32, pos int, tid int32) iter.Seq[*Atom] {
 	return func(yield func(*Atom) bool) {
-		pr, ok := in.byPred[pid]
-		if !ok || pos < 0 || pos >= PredOfID(pid).Arity {
+		p := in.pred(pid)
+		if p == nil || pos < 0 || pos >= PredOfID(pid).Arity {
 			return
 		}
-		for _, s := range in.postings[postingKey(pr.col+int32(pos), tid)] {
+		for _, s := range in.posting(p.col+int32(pos), tid) {
 			if !yield(in.order[s]) {
 				return
 			}
@@ -273,9 +267,9 @@ func (in *Instance) atomsAt(seqs []int32) []*Atom {
 // Predicates returns the distinct predicates of the instance, sorted by
 // name then arity.
 func (in *Instance) Predicates() []Predicate {
-	out := make([]Predicate, 0, len(in.byPred))
-	for pid := range in.byPred {
-		out = append(out, PredOfID(pid))
+	out := make([]Predicate, 0, len(in.preds))
+	for _, p := range in.preds {
+		out = append(out, PredOfID(p.pid))
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Name != out[j].Name {
@@ -286,51 +280,23 @@ func (in *Instance) Predicates() []Predicate {
 	return out
 }
 
-// ActiveDomain returns the distinct terms occurring in the instance
-// (dom(I)), in order of first occurrence.
-func (in *Instance) ActiveDomain() []Term {
-	var out []Term
-	seen := make(map[int32]bool)
-	for _, a := range in.order {
-		for i, t := range a.Args {
-			if id := a.ids[i]; !seen[id] {
-				seen[id] = true
-				out = append(out, t)
-			}
-		}
-	}
-	return out
-}
-
 // Clone returns an independent copy of the instance. Atoms are immutable
-// and shared, and so are the backing arrays of every sequence list: each
-// list is handed to the copy clipped to its length, so the first append
-// to it in either instance reallocates instead of writing where the other
-// reads. Sequences are append-only, so nothing else ever writes to a
-// shared array. Cloning costs one map copy per index, with no per-list
-// allocation and no rehash of the atoms.
+// and shared, and so is the insertion order, handed to the copy clipped to
+// its length so that the first Add on either side reallocates it instead
+// of writing where the other reads. Every index array and the sequence
+// arena are copied whole: cloning costs one memmove per array, with no
+// hashing and no work per list, and leaves the two instances sharing no
+// array either one ever writes.
 func (in *Instance) Clone() *Instance {
-	out := &Instance{
-		first:    maps.Clone(in.first),
+	return &Instance{
 		order:    slices.Clip(in.order),
-		byPred:   make(map[int32]predRows, len(in.byPred)),
-		postings: make(map[uint64][]int32, len(in.postings)),
+		atoms:    in.atoms.clone(),
+		predAt:   in.predAt.clone(),
+		preds:    slices.Clone(in.preds),
+		postings: in.postings.clone(),
+		seqs:     slices.Clone(in.seqs),
 		ncols:    in.ncols,
 	}
-	if in.overflow != nil {
-		out.overflow = make(map[uint64][]int32, len(in.overflow))
-		for h, bucket := range in.overflow {
-			out.overflow[h] = slices.Clip(bucket)
-		}
-	}
-	for pid, p := range in.byPred {
-		p.rows = slices.Clip(p.rows)
-		out.byPred[pid] = p
-	}
-	for k, list := range in.postings {
-		out.postings[k] = slices.Clip(list)
-	}
-	return out
 }
 
 // MaxNullID returns the largest factory-local null id occurring in the

@@ -2,6 +2,7 @@ package logic
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -138,11 +139,11 @@ func TestInstanceBasics(t *testing.T) {
 	if got := len(in.ByPred(Predicate{Name: "R", Arity: 2})); got != 1 {
 		t.Fatalf("ByPred = %d atoms", got)
 	}
-	if got := len(in.AtPosition(Predicate{Name: "R", Arity: 2}, 0, Constant("a"))); got != 1 {
-		t.Fatalf("AtPosition = %d atoms", got)
+	if got := len(slices.Collect(in.AtomsAt(a.pid, 0, a.ids[0]))); got != 1 {
+		t.Fatalf("AtomsAt = %d atoms", got)
 	}
-	if got := len(in.ActiveDomain()); got != 2 {
-		t.Fatalf("active domain size = %d", got)
+	if got := len(slices.Collect(in.AtomsAt(a.pid, 0, a.ids[1]))); got != 0 {
+		t.Fatalf("AtomsAt with the term of another position = %d atoms", got)
 	}
 	if !in.IsDatabase() {
 		t.Fatal("fact-only instance is a database")

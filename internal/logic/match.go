@@ -142,9 +142,9 @@ func JoinStart(body []*Atom, inst *Instance) (start, candidates int) {
 		return -1, 0
 	}
 	start = 0
-	best := len(inst.byPred[body[0].pid].rows)
+	best := len(inst.rows(body[0].pid))
 	for i := 1; i < len(body); i++ {
-		if c := len(inst.byPred[body[i].pid].rows); c < best {
+		if c := len(inst.rows(body[i].pid)); c < best {
 			best, start = c, i
 		}
 	}
@@ -210,9 +210,9 @@ func (m *matcher) orderBody(body []*Atom, cons []deltaConstraint, start int) {
 	}
 	if start < 0 {
 		start = 0
-		best := len(m.inst.byPred[body[0].pid].rows)
+		best := len(m.inst.rows(body[0].pid))
 		for i := 1; i < n; i++ {
-			if c := len(m.inst.byPred[body[i].pid].rows); c < best {
+			if c := len(m.inst.rows(body[i].pid)); c < best {
 				best = c
 				start = i
 			}
@@ -324,8 +324,8 @@ func (mm *Matcher) ExistsBefore(body []*Atom, inst *Instance, bound int, vars, i
 	start := -1
 	for i, a := range body {
 		cons[i] = deltaConstraint{mode: mustBeOld, bound: bound}
-		p := inst.byPred[a.pid]
-		if len(p.rows) == 0 || int(p.rows[0]) >= bound {
+		p := inst.pred(a.pid)
+		if p == nil || int(inst.list(p.rows)[0]) >= bound {
 			return false
 		}
 		for pos, id := range a.ids {
@@ -333,7 +333,7 @@ func (mm *Matcher) ExistsBefore(body []*Atom, inst *Instance, bound int, vars, i
 				if v != id {
 					continue
 				}
-				if list := inst.postings[postingKey(p.col+int32(pos), ids[k])]; len(list) == 0 || int(list[0]) >= bound {
+				if list := inst.posting(p.col+int32(pos), ids[k]); len(list) == 0 || int(list[0]) >= bound {
 					return false
 				}
 				if start < 0 {
@@ -493,8 +493,11 @@ func (m *matcher) backtrack(i int, yield func(*Match) bool) {
 // scanned. Lists ascend, so age constraints slice them by binary search
 // instead of filtering — this keeps semi-naive rounds linear in the delta.
 func (m *matcher) candidates(i int, cons deltaConstraint) []int32 {
-	p := m.inst.byPred[m.body[i].pid]
-	best := sliceByAge(p.rows, cons)
+	p := m.inst.pred(m.body[i].pid)
+	if p == nil {
+		return nil
+	}
+	best := sliceByAge(m.inst.list(p.rows), cons)
 	for pos, c := range m.code[i] {
 		if len(best) == 0 {
 			break
@@ -506,7 +509,7 @@ func (m *matcher) candidates(i int, cons deltaConstraint) []int32 {
 				continue // unbound variable
 			}
 		}
-		list := sliceByAge(m.inst.postings[postingKey(p.col+int32(pos), id)], cons)
+		list := sliceByAge(m.inst.posting(p.col+int32(pos), id), cons)
 		if len(list) < len(best) {
 			best = list
 		}

@@ -233,7 +233,7 @@ func internAtom(pred Predicate, args []Term) (pid int32, ids []int32, hash uint6
 }
 
 // FNV-1a folding over int32 words; collisions are tolerated everywhere
-// (instances bucket by hash and compare id tuples), so a 64-bit mix is
+// (tables compare id tuples on equal hash tags), so a 64-bit mix is
 // plenty.
 const (
 	fnvOffset64 = 14695981039346656037
@@ -259,23 +259,25 @@ func hashAtom(pid int32, ids []int32) uint64 {
 // for its fired-trigger set and canonical null names: a trigger key is the
 // tuple (TGD id, image ids of the key variables), replacing the string
 // keys the engine used to concatenate per considered trigger. Tuples are
-// stored in one arena; Intern never retains the caller's slice.
+// stored in one arena; Intern never retains the caller's slice. The set
+// itself is a flat open-addressed table of the instance atom set's kind
+// (table.go): each slot packs the top half of a tuple's hash with its id,
+// and equal tags are resolved by comparing the arena tuples.
 //
 // A TupleInterner is not safe for concurrent mutation, but Has (and Len)
 // may be called from many goroutines as long as no Intern runs
 // concurrently — the parallel chase collector relies on this to pre-filter
 // triggers fired in earlier rounds while the interner is frozen.
 type TupleInterner struct {
-	first    map[uint64]int32   // tuple hash -> tuple id (the common case)
-	overflow map[uint64][]int32 // further ids on hash collision; nil until needed
-	starts   []int32            // starts[i]..starts[i+1] delimit tuple i in arena
-	arena    []int32
+	ids    tagTable // hash tag -> tuple id
+	starts []int32  // starts[i]..starts[i+1] delimit tuple i in arena
+	arena  []int32
 }
 
-// NewTupleInterner returns an empty interner.
+// NewTupleInterner returns an empty interner, sized for 64 tuples.
 func NewTupleInterner() *TupleInterner {
 	return &TupleInterner{
-		first:  make(map[uint64]int32),
+		ids:    tagTable{slots: make([]uint64, tableSlots(64))},
 		starts: append(make([]int32, 0, 64), 0),
 		arena:  make([]int32, 0, 256),
 	}
@@ -292,60 +294,42 @@ func hashTuple(tuple []int32) uint64 {
 // Intern returns the dense id of the tuple, interning it if absent. The
 // second result reports whether the tuple was newly interned.
 func (ti *TupleInterner) Intern(tuple []int32) (int32, bool) {
-	h := hashTuple(tuple)
-	id, collision := ti.first[h]
-	if collision {
-		if int32sEqual(ti.at(id), tuple) {
-			return id, false
-		}
-		for _, id := range ti.overflow[h] {
-			if int32sEqual(ti.at(id), tuple) {
-				return id, false
-			}
-		}
+	return ti.intern(tuple, hashTuple(tuple))
+}
+
+// intern is Intern with the tuple's hash given, the seam through which
+// tests forge hash collisions.
+func (ti *TupleInterner) intern(tuple []int32, h uint64) (int32, bool) {
+	ti.ids.reserve()
+	tag := uint32(h >> 32)
+	id, free := ti.ids.find(tag, func(id int32) bool { return int32sEqual(ti.at(id), tuple) })
+	if id >= 0 {
+		return id, false
 	}
 	id = int32(len(ti.starts) - 1)
 	ti.arena = append(ti.arena, tuple...)
 	ti.starts = append(ti.starts, int32(len(ti.arena)))
-	if collision {
-		if ti.overflow == nil {
-			ti.overflow = make(map[uint64][]int32)
-		}
-		ti.overflow[h] = append(ti.overflow[h], id)
-	} else {
-		ti.first[h] = id
-	}
+	ti.ids.put(free, tag, id)
 	return id, true
 }
 
 // Has reports whether the tuple is already interned, without interning it.
 // It is a read-only probe: safe to call concurrently from many goroutines
 // while no Intern is running.
-func (ti *TupleInterner) Has(tuple []int32) bool {
-	h := hashTuple(tuple)
-	id, ok := ti.first[h]
-	if !ok {
-		return false
-	}
-	if int32sEqual(ti.at(id), tuple) {
-		return true
-	}
-	for _, id := range ti.overflow[h] {
-		if int32sEqual(ti.at(id), tuple) {
-			return true
-		}
-	}
-	return false
+func (ti *TupleInterner) Has(tuple []int32) bool { return ti.has(tuple, hashTuple(tuple)) }
+
+// has is Has with the tuple's hash given (see intern).
+func (ti *TupleInterner) has(tuple []int32, h uint64) bool {
+	id, _ := ti.ids.find(uint32(h>>32), func(id int32) bool { return int32sEqual(ti.at(id), tuple) })
+	return id >= 0
 }
 
 // Reset empties the interner, retaining allocated capacity. The parallel
 // chase collector uses per-worker interners as within-task duplicate
 // filters, reset at every task boundary.
 func (ti *TupleInterner) Reset() {
-	clear(ti.first)
-	if ti.overflow != nil {
-		clear(ti.overflow)
-	}
+	clear(ti.ids.slots)
+	ti.ids.used = 0
 	ti.starts = ti.starts[:1]
 	ti.arena = ti.arena[:0]
 }

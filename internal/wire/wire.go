@@ -3,7 +3,7 @@
 // prefix), encoded so that a fresh process — with its own empty symbol
 // table — decodes an instance that is byte-identical to the original
 // under every cross-process identity the system has: CanonicalKey,
-// insertion order (and hence semi-naive delta behavior and Seq), and null
+// insertion order (and hence semi-naive delta behavior), and null
 // depths. It is the database half of the ROADMAP's distributed-sharding
 // wire format; the ontology half is internal/compile's canonical
 // fingerprint, and internal/service composes the two into
@@ -147,36 +147,40 @@ func writeHeader(w *codec.Writer, kind byte) {
 }
 
 // writeAtoms writes the symbol manifest (first-occurrence order) followed
-// by the atom section.
+// by the atom section. The atom section's references — per atom, the
+// predicate's manifest index, then its terms' — are gathered in one slice,
+// sized up front from the atoms' arities, while the manifest is built.
 func writeAtoms(w *codec.Writer, atoms []*logic.Atom) {
+	refCount := len(atoms)
+	for _, a := range atoms {
+		refCount += len(a.Args)
+	}
 	var (
-		preds     []logic.Predicate
-		predIdx   = make(map[logic.Predicate]int)
-		terms     []logic.Term
-		termIdx   = make(map[int32]int) // interned id -> manifest index
-		atomPreds = make([]int, len(atoms))
-		atomTerms = make([][]int, len(atoms))
+		preds   []logic.Predicate
+		predIdx = make(map[int32]int32) // interned predicate id -> manifest index
+		terms   []logic.Term
+		termIdx = make(map[int32]int32) // interned term id -> manifest index
+		refs    = make([]int32, 0, refCount)
 	)
-	for ai, a := range atoms {
-		pi, ok := predIdx[a.Pred]
+	for _, a := range atoms {
+		pid := a.PredID()
+		pi, ok := predIdx[pid]
 		if !ok {
-			pi = len(preds)
-			predIdx[a.Pred] = pi
+			pi = int32(len(preds))
+			predIdx[pid] = pi
 			preds = append(preds, a.Pred)
 		}
-		atomPreds[ai] = pi
-		idx := make([]int, len(a.Args))
+		refs = append(refs, pi)
 		for i := range a.Args {
 			id := a.ArgID(i)
 			ti, ok := termIdx[id]
 			if !ok {
-				ti = len(terms)
+				ti = int32(len(terms))
 				termIdx[id] = ti
 				terms = append(terms, a.Args[i])
 			}
-			idx[i] = ti
+			refs = append(refs, ti)
 		}
-		atomTerms[ai] = idx
 	}
 	w.Uint(uint64(len(preds)))
 	for _, p := range preds {
@@ -188,11 +192,8 @@ func writeAtoms(w *codec.Writer, atoms []*logic.Atom) {
 		AppendTerm(w, t)
 	}
 	w.Uint(uint64(len(atoms)))
-	for ai := range atoms {
-		w.Uint(uint64(atomPreds[ai]))
-		for _, ti := range atomTerms[ai] {
-			w.Uint(uint64(ti))
-		}
+	for _, r := range refs {
+		w.Uint(uint64(r))
 	}
 }
 
