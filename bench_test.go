@@ -120,42 +120,6 @@ func BenchmarkChaseGuarded(b *testing.B) {
 	}
 }
 
-// BenchmarkChaseGuardedParallel is BenchmarkChaseGuarded with trigger
-// collection sharded across a 4-worker executor (compare the two to see
-// the intra-run speedup; on a single-core host it measures the sharding
-// overhead instead).
-func BenchmarkChaseGuardedParallel(b *testing.B) {
-	requireMultiCore(b)
-	w := families.GLower(1, 1, 1)
-	exec := rt.NewExecutor(4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := chase.Run(w.Database, w.Sigma, chase.Options{Executor: exec})
-		if !res.Terminated {
-			b.Fatal("unexpected budget hit")
-		}
-	}
-	reportGOMAXPROCS(b)
-}
-
-// BenchmarkTuringChaseParallel is BenchmarkTuringChase with a 4-worker
-// executor.
-func BenchmarkTuringChaseParallel(b *testing.B) {
-	requireMultiCore(b)
-	m := tm.BounceAndHalt(2)
-	db := m.Database()
-	sigma := tm.FixedSigma()
-	exec := rt.NewExecutor(4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := chase.Run(db, sigma, chase.Options{MaxAtoms: 100000, Executor: exec})
-		if !res.Terminated {
-			b.Fatal("halting machine must terminate")
-		}
-	}
-	reportGOMAXPROCS(b)
-}
-
 // chaseBody returns the engine-job body that chases db with sigma, the
 // one every job of a bench fleet shares.
 func chaseBody(db *logic.Instance, sigma *tgds.Set) func(chase.Options) (*chase.Result, error) {

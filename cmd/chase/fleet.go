@@ -58,7 +58,6 @@ func runFleet(addrs, network string, req service.ChaseRequest, engineLabel strin
 		Deltas:      req.Database.Deltas,
 		MaxAtoms:    req.MaxAtoms,
 		MaxRounds:   req.MaxRounds,
-		Workers:     req.Workers,
 		QoS:         req.Meta.QoS,
 	}
 	if stream {

@@ -10,8 +10,7 @@ import (
 	"repro/internal/cli/clitest"
 )
 
-// End-to-end goldens over examples/dlgp: full stdout, checked at
-// -workers=1 and -workers=4 (byte-identical by the determinism contract).
+// End-to-end goldens over examples/dlgp: full stdout.
 func TestChaseGolden(t *testing.T) {
 	clitest.Golden(t, run, []clitest.Case{
 		{
@@ -80,36 +79,26 @@ func TestChaseGolden(t *testing.T) {
 }
 
 // TestQuickstartCheckpointArtifact pins the checked-in checkpoint
-// artifact: -checkpoint produces byte-identical artifacts at 1 and 4
-// workers (the encoding is a pure function of the run's content, and
-// the run is deterministic), and the bytes match
+// artifact: the bytes -checkpoint writes (the encoding is a pure
+// function of the run's content, and the run is deterministic) match
 // examples/dlgp/quickstart.checkpoint exactly. Regenerate with -update.
 func TestQuickstartCheckpointArtifact(t *testing.T) {
-	dir := t.TempDir()
-	var first []byte
-	for _, workers := range []string{"1", "4"} {
-		out := filepath.Join(dir, "quickstart-w"+workers+".cp")
-		var stdout, stderr bytes.Buffer
-		code := run([]string{
-			"-program", clitest.Example("quickstart.dlgp"),
-			"-checkpoint", out, "-quiet", "-workers", workers,
-		}, &stdout, &stderr)
-		if code != 0 {
-			t.Fatalf("exit %d, stderr: %s", code, stderr.String())
-		}
-		data, err := os.ReadFile(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if first == nil {
-			first = data
-		} else if !bytes.Equal(first, data) {
-			t.Fatal("checkpoint artifact differs between worker counts")
-		}
+	out := filepath.Join(t.TempDir(), "quickstart.cp")
+	var stdout, stderr bytes.Buffer
+	code := run([]string{
+		"-program", clitest.Example("quickstart.dlgp"),
+		"-checkpoint", out, "-quiet",
+	}, &stdout, &stderr)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
 	}
 	checked := clitest.Example("quickstart.checkpoint")
 	if *clitest.Update {
-		if err := os.WriteFile(checked, first, 0o644); err != nil {
+		if err := os.WriteFile(checked, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -118,7 +107,7 @@ func TestQuickstartCheckpointArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run with -update to record)", err)
 	}
-	if !bytes.Equal(want, first) {
+	if !bytes.Equal(want, got) {
 		t.Fatal("examples/dlgp/quickstart.checkpoint is stale (re-record with -update if the change is intended)")
 	}
 }

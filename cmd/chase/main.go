@@ -5,10 +5,10 @@
 // Usage:
 //
 //	chase -data db.dlgp -rules onto.dlgp [-engine semi|oblivious|restricted]
-//	      [-max-atoms N] [-workers N] [-stats] [-quiet] [-stream]
+//	      [-max-atoms N] [-stats] [-quiet] [-stream]
 //	      [-metrics FILE] [-trace FILE] [-checkpoint FILE]
 //	chase -resume cp.bin -program delta.dlgp [-checkpoint FILE] [...]
-//	chase -request req.json [-workers N] [-stats] [-quiet] [-stream]
+//	chase -request req.json [-stats] [-quiet] [-stream]
 //
 // Facts and rules may also live in a single file passed via -program, or
 // the whole invocation in a JSON request file passed via -request — the
@@ -18,9 +18,7 @@
 // request envelope is submitted to an in-process service and the result
 // ticket is awaited, so the public submission path — the one a
 // distributed deployment serves — is exercised end to end by these
-// goldens. With more than one worker, trigger collection is sharded
-// across a worker pool; the result is byte-identical to the sequential
-// engine. Compiled per-TGD programs are fetched from the process-wide
+// goldens. Compiled per-TGD programs are fetched from the process-wide
 // compilation cache (internal/compile), so repeated runs over one
 // ontology — or many tools in one process — pay analysis once; -stats
 // reports the cache interaction, including the cache's approximate byte
@@ -81,7 +79,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		cpOut     = fs.String("checkpoint", "", "write the run's resumable checkpoint artifact to `file`")
 		resume    = fs.String("resume", "", "resume from a checkpoint artifact `file`; the input's facts are the base-data delta")
 		request   = cli.RequestFlag(fs)
-		workers   = cli.WorkersFlag(fs)
 		stream    = cli.StreamFlag(fs)
 		qosStr    = cli.QoSFlag(fs)
 		fleetStr  = fs.String("fleet", "", "comma-separated chased worker addresses; the chase runs remotely, stdout is byte-identical")
@@ -185,7 +182,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			// A request file's own "qos" field wins over the flag.
 			delta.Meta.QoS = policy
 		}
-		delta.Workers = cli.Workers(*workers)
 		// -checkpoint on a resume chains: the resumed run captures
 		// resumable state of its own and emits a second-generation
 		// artifact.
@@ -201,7 +197,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		if req.Meta.QoS.IsZero() {
 			req.Meta.QoS = policy
 		}
-		req.Workers = cli.Workers(*workers)
 		req.Checkpoint = req.Checkpoint || *cpOut != ""
 		engineLabel = fmt.Sprint(req.Variant)
 	}
@@ -324,11 +319,11 @@ func emitChase(stdout, stderr io.Writer, format string, quiet bool, inst *logic.
 	if !terminated {
 		// The truncation summary is part of the result, not a diagnostic:
 		// it lands on stdout, deterministically (the atom and round counts
-		// are byte-identical for any worker count, cache state, or fleet
-		// placement), as a dlgp comment so -format dlgp output stays
-		// re-parseable. The source names the budget that stopped the run
-		// (flag, deadline, or learned-bound), so anytime and bounded
-		// output is self-describing.
+		// are byte-identical for any cache state or fleet placement), as
+		// a dlgp comment so -format dlgp output stays re-parseable. The
+		// source names the budget that stopped the run (flag, deadline,
+		// or learned-bound), so anytime and bounded output is
+		// self-describing.
 		fmt.Fprintf(stdout, "%% truncated: %s budget exhausted after %d atoms in %d rounds; the chase may be infinite\n",
 			source, inst.Len(), stats.Rounds)
 	}

@@ -10,8 +10,8 @@ import (
 
 // TestChaseQoSGolden pins the anytime tier's deterministic form: a fixed
 // round quota truncates at a round boundary, so stdout — including the
-// "% truncated: deadline budget exhausted" marker — is byte-identical at
-// every worker count (the harness sweeps -workers 1 and 4).
+// "% truncated: deadline budget exhausted" marker — is byte-identical
+// from run to run.
 func TestChaseQoSGolden(t *testing.T) {
 	clitest.Golden(t, run, []clitest.Case{
 		{

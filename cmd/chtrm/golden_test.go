@@ -7,9 +7,7 @@ import (
 	"repro/internal/cli/clitest"
 )
 
-// End-to-end goldens over examples/dlgp: full stdout, checked at
-// -workers=1 and -workers=4 (the flag parallelizes the naive probe; every
-// method's verdict is byte-identical for any worker count).
+// End-to-end goldens over examples/dlgp: full stdout.
 func TestChtrmGolden(t *testing.T) {
 	clitest.Golden(t, run, []clitest.Case{
 		{

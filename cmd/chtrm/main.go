@@ -8,9 +8,9 @@
 // Usage:
 //
 //	chtrm -data db.dlgp -rules onto.dlgp [-method syntactic|naive|ucq]
-//	      [-max-atoms N] [-workers N] [-qos POLICY] [-show-bounds]
+//	      [-max-atoms N] [-qos POLICY] [-show-bounds]
 //	      [-stats] [-stream] [-metrics FILE] [-trace FILE]
-//	chtrm -request req.json [-workers N] [-stats] [-stream]
+//	chtrm -request req.json [-stats] [-stream]
 //
 // The -qos flag applies a serving policy to the naive probe (the one
 // method that materializes a chase): "bounded" caps the probe at the
@@ -20,10 +20,7 @@
 // Every decision routes through the service layer as a typed
 // DecideRequest (internal/service) — the same envelope a remote
 // submitter would ship, also loadable from a JSON request file via
-// -request. The -workers flag parallelizes the naive method's
-// chase-materialization probe (the simulation that runs the chase
-// against its restricted budget); the verdict is byte-identical to the
-// sequential probe. The -stream flag prints the probe's round-level
+// -request. The -stream flag prints the probe's round-level
 // progress to stderr while it materializes (it only applies to -method
 // naive, the one long-running method); the verdict on stdout is
 // byte-identical either way. The naive probe's compiled programs and the
@@ -73,7 +70,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		uniform    = fs.Bool("uniform", false, "decide uniform termination (every database) instead")
 		stats      = fs.Bool("stats", false, "print run statistics")
 		request    = cli.RequestFlag(fs)
-		workers    = cli.WorkersFlag(fs)
 		stream     = cli.StreamFlag(fs)
 		qosStr     = cli.QoSFlag(fs)
 	)
@@ -115,7 +111,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			AtomCap:  *maxAtoms,
 		}
 	}
-	// CLI-side overrides apply in both modes, like -workers and -stream;
+	// CLI-side overrides apply in both modes, like -stream;
 	// a request file's own "qos" field wins over the flag.
 	if req.Meta.QoS.IsZero() {
 		req.Meta.QoS = policy
@@ -129,7 +125,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		// unbounded just because the envelope came from a file.
 		req.AtomCap = *maxAtoms
 	}
-	req.Workers = cli.Workers(*workers)
 	if *stream {
 		req.Progress = cli.ProgressPrinter(stderr, "chtrm")
 	}

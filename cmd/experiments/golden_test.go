@@ -7,9 +7,9 @@ import (
 )
 
 // End-to-end goldens for the experiment tables: full stdout at
-// -workers=1 and -workers=4. Only count-valued (timing-free) experiments
-// are golden-tested; their tables are deterministic for any worker count
-// and cache state.
+// -workers=1 and -workers=4, the scheduler widths of scheduler-backed
+// sweeps. Only count-valued (timing-free) experiments are golden-tested;
+// their tables are deterministic for any worker count and cache state.
 func TestExperimentsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweeps are seconds-long; skipped in -short")
@@ -41,8 +41,7 @@ func TestExperimentsGolden(t *testing.T) {
 		},
 		{
 			// The anytime quality-vs-latency table carries counts only (no
-			// wall times), so it is golden-stable; the par≡seq column pins
-			// the worker-count determinism of every budgeted prefix.
+			// wall times), so it is golden-stable.
 			Name: "xp-qos-quick",
 			Argv: []string{"-exp", "XP-QOS", "-quick"},
 		},
@@ -54,5 +53,5 @@ func TestExperimentsGolden(t *testing.T) {
 			Argv:   []string{"-exp", "XP-RESTRICTED", "-quick", "-stream"},
 			SameAs: "xp-restricted-quick",
 		},
-	})
+	}, "-workers=1", "-workers=4")
 }

@@ -52,7 +52,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		format  = fs.String("format", "table", "output format: table or csv")
 		list    = fs.Bool("list", false, "list experiment ids and exit")
 		request = cli.RequestFlag(fs)
-		workers = cli.WorkersFlag(fs)
+		workers = fs.Int("workers", 0, "scheduler workers for scheduler-backed sweeps (0 = GOMAXPROCS)")
 		stream  = cli.StreamFlag(fs)
 		qosStr  = cli.QoSFlag(fs)
 	)
@@ -117,7 +117,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	svc := service.New(service.Config{Workers: 1, QueueBound: 1, Telemetry: tel})
 	defer svc.Close()
 	for i := range reqs {
-		reqs[i].Workers = cli.Workers(*workers)
+		reqs[i].Workers = *workers
 		// A request file's own "qos" field wins over the flag; only an
 		// anytime deadline is meaningful for a sweep (it becomes the wall
 		// budget), and the service rejects anything else.

@@ -26,21 +26,12 @@
 // (Instance.CanonicalKey); see the internal/logic package comment for the
 // invariants.
 //
-// The runtime layer (internal/runtime) parallelizes the system on two
-// axes. Within one chase run, each semi-naive round's trigger collection
-// is sharded over the (TGD, seed body atom, delta window) task space
-// across a worker pool: workers match concurrently against the frozen
-// instance (the symbol table has lock-free reads, and instances support
-// concurrent read-only access between rounds), emit candidate triggers
-// into per-task buffers, and the engine merges the buffers back in task
-// order — which equals the sequential enumeration order — before the
-// single-goroutine apply phase. Rounds are thus the barrier between the
-// read-only parallel phase and the mutating sequential phase, and a
-// parallel run is byte-identical (CanonicalKey, stats, forest,
-// derivation) to the sequential engine for all three chase variants.
-// Across runs, a streaming Scheduler serves fleets of independent chase
-// and decision jobs — one per (D, Σ) request, experiment point, or probe
-// — from a long-lived worker set behind a bounded admission queue:
+// The runtime layer (internal/runtime) parallelizes the system across
+// jobs: one chase run is sequential (a finite guarded chase is linear in
+// |D|, so one request is small), and a streaming Scheduler serves fleets
+// of independent chase and decision jobs — one per (D, Σ) request,
+// experiment point, or probe — from a long-lived worker set behind a
+// bounded admission queue:
 // concurrent admission with backpressure at the bound (block or reject)
 // through two calls — Submit for opaque jobs, SubmitChase for chase-engine
 // jobs whose atom and round budgets live on chase.Options — wall-clock
@@ -48,9 +39,11 @@
 // jobs finish, round-level progress events from running chase jobs, and
 // graceful Drain/Close. Gather collates a fleet's streamed results back
 // into submission order, and a scheduled fleet is byte-identical to a
-// direct chase.Run per job (property-tested in internal/runtime). Every
-// tool takes -workers and -stream; determinism makes both pure
-// performance/observability knobs.
+// direct chase.Run per job (property-tested in internal/runtime). The
+// symbol table has lock-free reads and instances support concurrent
+// read-only access, so the scheduler's jobs may clone one shared input.
+// Every tool takes -stream, a pure observability knob; chased and
+// experiments take -workers, the width of their scheduler.
 //
 // The public entry point is the service layer (internal/service): typed
 // request envelopes — ChaseRequest, DecideRequest, ExperimentRequest —
@@ -113,7 +106,7 @@
 // canonical null names follow clause order, so a resume demands Σ
 // verbatim — checkpoint.ErrMismatch otherwise). A differential harness
 // pins resume ≡ full re-chase across every example scenario, variant,
-// and worker count, with checkpoints cut at every intermediate round,
+// and scheduler width, with checkpoints cut at every intermediate round,
 // and over random guarded ontologies; the CLI surface is chase
 // -checkpoint/-resume, and scheduler-level resume jobs trace a terminal
 // "resume" span.
@@ -163,8 +156,8 @@
 // was profiled; Anytime serves whatever whole rounds fit a deadline or
 // an explicit round quota. Anytime truncation happens only at round
 // boundaries (chase.Options.RoundGranularInterrupt), so the answer is a
-// whole-round prefix — byte-identical at any worker count and across
-// the fleet, like every other parallel path here. A truncated result
+// whole-round prefix — the MaxRounds run of its round count, in process
+// and across the fleet. A truncated result
 // names the budget that stopped it (flag, deadline, or learned-bound)
 // in the CLI's "% truncated" marker, per-mode outcomes and deadline
 // slack are billed to telemetry, and XP-QOS quantifies the

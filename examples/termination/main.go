@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -45,7 +46,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		naive, err := core.DecideNaive(db, rules, core.NaiveOptions{AtomCap: 100000})
+		naive, err := core.DecideNaive(context.Background(), db, rules, core.NaiveOptions{AtomCap: 100000})
 		if err != nil {
 			log.Fatal(err)
 		}

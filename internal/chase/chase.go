@@ -17,8 +17,6 @@
 package chase
 
 import (
-	"sync/atomic"
-
 	"repro/internal/logic"
 	"repro/internal/tgds"
 )
@@ -67,29 +65,21 @@ type Options struct {
 	// re-enumerates all homomorphisms. It exists for the ablation
 	// experiment and produces identical results, slower.
 	NoSemiNaive bool
-	// Executor, when non-nil with more than one worker, parallelizes the
-	// trigger-collection phase of each semi-naive round (see parallel.go).
-	// The run remains byte-identical to the sequential engine: shards are
-	// merged back in (TGD index, seed atom, delta window) order before the
-	// single-goroutine apply phase. internal/runtime provides the standard
-	// implementation.
-	Executor Executor
-	// Interrupt, when non-nil, is polled at round boundaries and
-	// periodically inside the collect and apply phases; once it returns
-	// true the run stops and is reported as not terminated. When an
-	// Executor is attached, Interrupt may be polled from worker
-	// goroutines concurrently and must be safe for concurrent use. The
-	// multi-job scheduler sets it on every engine job, polling the job's
-	// context to enforce wall-clock budgets and cancellation.
+	// Interrupt, when non-nil, is polled from the run's goroutine at round
+	// boundaries and periodically inside the collect and apply phases;
+	// once it returns true the run stops and is reported as not
+	// terminated. The multi-job scheduler sets it on every engine job,
+	// polling the job's context to enforce wall-clock budgets and
+	// cancellation.
 	Interrupt func() bool
 	// RoundGranularInterrupt confines Interrupt polling to round
 	// boundaries: the mid-collect and mid-apply polls are skipped, so a
 	// fired interrupt stops the run only between rounds and the result is
 	// always a whole-round prefix of the derivation (never dirty, hence
 	// checkpointable, and byte-identical to a MaxRounds run of the
-	// observed round count for any worker count). The cost is cancellation
-	// latency bounded by one round instead of ~1k trigger matches; the
-	// anytime QoS tier (internal/qos) accepts that trade for determinism.
+	// observed round count). The cost is cancellation latency bounded by
+	// one round instead of ~1k trigger matches; the anytime QoS tier
+	// (internal/qos) accepts that trade for determinism.
 	RoundGranularInterrupt bool
 	// Progress, when non-nil, is invoked from the engine goroutine at every
 	// round boundary — the same barrier at which Interrupt is polled — with
@@ -152,9 +142,9 @@ type Stats struct {
 	// ArenaBlocks counts the heap blocks the run's atom arena allocated —
 	// the instrumentation for the slab-allocated hot path (chase -stats
 	// surfaces it). Like every other field it is deterministic: the arena
-	// serves only the single-goroutine apply phase, whose atom sequence
-	// the byte-identity contract fixes across worker counts, cache
-	// states, and scratch reuse (a reset arena starts block-free).
+	// serves only the apply phase, whose atom sequence the byte-identity
+	// contract fixes across cache states and scratch reuse (a reset arena
+	// starts block-free).
 	ArenaBlocks int
 }
 
@@ -297,13 +287,7 @@ type engine struct {
 	firedCount    int
 	compileHits   int
 	compileMisses int
-	// prevSpan and prevCands feed the adaptive shard sizing: the previous
-	// parallel round's delta span and candidate count (both deterministic),
-	// from which collectParallel derives the next round's window width.
-	prevSpan  int
-	prevCands int
-	stop      bool        // set once Options.Interrupt fires
-	parStop   atomic.Bool // interrupt verdict shared with collect workers
+	stop          bool // set once Options.Interrupt fires
 
 	// delta is where the current semi-naive window begins: 0 for a fresh
 	// run, the checkpoint's recorded window start for a resumed one. run
@@ -348,9 +332,8 @@ func (e *engine) stats() Stats {
 }
 
 // run saturates the instance; it returns true when a fixpoint was reached.
-// Rounds are the engine's barrier: collection (possibly sharded across an
-// Executor's workers) only reads the instance, and the subsequent apply
-// phase mutates it from this goroutine alone.
+// Rounds are the engine's barrier: collection only reads the instance, and
+// the subsequent apply phase mutates it.
 func (e *engine) run() bool {
 	for {
 		if e.interrupted() {
@@ -374,9 +357,6 @@ func (e *engine) run() bool {
 		// The round's trigger tuples (fire keys, frontier images) are dead
 		// once applied: recycle their slab blocks for the next round.
 		e.sc.slabs.rewind()
-		for i := range e.sc.workers {
-			e.sc.workers[i].slabs.rewind()
-		}
 		if e.opts.Progress != nil || e.opts.Observer != nil {
 			st := e.stats()
 			if e.opts.Progress != nil {
@@ -412,13 +392,6 @@ func (e *engine) collect(deltaStart int) []pendingTrigger {
 		// prefix was considered before the checkpoint).
 		ds = -1
 	}
-	if e.opts.Executor != nil && e.opts.Executor.Workers() > 1 && !e.opts.NoSemiNaive {
-		// Semi-naive rounds shard the (TGD, seed, delta window) task
-		// space; round 1 (ds < 0) shards the full enumeration on the
-		// join-start atom's windows. NoSemiNaive stays sequential: the
-		// ablation re-enumerates everything each round by design.
-		return e.collectParallel(ds)
-	}
 	pending := e.sc.pending[:0]
 	for ti, t := range e.sigma.TGDs {
 		ti, t := ti, t
@@ -439,7 +412,7 @@ func (e *engine) collect(deltaStart int) []pendingTrigger {
 				return true
 			}
 			key := e.sc.slabs.keys.Copy(e.sc.keyBuf)
-			pending = append(pending, e.buildPending(t, ti, key, m, &e.sc.slabs))
+			pending = append(pending, e.buildPending(t, ti, key, m))
 			return true
 		}
 		if ds >= 0 && e.compiled != nil {
@@ -459,15 +432,23 @@ func (e *engine) collect(deltaStart int) []pendingTrigger {
 	return pending
 }
 
+// fireVarsOf returns the variables whose images key a trigger's firing:
+// the frontier for the semi-oblivious chase, all (sorted) body variables
+// for the oblivious and restricted chases.
+func fireVarsOf(t *tgds.TGD, v Variant) []int32 {
+	if v == SemiOblivious {
+		return t.FrontierIDs()
+	}
+	return t.SortedBodyVarIDs()
+}
+
 // buildPending assembles a fresh trigger from a live match. key is the
 // full interned fire key (TGD index, then the key-variable image ids); it
 // must be a copy that outlives the round (a trigger-slab copy — the
 // trigger's frIDs/keyIDs alias its tail, and everything dies together at
-// the round's slab rewind). sl is the caller's trigger slabs: the
-// engine's own for the sequential collector, the worker slot's for a
-// parallel shard. Both collectors build their triggers here, which is
-// what keeps the two byte-identical per match.
-func (e *engine) buildPending(t *tgds.TGD, ti int, key []int32, m *logic.Match, sl *trigSlabs) pendingTrigger {
+// the round's slab rewind).
+func (e *engine) buildPending(t *tgds.TGD, ti int, key []int32, m *logic.Match) pendingTrigger {
+	sl := &e.sc.slabs
 	frVars := t.FrontierIDs()
 	p := pendingTrigger{
 		tgd:    t,

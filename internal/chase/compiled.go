@@ -80,19 +80,3 @@ func (cs *CompiledSet) Matches(sigma *tgds.Set) bool {
 type Compiler interface {
 	CompiledChase(sigma *tgds.Set) (cs *CompiledSet, hit bool)
 }
-
-// fixedCompiler serves one precompiled set, reporting a hit when it
-// matches.
-type fixedCompiler struct{ cs *CompiledSet }
-
-func (f fixedCompiler) CompiledChase(sigma *tgds.Set) (*CompiledSet, bool) {
-	if f.cs.Matches(sigma) {
-		return f.cs, true
-	}
-	return nil, false
-}
-
-// Precompiled returns a Compiler that always serves cs. It is the
-// cache-free way to share one compilation across a fleet of runs over the
-// same Σ (and the building block of tests that pin a specific compilation).
-func Precompiled(cs *CompiledSet) Compiler { return fixedCompiler{cs: cs} }

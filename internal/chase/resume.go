@@ -72,7 +72,7 @@ type ResumeState struct {
 // st.NextNullID (or above the delta's own nulls, whichever is higher —
 // delta atoms carrying null ids that collide with checkpointed ones can
 // never capture an invented id), and iteration proceeds exactly as Run's
-// would have: budgets, executor, scratch pooling, compile cache, forest
+// would have: budgets, scratch pooling, compile cache, forest
 // and derivation tracking all apply unchanged. Stats count the resumed
 // rounds only.
 //
@@ -105,9 +105,8 @@ func Resume(base *logic.Instance, delta []*logic.Atom, sigma *tgds.Set, st *Resu
 // image ids), which the run has just interned for the first time. It is
 // one search bounded to inst[0:prefix) with the key's images pre-bound:
 // for the semi-oblivious chase the paper's (σ, h|fr) identity, for the
-// oblivious and restricted chases a membership probe. Both collectors
-// call it after a fresh intern when prefix > 0 — a fresh run never does
-// — so the parallel merge stays identical to the sequential collector.
+// oblivious and restricted chases a membership probe. The collector
+// calls it after a fresh intern when prefix > 0; a fresh run never does.
 func (e *engine) firedBefore(key []int32) bool {
 	if e.sc.prefix == nil {
 		e.sc.prefix = new(logic.Matcher)

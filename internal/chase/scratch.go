@@ -10,8 +10,8 @@ package chase
 // reallocating it.
 //
 // The reset discipline follows the data's lifetime. Buffers whose
-// contents never escape a run (matcher bindings, key scratch, task and
-// pending lists, per-round trigger tuples) are length-reset and their
+// contents never escape a run (matcher bindings, key scratch, pending
+// list, per-round trigger tuples) are length-reset and their
 // capacity reused. The atom arena's contents DO escape — its atoms live
 // on in the previous run's result instance — so begin abandons its
 // blocks wholesale: a reused Scratch can never alias a previous job's
@@ -44,11 +44,11 @@ func (s *trigSlabs) rewind() {
 // Scratch is the pooled allocation state; see the package comment above.
 // The zero value is not usable — construct with NewScratch.
 type Scratch struct {
-	matcher logic.Matcher        // sequential collect's compiled-body buffers
+	matcher logic.Matcher        // collect's compiled-body buffers
 	prefix  *logic.Matcher       // resumed runs' prefix searches; nil until the first
-	fired   *logic.TupleInterner // fired-trigger keys; Reset keeps map+arena capacity
+	fired   *logic.TupleInterner // fired-trigger keys; Reset keeps table+arena capacity
 	arena   logic.AtomArena      // head-instantiation atoms; reset abandons (atoms escape)
-	slabs   trigSlabs            // sequential collect's trigger tuples
+	slabs   trigSlabs            // the round's trigger tuples
 
 	keyBuf  []int32          // tuple-building scratch
 	nullBuf []*logic.Null    // per-trigger null scratch
@@ -56,9 +56,6 @@ type Scratch struct {
 	idBuf   []int32          // head-atom id scratch
 	headBuf []*logic.Atom    // instantiateHead output buffer
 	pending []pendingTrigger // per-round trigger list
-	taskBuf []collectTask    // parallel collection: task list
-	outBuf  [][]shardCand    // parallel collection: per-task emit buffers
-	workers []collectWorker  // parallel collection: per-worker-slot state
 
 	runs int // completed begin calls: how many runs borrowed this scratch
 }
@@ -83,8 +80,5 @@ func (s *Scratch) begin() {
 	s.fired.Reset()
 	s.arena.Reset()
 	s.slabs.rewind()
-	for i := range s.workers {
-		s.workers[i].slabs.rewind()
-	}
 	s.pending = s.pending[:0]
 }

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -140,8 +141,44 @@ func homInto(a, b *logic.Instance) bool {
 	return logic.ExtendOne(body, b, logic.Substitution{}) != nil
 }
 
+// job is one engine call of a differential test, with its options.
+type job struct {
+	opts chase.Options
+	run  func(chase.Options) (*chase.Result, error)
+}
+
+// runJobs submits every job to s before awaiting any, so a scheduler with
+// several workers runs them at once on its pooled scratches, and returns
+// the results in submission order.
+func runJobs(t *testing.T, s *runtime.Scheduler, jobs ...job) []*chase.Result {
+	t.Helper()
+	tickets := make([]*runtime.Ticket, len(jobs))
+	for i, j := range jobs {
+		tk, err := s.SubmitChase(context.Background(), runtime.ChaseSpec{Name: fmt.Sprint(i), Options: j.opts, Run: j.run})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tickets[i] = tk
+	}
+	out := make([]*chase.Result, len(jobs))
+	for i, r := range runtime.Gather(tickets) {
+		if r.Err != nil {
+			t.Fatalf("job %d: %v", i, r.Err)
+		}
+		out[i] = r.Value.(*chase.Result)
+	}
+	return out
+}
+
+// chaseJob is the job that chases db with sigma.
+func chaseJob(db *logic.Instance, sigma *tgds.Set, opts chase.Options) job {
+	return job{opts, func(o chase.Options) (*chase.Result, error) { return chase.Run(db, sigma, o), nil }}
+}
+
 // TestDifferentialResume is the acceptance harness: for every example
-// scenario × all three chase variants × 1 and 4 workers,
+// scenario × all three chase variants × 1 and 4 scheduler workers (wN;
+// every run is a scheduler job, and at four workers the runs that do not
+// depend on each other execute at once, cloning their shared inputs),
 //
 //   - a terminating run checkpointed through the full artifact cycle and
 //     resumed with an empty delta reproduces the original instance
@@ -157,16 +194,14 @@ func TestDifferentialResume(t *testing.T) {
 		for _, v := range variants {
 			for _, workers := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%s/%s/w%d", name, v, workers), func(t *testing.T) {
-					var exec chase.Executor
-					if workers > 1 {
-						exec = runtime.NewExecutor(workers)
-					}
+					s := runtime.NewScheduler(runtime.SchedulerConfig{Workers: workers})
+					defer s.Close()
 					forest := allGuarded(prog.Rules)
 					opts := chase.Options{
 						Variant: v, Checkpoint: true, MaxRounds: 5,
-						Executor: exec, TrackForest: forest, RecordDerivation: true,
+						TrackForest: forest, RecordDerivation: true,
 					}
-					full := chase.Run(prog.Database, prog.Rules, opts)
+					full := runJobs(t, s, chaseJob(prog.Database, prog.Rules, opts))[0]
 					if full.Resume == nil {
 						t.Fatal("clean stop must capture resume state")
 					}
@@ -174,16 +209,16 @@ func TestDifferentialResume(t *testing.T) {
 
 					ropts := chase.Options{
 						Variant: v, MaxRounds: 3,
-						Executor: exec, TrackForest: forest, RecordDerivation: true,
+						TrackForest: forest, RecordDerivation: true,
 					}
-					inproc, err := chase.Resume(full.Instance, nil, prog.Rules, full.Resume, ropts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					decoded, err := dec.Resume(prog.Rules, nil, ropts)
-					if err != nil {
-						t.Fatal(err)
-					}
+					runs := runJobs(t, s,
+						job{ropts, func(o chase.Options) (*chase.Result, error) {
+							return chase.Resume(full.Instance, nil, prog.Rules, full.Resume, o)
+						}},
+						job{ropts, func(o chase.Options) (*chase.Result, error) { return dec.Resume(prog.Rules, nil, o) }},
+						chaseJob(prog.Database, prog.Rules, chase.Options{Variant: v, MaxRounds: 8}),
+					)
+					inproc, decoded, long := runs[0], runs[1], runs[2]
 					// Decoded-state resume ≡ in-process resume, byte for byte.
 					sameInstance(t, "decoded vs in-process resume", decoded.Instance, inproc.Instance)
 					if decoded.Stats != inproc.Stats {
@@ -202,9 +237,6 @@ func TestDifferentialResume(t *testing.T) {
 					} else {
 						// Continuation: checkpoint at round 5 + 3 resumed
 						// rounds ≡ one uninterrupted 8-round run.
-						long := chase.Run(prog.Database, prog.Rules, chase.Options{
-							Variant: v, MaxRounds: 8, Executor: exec,
-						})
 						sameInstance(t, "continuation", decoded.Instance, long.Instance)
 						if got, want := full.Stats.Rounds+decoded.Stats.Rounds, long.Stats.Rounds; got != want {
 							t.Fatalf("rounds %d+%d across the cut, uninterrupted run took %d",
@@ -238,6 +270,7 @@ func TestDifferentialResume(t *testing.T) {
 // the semi-oblivious and oblivious chases agree exactly under canonical
 // null naming (the paper's trigger-derived null identity), and the
 // order-sensitive restricted chase agrees up to homomorphic equivalence.
+// Like TestDifferentialResume it runs on 1 and 4 scheduler workers.
 func TestDifferentialDelta(t *testing.T) {
 	for name, prog := range scenarios(t) {
 		if prog.Database.Len() < 2 {
@@ -246,10 +279,8 @@ func TestDifferentialDelta(t *testing.T) {
 		for _, v := range variants {
 			for _, workers := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%s/%s/w%d", name, v, workers), func(t *testing.T) {
-					var exec chase.Executor
-					if workers > 1 {
-						exec = runtime.NewExecutor(workers)
-					}
+					s := runtime.NewScheduler(runtime.SchedulerConfig{Workers: workers})
+					defer s.Close()
 					all := prog.Database.Atoms()
 					base := logic.NewInstance()
 					for _, a := range all[:len(all)-1] {
@@ -257,23 +288,24 @@ func TestDifferentialDelta(t *testing.T) {
 					}
 					delta := all[len(all)-1:]
 
-					opts := chase.Options{Variant: v, Checkpoint: true, MaxRounds: 5, Executor: exec}
-					first := chase.Run(base, prog.Rules, opts)
-					full := chase.Run(prog.Database, prog.Rules, chase.Options{Variant: v, MaxRounds: 8, Executor: exec})
+					runs := runJobs(t, s,
+						chaseJob(base, prog.Rules, chase.Options{Variant: v, Checkpoint: true, MaxRounds: 5}),
+						chaseJob(prog.Database, prog.Rules, chase.Options{Variant: v, MaxRounds: 8}),
+					)
+					first, full := runs[0], runs[1]
 					if !first.Terminated || !full.Terminated {
 						t.Skip("delta differential needs a terminating scenario")
 					}
 					dec := roundTrip(t, prog, first)
 
-					ropts := chase.Options{Variant: v, MaxRounds: 8, Executor: exec}
-					inproc, err := chase.Resume(first.Instance, delta, prog.Rules, first.Resume, ropts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					decoded, err := dec.Resume(prog.Rules, delta, ropts)
-					if err != nil {
-						t.Fatal(err)
-					}
+					ropts := chase.Options{Variant: v, MaxRounds: 8}
+					runs = runJobs(t, s,
+						job{ropts, func(o chase.Options) (*chase.Result, error) {
+							return chase.Resume(first.Instance, delta, prog.Rules, first.Resume, o)
+						}},
+						job{ropts, func(o chase.Options) (*chase.Result, error) { return dec.Resume(prog.Rules, delta, o) }},
+					)
+					inproc, decoded := runs[0], runs[1]
 					sameInstance(t, "decoded vs in-process delta resume", decoded.Instance, inproc.Instance)
 					if !inproc.Terminated {
 						t.Fatal("resumed run must terminate")

@@ -1,10 +1,10 @@
 // Package cli holds the input-loading and flag conventions shared by the
 // command-line tools: programs are either a single combined file (facts +
-// rules) or a separate database file and rules file, every tool that can
-// parallelize takes the same -workers flag, and every tool that runs
-// long-lived work takes the same -stream flag, which surfaces progress
-// and completion events on stderr as they happen. Streaming never touches
-// stdout, so golden outputs are identical with and without it.
+// rules) or a separate database file and rules file, and every tool that
+// runs long-lived work takes the same -stream flag, which surfaces
+// progress and completion events on stderr as they happen. Streaming
+// never touches stdout, so golden outputs are identical with and without
+// it.
 package cli
 
 import (
@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 
 	"repro/internal/chase"
 	"repro/internal/logic"
@@ -20,13 +19,6 @@ import (
 	"repro/internal/service"
 	"repro/internal/tgds"
 )
-
-// WorkersFlag registers the conventional -workers flag on the given flag
-// set and returns its target. The zero default resolves to
-// runtime.GOMAXPROCS(0) through Workers.
-func WorkersFlag(fs *flag.FlagSet) *int {
-	return fs.Int("workers", 0, "worker goroutines for parallel phases (0 = GOMAXPROCS)")
-}
 
 // StreamFlag registers the conventional -stream flag: stream progress and
 // completion events to stderr while the run executes. Streaming is pure
@@ -92,15 +84,6 @@ func CacheState(s chase.Stats) string {
 	default:
 		return "off"
 	}
-}
-
-// Workers resolves a -workers flag value: n > 0 is used as given, anything
-// else selects runtime.GOMAXPROCS(0).
-func Workers(n int) int {
-	if n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // LoadInput reads the database and rule set for a tool invocation. When

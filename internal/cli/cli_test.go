@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -14,18 +13,6 @@ import (
 	"repro/internal/parser"
 	"repro/internal/service"
 )
-
-func TestWorkersResolution(t *testing.T) {
-	if got := Workers(3); got != 3 {
-		t.Fatalf("Workers(3) = %d", got)
-	}
-	want := runtime.GOMAXPROCS(0)
-	for _, n := range []int{0, -1} {
-		if got := Workers(n); got != want {
-			t.Fatalf("Workers(%d) = %d, want GOMAXPROCS = %d", n, got, want)
-		}
-	}
-}
 
 // StreamServiceTicket's tail guarantee: the final round's progress event
 // is always rendered (latest-wins may drop intermediate rounds only —

@@ -1,10 +1,10 @@
 // Package clitest is the golden-file end-to-end harness for the
 // command-line tools. Each cmd package exposes its run(argv, stdout,
 // stderr) entry point to a test that tables up invocations over the
-// programs in examples/dlgp; the harness executes every case at
-// -workers=1 and -workers=4, asserts the two outputs are byte-identical
-// (the determinism contract makes -workers a pure performance knob), and
-// compares stdout against a checked-in golden file.
+// programs in examples/dlgp; the harness executes every case — once per
+// sweep flag when the test names any (experiments sweeps its scheduler's
+// -workers), asserting the outputs are byte-identical — and compares
+// stdout against a checked-in golden file.
 //
 // Regenerate goldens with:
 //
@@ -29,11 +29,8 @@ type RunFunc func(argv []string, stdout, stderr io.Writer) int
 // Case is one golden invocation.
 type Case struct {
 	Name string   // golden file basename (testdata/<Name>.golden)
-	Argv []string // arguments, without any -workers flag
-	Exit int      // expected exit code (same at every worker count)
-	// NoWorkers skips the -workers sweep for tools/flags where the flag
-	// does not apply; the case then runs once, as given.
-	NoWorkers bool
+	Argv []string // arguments, without any sweep flag
+	Exit int      // expected exit code (same under every sweep flag)
 	// SameAs names an earlier case whose golden file this case's stdout
 	// must equal byte for byte — the streaming-vs-batch identity. The
 	// named golden is the case's only oracle (no duplicate file is
@@ -44,18 +41,23 @@ type Case struct {
 }
 
 // Golden runs every case and compares stdout against its golden file.
-func Golden(t *testing.T, run RunFunc, cases []Case) {
+// With sweep flags, every case runs once per flag, with the flag
+// appended, and stdout must not depend on which; without, it runs once
+// as given.
+func Golden(t *testing.T, run RunFunc, cases []Case, sweep ...string) {
 	t.Helper()
+	if len(sweep) == 0 {
+		sweep = []string{""}
+	}
 	for _, c := range cases {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
-			sweep := [][]string{{"-workers=1"}, {"-workers=4"}}
-			if c.NoWorkers {
-				sweep = [][]string{nil}
-			}
 			var first []byte
 			for i, extra := range sweep {
-				argv := append(append([]string{}, c.Argv...), extra...)
+				argv := append([]string{}, c.Argv...)
+				if extra != "" {
+					argv = append(argv, extra)
+				}
 				var stdout, stderr bytes.Buffer
 				if exit := run(argv, &stdout, &stderr); exit != c.Exit {
 					t.Fatalf("%v: exit %d, want %d\nstderr:\n%s", argv, exit, c.Exit, stderr.String())
@@ -65,7 +67,7 @@ func Golden(t *testing.T, run RunFunc, cases []Case) {
 					continue
 				}
 				if !bytes.Equal(first, stdout.Bytes()) {
-					t.Fatalf("%v: stdout differs between worker counts\n--- %v\n%s\n--- %v\n%s",
+					t.Fatalf("%v: stdout differs between sweep flags\n--- %s\n%s\n--- %s\n%s",
 						c.Argv, sweep[0], first, extra, stdout.Bytes())
 				}
 			}

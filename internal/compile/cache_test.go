@@ -271,6 +271,17 @@ func TestCacheAsDeciderAnalyses(t *testing.T) {
 	}
 }
 
+// fixedCompiler serves one precompiled set, reporting a hit when it
+// matches: a compiler that can be made to serve the wrong set.
+type fixedCompiler struct{ cs *chase.CompiledSet }
+
+func (f fixedCompiler) CompiledChase(sigma *tgds.Set) (*chase.CompiledSet, bool) {
+	if f.cs.Matches(sigma) {
+		return f.cs, true
+	}
+	return nil, false
+}
+
 // The cache must work as a chase.Compiler end to end, including the
 // engine's Matches fallback on a compiler that serves the wrong set.
 func TestCacheAsChaseCompiler(t *testing.T) {
@@ -287,7 +298,7 @@ func TestCacheAsChaseCompiler(t *testing.T) {
 	}
 	// A compiler serving a mismatched set degrades to a cold compile.
 	other := chase.Compile(parser.MustParseRules(`p(X) -> q(X).`))
-	res2 := chase.Run(db, sigma, chase.Options{MaxAtoms: 50, Compile: chase.Precompiled(other)})
+	res2 := chase.Run(db, sigma, chase.Options{MaxAtoms: 50, Compile: fixedCompiler{cs: other}})
 	if res2.Stats.CompileMisses != 1 {
 		t.Fatal("mismatched compiler must count a miss")
 	}

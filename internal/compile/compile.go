@@ -267,9 +267,6 @@ func (c *Cache) SetMaxBytes(n int64) {
 	}
 }
 
-// MaxBytes returns the byte budget, 0 if none is set.
-func (c *Cache) MaxBytes() int64 { return c.maxBytes.Load() }
-
 // evictBytesLocked drops least-recently-used entries (never keep) until
 // the byte budget holds or only one entry remains. Called with mu held.
 func (c *Cache) evictBytesLocked(keep *entry) {

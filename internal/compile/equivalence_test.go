@@ -9,7 +9,6 @@ import (
 	"repro/internal/chase"
 	"repro/internal/families"
 	"repro/internal/logic"
-	"repro/internal/runtime"
 )
 
 // The cache's core contract: a cached run is byte-identical to a cold
@@ -76,12 +75,6 @@ func TestCacheEquivalenceRandomPools(t *testing.T) {
 				}
 				compareRuns(t, name+"/miss", w, cold, miss, v)
 				compareRuns(t, name+"/warm", w, cold, warm, v)
-
-				// Warm with a parallel executor: the cached programs feed
-				// the sharded collector too.
-				parOpts := cachedOpts
-				parOpts.Executor = runtime.NewExecutor(3)
-				compareRuns(t, name+"/warm-parallel", w, cold, chase.Run(w.Database, w.Sigma, parOpts), v)
 
 				// Concurrent-shared: several goroutines race the same
 				// (fresh) cache; every result must equal the cold run.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/big"
 	"testing"
@@ -80,7 +81,7 @@ func TestVerdictString(t *testing.T) {
 
 func TestDecideNaiveUnguardedRejected(t *testing.T) {
 	sigma := parser.MustParseRules(`r(X, Y), r(Y, Z) -> r(X, Z).`)
-	if _, err := DecideNaive(parser.MustParseDatabase(`r(a, b).`), sigma, NaiveOptions{AtomCap: 100}); err == nil {
+	if _, err := DecideNaive(context.Background(), parser.MustParseDatabase(`r(a, b).`), sigma, NaiveOptions{AtomCap: 100}); err == nil {
 		t.Fatal("unbounded class must be rejected")
 	}
 }
@@ -104,7 +105,7 @@ func TestDecideNaiveNoCapUnboundedRejected(t *testing.T) {
 		}
 		errc := make(chan error, 1)
 		go func() {
-			_, err := DecideNaive(db, sigma, NaiveOptions{})
+			_, err := DecideNaive(context.Background(), db, sigma, NaiveOptions{})
 			errc <- err
 		}()
 		select {

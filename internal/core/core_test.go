@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -334,7 +335,7 @@ func TestDepthBoundHonored(t *testing.T) {
 func TestNaiveDecider(t *testing.T) {
 	sigma := parser.MustParseRules(`r(X, Y) -> ∃Z r(Y, Z).`)
 	db := parser.MustParseDatabase(`r(a, b).`)
-	v, err := DecideNaive(db, sigma, NaiveOptions{AtomCap: 10000})
+	v, err := DecideNaive(context.Background(), db, sigma, NaiveOptions{AtomCap: 10000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +343,7 @@ func TestNaiveDecider(t *testing.T) {
 		t.Fatalf("verdict = %v", v)
 	}
 	finiteSigma := parser.MustParseRules(`r(X, Y) -> p(X).`)
-	v, err = DecideNaive(db, finiteSigma, NaiveOptions{AtomCap: 10000})
+	v, err = DecideNaive(context.Background(), db, finiteSigma, NaiveOptions{AtomCap: 10000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +365,7 @@ func TestNaiveAgreesWithSyntactic(t *testing.T) {
 		if db.Len() == 0 {
 			continue
 		}
-		naive, err := DecideNaive(db, sigma, NaiveOptions{AtomCap: 20000})
+		naive, err := DecideNaive(context.Background(), db, sigma, NaiveOptions{AtomCap: 20000})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -198,9 +199,6 @@ type NaiveOptions struct {
 	// Unknown. Zero means no cap, which requires a bound small enough to
 	// materialize (ErrUnboundedNaive otherwise).
 	AtomCap int
-	// Executor, when non-nil, shards the probe's trigger collection
-	// (nil or single-worker executors run sequentially).
-	Executor chase.Executor
 	// Compiler, when non-nil, serves the probe's compiled per-TGD programs
 	// from a cross-request cache.
 	Compiler chase.Compiler
@@ -213,8 +211,10 @@ type NaiveOptions struct {
 // DecideNaive runs the paper's naive procedure (Section 3): materialize
 // the chase and compare against the bound |D|·f_C(Σ) from item (2) of the
 // characterizations. The atom cap bounds memory; when the exact bound
-// exceeds the cap the procedure may return Unknown.
-func DecideNaive(db *logic.Instance, sigma *tgds.Set, o NaiveOptions) (*Verdict, error) {
+// exceeds the cap the procedure may return Unknown. The materialization
+// polls ctx: a probe that ctx stops before the chase terminated or passed
+// its budget returns ctx.Err(), never a verdict.
+func DecideNaive(ctx context.Context, db *logic.Instance, sigma *tgds.Set, o NaiveOptions) (*Verdict, error) {
 	class := sigma.Classify()
 	if class == tgds.ClassTGD {
 		return nil, fmt.Errorf("core: the naive procedure needs a size bound, unavailable for arbitrary TGDs")
@@ -224,7 +224,17 @@ func DecideNaive(db *logic.Instance, sigma *tgds.Set, o NaiveOptions) (*Verdict,
 	if !exact && budget <= 0 {
 		return nil, fmt.Errorf("%w (class %v, log2 f_C(Σ) ≈ %.1f)", ErrUnboundedNaive, class, b.Log2Size)
 	}
-	res := chase.Run(db, sigma, chase.Options{MaxAtoms: budget, Executor: o.Executor, Compile: o.Compiler, Progress: o.Progress})
+	res := chase.Run(db, sigma, chase.Options{
+		MaxAtoms:  budget,
+		Compile:   o.Compiler,
+		Progress:  o.Progress,
+		Interrupt: func() bool { return ctx.Err() != nil },
+	})
+	if !res.Terminated && (budget == 0 || res.Instance.Len() <= budget) {
+		// Only ctx stops a run short of both outcomes; an interrupted
+		// exact-budget probe must not read as Infinite.
+		return nil, ctx.Err()
+	}
 	v := &Verdict{Class: class, Method: "naive chase materialization"}
 	switch {
 	case res.Terminated:

@@ -110,14 +110,6 @@ func DecideUniformWith(sigma *tgds.Set, a UniformAnalyses) (*Verdict, error) {
 	return v, nil
 }
 
-// IsUniformlyWeaklyAcyclic reports classical weak-acyclicity of Σ, which
-// characterizes uniform semi-oblivious chase termination for simple
-// linear TGDs ([8]); for arbitrary TGDs it is a sufficient condition
-// (Fagin et al.). The certificate is nil when acyclic.
-func IsUniformlyWeaklyAcyclic(sigma *tgds.Set) (bool, *depgraph.Certificate) {
-	return depgraph.IsWeaklyAcyclic(sigma)
-}
-
 // UniformEquivalenceSL verifies, for a simple linear Σ, that the two
 // routes to uniform termination agree: classical weak-acyclicity iff
 // D-weak-acyclicity on the critical instance. It returns an error on

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -59,7 +60,9 @@ func runDeciders(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			naiveTime := timeIt(func() { nv, err = core.DecideNaive(work.Database, work.Sigma, core.NaiveOptions{AtomCap: 500000}) })
+			naiveTime := timeIt(func() {
+				nv, err = core.DecideNaive(context.Background(), work.Database, work.Sigma, core.NaiveOptions{AtomCap: 500000})
+			})
 			if err != nil {
 				return nil, err
 			}

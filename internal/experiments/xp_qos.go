@@ -5,14 +5,13 @@ import (
 
 	"repro/internal/chase"
 	"repro/internal/families"
-	rt "repro/internal/runtime"
 )
 
 func init() {
 	register(Experiment{
 		ID:    "XP-QOS",
 		Title: "anytime serving: completeness vs round budget",
-		Claim: "a k-round whole-round prefix is deterministic at any worker count; completeness climbs to 100% at the learned bound",
+		Claim: "a k-round anytime answer is a whole-round prefix; completeness climbs to 100% at the learned bound",
 		Run:   runQoS,
 	})
 }
@@ -23,14 +22,11 @@ func init() {
 // is re-served under round budgets k = ¼R, ½R, ¾R, R with round-granular
 // truncation — exactly what an anytime deadline produces, in its
 // deterministic round-quota form. Completeness is the truncated
-// instance's atom count over the fixpoint's. Every budgeted run also
-// executes on a 4-worker executor and must reproduce the sequential
-// instance byte for byte (CanonicalKey), pinning the tier's determinism
-// contract. The table carries counts only — no wall times — so it is
-// golden-stable.
+// instance's atom count over the fixpoint's. The table carries counts
+// only — no wall times — so it is golden-stable.
 func runQoS(cfg Config) (*Table, error) {
 	t := &Table{
-		Columns: []string{"workload", "budget k", "rounds", "atoms", "complete %", "terminated", "par ≡ seq"},
+		Columns: []string{"workload", "budget k", "rounds", "atoms", "complete %", "terminated"},
 	}
 	workloads := []families.Workload{
 		families.Prop45(24),
@@ -43,7 +39,6 @@ func runQoS(cfg Config) (*Table, error) {
 			families.University(1, 7),
 		}
 	}
-	exec := rt.NewExecutor(4)
 	fracs := []struct{ num, den int }{{1, 4}, {1, 2}, {3, 4}, {1, 1}}
 	for _, w := range workloads {
 		ref := chase.Run(w.Database, w.Sigma, chase.Options{MaxAtoms: 500000, Compile: cfg.Compiler})
@@ -61,17 +56,12 @@ func runQoS(cfg Config) (*Table, error) {
 				Compile:                cfg.Compiler,
 			}
 			res := chase.Run(w.Database, w.Sigma, opts)
-			popts := opts
-			popts.Executor = exec
-			par := chase.Run(w.Database, w.Sigma, popts)
-			identical := par.Instance.CanonicalKey() == res.Instance.CanonicalKey()
 			t.AddRow(w.Name,
 				fmt.Sprintf("%d/%d", k, rounds),
 				res.Stats.Rounds,
 				res.Instance.Len(),
 				fmt.Sprintf("%.1f", 100*float64(res.Instance.Len())/float64(full)),
-				res.Terminated,
-				identical)
+				res.Terminated)
 		}
 	}
 	return t, nil

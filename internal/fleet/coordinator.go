@@ -88,9 +88,6 @@ type Job struct {
 
 	MaxAtoms  int
 	MaxRounds int
-	// Workers parallelizes the run on the worker (the intra-run executor
-	// width, not the fleet width).
-	Workers int
 	// QoS is the request's serving policy, resolved on the worker against
 	// its bound store (warmed by the cold-pull handshake).
 	QoS qos.Policy
@@ -348,7 +345,6 @@ func (w *workerLink) exchange(job Job) (Result, error) {
 			Variant:          job.Variant,
 			MaxAtoms:         job.MaxAtoms,
 			MaxRounds:        job.MaxRounds,
-			Workers:          job.Workers,
 			QoS:              job.QoS,
 			RecordDerivation: job.RecordDerivation,
 			TrackForest:      job.TrackForest,

@@ -50,7 +50,7 @@ func TestReadFrameStream(t *testing.T) {
 func TestMessageTruncationSweep(t *testing.T) {
 	full := submitMsg{
 		Name: "n", Tenant: "t", Priority: -2, Fingerprint: compile.Fingerprint{7},
-		Variant: chase.Restricted, MaxAtoms: 5, MaxRounds: 6, Workers: 7,
+		Variant: chase.Restricted, MaxAtoms: 5, MaxRounds: 6,
 		RecordDerivation: true, TrackForest: true, NoSemiNaive: true, WantProgress: true,
 		Snapshot: []byte("snap"), Deltas: [][]byte{[]byte("d")},
 	}

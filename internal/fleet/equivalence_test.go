@@ -79,7 +79,7 @@ func startWorkers(t *testing.T, n, svcWorkers int) []string {
 // compile-fetch counters, which describe per-process cache behavior),
 // and the full recorded derivation — to the in-process
 // SubmitByFingerprint fleet, for every examples/dlgp scenario × all
-// three chase variants, at fleet sizes 1 and 2 and intra-run workers 1
+// three chase variants, at fleet sizes 1 and 2 and scheduler workers 1
 // and 4. The workers start with empty registries, so every ontology
 // crosses the wire through the cold-pull handshake.
 func TestCoordinatorFleetEquivalence(t *testing.T) {
@@ -120,7 +120,6 @@ func TestCoordinatorFleetEquivalence(t *testing.T) {
 							Name:             jobName,
 							Variant:          v,
 							MaxAtoms:         300,
-							Workers:          workers,
 							RecordDerivation: true,
 						})
 					if err != nil {
@@ -133,7 +132,6 @@ func TestCoordinatorFleetEquivalence(t *testing.T) {
 						Variant:          v,
 						Snapshot:         snapshot,
 						MaxAtoms:         300,
-						Workers:          workers,
 						RecordDerivation: true,
 					})
 					if err != nil {

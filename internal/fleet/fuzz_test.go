@@ -27,7 +27,7 @@ func FuzzFleetFrame(f *testing.F) {
 	f.Add(appendFrame(nil, kindRegistered, encodeRegistered(registeredMsg{Fingerprint: compile.Fingerprint{1, 2, 3}})))
 	f.Add(appendFrame(nil, kindSubmit, encodeSubmit(submitMsg{
 		Name: "job", Tenant: "acme", Priority: -3, Variant: chase.Restricted,
-		MaxAtoms: 300, MaxRounds: 7, Workers: 4,
+		MaxAtoms: 300, MaxRounds: 7,
 		RecordDerivation: true, WantProgress: true,
 		Snapshot: []byte("snap"), Deltas: [][]byte{[]byte("d1"), nil},
 	})))

@@ -41,7 +41,6 @@ type submitMsg struct {
 	Variant     chase.Variant
 	MaxAtoms    int
 	MaxRounds   int
-	Workers     int
 	// QoS carries the request's serving policy: the mode byte, the
 	// anytime deadline (nanoseconds) and round quota as varints, and the
 	// learn bit folded into the submit flags.
@@ -177,7 +176,6 @@ func encodeSubmit(m submitMsg) []byte {
 	w.Byte(byte(m.Variant))
 	w.Uint(uint64(m.MaxAtoms))
 	w.Uint(uint64(m.MaxRounds))
-	w.Uint(uint64(m.Workers))
 	w.Byte(byte(m.QoS.Mode))
 	w.Uint(uint64(m.QoS.Deadline))
 	w.Uint(uint64(m.QoS.Rounds))
@@ -238,9 +236,6 @@ func decodeSubmit(body []byte) (submitMsg, error) {
 		return m, err
 	}
 	if m.MaxRounds, err = r.Value("maxRounds"); err != nil {
-		return m, err
-	}
-	if m.Workers, err = r.Value("workers"); err != nil {
 		return m, err
 	}
 	mode, err := r.Byte("qos mode")

@@ -72,7 +72,6 @@ func TestMessageDecodeAdversarial(t *testing.T) {
 	w.Byte(0)      // variant
 	w.Uint(0)      // maxAtoms
 	w.Uint(0)      // maxRounds
-	w.Uint(0)      // workers
 	w.Byte(0)      // qos mode
 	w.Uint(0)      // qos deadline
 	w.Uint(0)      // qos rounds
@@ -99,7 +98,6 @@ func TestMessageDecodeAdversarial(t *testing.T) {
 	w3.Byte(0) // variant
 	w3.Uint(0) // maxAtoms
 	w3.Uint(0) // maxRounds
-	w3.Uint(0) // workers
 	w3.Byte(9) // unknown qos mode
 	if _, err := decodeSubmit(w3.Bytes()); err == nil {
 		t.Fatal("submit with unknown QoS mode decoded")

@@ -19,9 +19,8 @@ import (
 // local service.Service, and answers with Registered/Progress/Result/
 // Error frames. One goroutine serves each connection, and a
 // connection's requests run strictly sequentially — fan-out across a
-// worker's cores happens through the service's scheduler (and the
-// per-job Workers knob), fan-out across workers through the
-// coordinator's connections.
+// worker's cores happens through the service's scheduler, fan-out across
+// workers through the coordinator's connections.
 type Server struct {
 	svc *service.Service
 
@@ -174,7 +173,6 @@ func (s *Server) serveSubmit(conn net.Conn, body []byte) error {
 			TrackForest:      m.TrackForest,
 			RecordDerivation: m.RecordDerivation,
 			NoSemiNaive:      m.NoSemiNaive,
-			Workers:          m.Workers,
 		})
 	if err != nil {
 		return writeServiceError(conn, err)

@@ -29,8 +29,8 @@ package logic
 const slabBlock = 256
 
 // Slab is a block bump allocator for values of type T. The zero value is
-// ready to use. A Slab is not safe for concurrent use; the chase gives
-// each worker slot its own.
+// ready to use. A Slab is not safe for concurrent use; each chase
+// scratch owns its own.
 type Slab[T any] struct {
 	cur    []T   // active block; len = elements handed out from it
 	full   [][]T // exhausted blocks, held for Rewind
@@ -164,7 +164,7 @@ func (ar *AtomArena) Reset() {
 // Blocks returns the total heap blocks allocated since the last Reset —
 // the chase surfaces it as Stats.ArenaBlocks. Deterministic: the count
 // depends only on the sequence of atoms created, which the chase's
-// byte-identity contract fixes across worker counts and cache states.
+// byte-identity contract fixes across cache states and scratch reuse.
 func (ar *AtomArena) Blocks() int {
 	return ar.atoms.Blocks() + ar.ids.Blocks() + ar.terms.Blocks()
 }

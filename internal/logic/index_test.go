@@ -153,15 +153,20 @@ func TestTupleInternerCollision(t *testing.T) {
 			if id, fresh := ti.intern(tuple(i), h); id != int32(i) || fresh {
 				t.Fatalf("re-intern(%v) = %d, %v; want %d, known", tuple(i), id, fresh, i)
 			}
-			if !ti.has(tuple(i), h) {
-				t.Fatalf("has(%v) = false", tuple(i))
-			}
 		}
-		if ti.has(tuple(n), h) || ti.has(tuple(0), h^1<<32) || ti.Len() != n {
-			t.Fatalf("an absent tuple resolved, or Len = %d, want %d", ti.Len(), n)
+		if ti.Len() != n {
+			t.Fatalf("Len = %d, want %d", ti.Len(), n)
+		}
+		// An absent tuple on the chain, and a known tuple under another
+		// tag, are both new.
+		if id, fresh := ti.intern(tuple(n), h); id != n || !fresh {
+			t.Fatalf("intern(%v) = %d, %v; want %d, fresh", tuple(n), id, fresh, n)
+		}
+		if id, fresh := ti.intern(tuple(0), h^1<<32); id != n+1 || !fresh {
+			t.Fatalf("intern(%v) under another tag = %d, %v; want %d, fresh", tuple(0), id, fresh, n+1)
 		}
 		ti.Reset()
-		if ti.Len() != 0 || ti.has(tuple(0), h) {
+		if ti.Len() != 0 {
 			t.Fatal("Reset kept a tuple")
 		}
 	}

@@ -42,10 +42,9 @@ import (
 // AtomsOf, AtomsAt, HasDeltaFor, Predicates, Clone, and homomorphism
 // search over the instance — may be issued from many goroutines
 // simultaneously: only Add writes, and no read grows a table. The
-// parallel chase collector relies on this: rounds alternate a read-only
-// matching phase (sharded across workers) with a single-goroutine apply
-// phase that mutates the instance. A clone and its source may be mutated
-// by different goroutines, since a clone shares no index array with its
+// serving scheduler relies on this when its jobs clone one shared input
+// instance from many workers. A clone and its source may be mutated by
+// different goroutines, since a clone shares no index array with its
 // source (see Clone). Atom.Key() and methods built on it (String,
 // CanonicalKey, SortAtoms) are excluded from the contract: the key is
 // cached lazily without synchronization, so materialize keys only from
@@ -224,9 +223,8 @@ func (in *Instance) rowsOf(p Predicate) []int32 {
 
 // HasDeltaFor reports whether the predicate (by interned id) gained at
 // least one atom with insertion sequence >= deltaStart. Rows ascend, so
-// the last one decides. Semi-naive matching and the parallel collector's
-// shard generation share this probe so their seed-skip decisions cannot
-// diverge.
+// the last one decides. Semi-naive matching probes it to skip a seed
+// position whose predicate gained no atoms.
 func (in *Instance) HasDeltaFor(pid int32, deltaStart int) bool {
 	rows := in.rows(pid)
 	return len(rows) > 0 && int(rows[len(rows)-1]) >= deltaStart

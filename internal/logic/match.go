@@ -72,7 +72,7 @@ func (mm *Matcher) MatchAllExt(body []*Atom, inst *Instance, deltaStart int, yie
 		if !inst.HasDeltaFor(body[seed].pid, deltaStart) {
 			continue
 		}
-		m.seedConstraints(cons, seed, deltaStart, deltaStart, maxSeq)
+		m.seedConstraints(cons, seed, deltaStart)
 		m.compile(body, cons, seed)
 		if !m.run(yield) {
 			return
@@ -80,103 +80,20 @@ func (mm *Matcher) MatchAllExt(body []*Atom, inst *Instance, deltaStart int, yie
 	}
 }
 
-// maxSeq is an insertion sequence beyond any real atom (an open upper
-// window bound).
-const maxSeq = int(^uint(0) >> 1)
-
 // seedConstraints fills cons for the semi-naive decomposition with the
 // given seed: atoms before the seed must predate deltaStart, the seed's
-// image must have insertion sequence in [lo, hi), later atoms are free.
-func (m *matcher) seedConstraints(cons []deltaConstraint, seed, deltaStart, lo, hi int) {
+// image must be at or after it, later atoms are free.
+func (m *matcher) seedConstraints(cons []deltaConstraint, seed, deltaStart int) {
 	for i := range cons {
 		switch {
 		case i < seed:
 			cons[i] = deltaConstraint{mode: mustBeOld, bound: deltaStart}
 		case i == seed:
-			cons[i] = deltaConstraint{mode: mustBeNew, bound: lo, hi: hi}
+			cons[i] = deltaConstraint{mode: mustBeNew, bound: deltaStart}
 		default:
 			cons[i] = deltaConstraint{}
 		}
 	}
-}
-
-// MatchShard enumerates one shard of the deltaStart-restricted enumeration
-// of MatchAllExt: the homomorphisms whose semi-naive seed atom is
-// body[seed] and whose seed image has insertion sequence in [lo, hi).
-//
-// Sharding is exact and order-compatible: partitioning [deltaStart,
-// inst.Len()) into windows for every seed position partitions the
-// homomorphisms MatchAllExt yields, and concatenating the shards by
-// (seed, lo) reproduces MatchAllExt's yield order exactly — candidate
-// lists are in insertion order, so the seed atom (placed first in the
-// join) walks its window in the same relative order the full enumeration
-// would. The parallel chase collector relies on this to merge per-shard
-// trigger buffers back into the sequential engine's order.
-//
-// MatchShard only reads the instance, so distinct Matchers may shard the
-// same instance concurrently (see the Instance concurrency contract). It
-// returns false when yield stopped the enumeration.
-func (mm *Matcher) MatchShard(body []*Atom, inst *Instance, deltaStart, seed, lo, hi int, yield func(*Match) bool) bool {
-	m := &mm.m
-	m.view.m = m
-	m.inst = inst
-	m.stopped = false
-	if len(body) == 0 || seed < 0 || seed >= len(body) {
-		return true // no seed space: the empty body matches in no shard
-	}
-	cons := m.anyAgeCons(len(body))
-	m.seedConstraints(cons, seed, deltaStart, lo, hi)
-	m.compile(body, cons, seed)
-	return m.run(yield)
-}
-
-// JoinStart returns the body position MatchAllExt's full enumeration
-// (deltaStart < 0) places first in the join — the atom whose predicate has
-// the fewest atoms in inst, first minimum winning — together with that
-// candidate count. It exposes orderBody's start selection so the parallel
-// collector can shard the full enumeration on the same start atom; a zero
-// candidate count means the enumeration is empty. start is -1 for an
-// empty body.
-func JoinStart(body []*Atom, inst *Instance) (start, candidates int) {
-	if len(body) == 0 {
-		return -1, 0
-	}
-	start = 0
-	best := len(inst.rows(body[0].pid))
-	for i := 1; i < len(body); i++ {
-		if c := len(inst.rows(body[i].pid)); c < best {
-			best, start = c, i
-		}
-	}
-	return start, best
-}
-
-// MatchShardFull enumerates one shard of the full enumeration of
-// MatchAllExt(deltaStart < 0): the homomorphisms whose image of body[seed]
-// has insertion sequence in [lo, hi). seed must be JoinStart(body, inst),
-// so the join order is exactly the one the full enumeration compiles, and
-// the window constraint only slices the start atom's insertion-ordered
-// candidate lists — hence partitioning [0, inst.Len()) into windows
-// partitions the full enumeration, and concatenating the shards by lo
-// reproduces its yield order exactly (the same order-compatibility
-// argument as MatchShard, without the semi-naive old/new constraints).
-// The parallel chase collector uses it to shard round 1, where every
-// homomorphism is new.
-//
-// Like MatchShard it only reads the instance, so distinct Matchers may
-// shard concurrently. It returns false when yield stopped the enumeration.
-func (mm *Matcher) MatchShardFull(body []*Atom, inst *Instance, seed, lo, hi int, yield func(*Match) bool) bool {
-	m := &mm.m
-	m.view.m = m
-	m.inst = inst
-	m.stopped = false
-	if len(body) == 0 || seed < 0 || seed >= len(body) {
-		return true // no seed space: the empty body matches in no shard
-	}
-	cons := m.anyAgeCons(len(body))
-	cons[seed] = deltaConstraint{mode: mustBeNew, bound: lo, hi: hi}
-	m.compile(body, cons, seed)
-	return m.run(yield)
 }
 
 // anyAgeCons returns the matcher's reusable constraint buffer, zeroed.
@@ -367,7 +284,6 @@ const (
 type deltaConstraint struct {
 	mode  constraintMode
 	bound int // mustBeOld: exclusive upper; mustBeNew: inclusive lower
-	hi    int // mustBeNew: exclusive upper (maxSeq when unbounded)
 }
 
 // matcher is a compiled body join. Per ordered body atom, code holds one
@@ -522,11 +438,7 @@ func (m *matcher) candidates(i int, cons deltaConstraint) []int32 {
 func sliceByAge(list []int32, cons deltaConstraint) []int32 {
 	switch cons.mode {
 	case mustBeNew:
-		list = list[seqsBelow(list, cons.bound):]
-		if cons.hi < maxSeq {
-			list = list[:seqsBelow(list, cons.hi)]
-		}
-		return list
+		return list[seqsBelow(list, cons.bound):]
 	case mustBeOld:
 		return list[:seqsBelow(list, cons.bound)]
 	default:

@@ -4,7 +4,7 @@ package logic
 // part of the matcher's per-seed compilation — join order, argument slot
 // codes, and the slot table — frozen into an immutable value that can be
 // compiled once per (body, seed) and reused across rounds, runs, and
-// worker goroutines. The semi-naive join order for a fixed seed position
+// concurrent jobs. The semi-naive join order for a fixed seed position
 // depends only on the body (orderBody consults the instance only when no
 // seed is given), so a BodyProgram enumerates exactly the homomorphisms,
 // in exactly the order, that a fresh compile of the same (body, seed)
@@ -26,8 +26,8 @@ type BodyProgram struct {
 }
 
 // CompileBodySeed compiles the body for the given seed position. It
-// returns nil when the body is empty or seed is out of range (mirroring
-// MatchShard's empty shard behavior).
+// returns nil when the body is empty or seed is out of range: such a
+// body has no seed atom to land in the delta.
 func CompileBodySeed(body []*Atom, seed int) *BodyProgram {
 	if len(body) == 0 || seed < 0 || seed >= len(body) {
 		return nil
@@ -59,10 +59,10 @@ func (p *BodyProgram) Seed() int { return p.seed }
 
 // install points the matcher at the program's read-only compiled body and
 // materializes this round's delta constraints: atoms before the seed (in
-// original body order) must predate deltaStart, the seed's image must land
-// in [lo, hi), later atoms are unconstrained — the same windows
+// original body order) must predate deltaStart, the seed's image must be
+// at or after it, later atoms are unconstrained — the same windows
 // seedConstraints builds before a fresh compile permutes them.
-func (m *matcher) install(prog *BodyProgram, deltaStart, lo, hi int) {
+func (m *matcher) install(prog *BodyProgram, deltaStart int) {
 	m.body = prog.body
 	m.code = prog.code
 	m.slotVar = prog.slotVar
@@ -79,7 +79,7 @@ func (m *matcher) install(prog *BodyProgram, deltaStart, lo, hi int) {
 		case orig < prog.seed:
 			m.constraints[k] = deltaConstraint{mode: mustBeOld, bound: deltaStart}
 		case orig == prog.seed:
-			m.constraints[k] = deltaConstraint{mode: mustBeNew, bound: lo, hi: hi}
+			m.constraints[k] = deltaConstraint{mode: mustBeNew, bound: deltaStart}
 		default:
 			m.constraints[k] = deltaConstraint{}
 		}
@@ -108,26 +108,9 @@ func (mm *Matcher) MatchAllProgs(progs []*BodyProgram, inst *Instance, deltaStar
 		if prog == nil || !inst.HasDeltaFor(prog.seedPid, deltaStart) {
 			continue
 		}
-		m.install(prog, deltaStart, deltaStart, maxSeq)
+		m.install(prog, deltaStart)
 		if !m.run(yield) {
 			return
 		}
 	}
-}
-
-// MatchShardProg is the program-driven form of MatchShard: it enumerates
-// the shard of the program's seed with the seed image's insertion sequence
-// in [lo, hi), yielding exactly what MatchShard(body, inst, deltaStart,
-// prog.Seed(), lo, hi, yield) would. It returns false when yield stopped
-// the enumeration.
-func (mm *Matcher) MatchShardProg(prog *BodyProgram, inst *Instance, deltaStart, lo, hi int, yield func(*Match) bool) bool {
-	m := &mm.m
-	m.view.m = m
-	m.inst = inst
-	m.stopped = false
-	if prog == nil {
-		return true
-	}
-	m.install(prog, deltaStart, lo, hi)
-	return m.run(yield)
 }

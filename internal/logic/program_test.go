@@ -6,10 +6,9 @@ import (
 )
 
 // A precompiled BodyProgram must reproduce the fresh-compile enumeration
-// exactly: MatchAllProgs against MatchAllExt, MatchShardProg against
-// MatchShard, for random instances, deltas, and windows. The same Matcher
-// alternates between program-driven and fresh-compile calls, exercising
-// the borrowed-buffer handoff.
+// exactly: MatchAllProgs against MatchAllExt, for random instances and
+// deltas. The same Matcher alternates between program-driven and
+// fresh-compile calls, exercising the borrowed-buffer handoff.
 func TestBodyProgramMatchesFreshCompile(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	x, y, z := Variable("X"), Variable("Y"), Variable("Z")
@@ -61,33 +60,6 @@ func TestBodyProgramMatchesFreshCompile(t *testing.T) {
 						trial, body, i, got[i], want[i])
 				}
 			}
-			// Random shard windows per seed.
-			for seed := range body {
-				lo := deltaStart
-				for lo < in.Len() {
-					hi := lo + 1 + rng.Intn(in.Len()-lo)
-					var ws, wp []string
-					mm.MatchShard(body, in, deltaStart, seed, lo, hi, func(m *Match) bool {
-						ws = append(ws, render(m))
-						return true
-					})
-					mm.MatchShardProg(progs[bi][seed], in, deltaStart, lo, hi, func(m *Match) bool {
-						wp = append(wp, render(m))
-						return true
-					})
-					if len(ws) != len(wp) {
-						t.Fatalf("trial %d body %v seed %d [%d,%d): shard %d vs program %d matches",
-							trial, body, seed, lo, hi, len(ws), len(wp))
-					}
-					for i := range ws {
-						if ws[i] != wp[i] {
-							t.Fatalf("trial %d body %v seed %d: match %d differs: %q vs %q",
-								trial, body, seed, i, ws[i], wp[i])
-						}
-					}
-					lo = hi
-				}
-			}
 		}
 	}
 }
@@ -101,12 +73,10 @@ func TestBodyProgramEarlyStopAndReuse(t *testing.T) {
 	for _, c := range "abcd" {
 		in.Add(MakeAtom("e", Constant(string(c)), Constant("t")))
 	}
-	prog := CompileBodySeed(body, 0)
+	progs := []*BodyProgram{CompileBodySeed(body, 0)}
 	var mm Matcher
 	n := 0
-	if mm.MatchShardProg(prog, in, 0, 0, maxSeq, func(*Match) bool { n++; return false }) {
-		t.Fatal("early stop must report false")
-	}
+	mm.MatchAllProgs(progs, in, 0, func(*Match) bool { n++; return false })
 	if n != 1 {
 		t.Fatalf("expected 1 yield before stop, got %d", n)
 	}
@@ -117,7 +87,7 @@ func TestBodyProgramEarlyStopAndReuse(t *testing.T) {
 	}
 	// The program itself must be untouched by the interleaved fresh compile.
 	count = 0
-	mm.MatchShardProg(prog, in, 0, 0, maxSeq, func(*Match) bool { count++; return true })
+	mm.MatchAllProgs(progs, in, 0, func(*Match) bool { count++; return true })
 	if count != 4 {
 		t.Fatalf("program rerun found %d matches, want 4", count)
 	}

@@ -30,8 +30,8 @@ import (
 // Concurrency: the table is safe for concurrent use. Lookups (IDOf on a
 // known symbol, TermOfID, PredOfID, and the internal lookup helpers) are
 // lock-free: the per-kind tables are sync.Maps and the dense id->symbol
-// views are copy-on-write slices behind atomic pointers, so parallel
-// trigger matching never serializes on the table. Only the interning of a
+// views are copy-on-write slices behind atomic pointers, so concurrent
+// chase jobs never serialize on the table. Only the interning of a
 // genuinely new symbol takes the writer mutex, which serializes id
 // assignment; symbols are append-only and never removed, so a published
 // (symbol, id) pair is immutable.
@@ -262,12 +262,8 @@ func hashAtom(pid int32, ids []int32) uint64 {
 // stored in one arena; Intern never retains the caller's slice. The set
 // itself is a flat open-addressed table of the instance atom set's kind
 // (table.go): each slot packs the top half of a tuple's hash with its id,
-// and equal tags are resolved by comparing the arena tuples.
-//
-// A TupleInterner is not safe for concurrent mutation, but Has (and Len)
-// may be called from many goroutines as long as no Intern runs
-// concurrently — the parallel chase collector relies on this to pre-filter
-// triggers fired in earlier rounds while the interner is frozen.
+// and equal tags are resolved by comparing the arena tuples. A
+// TupleInterner is not safe for concurrent use.
 type TupleInterner struct {
 	ids    tagTable // hash tag -> tuple id
 	starts []int32  // starts[i]..starts[i+1] delimit tuple i in arena
@@ -313,20 +309,8 @@ func (ti *TupleInterner) intern(tuple []int32, h uint64) (int32, bool) {
 	return id, true
 }
 
-// Has reports whether the tuple is already interned, without interning it.
-// It is a read-only probe: safe to call concurrently from many goroutines
-// while no Intern is running.
-func (ti *TupleInterner) Has(tuple []int32) bool { return ti.has(tuple, hashTuple(tuple)) }
-
-// has is Has with the tuple's hash given (see intern).
-func (ti *TupleInterner) has(tuple []int32, h uint64) bool {
-	id, _ := ti.ids.find(uint32(h>>32), func(id int32) bool { return int32sEqual(ti.at(id), tuple) })
-	return id >= 0
-}
-
-// Reset empties the interner, retaining allocated capacity. The parallel
-// chase collector uses per-worker interners as within-task duplicate
-// filters, reset at every task boundary.
+// Reset empties the interner, retaining allocated capacity, so a pooled
+// chase scratch reuses its fired-trigger set across runs.
 func (ti *TupleInterner) Reset() {
 	clear(ti.ids.slots)
 	ti.ids.used = 0

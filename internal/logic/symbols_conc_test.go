@@ -101,34 +101,3 @@ func TestAtomsConcurrentConstruction(t *testing.T) {
 		}
 	}
 }
-
-// TupleInterner.Has must answer read-only membership probes from many
-// goroutines while the interner is frozen (the parallel collector's
-// prior-round duplicate pre-filter).
-func TestTupleInternerConcurrentHas(t *testing.T) {
-	ti := NewTupleInterner()
-	var tuples [][]int32
-	for i := int32(0); i < 500; i++ {
-		tup := []int32{i, i * 7 % 31, -i}
-		ti.Intern(tup)
-		tuples = append(tuples, tup)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i, tup := range tuples {
-				if !ti.Has(tup) {
-					t.Errorf("goroutine %d: interned tuple %v not found", g, tup)
-					return
-				}
-				if ti.Has([]int32{int32(i), 9999, 9999}) {
-					t.Errorf("goroutine %d: absent tuple reported present", g)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-}

@@ -14,9 +14,8 @@
 // with ErrNoLearnedBound when none was profiled. Anytime serves whatever
 // rounds fit a deadline (or an explicit round quota), stopping only at
 // round boundaries (chase.Options.RoundGranularInterrupt) so the result
-// is a whole-round prefix — deterministic and byte-identical across
-// worker counts and across the fleet, like every parallel path in this
-// repository. Learning rides on any exact run: Policy.Learn attaches a
+// is a whole-round prefix — deterministic, and byte-identical in process
+// and across the fleet. Learning rides on any exact run: Policy.Learn attaches a
 // Recorder that stores the observed bound when the run finishes.
 //
 // The internal/service layer resolves a request's Policy into a Decision
@@ -265,9 +264,9 @@ func (p Policy) Apply(store BoundStore, fp compile.Fingerprint, v chase.Variant,
 }
 
 // RoundGranular reports whether runs under this decision must stop only
-// at round boundaries (chase.Options.RoundGranularInterrupt): anytime
-// results are pinned byte-identical across worker counts, so a deadline
-// may never tear a round.
+// at round boundaries (chase.Options.RoundGranularInterrupt): an anytime
+// result is pinned to the MaxRounds run of its round count, so a
+// deadline may never tear a round.
 func (d Decision) RoundGranular() bool { return d.Mode == Anytime }
 
 // TruncationSource names the budget that stopped a run reported as not

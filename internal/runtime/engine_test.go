@@ -35,9 +35,8 @@ func submitAll(t *testing.T, s *Scheduler, specs ...ChaseSpec) []JobResult {
 }
 
 // A wall budget must bound the run even when a single round's collection
-// phase dwarfs it: Interrupt is polled inside collection (sequentially and
-// from shard workers), so the overshoot is bounded by the poll interval,
-// not by the round.
+// phase dwarfs it: Interrupt is polled inside collection, so the overshoot
+// is bounded by the poll interval, not by the round.
 func TestChaseJobWallBudgetInterruptsCollectPhase(t *testing.T) {
 	// Round 2 collects the e × e cross join (~2.25M matches) in one round.
 	db := logic.NewInstance()
@@ -51,13 +50,11 @@ func TestChaseJobWallBudgetInterruptsCollectPhase(t *testing.T) {
 	s := NewScheduler(SchedulerConfig{Workers: 1, QueueBound: 1})
 	defer s.Close()
 	start := time.Now()
-	for _, exec := range []chase.Executor{nil, NewExecutor(4)} {
-		spec := chaseSpec("cross-join", db, sigma, chase.Options{Executor: exec})
-		spec.Wall = 20 * time.Millisecond
-		r := submitAll(t, s, spec)[0]
-		if res := r.Value.(*chase.Result); res.Terminated || !r.TimedOut {
-			t.Fatalf("wall-capped cross join: terminated=%v timedOut=%v", res.Terminated, r.TimedOut)
-		}
+	spec := chaseSpec("cross-join", db, sigma, chase.Options{})
+	spec.Wall = 20 * time.Millisecond
+	r := submitAll(t, s, spec)[0]
+	if res := r.Value.(*chase.Result); res.Terminated || !r.TimedOut {
+		t.Fatalf("wall-capped cross join: terminated=%v timedOut=%v", res.Terminated, r.TimedOut)
 	}
 	// Generous bound: an un-polled collect phase would run the full cross
 	// join (hundreds of milliseconds to seconds, more under -race).

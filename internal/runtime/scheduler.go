@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -99,7 +100,7 @@ type Job struct {
 
 // ChaseSpec is one chase-engine job over (D, Σ): a fresh chase or one
 // resumed from a checkpoint. Every engine setting — variant, atom and
-// round budgets, executor, compiler, progress and observer hooks — lives
+// round budgets, compiler, progress and observer hooks — lives
 // on Options; the scheduler adds only its own wiring (see SubmitChase).
 type ChaseSpec struct {
 	Name string
@@ -219,11 +220,14 @@ type Scheduler struct {
 // NewScheduler starts a scheduler: its workers run until Close.
 func NewScheduler(cfg SchedulerConfig) *Scheduler {
 	s := &Scheduler{
-		workers: NewExecutor(cfg.Workers).Workers(),
+		workers: cfg.Workers,
 		bound:   cfg.QueueBound,
 		policy:  cfg.Backpressure,
 		tel:     newSchedTelemetry(cfg.Telemetry),
 		closing: make(chan struct{}),
+	}
+	if s.workers <= 0 {
+		s.workers = goruntime.GOMAXPROCS(0)
 	}
 	if s.bound <= 0 {
 		s.bound = DefaultQueueBound
@@ -621,8 +625,7 @@ func (s *Scheduler) run(t *Ticket, sc *chase.Scratch) {
 // invoke runs one job, containing a panic as the job's error: in a
 // long-lived serving scheduler one panicking tenant must fail its own
 // ticket, not unwind a worker goroutine and kill every other tenant's
-// process. (The intra-run Executor keeps its own contract of re-panicking
-// on the calling goroutine — there the caller is the one run.)
+// process.
 func (s *Scheduler) invoke(t *Ticket, ctx context.Context, sc *chase.Scratch) (v any, err error) {
 	defer func() {
 		if p := recover(); p != nil {

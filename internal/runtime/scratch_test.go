@@ -3,45 +3,11 @@ package runtime
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"repro/internal/chase"
 	"repro/internal/families"
 )
-
-// Round 1 now shards through the executor too (windowing each TGD's
-// join-start atom over the bulk-loaded instance), and later rounds size
-// their windows adaptively from observed trigger density. Both must be
-// invisible: a bulk-load database large enough to split round 1 into
-// many windows must chase byte-identically at every worker count, for
-// all three variants, on full runs and MaxAtoms-truncated prefixes.
-func TestParallelRoundOneBulkLoadDeterminism(t *testing.T) {
-	rcfg := families.RandomConfig{
-		Predicates: 3, MaxArity: 3, Rules: 4, MaxHeadAtoms: 2,
-		ExistentialProb: 0.45, RepeatProb: 0.3, SideAtoms: 1,
-	}
-	rng := rand.New(rand.NewSource(431))
-	sigma := families.RandomGuarded(rng, rcfg)
-	// A bulk load: enough initial facts that round 1's windows (default
-	// width 128) number in the dozens, so the merge order actually matters.
-	db := families.RandomDatabase(rng, sigma, 4000, 40)
-	w := families.Workload{Sigma: sigma, Database: db}
-	variants := []chase.Variant{chase.SemiOblivious, chase.Oblivious, chase.Restricted}
-	for _, v := range variants {
-		for _, budget := range []int{db.Len() + 50, db.Len() + 2000} {
-			opts := chase.Options{Variant: v, MaxAtoms: budget, RecordDerivation: true}
-			seq := chase.Run(w.Database, w.Sigma, opts)
-			for _, workers := range []int{1, 2, 4} {
-				name := fmt.Sprintf("%v/budget%d/w%d", v, budget, workers)
-				par := opts
-				par.Executor = NewExecutor(workers)
-				got := chase.Run(w.Database, w.Sigma, par)
-				compareRuns(t, name, w, seq, got, v)
-			}
-		}
-	}
-}
 
 // A pooled scratch is pure reuse: running the same job on a warm scratch
 // must be byte-identical to a cold run — same CanonicalKey, same Stats
@@ -57,7 +23,6 @@ func TestScratchReuseByteIdentity(t *testing.T) {
 
 	sc := chase.NewScratch()
 	warm := opts
-	warm.Executor = NewExecutor(4) // exercise the worker slabs too
 	warm.Scratch = sc
 	first := chase.Run(w1.Database, w1.Sigma, warm)
 	firstKey := first.Instance.CanonicalKey()

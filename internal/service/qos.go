@@ -52,7 +52,7 @@ func (s *Service) applyQoS(op Op, name string, meta RequestMeta, ref OntologyRef
 // applyChaseDecision folds a resolved decision into a run's options: the
 // effective round budget, round-granular interrupt polling for anytime
 // runs (a deadline stops only between rounds, so the result is a
-// whole-round prefix — deterministic at any worker count), and the
+// whole-round prefix of the derivation), and the
 // bound-recording observer for learn-mode runs.
 func (s *Service) applyChaseDecision(opts *chase.Options, dec qos.Decision, fp compile.Fingerprint) {
 	opts.MaxRounds = dec.MaxRounds

@@ -242,41 +242,43 @@ func TestServiceAnytimeTruncationSource(t *testing.T) {
 }
 
 // TestServiceAnytimeDeterminism pins the tier's central contract: at a
-// fixed round quota, the served prefix is byte-identical across worker
-// counts — for every example scenario and every chase variant.
+// round quota k, the served prefix is the run chase.Run gives under
+// MaxRounds k (Options.RoundGranularInterrupt) — the same instance,
+// outcome and statistics, apart from the compile-cache counters — for
+// every example scenario and every chase variant.
 func TestServiceAnytimeDeterminism(t *testing.T) {
+	const k = 3
 	progs := scenarios(t)
 	variants := []chase.Variant{chase.SemiOblivious, chase.Oblivious, chase.Restricted}
+	s := newService(t, Config{Workers: 1, Cache: compile.NewCache(0)})
 	for name, prog := range progs {
 		for _, v := range variants {
-			serve := func(workers int) Result {
-				s := newService(t, Config{Workers: 1, Cache: compile.NewCache(0)})
-				tk, err := s.SubmitChase(context.Background(), ChaseRequest{
-					Meta:     RequestMeta{QoS: qos.Policy{Mode: qos.Anytime, Rounds: 3}},
-					Database: Payload{Instance: prog.Database},
-					Ontology: OntologyRef{Set: prog.Rules},
-					Variant:  v,
-					MaxAtoms: 200000,
-					Workers:  workers,
-				})
-				if err != nil {
-					t.Fatalf("%s/%s: %v", name, v, err)
-				}
-				r := tk.Wait()
-				if r.Err != nil {
-					t.Fatalf("%s/%s: %v", name, v, r.Err)
-				}
-				return r
+			tk, err := s.SubmitChase(context.Background(), ChaseRequest{
+				Meta:     RequestMeta{QoS: qos.Policy{Mode: qos.Anytime, Rounds: k}},
+				Database: Payload{Instance: prog.Database},
+				Ontology: OntologyRef{Set: prog.Rules},
+				Variant:  v,
+				MaxAtoms: 200000,
+			})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, v, err)
 			}
-			seq, par := serve(1), serve(4)
-			if seq.Chase.Instance.CanonicalKey() != par.Chase.Instance.CanonicalKey() {
-				t.Errorf("%s/%s: anytime prefix differs between 1 and 4 workers", name, v)
+			r := tk.Wait()
+			if r.Err != nil {
+				t.Fatalf("%s/%s: %v", name, v, r.Err)
 			}
-			if seq.Chase.Stats != par.Chase.Stats {
-				t.Errorf("%s/%s: stats differ: %+v vs %+v", name, v, seq.Chase.Stats, par.Chase.Stats)
+			want := chase.Run(prog.Database, prog.Rules, chase.Options{Variant: v, MaxAtoms: 200000, MaxRounds: k})
+			got := r.Chase
+			if got.Instance.CanonicalKey() != want.Instance.CanonicalKey() {
+				t.Errorf("%s/%s: anytime prefix differs from the %d-round run", name, v, k)
 			}
-			if seq.Chase.Terminated != par.Chase.Terminated || seq.BudgetSource != par.BudgetSource {
-				t.Errorf("%s/%s: outcome differs", name, v)
+			gs := got.Stats
+			gs.CompileHits, gs.CompileMisses = 0, 0
+			if gs != want.Stats {
+				t.Errorf("%s/%s: stats differ: served %+v, direct %+v", name, v, got.Stats, want.Stats)
+			}
+			if got.Terminated != want.Terminated {
+				t.Errorf("%s/%s: served terminated=%v, direct %v", name, v, got.Terminated, want.Terminated)
 			}
 		}
 	}

@@ -175,11 +175,6 @@ type ChaseRequest struct {
 	TrackForest      bool
 	RecordDerivation bool
 	NoSemiNaive      bool
-	// Workers parallelizes the run's trigger collection (<= 1 runs
-	// sequentially); Executor, when non-nil, overrides Workers with a
-	// caller-owned worker pool.
-	Workers  int
-	Executor chase.Executor
 	// Progress, when non-nil, additionally observes round-boundary
 	// statistics in-process (the ticket's Progress stream works either
 	// way). In-process only: request files cannot carry it.
@@ -229,9 +224,6 @@ type DeltaRequest struct {
 	// so EncodeCheckpoint on its ticket emits a second-generation
 	// artifact (checkpoints compose across cuts).
 	Chain bool
-	// Workers / Executor parallelize the run as in ChaseRequest.
-	Workers  int
-	Executor chase.Executor
 	// Progress observes round boundaries (in-process only).
 	Progress func(chase.Stats)
 }
@@ -253,8 +245,6 @@ type DecideRequest struct {
 	// core.ErrUnboundedNaive.
 	AtomCap int
 	Wall    time.Duration
-	// Workers parallelizes the naive probe's trigger collection.
-	Workers int
 	// Progress observes the naive probe's rounds (in-process only).
 	Progress func(chase.Stats)
 }

@@ -57,7 +57,7 @@ func waitChase(t *testing.T, tk *Ticket) *chase.Result {
 // the ontology attached inline, resolved through the registry by the
 // checkpoint's own fingerprint, and with the delta shipped as a wire
 // blob — is byte-identical to resuming the decoded checkpoint directly,
-// at 1 and 4 workers.
+// at 1 and 4 scheduler workers.
 func TestServiceResumeRoundTrip(t *testing.T) {
 	prog := parserProg(t, tcProgram)
 	delta := []*logic.Atom{logic.MakeAtom("e", logic.Constant("n3"), logic.Constant("n4"))}
@@ -106,7 +106,6 @@ func TestServiceResumeRoundTrip(t *testing.T) {
 					Checkpoint: artifact,
 					Ontology:   OntologyRef{Set: prog.Rules},
 					Delta:      delta,
-					Workers:    workers,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -123,7 +122,6 @@ func TestServiceResumeRoundTrip(t *testing.T) {
 				tk, err := s.SubmitDelta(context.Background(), DeltaRequest{
 					Checkpoint: artifact,
 					Delta:      delta,
-					Workers:    workers,
 				})
 				if err != nil {
 					t.Fatal(err)

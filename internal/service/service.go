@@ -19,7 +19,7 @@
 // fingerprint fails typed (ErrUnknownOntology): the submitter registers
 // Σ once and resumes. Fleets submitted by fingerprint are byte-identical
 // to fleets submitted with Σ attached — the equivalence tests pin that
-// down at 1 and 4 workers.
+// down at 1 and 4 scheduler workers.
 //
 // Admission is the scheduler's bounded queue with priority lanes and
 // per-tenant fair dequeue; RequestMeta{Tenant, Priority} is the
@@ -183,17 +183,6 @@ func loadPayload(op Op, name string, p Payload) (*logic.Instance, error) {
 	return db, nil
 }
 
-// executor resolves a request's intra-run executor.
-func executor(workers int, own chase.Executor) chase.Executor {
-	if own != nil {
-		return own
-	}
-	if workers > 1 {
-		return rt.NewExecutor(workers)
-	}
-	return nil
-}
-
 func orDefault(name, def string) string {
 	if name == "" {
 		return def
@@ -225,7 +214,6 @@ func (s *Service) SubmitChase(ctx context.Context, req ChaseRequest) (*Ticket, e
 		TrackForest:      req.TrackForest,
 		RecordDerivation: req.RecordDerivation,
 		NoSemiNaive:      req.NoSemiNaive,
-		Executor:         executor(req.Workers, req.Executor),
 		Progress:         req.Progress,
 		Compile:          s.cache,
 		Checkpoint:       req.Checkpoint,
@@ -303,7 +291,6 @@ func (s *Service) SubmitDelta(ctx context.Context, req DeltaRequest) (*Ticket, e
 		TrackForest:      req.TrackForest,
 		RecordDerivation: req.RecordDerivation,
 		NoSemiNaive:      req.NoSemiNaive,
-		Executor:         executor(req.Workers, req.Executor),
 		Progress:         req.Progress,
 		Compile:          s.cache,
 		Checkpoint:       req.Chain,
@@ -379,11 +366,11 @@ func (s *Service) decideRun(req DecideRequest, db *logic.Instance, sigma *tgds.S
 			return core.DecideWith(db, sigma, s.cache)
 		}, nil
 	case "naive":
-		exec := executor(req.Workers, nil)
+		// The probe polls the job's context, so the wall budget, Cancel
+		// and an anytime deadline stop the materialization.
 		return func(ctx context.Context) (any, error) {
-			return core.DecideNaive(db, sigma, core.NaiveOptions{
+			return core.DecideNaive(ctx, db, sigma, core.NaiveOptions{
 				AtomCap:  req.AtomCap,
-				Executor: exec,
 				Compiler: s.cache,
 				Progress: req.Progress,
 			})

@@ -66,8 +66,7 @@ func newService(t *testing.T, cfg Config) *Service {
 // byte-identical — CanonicalKey, termination, statistics (modulo the
 // compile-fetch counters, which describe cache behavior, not the chase)
 // — to the same fleet submitted directly with Σ and the in-process
-// instance attached, at 1 and 4 workers (both scheduler- and
-// intra-run-parallelism).
+// instance attached, at 1 and 4 scheduler workers.
 func TestFingerprintFleetEquivalence(t *testing.T) {
 	progs := scenarios(t)
 	variants := []chase.Variant{chase.SemiOblivious, chase.Oblivious, chase.Restricted}
@@ -87,7 +86,6 @@ func TestFingerprintFleetEquivalence(t *testing.T) {
 					Name:     name + "/" + v.String(),
 					Variant:  v,
 					MaxAtoms: 300,
-					Workers:  workers,
 				}
 				dreq := req
 				dreq.Database = Payload{Instance: prog.Database}
@@ -347,7 +345,6 @@ func TestDecideMethods(t *testing.T) {
 			Ontology: OntologyRef{Set: prog.Rules},
 			Method:   c.method,
 			AtomCap:  c.atomCap,
-			Workers:  2,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -404,6 +401,75 @@ func TestDecideNaiveNoCapBadRequest(t *testing.T) {
 	if r := tk.Wait(); r.Err != nil || r.Verdict.Outcome != core.Unknown {
 		t.Fatalf("capped probe: %+v, want an Unknown verdict", r)
 	}
+}
+
+// TestDecideNaiveHonorsContext: the naive probe polls its job's context,
+// so a wall budget or a Cancel stops the materialization at once instead
+// of letting it run on to its atom cap (seconds on this input) while it
+// holds a worker. A stopped probe answers with the context's error, never
+// with a verdict.
+func TestDecideNaiveHonorsContext(t *testing.T) {
+	prog := parserProg(t, `e(a, b). e(X, Y) -> ∃Z e(Y, Z).`)
+	s := newService(t, Config{Workers: 1})
+	base := DecideRequest{
+		Database: Payload{Instance: prog.Database},
+		Ontology: OntologyRef{Set: prog.Rules},
+		Method:   "naive",
+		AtomCap:  2_000_000,
+	}
+	// stopped waits at most a second for the probe's answer and checks
+	// that it is a canceled job wrapping cause.
+	stopped := func(t *testing.T, tk *Ticket, cause error) Result {
+		t.Helper()
+		done := make(chan Result, 1)
+		go func() { done <- tk.Wait() }()
+		var r Result
+		select {
+		case r = <-done:
+		case <-time.After(time.Second):
+			t.Fatal("the naive probe ran on for over a second after its context ended")
+		}
+		var se *Error
+		if !errors.As(r.Err, &se) || se.Kind != KindCanceled || !errors.Is(r.Err, cause) {
+			t.Fatalf("err = %v, want KindCanceled wrapping %v", r.Err, cause)
+		}
+		if r.Verdict != nil {
+			t.Fatalf("a stopped probe carries the verdict %v", r.Verdict)
+		}
+		return r
+	}
+
+	t.Run("wall", func(t *testing.T) {
+		req := base
+		req.Wall = 50 * time.Millisecond
+		tk, err := s.SubmitDecide(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := stopped(t, tk, context.DeadlineExceeded); !r.TimedOut {
+			t.Fatalf("result %+v, want TimedOut", r)
+		}
+	})
+
+	t.Run("cancel", func(t *testing.T) {
+		running := make(chan struct{})
+		var once sync.Once
+		req := base
+		req.Progress = func(chase.Stats) { once.Do(func() { close(running) }) }
+		tk, err := s.SubmitDecide(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-running:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the probe never started")
+		}
+		tk.Cancel()
+		if r := stopped(t, tk, context.Canceled); !r.Canceled {
+			t.Fatalf("result %+v, want Canceled", r)
+		}
+	})
 }
 
 // TestExperimentThroughService: an experiment request produces the exact
