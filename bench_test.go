@@ -482,14 +482,14 @@ func BenchmarkDeciders(b *testing.B) {
 	gW := families.GLower(1, 1, 1)
 	b.Run("SL", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.DecideSL(slW.Database, slW.Sigma); err != nil {
+			if _, err := core.DecideSL(slW.Database, slW.Sigma, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("L", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.DecideL(lW.Database, lW.Sigma); err != nil {
+			if _, err := core.DecideL(lW.Database, lW.Sigma, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

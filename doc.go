@@ -7,7 +7,12 @@
 //
 // The implementation lives under internal/ (one package per subsystem;
 // internal/core carries the termination deciders — the paper's primary
-// contribution). Executables live under cmd/ (chase, chtrm, experiments),
+// contribution). DecideSL, DecideL and DecideG (Theorems 6.4, 7.5 and
+// 8.3) read D only through a predicate set: D's own, simple(D)'s, or
+// gsimple(D) = simple(lin(D))'s, which the linearizer computes in its one
+// pass over D, so no decider builds a transformed database. DecideSL,
+// DecideL and Decide take the Σ-only analyses from a cross-request cache
+// (nil = uncached). Executables live under cmd/ (chase, chtrm, experiments),
 // runnable scenarios under examples/, and bench_test.go in this directory
 // regenerates every quantitative claim of the paper as a benchmark. See
 // README.md for a tour, DESIGN.md for the system inventory and the

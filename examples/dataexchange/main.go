@@ -55,7 +55,7 @@ func main() {
 	fmt.Printf("\nmapping 2: uniformly weakly acyclic = %v (%v)\n", uok2, cert)
 	for _, srcDB := range []string{`emp(ada, research).`, `boss(ada).`} {
 		db := parser.MustParseDatabase(srcDB)
-		verdict, err := core.Decide(db, cyclic)
+		verdict, err := core.Decide(db, cyclic, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

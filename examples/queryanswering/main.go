@@ -34,7 +34,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	verdict, err := core.Decide(prog.Database, prog.Rules)
+	verdict, err := core.Decide(prog.Database, prog.Rules, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

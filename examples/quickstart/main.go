@@ -36,7 +36,7 @@ func main() {
 
 	// 1. Decide termination before materializing (Theorem 8.3 machinery —
 	// the dispatcher picks the right characterization for the class).
-	verdict, err := core.Decide(prog.Database, prog.Rules)
+	verdict, err := core.Decide(prog.Database, prog.Rules, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func main() {
 	}
 	for _, src := range databases {
 		db := parser.MustParseDatabase(src)
-		syntactic, err := core.DecideL(db, rules)
+		syntactic, err := core.DecideL(db, rules, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

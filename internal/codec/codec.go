@@ -5,7 +5,10 @@
 // zigzag-signed varints (encoding/binary's forms), raw bytes, and
 // length-prefixed strings and blobs; a Reader consumes them under one
 // bounds discipline, so hostile input fails typed instead of panicking or
-// making a decoder allocate beyond its input. Each read names its bound:
+// making a decoder allocate beyond its input. Every varint must be
+// canonical, as the Writer emits it: a multi-byte varint whose last byte
+// is 0 is rejected, so each accepted value re-encodes to the bytes it was
+// read from. Each read names its bound:
 //
 //   - Uint: any uvarint;
 //   - Int: a zigzag varint in int32 range;
@@ -116,10 +119,16 @@ func (r *Reader) Raw(n int, what string) ([]byte, error) {
 	return b, nil
 }
 
+// canonical reports whether the n bytes at the cursor that encoding/binary
+// read as a varint (n <= 0: truncated or overflowing) are its minimal
+// encoding: a multi-byte varint ending in a zero byte is overlong, and the
+// Writer never emits one.
+func (r *Reader) canonical(n int) bool { return n == 1 || n > 1 && r.data[r.pos+n-1] != 0 }
+
 // Uint reads an unsigned varint of any size.
 func (r *Reader) Uint(what string) (uint64, error) {
 	v, n := binary.Uvarint(r.data[r.pos:])
-	if n <= 0 {
+	if !r.canonical(n) {
 		return 0, r.Errorf("bad %s varint", what)
 	}
 	r.pos += n
@@ -129,7 +138,7 @@ func (r *Reader) Uint(what string) (uint64, error) {
 // Int reads a zigzag-signed varint in int32 range.
 func (r *Reader) Int(what string) (int, error) {
 	v, n := binary.Varint(r.data[r.pos:])
-	if n <= 0 || v > math.MaxInt32 || v < math.MinInt32 {
+	if !r.canonical(n) || v > math.MaxInt32 || v < math.MinInt32 {
 		return 0, r.Errorf("bad %s varint", what)
 	}
 	r.pos += n
@@ -144,7 +153,7 @@ func (r *Reader) Value(what string) (int, error) { return r.value(what, "") }
 // string's length costs no allocation per read.
 func (r *Reader) value(what, suffix string) (int, error) {
 	v, n := binary.Uvarint(r.data[r.pos:])
-	if n <= 0 || v > math.MaxInt32 {
+	if !r.canonical(n) || v > math.MaxInt32 {
 		return 0, r.Errorf("bad %s%s varint", what, suffix)
 	}
 	r.pos += n

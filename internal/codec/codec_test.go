@@ -75,6 +75,28 @@ func write(w *Writer, op byte, seed uint64) any {
 	}
 }
 
+// rewrite appends the encoding of v, which step op read: a Len step
+// (which FuzzReader reads alone) its count, every other step what write
+// would append for it.
+func rewrite(w *Writer, op byte, v any) {
+	switch op % 8 {
+	case 0:
+		w.Byte(v.(byte))
+	case 1:
+		w.Raw(v.([]byte))
+	case 2:
+		w.Uint(v.(uint64))
+	case 3:
+		w.Int(int64(v.(int)))
+	case 4, 5:
+		w.Uint(uint64(v.(int)))
+	case 6:
+		w.Str(v.(string))
+	default:
+		w.Blob(v.([]byte))
+	}
+}
+
 func equal(a, b any) bool {
 	if x, ok := a.([]byte); ok {
 		y, ok := b.([]byte)
@@ -85,8 +107,10 @@ func equal(a, b any) bool {
 
 // FuzzReader runs a read script over arbitrary bytes and checks the
 // cursor's contract: no read panics, every error wraps the reader's
-// sentinel, the cursor never moves backwards or past the input, and a Len
-// never exceeds the input left after it. The same script then writes
+// sentinel, the cursor never moves backwards or past the input, a Len
+// never exceeds the input left after it, and every accepted read, its
+// varints included, re-encodes to exactly the bytes it consumed. The
+// same script then writes
 // values derived from the bytes with Writer and reads them back, which
 // must reproduce every value and consume the encoding exactly.
 func FuzzReader(f *testing.F) {
@@ -97,20 +121,30 @@ func FuzzReader(f *testing.F) {
 		r := NewReader(data, errTest)
 		for _, op := range script {
 			before := r.Remaining()
+			var v any
 			var err error
 			if op%8 == 5 {
 				var n int
 				if n, err = r.Len("len"); err == nil && n > r.Remaining() {
 					t.Fatalf("Len = %d with %d bytes remaining", n, r.Remaining())
 				}
+				v = n
 			} else {
-				_, err = read(r, op)
+				v, err = read(r, op)
 			}
-			if after := r.Remaining(); after < 0 || after > before {
+			after := r.Remaining()
+			if after < 0 || after > before {
 				t.Fatalf("op %d moved the cursor from %d to %d remaining bytes", op, before, after)
 			}
 			if err != nil && !errors.Is(err, errTest) {
 				t.Fatalf("op %d: error %v does not wrap the sentinel", op, err)
+			}
+			if err == nil {
+				var w Writer
+				rewrite(&w, op, v)
+				if read := data[len(data)-before : len(data)-after]; !bytes.Equal(w.Bytes(), read) {
+					t.Fatalf("op %d: read %x as %#v, which re-encodes as %x", op, read, v, w.Bytes())
+				}
 			}
 		}
 		if err := r.Done(); (err == nil) != (r.Remaining() == 0) || (err != nil && !errors.Is(err, errTest)) {
@@ -184,6 +218,46 @@ func TestReaderBounds(t *testing.T) {
 	}
 	if n, err := r.Len("n"); n != 1 || err != nil || r.Remaining() != 1 {
 		t.Fatalf("Len = %d, %v with %d remaining", n, err, r.Remaining())
+	}
+}
+
+// TestOverlongVarints: a multi-byte varint ending in a zero byte decodes
+// under encoding/binary to a value whose minimal encoding is shorter
+// (80 00 is 0, 9f 9f 00 is 3999, e5 ff 00 is 16357), so every read that
+// takes a varint rejects it; the minimal encodings of the same values
+// and of MaxUint64 read back.
+func TestOverlongVarints(t *testing.T) {
+	reads := map[string]func(*Reader) error{
+		"Uint":  func(r *Reader) error { _, err := r.Uint("v"); return err },
+		"Int":   func(r *Reader) error { _, err := r.Int("v"); return err },
+		"Value": func(r *Reader) error { _, err := r.Value("v"); return err },
+		"Len":   func(r *Reader) error { _, err := r.Len("v"); return err },
+		"Str":   func(r *Reader) error { _, err := r.Str("v"); return err },
+		"Blob":  func(r *Reader) error { _, err := r.Blob("v"); return err },
+	}
+	for _, overlong := range [][]byte{{0x80, 0x00}, {0x9f, 0x9f, 0x00}, {0xe5, 0xff, 0x00}} {
+		for name, read := range reads {
+			// Trailing bytes let a Len, Str or Blob count fit the input.
+			in := append(append([]byte{}, overlong...), make([]byte, 1<<15)...)
+			if err := read(NewReader(in, errTest)); !errors.Is(err, errTest) {
+				t.Errorf("%s(%x): err = %v, want a rejection wrapping the sentinel", name, overlong, err)
+			}
+		}
+	}
+	for _, c := range []struct {
+		in   []byte
+		want uint64
+	}{
+		{[]byte{0x00}, 0},
+		{[]byte{0x80, 0x01}, 128},
+		{[]byte{0x9f, 0x1f}, 3999},
+		{[]byte{0xe5, 0x7f}, 16357},
+		{[]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, math.MaxUint64},
+	} {
+		r := NewReader(c.in, errTest)
+		if v, err := r.Uint("v"); v != c.want || err != nil || r.Done() != nil {
+			t.Errorf("Uint(%x) = %d, %v; want %d", c.in, v, err, c.want)
+		}
 	}
 }
 

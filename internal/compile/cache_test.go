@@ -222,11 +222,11 @@ func TestCacheAsDeciderAnalyses(t *testing.T) {
 	for si, sigma := range sets {
 		for di, src := range dbs {
 			db := parser.MustParseDatabase(src)
-			want, err := core.Decide(db, sigma)
+			want, err := core.Decide(db, sigma, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := core.DecideWith(db, sigma, c)
+			got, err := core.Decide(db, sigma, c)
 			if err != nil {
 				t.Fatal(err)
 			}

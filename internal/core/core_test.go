@@ -15,14 +15,14 @@ import (
 
 func TestDecideSLBasic(t *testing.T) {
 	sigma := parser.MustParseRules(`r(X, Y) -> ∃Z r(Y, Z).`)
-	v, err := DecideSL(parser.MustParseDatabase(`r(a, b).`), sigma)
+	v, err := DecideSL(parser.MustParseDatabase(`r(a, b).`), sigma, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.Outcome != Infinite {
 		t.Fatalf("verdict = %v", v)
 	}
-	v, err = DecideSL(parser.MustParseDatabase(`s(a).`), sigma)
+	v, err = DecideSL(parser.MustParseDatabase(`s(a).`), sigma, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestDecideSLBasic(t *testing.T) {
 func TestDecideLExample71(t *testing.T) {
 	sigma := parser.MustParseRules(`r(X, X) -> ∃Z r(Z, X).`)
 	db := parser.MustParseDatabase(`r(a, b).`)
-	v, err := DecideL(db, sigma)
+	v, err := DecideL(db, sigma, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestDecideLExample71(t *testing.T) {
 	// On the diagonal database the same Σ chases forever:
 	// R(a,a) -> R(⊥,a) -> ... wait: R(z,x) with x=a gives R(⊥,a); the
 	// body R(x,x) then has no new diagonal atom, so it is finite too.
-	v2, err := DecideL(parser.MustParseDatabase(`r(a, a).`), sigma)
+	v2, err := DecideL(parser.MustParseDatabase(`r(a, a).`), sigma, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +58,11 @@ func TestDecideLExample71(t *testing.T) {
 
 func TestDecideClassErrors(t *testing.T) {
 	linear := parser.MustParseRules(`r(X, X) -> p(X).`)
-	if _, err := DecideSL(parser.MustParseDatabase(`r(a, a).`), linear); err == nil {
+	if _, err := DecideSL(parser.MustParseDatabase(`r(a, a).`), linear, nil); err == nil {
 		t.Fatal("DecideSL must reject non-simple sets")
 	}
 	unguarded := parser.MustParseRules(`r(X, Y), r(Y, Z) -> r(X, Z).`)
-	if _, err := Decide(parser.MustParseDatabase(`r(a, b).`), unguarded); err == nil {
+	if _, err := Decide(parser.MustParseDatabase(`r(a, b).`), unguarded, nil); err == nil {
 		t.Fatal("Decide must reject unguarded sets")
 	}
 }
@@ -89,7 +89,7 @@ func TestTheorem64Property(t *testing.T) {
 		if db.Len() == 0 {
 			continue
 		}
-		v, err := DecideSL(db, sigma)
+		v, err := DecideSL(db, sigma, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestTheorem75Property(t *testing.T) {
 		if db.Len() == 0 {
 			continue
 		}
-		v, err := DecideL(db, sigma)
+		v, err := DecideL(db, sigma, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +245,7 @@ func TestUCQAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := DecideSL(db, sigma)
+		v, err := DecideSL(db, sigma, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +273,7 @@ func TestUCQLAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := DecideL(db, sigma)
+		v, err := DecideL(db, sigma, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,7 +369,7 @@ func TestNaiveAgreesWithSyntactic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		syn, err := DecideSL(db, sigma)
+		syn, err := DecideSL(db, sigma, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -81,39 +81,22 @@ func analysesOr(a Analyses) Analyses {
 }
 
 // DecideSL decides ChTrm(SL) by Theorem 6.4: Σ ∈ CT_D iff Σ is
-// D-weakly-acyclic. It errors when Σ is not simple linear.
-func DecideSL(db *logic.Instance, sigma *tgds.Set) (*Verdict, error) {
-	return DecideSLWith(db, sigma, nil)
-}
-
-// DecideSLWith is DecideSL with the Σ-only graphs served by a (nil =
-// uncached). The verdict is identical either way.
-func DecideSLWith(db *logic.Instance, sigma *tgds.Set, a Analyses) (*Verdict, error) {
+// D-weakly-acyclic. The Σ-only graphs are served by a (nil = uncached);
+// the verdict is identical either way. It errors when Σ is not simple
+// linear.
+func DecideSL(db *logic.Instance, sigma *tgds.Set, a Analyses) (*Verdict, error) {
 	if c := sigma.Classify(); c != tgds.ClassSL {
 		return nil, fmt.Errorf("core: DecideSL requires simple linear TGDs, got class %v", c)
 	}
-	a = analysesOr(a)
-	ok, cert := depgraph.IsWeaklyAcyclicForGraphs(db, a.DepGraph(sigma), a.PredGraph(sigma))
-	v := &Verdict{Class: tgds.ClassSL, Method: "D-weak-acyclicity"}
-	if ok {
-		v.Outcome = Finite
-	} else {
-		v.Outcome = Infinite
-		v.Certificate = cert.String()
-	}
-	return v, nil
+	return weaklyAcyclic(tgds.ClassSL, "D-weak-acyclicity", db.Predicates(), sigma, analysesOr(a)), nil
 }
 
 // DecideL decides ChTrm(L) by Theorem 7.5: Σ ∈ CT_D iff simple(Σ) is
-// simple(D)-weakly-acyclic. It errors when Σ is not linear.
-func DecideL(db *logic.Instance, sigma *tgds.Set) (*Verdict, error) {
-	return DecideLWith(db, sigma, nil)
-}
-
-// DecideLWith is DecideL with simple(Σ) and its graphs served by a (nil =
-// uncached); only simple(D) remains per-request work. The verdict is
-// identical either way.
-func DecideLWith(db *logic.Instance, sigma *tgds.Set, a Analyses) (*Verdict, error) {
+// simple(D)-weakly-acyclic. simple(Σ) and its graphs are served by a (nil
+// = uncached); the verdict is identical either way. D is read only
+// through the predicate set of simple(D), which is computed without
+// building simple(D). It errors when Σ is not linear.
+func DecideL(db *logic.Instance, sigma *tgds.Set, a Analyses) (*Verdict, error) {
 	if c := sigma.Classify(); c > tgds.ClassL {
 		return nil, fmt.Errorf("core: DecideL requires linear TGDs, got class %v", c)
 	}
@@ -122,61 +105,66 @@ func DecideLWith(db *logic.Instance, sigma *tgds.Set, a Analyses) (*Verdict, err
 	if err != nil {
 		return nil, err
 	}
-	sDB := simplify.Database(db)
-	ok, cert := depgraph.IsWeaklyAcyclicForGraphs(sDB, a.DepGraph(sSigma), a.PredGraph(sSigma))
-	v := &Verdict{Class: tgds.ClassL, Method: "simplification + D-weak-acyclicity"}
-	if ok {
-		v.Outcome = Finite
-	} else {
-		v.Outcome = Infinite
-		v.Certificate = cert.String()
-	}
-	return v, nil
+	return weaklyAcyclic(tgds.ClassL, "simplification + D-weak-acyclicity", simplify.DatabasePredicates(db), sSigma, a), nil
 }
 
 // DecideG decides ChTrm(G) by Theorem 8.3: Σ ∈ CT_D iff gsimple(Σ) is
-// gsimple(D)-weakly-acyclic. It errors when Σ is not guarded.
+// gsimple(D)-weakly-acyclic. D is read only through the predicate set of
+// gsimple(D) = simple(lin(D)), which the linearizer computes in its one
+// pass over D, building neither lin(D) nor gsimple(D). It errors when Σ
+// is not guarded.
+//
+// The guarded decider stays uncached, as measured: its one Σ-only
+// artifact, linearizeType(τ) per canonical type τ, is keyed by types that
+// depend on D. On decide-guarded-shaped requests a shared store of them
+// held 925, 3,486 and 6,297 types after 64, 500 and 1,500 requests, still
+// growing, and raised peak RSS by 30%, while sharing only the
+// completion's child closures saved nothing measurable. DecideG does
+// per-request work linear in |D| instead.
 func DecideG(db *logic.Instance, sigma *tgds.Set) (*Verdict, error) {
 	if c := sigma.Classify(); c > tgds.ClassG {
 		return nil, fmt.Errorf("core: DecideG requires guarded TGDs, got class %v", c)
 	}
-	gsDB, gsSigma, err := guarded.GSimple(db, sigma)
+	l, err := guarded.NewLinearizer(sigma)
 	if err != nil {
 		return nil, err
 	}
-	ok, cert := depgraph.IsWeaklyAcyclicFor(gsDB, gsSigma)
-	v := &Verdict{Class: tgds.ClassG, Method: "linearization + simplification + D-weak-acyclicity"}
-	if ok {
-		v.Outcome = Finite
-	} else {
+	preds, linSigma, err := l.LinearizePredicates(db)
+	if err != nil {
+		return nil, err
+	}
+	gsSigma, err := simplify.Set(linSigma)
+	if err != nil {
+		return nil, err
+	}
+	return weaklyAcyclic(tgds.ClassG, "linearization + simplification + D-weak-acyclicity", preds, gsSigma, directAnalyses{}), nil
+}
+
+// weaklyAcyclic decides by Definition 6.1 whether sigma is D-weakly-acyclic
+// for a database D with the sorted predicates dbPreds, with sigma's graphs
+// served by a.
+func weaklyAcyclic(class tgds.Class, method string, dbPreds []logic.Predicate, sigma *tgds.Set, a Analyses) *Verdict {
+	ok, cert := depgraph.IsWeaklyAcyclicForGraphs(dbPreds, a.DepGraph(sigma), a.PredGraph(sigma))
+	v := &Verdict{Class: class, Method: method, Outcome: Finite}
+	if !ok {
 		v.Outcome = Infinite
 		v.Certificate = cert.String()
 	}
-	return v, nil
+	return v
 }
 
-// Decide dispatches on the most restrictive class of Σ. For arbitrary
-// (unguarded) sets, for which the problem is undecidable (Section 3 /
-// [13]), it returns an error; DecideNaive is the budgeted materialization
-// probe for classes with a size bound.
-func Decide(db *logic.Instance, sigma *tgds.Set) (*Verdict, error) {
-	return DecideWith(db, sigma, nil)
-}
-
-// DecideWith is Decide with the Σ-only analyses served by a (nil =
-// uncached). The guarded decider stays uncached, as measured: its one
-// Σ-only artifact, linearizeType(τ) per canonical type τ, is keyed by
-// types that depend on D. On decide-guarded-shaped requests a shared
-// store of them held 925, 3,486 and 6,297 types after 64, 500 and 1,500
-// requests, still growing, and raised peak RSS by 30%, while sharing only
-// the completion's child closures saved nothing measurable. DecideG does
-// per-request work linear in |D| instead.
-func DecideWith(db *logic.Instance, sigma *tgds.Set, a Analyses) (*Verdict, error) {
+// Decide dispatches on the most restrictive class of Σ, with the Σ-only
+// analyses of the SL and L deciders served by a (nil = uncached; DecideG
+// is always uncached). For arbitrary (unguarded) sets, for which the
+// problem is undecidable (Section 3 / [13]), it returns an error;
+// DecideNaive is the budgeted materialization probe for classes with a
+// size bound.
+func Decide(db *logic.Instance, sigma *tgds.Set, a Analyses) (*Verdict, error) {
 	switch sigma.Classify() {
 	case tgds.ClassSL:
-		return DecideSLWith(db, sigma, a)
+		return DecideSL(db, sigma, a)
 	case tgds.ClassL:
-		return DecideLWith(db, sigma, a)
+		return DecideL(db, sigma, a)
 	case tgds.ClassG:
 		return DecideG(db, sigma)
 	default:

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/depgraph"
 	"repro/internal/logic"
 	"repro/internal/tgds"
@@ -58,7 +56,7 @@ func CriticalInstance(sigma *tgds.Set) *logic.Instance {
 // database) by deciding the non-uniform problem on the critical instance.
 // It supports the same classes as Decide.
 func DecideUniform(sigma *tgds.Set) (*Verdict, error) {
-	v, err := Decide(CriticalInstance(sigma), sigma)
+	v, err := Decide(CriticalInstance(sigma), sigma, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -102,29 +100,10 @@ func DecideUniformWith(sigma *tgds.Set, a UniformAnalyses) (*Verdict, error) {
 	if a != nil {
 		inner = a
 	}
-	v, err := DecideWith(CriticalInstance(sigma), sigma, inner)
+	v, err := Decide(CriticalInstance(sigma), sigma, inner)
 	if err != nil {
 		return nil, err
 	}
 	v.Method = "critical instance + " + v.Method
 	return v, nil
-}
-
-// UniformEquivalenceSL verifies, for a simple linear Σ, that the two
-// routes to uniform termination agree: classical weak-acyclicity iff
-// D-weak-acyclicity on the critical instance. It returns an error on
-// disagreement (used by tests; the equivalence is a theorem).
-func UniformEquivalenceSL(sigma *tgds.Set) error {
-	if c := sigma.Classify(); c != tgds.ClassSL {
-		return fmt.Errorf("core: UniformEquivalenceSL requires SL, got %v", c)
-	}
-	wa, _ := depgraph.IsWeaklyAcyclic(sigma)
-	v, err := DecideSL(CriticalInstance(sigma), sigma)
-	if err != nil {
-		return err
-	}
-	if wa != (v.Outcome == Finite) {
-		return fmt.Errorf("core: weak-acyclicity (%v) disagrees with critical-instance decision (%v)", wa, v.Outcome)
-	}
-	return nil
 }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/chase"
+	"repro/internal/depgraph"
 	"repro/internal/families"
 	"repro/internal/parser"
 	"repro/internal/tgds"
@@ -56,7 +58,7 @@ func TestUniformEquivalenceSLProperty(t *testing.T) {
 		if sigma.Len() == 0 || sigma.Classify() != tgds.ClassSL {
 			continue
 		}
-		if err := UniformEquivalenceSL(sigma); err != nil {
+		if err := uniformEquivalenceSL(sigma); err != nil {
 			t.Fatalf("trial %d: %v\nsigma:\n%v", trial, err, sigma)
 		}
 		checked++
@@ -94,4 +96,23 @@ func TestUniformSemantics(t *testing.T) {
 			}
 		}
 	}
+}
+
+// uniformEquivalenceSL verifies, for a simple linear Σ, that the two
+// routes to uniform termination agree: classical weak-acyclicity iff
+// D-weak-acyclicity on the critical instance. It returns an error on
+// disagreement (the equivalence is a theorem).
+func uniformEquivalenceSL(sigma *tgds.Set) error {
+	if c := sigma.Classify(); c != tgds.ClassSL {
+		return fmt.Errorf("uniformEquivalenceSL requires SL, got %v", c)
+	}
+	wa, _ := depgraph.IsWeaklyAcyclic(sigma)
+	v, err := DecideSL(CriticalInstance(sigma), sigma, nil)
+	if err != nil {
+		return err
+	}
+	if wa != (v.Outcome == Finite) {
+		return fmt.Errorf("core: weak-acyclicity (%v) disagrees with critical-instance decision (%v)", wa, v.Outcome)
+	}
+	return nil
 }

@@ -282,3 +282,38 @@ func (g *Graph) Ranks() ([]int, int) {
 	}
 	return out, maxFinite
 }
+
+// SupportedRanks computes position ranks over the D-supported fragment of
+// dg(Σ): the subgraph induced by positions whose predicates are reachable
+// from a predicate of D. Per the proof of Lemma 6.2 (Claim C.1), for a
+// D-weakly-acyclic SL set the depth of every term at position π in
+// chase(D, Σ) is bounded by the rank of π, so the maximum finite rank is
+// a per-database depth bound at least as tight as d_SL(Σ).
+//
+// The returned map contains only supported positions; the int result is
+// the maximum finite rank (0 when there are no supported positions).
+func SupportedRanks(db *logic.Instance, sigma *tgds.Set) (map[logic.Position]int, int) {
+	pg := BuildPredGraph(sigma)
+	reach := pg.ReachableFrom(db.Predicates())
+	g := Build(sigma)
+	// Restrict the graph to supported positions by rebuilding.
+	restricted := &Graph{nodeIdx: make(map[logic.Position]int)}
+	for _, n := range g.Nodes {
+		if reach[n.Pred] {
+			restricted.nodeIdx[n] = len(restricted.Nodes)
+			restricted.Nodes = append(restricted.Nodes, n)
+		}
+	}
+	restricted.out = make([][]int, len(restricted.Nodes))
+	for _, e := range g.Edges {
+		if reach[e.From.Pred] && reach[e.To.Pred] {
+			restricted.addEdge(e)
+		}
+	}
+	ranks, maxFinite := restricted.Ranks()
+	out := make(map[logic.Position]int, len(restricted.Nodes))
+	for i, n := range restricted.Nodes {
+		out[n] = ranks[i]
+	}
+	return out, maxFinite
+}

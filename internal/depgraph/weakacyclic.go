@@ -2,7 +2,6 @@ package depgraph
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/logic"
 	"repro/internal/tgds"
@@ -104,31 +103,23 @@ func IsWeaklyAcyclic(sigma *tgds.Set) (bool, *Certificate) {
 // there is no D-supported cycle in dg(Σ) with a special edge. Since every
 // dependency-graph edge induces a predicate-graph edge, a cycle is
 // D-supported iff its predicates are reachable from a predicate of D, so
-// it suffices to test reachability of the special edge's source predicate.
+// it suffices to test reachability of the special edge's source predicate:
+// the check reads nothing of D but its predicate set.
 func IsWeaklyAcyclicFor(db *logic.Instance, sigma *tgds.Set) (bool, *Certificate) {
-	g := Build(sigma)
-	if len(g.SpecialCycleEdges()) == 0 {
-		return true, nil
-	}
-	return isWeaklyAcyclicOn(db, g, BuildPredGraph(sigma))
+	return IsWeaklyAcyclicForGraphs(db.Predicates(), Build(sigma), BuildPredGraph(sigma))
 }
 
-// IsWeaklyAcyclicForGraphs is IsWeaklyAcyclicFor over prebuilt graphs: the
+// IsWeaklyAcyclicForGraphs is IsWeaklyAcyclicFor over D's predicates,
+// sorted as Instance.Predicates sorts them, and prebuilt graphs: the
 // Σ-only dg(Σ) and pg(Σ) can come from a cross-request cache
 // (internal/compile), leaving only the D-dependent reachability work per
-// request. The verdict is identical to IsWeaklyAcyclicFor's.
-func IsWeaklyAcyclicForGraphs(db *logic.Instance, g *Graph, pg *PredGraph) (bool, *Certificate) {
-	if len(g.SpecialCycleEdges()) == 0 {
+// request. The certificate's support is the first of dbPreds that reaches
+// the violating special edge.
+func IsWeaklyAcyclicForGraphs(dbPreds []logic.Predicate, g *Graph, pg *PredGraph) (bool, *Certificate) {
+	bad := g.SpecialCycleEdges()
+	if len(bad) == 0 {
 		return true, nil
 	}
-	return isWeaklyAcyclicOn(db, g, pg)
-}
-
-// isWeaklyAcyclicOn is the D-dependent half of the check; the graph must
-// already be known to have special cycle edges.
-func isWeaklyAcyclicOn(db *logic.Instance, g *Graph, pg *PredGraph) (bool, *Certificate) {
-	bad := g.SpecialCycleEdges()
-	dbPreds := db.Predicates()
 	reach := pg.ReachableFrom(dbPreds)
 	for _, e := range bad {
 		if !reach[e.From.Pred] {
@@ -189,11 +180,5 @@ func DangerousPredicates(sigma *tgds.Set) []logic.Predicate {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].Arity < out[j].Arity
-	})
-	return out
+	return logic.SortPredicates(out)
 }

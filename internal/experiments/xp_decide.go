@@ -41,22 +41,18 @@ func runDeciders(cfg Config) (*Table, error) {
 	if cfg.Quick {
 		ls = []int{1, 4}
 	}
-	type wl struct {
-		class  tgds.Class
-		make   func(l int) families.Workload
-		decide func(db *logic.Instance, s *tgds.Set) (*core.Verdict, error)
+	// One lower-bound family per class; Decide dispatches on the class.
+	lowerBounds := []func(l int) families.Workload{
+		func(l int) families.Workload { return families.SLLower(l, 2, 2) },
+		func(l int) families.Workload { return families.LLower(l, 1, 2) },
+		func(l int) families.Workload { return families.GLower(l, 1, 1) },
 	}
-	workloads := []wl{
-		{tgds.ClassSL, func(l int) families.Workload { return families.SLLower(l, 2, 2) }, core.DecideSL},
-		{tgds.ClassL, func(l int) families.Workload { return families.LLower(l, 1, 2) }, core.DecideL},
-		{tgds.ClassG, func(l int) families.Workload { return families.GLower(l, 1, 1) }, core.DecideG},
-	}
-	for _, w := range workloads {
+	for _, family := range lowerBounds {
 		for _, l := range ls {
-			work := w.make(l)
+			work := family(l)
 			var sv, nv *core.Verdict
 			var err error
-			synTime := timeIt(func() { sv, err = w.decide(work.Database, work.Sigma) })
+			synTime := timeIt(func() { sv, err = core.Decide(work.Database, work.Sigma, nil) })
 			if err != nil {
 				return nil, err
 			}
@@ -66,7 +62,7 @@ func runDeciders(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			t.AddRow(w.class, l, micros(synTime), sv.Outcome, micros(naiveTime), nv.Outcome)
+			t.AddRow(sv.Class, l, micros(synTime), sv.Outcome, micros(naiveTime), nv.Outcome)
 		}
 	}
 	t.Note("syntactic times are flat in ℓ (AC⁰/NL-style data complexity); naive times grow with the materialized chase")
@@ -94,7 +90,7 @@ func runUCQ(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		v, err := core.DecideSL(db, sigma)
+		v, err := core.DecideSL(db, sigma, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -126,7 +122,7 @@ func runUCQ(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		v, err := core.DecideL(db, sigma)
+		v, err := core.DecideL(db, sigma, nil)
 		if err != nil {
 			return nil, err
 		}

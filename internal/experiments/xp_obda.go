@@ -37,7 +37,7 @@ func runOBDA(cfg Config) (*Table, error) {
 		w := families.University(scale, int64(scale))
 		var verdict *core.Verdict
 		var err error
-		decideTime := timeIt(func() { verdict, err = core.Decide(w.Database, w.Sigma) })
+		decideTime := timeIt(func() { verdict, err = core.Decide(w.Database, w.Sigma, nil) })
 		if err != nil {
 			return nil, err
 		}

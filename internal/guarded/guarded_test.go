@@ -2,12 +2,14 @@ package guarded
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/chase"
 	"repro/internal/families"
 	"repro/internal/logic"
 	"repro/internal/parser"
+	"repro/internal/simplify"
 	"repro/internal/tgds"
 )
 
@@ -180,7 +182,7 @@ func TestLinearizeDatabaseExampleE9(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	linDB, err := l.Database(db)
+	linDB, _, err := l.Linearize(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,15 +193,15 @@ func TestLinearizeDatabaseExampleE9(t *testing.T) {
 	if atom.Pred.Arity != 4 {
 		t.Fatalf("full-arity convention: arity = %d, want 4", atom.Pred.Arity)
 	}
-	info, ok := l.Info(atom.Pred)
-	if !ok {
-		t.Fatal("type predicate not registered")
+	typ := l.engine.typeOf(l.engine.Complete(db), db.Atoms()[0])
+	if p := l.intern(typ); p != atom.Pred {
+		t.Fatalf("lin(D) atom %v, want one over the fact's type predicate %v", atom, p)
 	}
-	if len(info.Type.Atoms) != 2 {
-		t.Fatalf("type atoms = %v, want guard + q", info.Type.Atoms)
+	if len(typ.Atoms) != 2 {
+		t.Fatalf("type atoms = %v, want guard + q", typ.Atoms)
 	}
 	var hasQ bool
-	for _, a := range info.Type.Atoms {
+	for _, a := range typ.Atoms {
 		if a.Pred.Name == "q" {
 			hasQ = true
 			// q(1,3) over the canonical integers of R(1,1,2,3).
@@ -209,7 +211,7 @@ func TestLinearizeDatabaseExampleE9(t *testing.T) {
 		}
 	}
 	if !hasQ {
-		t.Fatalf("type must contain the q atom, got %v", info.Type)
+		t.Fatalf("type must contain the q atom, got %v", typ)
 	}
 }
 
@@ -319,6 +321,78 @@ func TestGSimpleNonUniform(t *testing.T) {
 	}
 	if resGF.MaxDepth() != resF.MaxDepth() {
 		t.Fatalf("gsimple maxdepth %d != %d", resGF.MaxDepth(), resF.MaxDepth())
+	}
+}
+
+// GSimple computes gsimple(D) = simple(lin(D)) and gsimple(Σ) =
+// simple(lin(Σ)) (reachable fragment) as instances: the combination the
+// ChTrm(G) characterization of Theorem 8.3 names, and the oracle for
+// LinearizePredicates, which builds neither lin(D) nor gsimple(D).
+func GSimple(db *logic.Instance, sigma *tgds.Set) (*logic.Instance, *tgds.Set, error) {
+	l, err := NewLinearizer(sigma)
+	if err != nil {
+		return nil, nil, err
+	}
+	linDB, linSigma, err := l.Linearize(db)
+	if err != nil {
+		return nil, nil, err
+	}
+	gsSigma, err := simplify.Set(linSigma)
+	if err != nil {
+		return nil, nil, err
+	}
+	return simplify.Database(linDB), gsSigma, nil
+}
+
+// LinearizePredicates ≡ GSimple: on random guarded inputs, whose small
+// domains repeat arguments, and on nullary facts, it returns exactly the
+// predicates of the instance gsimple(D), in Instance.Predicates' order,
+// and the lin(Σ) whose simplification is gsimple(Σ), types named alike.
+func TestLinearizePredicatesMatchesGSimple(t *testing.T) {
+	check := func(sigma *tgds.Set, db *logic.Instance) {
+		t.Helper()
+		gsDB, gsSigma, err := GSimple(db, sigma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := NewLinearizer(sigma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		preds, linSigma, err := l.LinearizePredicates(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := gsDB.Predicates(); !slices.Equal(preds, want) {
+			t.Fatalf("predicates %v, gsimple(D) has %v\nsigma:\n%v\ndb: %v", preds, want, sigma, db)
+		}
+		got, err := simplify.Set(linSigma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != gsSigma.String() {
+			t.Fatalf("gsimple(Σ) differs:\n%v\nwant:\n%v\nsigma:\n%v\ndb: %v", got, gsSigma, sigma, db)
+		}
+	}
+	check(parser.MustParseRules(`
+		go(), e(X, Y) -> ∃Z e(Y, Z).
+		e(X, X) -> go().
+	`), parser.MustParseDatabase(`e(a, a). e(a, b). go().`))
+	cfg := families.DefaultRandomConfig()
+	cfg.Predicates, cfg.Rules, cfg.MaxArity = 5, 6, 3
+	for seed := int64(1); seed <= 30; seed++ {
+		sigma := families.RandomGuarded(rand.New(rand.NewSource(seed)), cfg)
+		for i := range 4 {
+			rng := rand.New(rand.NewSource(seed*100 + int64(i)))
+			check(sigma, families.RandomDatabase(rng, sigma, 5+15*i, 2+3*i))
+		}
+	}
+	l, err := NewLinearizer(tgds.NewSet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := l.LinearizePredicates(logic.NewDatabase(logic.MakeAtom("p", logic.Variable("X")))); err == nil {
+		t.Fatal("a non-database input must be rejected")
 	}
 }
 

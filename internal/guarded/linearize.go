@@ -10,26 +10,19 @@ import (
 	"repro/internal/tgds"
 )
 
-// TypeInfo associates a canonical Σ-type with its generated type predicate
-// [τ]. The predicate keeps the full arity of the underlying guard
-// predicate (see DESIGN.md, deviation 2: the full-arity convention).
-type TypeInfo struct {
-	Type *Type
-	Pred logic.Predicate
-}
-
 // Linearizer converts guarded databases and TGD sets into linear ones per
 // the paper's Appendix ("Linearization"). The paper's lin(Σ) ranges over
 // all Σ-types; the linearizer generates only the types reachable from
 // lin(D), which is sound and complete for chase equivalence and for the
-// ChTrm(G) decider (DESIGN.md, "Reachable linearization").
+// ChTrm(G) decider (DESIGN.md, "Reachable linearization"). The decider
+// reads lin(D) only through the predicate set of gsimple(D), which
+// LinearizePredicates computes without building lin(D).
 type Linearizer struct {
 	sigma    *tgds.Set
 	arity    int       // ar(Σ)
 	guardIDs [][]int32 // per TGD of Σ: its guard's argument ids
 	engine   *Engine
-	infos    []*TypeInfo // by type id in the engine's registry; nil until named
-	byPred   map[logic.Predicate]*TypeInfo
+	preds    []logic.Predicate // [τ] by type id in the engine's registry; zero until named
 	names    int
 }
 
@@ -43,7 +36,6 @@ func NewLinearizer(sigma *tgds.Set) (*Linearizer, error) {
 		sigma:  sigma,
 		arity:  sigma.Arity(),
 		engine: e,
-		byPred: make(map[logic.Predicate]*TypeInfo),
 	}
 	for _, t := range sigma.TGDs {
 		l.guardIDs = append(l.guardIDs, argIDs(t.Guard()))
@@ -60,27 +52,19 @@ func argIDs(a *logic.Atom) []int32 {
 	return ids
 }
 
-// intern registers (or retrieves) the type predicate for a canonical type.
-func (l *Linearizer) intern(t *Type) *TypeInfo {
-	l.infos = growTo(l.infos, t.id)
-	if info := l.infos[t.id]; info != nil {
-		return info
+// intern names (or retrieves) the type predicate [τ] of a canonical type,
+// numbering types in the order they are first named. The predicate keeps
+// the full arity of the type's guard predicate (DESIGN.md, deviation 2:
+// the full-arity convention).
+func (l *Linearizer) intern(t *Type) logic.Predicate {
+	l.preds = growTo(l.preds, t.id)
+	if p := l.preds[t.id]; p.Name != "" {
+		return p
 	}
 	l.names++
-	name := "[τ" + strconv.Itoa(l.names) + ":" + t.Guard.Pred.Name + "]"
-	info := &TypeInfo{
-		Type: t,
-		Pred: logic.Predicate{Name: name, Arity: t.Guard.Pred.Arity},
-	}
-	l.infos[t.id] = info
-	l.byPred[info.Pred] = info
-	return info
-}
-
-// Info returns the type information registered for a generated predicate.
-func (l *Linearizer) Info(p logic.Predicate) (*TypeInfo, bool) {
-	info, ok := l.byPred[p]
-	return info, ok
+	p := logic.Predicate{Name: "[τ" + strconv.Itoa(l.names) + ":" + t.Guard.Pred.Name + "]", Arity: t.Guard.Pred.Arity}
+	l.preds[t.id] = p
+	return p
 }
 
 // TypeCount returns the number of distinct Σ-types materialized so far
@@ -90,29 +74,45 @@ func (l *Linearizer) Info(p logic.Predicate) (*TypeInfo, bool) {
 // makes the ChTrm(G) decider practical.
 func (l *Linearizer) TypeCount() int { return l.names }
 
-// Database computes lin(D): every fact R(t̄) becomes [τ](t̄) where τ is
-// the canonical form of R(t̄)'s type in chase(D, Σ).
-func (l *Linearizer) Database(db *logic.Instance) (*logic.Instance, error) {
-	if !db.IsDatabase() {
-		return nil, fmt.Errorf("guarded: linearization input must be a database")
-	}
-	completed := l.engine.Complete(db)
-	out := logic.NewInstance()
-	for _, a := range db.Atoms() {
-		info := l.intern(l.engine.typeOf(completed, a))
-		out.Add(logic.NewAtom(info.Pred, a.Args...))
-	}
-	return out, nil
-}
-
-// Linearize computes lin(D) and the fragment of lin(Σ) reachable from the
-// types of lin(D).
+// Linearize computes lin(D), where every fact R(t̄) becomes [τ](t̄) for the
+// canonical type τ of R(t̄) in chase(D, Σ), and the fragment of lin(Σ)
+// reachable from the types of lin(D).
 func (l *Linearizer) Linearize(db *logic.Instance) (*logic.Instance, *tgds.Set, error) {
-	linDB, err := l.Database(db)
+	linDB := logic.NewInstance()
+	linSigma, err := l.linearize(db, func(a *logic.Atom, _ *Type, p logic.Predicate) {
+		linDB.Add(logic.NewAtom(p, a.Args...))
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	out := tgds.NewSet()
+	return linDB, linSigma, nil
+}
+
+// LinearizePredicates computes the predicate set of gsimple(D) =
+// simple(lin(D)), sorted as Instance.Predicates sorts it, and the fragment
+// of lin(Σ) that Linearize computes, without building lin(D): each fact's
+// pattern predicate is read over its type predicate. Facts map
+// injectively to the atoms of lin(D), in D's order, so the types are
+// discovered, and named [τN], exactly as Linearize names them.
+func (l *Linearizer) LinearizePredicates(db *logic.Instance) ([]logic.Predicate, *tgds.Set, error) {
+	var preds simplify.PredicateSet
+	linSigma, err := l.linearize(db, func(a *logic.Atom, t *Type, p logic.Predicate) {
+		preds.Add(t.id, p, a)
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return preds.Sorted(), linSigma, nil
+}
+
+// linearize completes D and passes each fact, in D's order, to f with its
+// canonical type and that type's predicate, named on first sight. It then
+// returns the fragment of lin(Σ) reachable from the facts' types: each
+// type is linearized once, breadth first from the facts' types in order.
+func (l *Linearizer) linearize(db *logic.Instance, f func(a *logic.Atom, t *Type, p logic.Predicate)) (*tgds.Set, error) {
+	if !db.IsDatabase() {
+		return nil, fmt.Errorf("guarded: linearization input must be a database")
+	}
 	var queue []*Type
 	var visited []bool // by type id
 	enqueue := func(t *Type) {
@@ -121,19 +121,19 @@ func (l *Linearizer) Linearize(db *logic.Instance) (*logic.Instance, *tgds.Set, 
 			queue = append(queue, t)
 		}
 	}
-	for _, a := range linDB.Atoms() {
-		info, ok := l.byPred[a.Pred]
-		if !ok {
-			return nil, nil, fmt.Errorf("guarded: unregistered predicate %v", a.Pred)
-		}
-		enqueue(info.Type)
+	completed := l.engine.Complete(db)
+	for _, a := range db.Atoms() {
+		t := l.engine.typeOf(completed, a)
+		f(a, t, l.intern(t))
+		enqueue(t)
 	}
+	out := tgds.NewSet()
 	for len(queue) > 0 {
 		t := queue[0]
 		queue = queue[1:]
 		rules, children, err := l.linearizeType(t)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		for _, r := range rules {
 			out.Add(r)
@@ -142,7 +142,7 @@ func (l *Linearizer) Linearize(db *logic.Instance) (*logic.Instance, *tgds.Set, 
 			enqueue(c)
 		}
 	}
-	return linDB, out, nil
+	return out, nil
 }
 
 // linearizeType produces the linearizations of every σ ∈ Σ induced by the
@@ -197,12 +197,12 @@ func (l *Linearizer) linearizeTrigger(t *Type, sig *tgds.TGD, h logic.Substituti
 	inst.AddAll(alphas)
 	completed := l.engine.Complete(inst)
 
-	body := logic.NewAtom(l.intern(t).Pred, sig.Guard().Args...)
+	body := logic.NewAtom(l.intern(t), sig.Guard().Args...)
 	heads := make([]*logic.Atom, len(sig.Head))
 	var children []*Type
 	for i, alpha := range alphas {
 		childType := l.engine.typeOf(completed, alpha)
-		heads[i] = logic.NewAtom(l.intern(childType).Pred, sig.Head[i].Args...)
+		heads[i] = logic.NewAtom(l.intern(childType), sig.Head[i].Args...)
 		children = append(children, childType)
 	}
 	rule, err := tgds.New([]*logic.Atom{body}, heads)
@@ -210,24 +210,4 @@ func (l *Linearizer) linearizeTrigger(t *Type, sig *tgds.TGD, h logic.Substituti
 		return nil, nil, fmt.Errorf("guarded: linearized TGD invalid: %v", err)
 	}
 	return rule, children, nil
-}
-
-// GSimple computes gsimple(D) = simple(lin(D)) and gsimple(Σ) =
-// simple(lin(Σ)) (reachable fragment), the combination used by the
-// ChTrm(G) characterization of Theorem 8.3.
-func GSimple(db *logic.Instance, sigma *tgds.Set) (*logic.Instance, *tgds.Set, error) {
-	l, err := NewLinearizer(sigma)
-	if err != nil {
-		return nil, nil, err
-	}
-	linDB, linSigma, err := l.Linearize(db)
-	if err != nil {
-		return nil, nil, err
-	}
-	gsDB := simplify.Database(linDB)
-	gsSigma, err := simplify.Set(linSigma)
-	if err != nil {
-		return nil, nil, err
-	}
-	return gsDB, gsSigma, nil
 }

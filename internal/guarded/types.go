@@ -3,7 +3,11 @@
 // chase atoms over dom(I), computed without materializing the — possibly
 // infinite — chase), atom types type_{D,Σ}(α), and the linearization
 // lin(D), lin(Σ) that converts guarded sets into linear ones while
-// preserving chase finiteness and term depth (Proposition 8.1).
+// preserving chase finiteness and term depth (Proposition 8.1). The
+// ChTrm(G) decider of Theorem 8.3 reads D only through the predicate set
+// of gsimple(D) = simple(lin(D)), which Linearizer.LinearizePredicates
+// computes in the same pass over D that types its facts, building neither
+// lin(D) nor gsimple(D).
 //
 // The computation rests on the key property of the guarded chase ("taming
 // the infinite chase"): the atoms derivable below an atom α that mention

@@ -1,7 +1,9 @@
 package logic
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -243,4 +245,13 @@ func (s Substitution) String() string {
 func SortAtoms(atoms []*Atom) []*Atom {
 	sort.Slice(atoms, func(i, j int) bool { return atoms[i].Key() < atoms[j].Key() })
 	return atoms
+}
+
+// SortPredicates sorts a slice of predicates by name, then arity, in
+// place, and returns it: the order Instance.Predicates returns.
+func SortPredicates(preds []Predicate) []Predicate {
+	slices.SortFunc(preds, func(p, q Predicate) int {
+		return cmp.Or(strings.Compare(p.Name, q.Name), cmp.Compare(p.Arity, q.Arity))
+	})
+	return preds
 }

@@ -269,13 +269,7 @@ func (in *Instance) Predicates() []Predicate {
 	for _, p := range in.preds {
 		out = append(out, PredOfID(p.pid))
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].Arity < out[j].Arity
-	})
-	return out
+	return SortPredicates(out)
 }
 
 // Clone returns an independent copy of the instance. Atoms are immutable

@@ -363,7 +363,7 @@ func (s *Service) decideRun(req DecideRequest, db *logic.Instance, sigma *tgds.S
 		}, nil
 	case "", "syntactic":
 		return func(context.Context) (any, error) {
-			return core.DecideWith(db, sigma, s.cache)
+			return core.Decide(db, sigma, s.cache)
 		}, nil
 	case "naive":
 		// The probe polls the job's context, so the wall budget, Cancel

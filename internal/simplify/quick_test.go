@@ -1,6 +1,7 @@
 package simplify
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -115,5 +116,33 @@ func TestSpecializationsIdempotent(t *testing.T) {
 				t.Fatalf("specialization %v not idempotent at %v", f, v)
 			}
 		}
+	}
+}
+
+// Property: DatabasePredicates is the predicate set of the instance
+// simple(D), in Instance.Predicates' order. The databases mix nullary
+// facts, two predicates of one name, and arguments over three constants,
+// so facts repeat arguments in every pattern.
+func TestDatabasePredicatesQuick(t *testing.T) {
+	preds := []logic.Predicate{{Name: "n", Arity: 0}, {Name: "r", Arity: 1}, {Name: "r", Arity: 3}, {Name: "s", Arity: 2}, {Name: "t", Arity: 4}}
+	f := func(raw []uint8) bool {
+		db := logic.NewInstance()
+		for len(raw) > 0 {
+			p := preds[int(raw[0])%len(preds)]
+			raw = raw[1:]
+			args := make([]logic.Term, p.Arity)
+			for i := range args {
+				var r uint8
+				if len(raw) > 0 {
+					r, raw = raw[0], raw[1:]
+				}
+				args[i] = logic.Constant(string(rune('a' + r%3)))
+			}
+			db.Add(logic.NewAtom(p, args...))
+		}
+		return slices.Equal(DatabasePredicates(db), Database(db).Predicates())
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -101,6 +101,63 @@ func Database(db *logic.Instance) *logic.Instance {
 	return out
 }
 
+// DatabasePredicates returns the predicates of simple(D), sorted as
+// Instance.Predicates sorts them, without building simple(D).
+func DatabasePredicates(db *logic.Instance) []logic.Predicate {
+	var s PredicateSet
+	for _, a := range db.Atoms() {
+		s.Add(a.PredID(), a.Pred, a)
+	}
+	return s.Sorted()
+}
+
+// PredicateSet collects the predicates of a simplified database fact by
+// fact, without building its atoms: a fact's repetition pattern id(t̄) is
+// read from its argument ids (id equality is term equality), and each
+// distinct (base, pattern) pair is named once. The zero value is empty.
+type PredicateSet struct {
+	seen  *logic.TupleInterner // (base id, pattern) tuples
+	key   []int32
+	preds []logic.Predicate
+}
+
+// Add records base⟨id(t̄)⟩ for the fact a = R(t̄), where id identifies base
+// among the set's bases: R itself for simple(D), R(t̄)'s type predicate
+// [τ] for gsimple(D) = simple(lin(D)).
+func (s *PredicateSet) Add(id int32, base logic.Predicate, a *logic.Atom) {
+	if s.seen == nil {
+		s.seen = logic.NewTupleInterner()
+	}
+	s.key = append(s.key[:0], id)
+	next := int32(1)
+	for i := range a.Args {
+		j := 0 // the first position of a's i-th term
+		for a.ArgID(j) != a.ArgID(i) {
+			j++
+		}
+		if j == i {
+			s.key = append(s.key, next)
+			next++
+		} else {
+			s.key = append(s.key, s.key[1+j])
+		}
+	}
+	if _, fresh := s.seen.Intern(s.key); fresh {
+		pattern := make([]int, len(a.Args))
+		for i, l := range s.key[1:] {
+			pattern[i] = int(l)
+		}
+		s.preds = append(s.preds, PatternPredicate(base, pattern))
+	}
+}
+
+// Sorted returns the recorded predicates, sorted as Instance.Predicates
+// sorts them. Distinct (base, pattern) pairs name distinct predicates, so
+// the result holds no duplicates.
+func (s *PredicateSet) Sorted() []logic.Predicate {
+	return logic.SortPredicates(s.preds)
+}
+
 // Specializations enumerates all specializations of the variable tuple:
 // functions f over the distinct variables (in order of first occurrence)
 // with f(x1) = x1 and f(xi) ∈ {f(x1), ..., f(x(i-1)), xi}. Each result
