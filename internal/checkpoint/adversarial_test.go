@@ -272,6 +272,14 @@ func TestEncodeRejectsConflatableNulls(t *testing.T) {
 	if _, err := cp.Encode(); err == nil || !strings.Contains(err.Error(), "share factory id") {
 		t.Fatalf("err = %v, want factory-id conflation refusal", err)
 	}
+	// A factory id past MaxInt32 is refused too: the wire could not read
+	// it back, and its low 32 bits agree with n1's.
+	wide, _ := logic.NewNullFactoryAt(1<<32).Intern("c", 1)
+	inst = logic.NewDatabase(logic.MakeAtom("p", n1), logic.MakeAtom("p", wide))
+	cp = &Checkpoint{Instance: inst, State: &chase.ResumeState{DeltaStart: inst.Len()}}
+	if _, err := cp.Encode(); err == nil || !strings.Contains(err.Error(), "exceeds the wire's range") {
+		t.Fatalf("err = %v, want out-of-range refusal", err)
+	}
 }
 
 // seal appends a fresh checksum so interior mutations reach the

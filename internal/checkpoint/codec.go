@@ -36,6 +36,7 @@ package checkpoint
 import (
 	"crypto/sha256"
 	"fmt"
+	"math"
 
 	"repro/internal/chase"
 	"repro/internal/codec"
@@ -52,15 +53,25 @@ func (c *Checkpoint) Encode() ([]byte, error) {
 	if c.State == nil || c.Instance == nil {
 		return nil, fmt.Errorf("checkpoint: encode of an incomplete checkpoint")
 	}
-	// The (factory id -> null) injection the wire identity requires.
-	byID := make(map[int]*logic.Null)
+	// The (factory id -> null) injection the wire identity requires, over
+	// the ids the wire can read back (up to MaxInt32).
+	var (
+		ids  logic.Numbering // factory id -> number
+		syms []int32         // number -> symbol id of the null first seen with it
+	)
 	for _, a := range c.Instance.Atoms() {
-		for _, t := range a.Args {
-			if n, ok := t.(*logic.Null); ok {
-				if prev, ok := byID[n.ID()]; ok && prev != n {
-					return nil, fmt.Errorf("checkpoint: distinct nulls share factory id %d; the instance is not portable", n.ID())
-				}
-				byID[n.ID()] = n
+		for i, t := range a.Args {
+			n, ok := t.(*logic.Null)
+			if !ok {
+				continue
+			}
+			if n.ID() > math.MaxInt32 {
+				return nil, fmt.Errorf("checkpoint: null id %d exceeds the wire's range; the instance is not portable", n.ID())
+			}
+			if j, fresh := ids.Number(int32(n.ID())); fresh {
+				syms = append(syms, a.ArgID(i))
+			} else if syms[j] != a.ArgID(i) {
+				return nil, fmt.Errorf("checkpoint: distinct nulls share factory id %d; the instance is not portable", n.ID())
 			}
 		}
 	}
@@ -183,7 +194,7 @@ func skipFired(r *codec.Reader) error {
 		return err
 	}
 	for range nterms {
-		if _, err := wire.ReadTerm(r); err != nil {
+		if _, _, _, err := wire.ReadTerm(r); err != nil {
 			return err
 		}
 	}

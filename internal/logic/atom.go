@@ -79,6 +79,27 @@ func NewAtomFromIDs(pred Predicate, args []Term, pid int32, ids []int32) *Atom {
 	return &Atom{Pred: pred, Args: args, pid: pid, ids: ids, hash: hashAtom(pid, ids)}
 }
 
+// NewAtomsFromIDs builds a batch of atoms over shared storage, with one
+// allocation for all their headers: atom i is preds[at[i]] applied to the
+// next preds[at[i]].Arity terms of args, whose interned ids are the
+// aligned entries of ids. pids[j] must be PredIDOf(preds[j]), ids[k] must
+// be IDOf(args[k]), and the arities must sum to len(args) == len(ids);
+// nothing is validated. The atoms own args and ids, which the caller must
+// not modify afterwards. The wire decoder builds each section this way.
+func NewAtomsFromIDs(preds []Predicate, pids, at []int32, args []Term, ids []int32) []*Atom {
+	hdrs := make([]Atom, len(at))
+	out := make([]*Atom, len(at))
+	off := 0
+	for i, p := range at {
+		end := off + preds[p].Arity
+		tuple := ids[off:end:end]
+		hdrs[i] = Atom{Pred: preds[p], Args: args[off:end:end], pid: pids[p], ids: tuple, hash: hashAtom(pids[p], tuple)}
+		out[i] = &hdrs[i]
+		off = end
+	}
+	return out
+}
+
 // Key returns the identity key of the atom (predicate plus term keys). It
 // identifies the atom across symbol tables and processes; within one
 // process, prefer Equal or the instance indexes, which compare interned

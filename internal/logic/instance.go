@@ -2,6 +2,8 @@ package logic
 
 import (
 	"iter"
+	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
@@ -27,8 +29,9 @@ import (
 // Every row list and posting lives in one []int32 sequence arena, as an
 // (offset, length) pair with room up to the next power of two; a full list
 // moves to the arena's end at twice the size, so a posting that never
-// grows past one sequence costs 4 bytes and no allocation. Offsets are
-// int32, which bounds the arena at 2^31-1 entries (Add panics beyond it).
+// grows past one sequence costs 4 bytes and no allocation; NewDatabase
+// lays every list out once, at its final room. Offsets are int32, which
+// bounds the arena at 2^31-1 entries (Add and NewDatabase panic beyond it).
 //
 // Every list is ascending, because sequences are handed out in insertion
 // order: iteration and semi-naive deltas are deterministic, and an age
@@ -77,40 +80,76 @@ func postingKey(col, term int32) uint64 {
 // NewInstance returns an empty instance.
 func NewInstance() *Instance { return &Instance{} }
 
-// NewDatabase builds an instance from the given atoms, in order, sized for
-// all of them up front.
+// NewDatabase builds an instance from the given atoms, in order, with the
+// index Add would build (a repeated atom is skipped), but in bulk: it
+// counts every row list and posting, lays each list out once with room up
+// to the next power of two as push expects, and fills the lists from their
+// ends walking the atoms backwards, so no list moves and every list
+// ascends. Parser, families, the guarded engine and the wire decoder use it.
 func NewDatabase(atoms ...*Atom) *Instance {
-	cells := len(atoms)
-	for _, a := range atoms {
-		cells += len(a.ids)
-	}
 	in := &Instance{
 		order:    make([]*Atom, 0, len(atoms)),
 		atoms:    tagTable{slots: make([]uint64, tableSlots(len(atoms)))},
 		postings: postingTable{slots: make([]posting, tableSlots(len(atoms)))},
-		seqs:     make([]int32, 0, 2*cells),
 	}
+	// Neighbouring atoms mostly share a predicate, so p carries over; it
+	// stays valid, since only predOf grows preds, and predOf replaces it.
+	var p *predRows
 	for _, a := range atoms {
-		in.Add(a)
+		if in.insert(a) < 0 {
+			continue
+		}
+		if p == nil || p.pid != a.pid {
+			p = in.predOf(a)
+		}
+		p.rows.n++
+		for i, id := range a.ids {
+			in.postings.claim(postingKey(p.col+int32(i), id)).list.n++
+		}
+	}
+	// Each list's offset first points past its last sequence; the fill
+	// below walks it back to the list's start. A list's length never
+	// drops to 0, which would mark its posting slot empty.
+	size := 0
+	layout := func(l *seqList) {
+		room := 1 << bits.Len32(uint32(l.n-1))
+		if size += room; size > math.MaxInt32 {
+			panic("logic: instance sequence arena exhausted (2^31 entries)")
+		}
+		l.off = int32(size-room) + l.n
+	}
+	for i := range in.preds {
+		layout(&in.preds[i].rows)
+	}
+	for i := range in.postings.slots {
+		if l := &in.postings.slots[i].list; l.n != 0 {
+			layout(l)
+		}
+	}
+	in.seqs = make([]int32, size)
+	for s := int32(len(in.order)) - 1; s >= 0; s-- {
+		a := in.order[s]
+		if p.pid != a.pid {
+			p = in.pred(a.pid)
+		}
+		p.rows.off--
+		in.seqs[p.rows.off] = s
+		for i, id := range a.ids {
+			l := &in.postings.slots[in.postings.find(postingKey(p.col+int32(i), id))].list
+			l.off--
+			in.seqs[l.off] = s
+		}
 	}
 	return in
 }
 
 // Add inserts the atom and reports whether it was new.
 func (in *Instance) Add(a *Atom) bool {
-	in.atoms.reserve()
-	tag := uint32(a.hash >> 32)
-	s, free := in.atoms.find(tag, func(s int32) bool { return in.order[s].sameAtom(a) })
-	if s >= 0 {
+	seq := in.insert(a)
+	if seq < 0 {
 		return false
 	}
-	seq := int32(len(in.order))
-	in.atoms.put(free, tag, seq)
-	in.order = append(in.order, a)
-	p := in.pred(a.pid)
-	if p == nil {
-		p = in.addPred(a.pid, len(a.ids))
-	}
+	p := in.predOf(a)
 	p.rows = in.push(p.rows, seq)
 	for i, id := range a.ids {
 		ps := in.postings.claim(postingKey(p.col+int32(i), id))
@@ -119,10 +158,34 @@ func (in *Instance) Add(a *Atom) bool {
 	return true
 }
 
+// insert enters the atom into the atom set and the insertion order and
+// returns its sequence, or -1 when the instance already holds it.
+func (in *Instance) insert(a *Atom) int32 {
+	in.atoms.reserve(1)
+	tag := uint32(a.hash >> 32)
+	s, free := in.atoms.find(tag, func(s int32) bool { return in.order[s].sameAtom(a) })
+	if s >= 0 {
+		return -1
+	}
+	seq := int32(len(in.order))
+	in.atoms.put(free, tag, seq)
+	in.order = append(in.order, a)
+	return seq
+}
+
+// predOf returns the index entry of the atom's predicate, entering the
+// predicate when the instance holds none of its atoms yet.
+func (in *Instance) predOf(a *Atom) *predRows {
+	if p := in.pred(a.pid); p != nil {
+		return p
+	}
+	return in.addPred(a.pid, len(a.ids))
+}
+
 // addPred enters a predicate with the given arity into the index,
 // numbering its positions as the next columns.
 func (in *Instance) addPred(pid int32, arity int) *predRows {
-	in.predAt.reserve()
+	in.predAt.reserve(1)
 	_, free := in.predAt.find(uint32(pid), anyValue)
 	in.predAt.put(free, uint32(pid), int32(len(in.preds)))
 	in.preds = append(in.preds, predRows{pid: pid, col: in.ncols})

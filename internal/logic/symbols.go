@@ -95,6 +95,12 @@ func TermOfID(id int32) Term {
 	return nil
 }
 
+// GroundIDs returns the number of ground symbol ids handed out so far —
+// every constant, fresh term and foreign term interned, and every null
+// created — which is the high-water mark of the id space: interning panics
+// once it reaches 2^31. It is lock-free and safe for concurrent use.
+func GroundIDs() int64 { return int64(uint32(symtab.nextID.Load())) }
+
 // PredIDOf returns the interned id of the predicate, interning it first if
 // necessary. Known predicates resolve lock-free.
 func PredIDOf(p Predicate) int32 {
@@ -296,7 +302,7 @@ func (ti *TupleInterner) Intern(tuple []int32) (int32, bool) {
 // intern is Intern with the tuple's hash given, the seam through which
 // tests forge hash collisions.
 func (ti *TupleInterner) intern(tuple []int32, h uint64) (int32, bool) {
-	ti.ids.reserve()
+	ti.ids.reserve(1)
 	tag := uint32(h >> 32)
 	id, free := ti.ids.find(tag, func(id int32) bool { return int32sEqual(ti.at(id), tuple) })
 	if id >= 0 {

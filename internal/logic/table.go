@@ -37,11 +37,11 @@ func tableSlots(n int) int {
 	return s
 }
 
-// rehash returns a table of twice old's size, or minSlots slots, with
-// every occupied slot of old re-placed by its key. key reports a slot's
-// key and whether the slot is occupied.
-func rehash[S any](old []S, key func(S) (uint64, bool)) []S {
-	out := make([]S, max(minSlots, 2*len(old)))
+// rehash returns a table of n slots, n a power of two, with every
+// occupied slot of old re-placed by its key. key reports a slot's key and
+// whether the slot is occupied.
+func rehash[S any](old []S, n int, key func(S) (uint64, bool)) []S {
+	out := make([]S, n)
 	mask := len(out) - 1
 	for _, s := range old {
 		k, ok := key(s)
@@ -87,16 +87,13 @@ func (t *tagTable) find(tag uint32, same func(int32) bool) (v int32, free int) {
 	}
 }
 
-// reserve makes room for one more value: afterwards find's free slot can
-// take it.
-func (t *tagTable) reserve() {
-	if (t.used+1)*4 > len(t.slots)*3 {
-		t.grow()
+// reserve makes room for n more values: afterwards find's free slot can
+// take each of them in turn. Growing one value at a time doubles the
+// table.
+func (t *tagTable) reserve(n int) {
+	if (t.used+n)*4 > len(t.slots)*3 {
+		t.slots = rehash(t.slots, tableSlots(t.used+n), func(s uint64) (uint64, bool) { return s >> 32, s != 0 })
 	}
-}
-
-func (t *tagTable) grow() {
-	t.slots = rehash(t.slots, func(s uint64) (uint64, bool) { return s >> 32, s != 0 })
 }
 
 // put stores v under tag in the free slot find returned after reserve.
@@ -111,6 +108,33 @@ func (t tagTable) clone() tagTable {
 
 // anyValue resolves a tag that is the whole key.
 func anyValue(int32) bool { return true }
+
+// Numbering numbers int32 keys densely in first-insertion order: the
+// first key gets 0, the next new key 1, and so on. It is a tagTable whose
+// tag is the key itself, as the instance's predicate table is, so it
+// stores nothing but its slots. The wire codec's manifest indexes are such
+// numberings. The zero value is empty; a Numbering is not safe for
+// concurrent use.
+type Numbering struct {
+	slots tagTable
+}
+
+// Number returns key's number, numbering it next when it has none; fresh
+// reports that it was new.
+func (nb *Numbering) Number(key int32) (n int32, fresh bool) {
+	nb.slots.reserve(1)
+	n, free := nb.slots.find(uint32(key), anyValue)
+	if n >= 0 {
+		return n, false
+	}
+	n = int32(nb.slots.used)
+	nb.slots.put(free, uint32(key), n)
+	return n, true
+}
+
+// Grow makes room for n more keys, so a caller that knows how many it will
+// number does so without rehashing.
+func (nb *Numbering) Grow(n int) { nb.slots.reserve(n) }
 
 // seqList is a list of sequences in an instance's sequence arena: entries
 // [off, off+n) of Instance.seqs, with room up to the smallest power of
@@ -145,7 +169,7 @@ func (t *postingTable) find(key uint64) int {
 // probe when key is absent; the caller then appends to its list.
 func (t *postingTable) claim(key uint64) *posting {
 	if (t.used+1)*4 > len(t.slots)*3 {
-		t.grow()
+		t.slots = rehash(t.slots, tableSlots(t.used+1), func(p posting) (uint64, bool) { return p.key, p.list.n != 0 })
 	}
 	s := &t.slots[t.find(key)]
 	if s.list.n == 0 {
@@ -153,10 +177,6 @@ func (t *postingTable) claim(key uint64) *posting {
 		t.used++
 	}
 	return s
-}
-
-func (t *postingTable) grow() {
-	t.slots = rehash(t.slots, func(p posting) (uint64, bool) { return p.key, p.list.n != 0 })
 }
 
 func (t postingTable) clone() postingTable {

@@ -27,6 +27,7 @@ package logic
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 )
 
@@ -119,8 +120,9 @@ type NullFactory struct {
 	tuples   *TupleInterner
 	byTuple  []*Null // tuple id -> null
 	all      []*Null
-	byID     map[int]*Null // NullAt-created nulls, sparse by caller-chosen id
-	base     int           // first id this factory hands out
+	atIDs    tagTable // NullAt id's low 32 bits -> index in at
+	at       []*Null  // NullAt-created nulls, in creation order
+	base     int      // first id this factory hands out
 	maxDepth int
 	chunk    []Null // block the next nulls are carved from (newNull)
 }
@@ -199,30 +201,48 @@ func (f *NullFactory) carve(id, depth int) *Null {
 
 // NullAt returns the factory's null with the given factory id, creating
 // it with the given depth if absent. It exists for decoders that must
-// reproduce another factory's id assignment exactly (internal/wire):
-// NullAt-created nulls live in a sparse id map, so an id set with gaps
-// round-trips without inventing nulls the source factory's instance never
-// exposed, and the depth argument is ignored for an id that already
-// exists. A factory used through NullAt must not also use
+// reproduce another factory's id assignment exactly (internal/wire): a
+// flat table tags NullAt-created nulls by the low 32 bits of their ids and
+// tells them apart by their stored ids, so an id set with gaps round-trips
+// without inventing nulls, and the depth argument is ignored for an id
+// that already exists. A factory used through NullAt must not also use
 // Intern/InternTuple — the two numbering disciplines would collide — and
 // its Len excludes NullAt-created nulls.
 func (f *NullFactory) NullAt(id, depth int) *Null {
-	if n, ok := f.byID[id]; ok {
-		return n
+	f.atIDs.reserve(1)
+	i, free := f.findAt(id)
+	if i >= 0 {
+		return f.at[i]
 	}
-	if f.byID == nil {
-		f.byID = make(map[int]*Null)
-	}
+	f.atIDs.put(free, uint32(id), int32(len(f.at)))
 	n := f.carve(id, depth)
-	f.byID[id] = n
+	f.at = append(f.at, n)
 	return n
+}
+
+// GrowAt makes room for n more NullAt-created nulls, so a decoder that
+// knows how many nulls a section declares creates them without regrowing.
+func (f *NullFactory) GrowAt(n int) {
+	f.atIDs.reserve(n)
+	f.at = slices.Grow(f.at, n)
 }
 
 // LookupNullAt returns the NullAt-created null with the given factory id,
 // or nil when there is none. Unlike NullAt it never creates a null, so a
 // decoder can check a declaration against the stream's earlier ones
 // before it commits to anything.
-func (f *NullFactory) LookupNullAt(id int) *Null { return f.byID[id] }
+func (f *NullFactory) LookupNullAt(id int) *Null {
+	if i, _ := f.findAt(id); i >= 0 {
+		return f.at[i]
+	}
+	return nil
+}
+
+// findAt is the atIDs probe for id: the index in at of its null, or -1 and
+// the free slot that ended the probe.
+func (f *NullFactory) findAt(id int) (int32, int) {
+	return f.atIDs.find(uint32(id), func(i int32) bool { return f.at[i].id == id })
+}
 
 // Len returns the number of nulls created so far.
 func (f *NullFactory) Len() int { return len(f.all) }

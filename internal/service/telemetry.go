@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/compile"
+	"repro/internal/logic"
 	"repro/internal/qos"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
@@ -27,11 +28,11 @@ type svcTelemetry struct {
 
 // newSvcTelemetry wires the service families into tel's registry and
 // bridges the subsystems that keep their own counters: the compile
-// cache (published via a snapshot collector) and the wire codec (via
-// its registered-meter seam). It returns the meter's release so Close
-// can withdraw exactly this service's registration — concurrent
-// Services each keep their own codec byte accounting, and Close order
-// does not matter.
+// cache and the symbol table's id high-water mark (published via
+// snapshot collectors) and the wire codec (via its registered-meter
+// seam). It returns the meter's release so Close can withdraw exactly
+// this service's registration — concurrent Services each keep their own
+// codec byte accounting, and Close order does not matter.
 func newSvcTelemetry(tel *telemetry.Telemetry, cache *compile.Cache) (*svcTelemetry, func()) {
 	if !tel.Enabled() {
 		return nil, nil
@@ -54,6 +55,9 @@ func newSvcTelemetry(tel *telemetry.Telemetry, cache *compile.Cache) (*svcTeleme
 			"Termination bounds stored by learn-mode runs."),
 	}
 	registerCacheCollector(r, cache)
+	symbols := r.Gauge("symbol_ground_ids",
+		"Ground symbol ids handed out by the process: one per constant, fresh or foreign term interned and one per null created, never reused; interning fails at 2^31.")
+	r.AddCollector(func() { symbols.Set(logic.GroundIDs()) })
 	release := wire.RegisterMeter(&wireMeter{
 		encoded: r.Counter("wire_encode_bytes",
 			"Bytes produced by wire snapshot/delta encodes."),

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/chase"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -95,6 +96,42 @@ func TestServiceRequestMetrics(t *testing.T) {
 	}
 	if entries, _ := snap.Get("compile_cache_entries"); entries <= 0 {
 		t.Fatalf("compile_cache_entries = %v, want > 0", entries)
+	}
+}
+
+// TestServiceSymbolGauge: every null a wire snapshot carries takes a
+// ground symbol id when the service decodes it, and symbol_ground_ids,
+// read at snapshot time, shows the ids spent. The chase that follows
+// invents no null, so the decode alone must account for the rise.
+func TestServiceSymbolGauge(t *testing.T) {
+	prog := parserProg(t, "e(a, b). e(b, c). e(X, Y) -> ∃Z m(Y, Z).")
+	res := chase.Run(prog.Database, prog.Rules, chase.Options{})
+	nulls := res.Instance.MaxNullID() + 1
+	if nulls == 0 {
+		t.Fatal("the snapshot must carry nulls")
+	}
+	snapBytes := wire.EncodeSnapshot(res.Instance)
+
+	s := New(Config{Workers: 1, Telemetry: telemetry.New()})
+	defer s.Close()
+	h, err := s.RegisterOntology(parserProg(t, "m(X, Y) -> n(X).").Rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, ok := s.Metrics().Get("symbol_ground_ids")
+	if !ok || before <= 0 {
+		t.Fatalf("symbol_ground_ids = %v (published %v), want > 0", before, ok)
+	}
+	tk, err := s.SubmitByFingerprint(context.Background(), h.Fingerprint, Payload{Snapshot: snapBytes}, ChaseRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := tk.Wait(); r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	after, _ := s.Metrics().Get("symbol_ground_ids")
+	if after-before < float64(nulls) {
+		t.Fatalf("symbol_ground_ids rose by %v over a decode of %d nulls, want at least %d", after-before, nulls, nulls)
 	}
 }
 

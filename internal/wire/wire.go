@@ -27,6 +27,13 @@
 // process, symbol table, or null factory produced them, and
 // encode→decode→encode is a fixpoint (FuzzWireRoundTrip pins both down).
 //
+// Neither direction keeps a Go map. The encoder numbers interned predicate
+// and term ids in logic.Numbering tables, whose first-occurrence numbers
+// are the manifest indexes. The decoder checks a manifest's null
+// declarations in another Numbering, builds a section's atoms over one
+// exactly sized array each of headers, id tuples and argument slices
+// (logic.NewAtomsFromIDs) and indexes a snapshot in bulk (logic.NewDatabase).
+//
 // # Deltas
 //
 // A delta is a snapshot of a suffix: the atoms with insertion sequence >=
@@ -157,27 +164,21 @@ func writeAtoms(w *codec.Writer, atoms []*logic.Atom) {
 	}
 	var (
 		preds   []logic.Predicate
-		predIdx = make(map[int32]int32) // interned predicate id -> manifest index
+		predIdx logic.Numbering // interned predicate id -> manifest index
 		terms   []logic.Term
-		termIdx = make(map[int32]int32) // interned term id -> manifest index
+		termIdx logic.Numbering // interned term id -> manifest index
 		refs    = make([]int32, 0, refCount)
 	)
 	for _, a := range atoms {
-		pid := a.PredID()
-		pi, ok := predIdx[pid]
-		if !ok {
-			pi = int32(len(preds))
-			predIdx[pid] = pi
+		pi, fresh := predIdx.Number(a.PredID())
+		if fresh {
 			preds = append(preds, a.Pred)
 		}
 		refs = append(refs, pi)
-		for i := range a.Args {
-			id := a.ArgID(i)
-			ti, ok := termIdx[id]
-			if !ok {
-				ti = int32(len(terms))
-				termIdx[id] = ti
-				terms = append(terms, a.Args[i])
+		for i, t := range a.Args {
+			ti, fresh := termIdx.Number(a.ArgID(i))
+			if fresh {
+				terms = append(terms, t)
 			}
 			refs = append(refs, ti)
 		}
@@ -226,72 +227,49 @@ func AppendTerm(w *codec.Writer, t logic.Term) {
 	}
 }
 
-// TermRecord is one parsed manifest term record, not yet a term: nulls
-// need the decoding stream's identity to resolve, so Null hands their
-// portable identity to the caller and Term builds every other kind.
-type TermRecord struct {
-	tag       byte
-	str, str2 string
-	a, b      int
-}
-
-// ReadTerm reads one record written by AppendTerm. Its errors wrap the
-// reader's sentinel: an unknown tag, a truncated payload, or a foreign
+// ReadTerm reads one record written by AppendTerm and builds its term. A
+// null has no term outside its stream, so for a null record ReadTerm
+// returns a nil term and the null's portable identity: the factory id and
+// depth the caller resolves against its stream's nulls. Its errors wrap
+// the reader's sentinel: an unknown tag, a truncated payload, or a foreign
 // record claiming a built-in identity key (interning it as foreign would
 // mint a second symbol id for an existing identity).
-func ReadTerm(r *codec.Reader) (TermRecord, error) {
-	var (
-		rec TermRecord
-		err error
-	)
-	if rec.tag, err = r.Byte("term tag"); err != nil {
-		return rec, err
+func ReadTerm(r *codec.Reader) (t logic.Term, nullID, depth int, err error) {
+	tag, err := r.Byte("term tag")
+	if err != nil {
+		return nil, 0, 0, err
 	}
-	switch rec.tag {
+	var s, s2 string
+	switch tag {
 	case 'c':
-		rec.str, err = r.Str("constant")
+		s, err = r.Str("constant")
+		t = logic.Constant(s)
 	case 'f':
-		rec.a, err = r.Int("fresh value")
+		var v int
+		v, err = r.Int("fresh value")
+		t = logic.Fresh(v)
 	case 'n':
-		if rec.a, err = r.Value("null id"); err == nil {
-			rec.b, err = r.Value("null depth")
+		if nullID, err = r.Value("null id"); err == nil {
+			depth, err = r.Value("null depth")
 		}
 	case 'v':
-		rec.str, err = r.Str("variable")
+		s, err = r.Str("variable")
+		t = logic.Variable(s)
 	case 'o':
-		if rec.str, err = r.Str("foreign key"); err == nil {
-			rec.str2, err = r.Str("foreign rendering")
+		if s, err = r.Str("foreign key"); err == nil {
+			s2, err = r.Str("foreign rendering")
 		}
-		if err == nil && builtinKeyPrefix(rec.str) {
-			err = r.Errorf("foreign term with built-in identity key %q", rec.str)
+		if err == nil && builtinKeyPrefix(s) {
+			err = r.Errorf("foreign term with built-in identity key %q", s)
 		}
+		t = opaque{key: s, str: s2}
 	default:
-		err = r.Errorf("unknown term tag %q", rec.tag)
+		err = r.Errorf("unknown term tag %q", tag)
 	}
-	return rec, err
-}
-
-// Null reports whether the record is a null and, if so, its portable
-// identity: the factory id and depth the caller resolves against its
-// stream's nulls.
-func (rec TermRecord) Null() (id, depth int, ok bool) {
-	return rec.a, rec.b, rec.tag == 'n'
-}
-
-// Term builds the record's term. A null record has no term outside its
-// stream, so Term returns nil for one; resolve it through Null.
-func (rec TermRecord) Term() logic.Term {
-	switch rec.tag {
-	case 'c':
-		return logic.Constant(rec.str)
-	case 'f':
-		return logic.Fresh(rec.a)
-	case 'v':
-		return logic.Variable(rec.str)
-	case 'o':
-		return opaque{key: rec.str, str: rec.str2}
+	if err != nil {
+		return nil, 0, 0, err
 	}
-	return nil
+	return t, nullID, depth, nil
 }
 
 // Decoder decodes one snapshot and any number of subsequent deltas into a
@@ -310,7 +288,6 @@ func (rec TermRecord) Term() logic.Term {
 // sections on one decoder and relies on this latch.
 type Decoder struct {
 	nulls *logic.NullFactory
-	arena logic.AtomArena // the stream's atoms, owned by the decoded instance
 	inst  *logic.Instance
 	err   error // first decode error; poisons all later calls
 }
@@ -408,19 +385,25 @@ func DecodeSnapshot(data []byte) (*logic.Instance, error) {
 	return NewDecoder().Snapshot(data)
 }
 
+// nullDecl is a manifest null awaiting materialization: the manifest
+// index it fills, and its portable identity.
+type nullDecl struct{ term, id, depth int32 }
+
 // section decodes one manifest+atoms section into its atoms, in order.
 // Decoding is parse-then-materialize: the whole encoding is parsed and
 // validated — index ranges, tags, null depths, trailing bytes — before a
-// single null is interned or atom built, so corrupt input leaves both the
-// stream's instance and its null factory exactly as they were (Apply's
-// atomicity rests on this). Symbols are interned once per manifest entry,
-// not once per occurrence, and atoms are carved from the stream's arena.
+// single symbol is interned or null created, so corrupt input leaves the
+// stream's instance, its null factory and the symbol table exactly as
+// they were (Apply's atomicity rests on this). Parsing builds the non-null
+// terms, which interns nothing, and only records the nulls; symbols are
+// then interned once per manifest entry, not once per occurrence.
 func (d *Decoder) section(r *codec.Reader) ([]*logic.Atom, error) {
 	npreds, err := r.Len("predicate count")
 	if err != nil {
 		return nil, err
 	}
 	preds := make([]logic.Predicate, npreds)
+	maxArity := 0
 	for i := range preds {
 		name, err := r.Str("predicate name")
 		if err != nil {
@@ -431,33 +414,39 @@ func (d *Decoder) section(r *codec.Reader) ([]*logic.Atom, error) {
 			return nil, err
 		}
 		preds[i] = logic.Predicate{Name: name, Arity: arity}
+		maxArity = max(maxArity, arity)
 	}
 	nterms, err := r.Len("term count")
 	if err != nil {
 		return nil, err
 	}
-	recs := make([]TermRecord, nterms)
-	var depths map[int]int // null id -> depth declared in this section
-	for i := range recs {
-		rec, err := ReadTerm(r)
+	terms := make([]logic.Term, nterms)
+	var nulls []nullDecl
+	for i := range terms {
+		t, id, depth, err := ReadTerm(r)
 		if err != nil {
 			return nil, err
 		}
-		if id, depth, ok := rec.Null(); ok {
-			// A null is one term at one depth. Accepting a second depth
-			// would silently merge two declared terms into the first one.
-			if n := d.nulls.LookupNullAt(id); n != nil && n.Depth() != depth {
-				return nil, r.Errorf("null %d declared at depth %d, the stream has it at depth %d", id, depth, n.Depth())
-			}
-			if depths == nil {
-				depths = make(map[int]int)
-			}
-			if prev, ok := depths[id]; ok && prev != depth {
-				return nil, r.Errorf("null %d declared at depths %d and %d", id, prev, depth)
-			}
-			depths[id] = depth
+		if t != nil {
+			terms[i] = t
+			continue
 		}
-		recs[i] = rec
+		// A null is one term at one depth. Accepting a second depth
+		// would silently merge two declared terms into the first one.
+		if n := d.nulls.LookupNullAt(id); n != nil && n.Depth() != depth {
+			return nil, r.Errorf("null %d declared at depth %d, the stream has it at depth %d", id, depth, n.Depth())
+		}
+		nulls = append(nulls, nullDecl{term: int32(i), id: int32(id), depth: int32(depth)})
+	}
+	var nullIDs logic.Numbering // the section's distinct null ids
+	nullIDs.Grow(len(nulls))
+	depths := make([]int32, 0, len(nulls)) // number in nullIDs -> declared depth
+	for _, n := range nulls {
+		if j, fresh := nullIDs.Number(n.id); fresh {
+			depths = append(depths, n.depth)
+		} else if depths[j] != n.depth {
+			return nil, r.Errorf("null %d declared at depths %d and %d", n.id, depths[j], n.depth)
+		}
 	}
 	natoms, err := r.Len("atom count")
 	if err != nil {
@@ -466,8 +455,7 @@ func (d *Decoder) section(r *codec.Reader) ([]*logic.Atom, error) {
 	atomPreds := make([]int32, natoms)
 	// Every atom costs a predicate index byte and every argument at least
 	// one more, so the remaining input bounds the flat argument array.
-	args := make([]int32, 0, r.Remaining()-natoms)
-	maxArity := 0
+	args := make([]int32, 0, min(natoms*maxArity, r.Remaining()-natoms))
 	for ai := range atomPreds {
 		pi, err := r.Value("atom predicate index")
 		if err != nil {
@@ -485,44 +473,35 @@ func (d *Decoder) section(r *codec.Reader) ([]*logic.Atom, error) {
 			if err != nil {
 				return nil, err
 			}
-			if ti >= len(recs) {
-				return nil, r.Errorf("atom %d references term %d of %d", ai, ti, len(recs))
+			if ti >= len(terms) {
+				return nil, r.Errorf("atom %d references term %d of %d", ai, ti, len(terms))
 			}
 			args = append(args, int32(ti))
 		}
 		atomPreds[ai] = int32(pi)
-		maxArity = max(maxArity, arity)
 	}
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	// Fully validated: materialize. Nothing below can fail.
-	terms := make([]logic.Term, len(recs))
-	termIDs := make([]int32, len(recs))
-	for i, rec := range recs {
-		if id, depth, ok := rec.Null(); ok {
-			terms[i] = d.nulls.NullAt(id, depth)
-		} else {
-			terms[i] = rec.Term()
-		}
-		termIDs[i] = logic.IDOf(terms[i])
+	d.nulls.GrowAt(len(nulls))
+	for _, n := range nulls {
+		terms[n.term] = d.nulls.NullAt(int(n.id), int(n.depth))
+	}
+	termIDs := make([]int32, len(terms))
+	for i, t := range terms {
+		termIDs[i] = logic.IDOf(t)
 	}
 	predIDs := make([]int32, len(preds))
 	for i, p := range preds {
 		predIDs[i] = logic.PredIDOf(p)
 	}
-	atoms := make([]*logic.Atom, natoms)
-	atomArgs := make([]logic.Term, maxArity)
-	atomIDs := make([]int32, maxArity)
-	for ai, pi := range atomPreds {
-		p := preds[pi]
-		for i, ti := range args[:p.Arity] {
-			atomArgs[i], atomIDs[i] = terms[ti], termIDs[ti]
-		}
-		args = args[p.Arity:]
-		atoms[ai] = d.arena.NewAtomFromIDs(p, atomArgs[:p.Arity], predIDs[pi], atomIDs[:p.Arity])
+	atomArgs := make([]logic.Term, len(args))
+	atomIDs := make([]int32, len(args))
+	for k, ti := range args {
+		atomArgs[k], atomIDs[k] = terms[ti], termIDs[ti]
 	}
-	return atoms, nil
+	return logic.NewAtomsFromIDs(preds, predIDs, atomPreds, atomArgs, atomIDs), nil
 }
 
 func readHeader(r *codec.Reader, kind byte) error {

@@ -436,6 +436,71 @@ func TestDecodeRejectsNullAtTwoDepths(t *testing.T) {
 	}
 }
 
+// TestDecodeOutOfRangeTermMaterializesNothing: a section whose manifest
+// is valid and declares a null, but whose atom references a term past the
+// manifest, fails with ErrCorrupt before anything is materialized: the
+// null is never created in the stream's factory, no symbol id is spent on
+// the manifest's terms, and the decoder's instance stays as it was — nil
+// for a snapshot, the earlier frames for a delta.
+func TestDecodeOutOfRangeTermMaterializesNothing(t *testing.T) {
+	ids := logic.GroundIDs()
+	d := NewDecoder()
+	if _, err := d.Snapshot(outOfRangeTerm(kindSnapshot, 7)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("snapshot: err = %v, want ErrCorrupt", err)
+	}
+	if n := d.nulls.LookupNullAt(7); n != nil || d.Instance() != nil {
+		t.Fatalf("failed snapshot left null %v and instance %v", n, d.Instance())
+	}
+	if got := logic.GroundIDs(); got != ids {
+		t.Fatalf("failed snapshot spent %d symbol ids", got-ids)
+	}
+
+	d = NewDecoder()
+	snap := EncodeSnapshot(logic.NewDatabase(logic.MakeAtom("p", logic.Constant("a"))))
+	if _, err := d.Snapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	before := d.Instance().CanonicalKey()
+	ids = logic.GroundIDs()
+	if n, err := d.Apply(outOfRangeTerm(kindDelta, 8)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("delta: added %d atoms, err = %v, want ErrCorrupt", n, err)
+	}
+	if n := d.nulls.LookupNullAt(8); n != nil {
+		t.Fatalf("failed delta created null 8 (depth %d)", n.Depth())
+	}
+	if got := d.Instance().CanonicalKey(); got != before {
+		t.Fatalf("failed delta changed the instance: %s, want %s", got, before)
+	}
+	if got := logic.GroundIDs(); got != ids {
+		t.Fatalf("failed delta spent %d symbol ids", got-ids)
+	}
+}
+
+// outOfRangeTerm hand-assembles a section of the given kind (a delta has
+// base 1) whose manifest declares null id at depth 1 and a constant no
+// other test interns, with one atom r(t0, t2) over the two-term manifest.
+func outOfRangeTerm(kind byte, id uint64) []byte {
+	var w codec.Writer
+	writeHeader(&w, kind)
+	if kind == kindDelta {
+		w.Uint(1) // base
+	}
+	w.Uint(1) // one predicate
+	w.Str("r")
+	w.Uint(2) // arity
+	w.Uint(2) // two terms
+	w.Byte('n')
+	w.Uint(id)
+	w.Uint(1)
+	w.Byte('c')
+	w.Str("out-of-range-term-constant")
+	w.Uint(1) // one atom
+	w.Uint(0)
+	w.Uint(0)
+	w.Uint(2) // past the manifest
+	return w.Bytes()
+}
+
 // twoDepthSnapshot hand-assembles a snapshot whose manifest declares null
 // 0 at depth 1 and again at depth 5, with atoms p(t0) and p(t1).
 func twoDepthSnapshot() []byte {
