@@ -1,6 +1,8 @@
 package logic
 
 import (
+	"hash/maphash"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -29,7 +31,8 @@ import (
 //
 // Concurrency: the table is safe for concurrent use. Lookups (IDOf on a
 // known symbol, TermOfID, PredOfID, and the internal lookup helpers) are
-// lock-free: the per-kind tables are sync.Maps and the dense id->symbol
+// lock-free: the per-kind tables are sync.Maps or, for frozen constants,
+// an immutable table behind an atomic pointer, and the dense id->symbol
 // views are copy-on-write slices behind atomic pointers, so concurrent
 // chase jobs never serialize on the table. Only the interning of a
 // genuinely new symbol takes the writer mutex, which serializes id
@@ -44,11 +47,13 @@ type Symbols struct {
 	mu     sync.Mutex   // serializes writers; readers never take it
 	nextID atomic.Int32 // next unassigned ground id (shared with nulls)
 
-	constants sync.Map // Constant -> int32
-	fresh     sync.Map // Fresh -> int32
-	foreign   sync.Map // Key() string of non-built-in Term kinds -> int32
-	ground    sync.Map // ground id (int32) -> Term; nulls excluded
-	variables sync.Map // Variable -> int32
+	frozen    atomic.Pointer[constTable] // constants frozen so far; see freeze
+	recent    []Constant                 // writers only: the constants not yet frozen
+	constants sync.Map                   // Constant -> int32, for the recent constants
+	fresh     sync.Map                   // Fresh -> int32
+	foreign   sync.Map                   // Key() string of non-built-in Term kinds -> int32
+	ground    sync.Map                   // ground id (int32) -> Term; nulls and frozen constants excluded
+	variables sync.Map                   // Variable -> int32
 
 	// vars and predList are small, append-only, copy-on-write: writers
 	// (under mu) publish a fresh slice, readers load the pointer and index.
@@ -59,6 +64,7 @@ type Symbols struct {
 
 func newSymbols() *Symbols {
 	s := &Symbols{}
+	s.frozen.Store(&constTable{offs: []int{0}})
 	s.vars.Store(new([]Variable))
 	s.predList.Store(new([]Predicate))
 	return s
@@ -92,7 +98,9 @@ func TermOfID(id int32) Term {
 	if t, ok := symtab.ground.Load(id); ok {
 		return t.(Term)
 	}
-	return nil
+	// A constant leaves ground only after a frozen table holding it is
+	// published, so probing the table after ground misses nothing.
+	return symtab.frozen.Load().constant(id)
 }
 
 // GroundIDs returns the number of ground symbol ids handed out so far —
@@ -169,6 +177,10 @@ func (s *Symbols) intern(t Term) int32 {
 	case Constant:
 		id := s.addGround(t)
 		s.constants.Store(x, id)
+		s.recent = append(s.recent, x)
+		if len(s.recent) >= max(minRecent, len(s.frozen.Load().ids)/16) {
+			s.freeze()
+		}
 		return id
 	case Fresh:
 		id := s.addGround(t)
@@ -189,7 +201,17 @@ func (s *Symbols) lookup(t Term) (int32, bool) {
 	case Variable:
 		id, ok = s.variables.Load(x)
 	case Constant:
-		id, ok = s.constants.Load(x)
+		// A constant leaves the sync.Map only after a frozen table
+		// holding it is published, so a miss in both reloads the table.
+		f := s.frozen.Load()
+		if id, ok := f.id(x); ok {
+			return id, true
+		}
+		if id, ok = s.constants.Load(x); !ok {
+			if g := s.frozen.Load(); g != f {
+				return g.id(x)
+			}
+		}
 	case Fresh:
 		id, ok = s.fresh.Load(x)
 	default:
@@ -211,6 +233,87 @@ func (s *Symbols) addGround(t Term) int32 {
 	}
 	s.ground.Store(id, t)
 	return id
+}
+
+// Constants are frozen in batches into a constTable, which the garbage
+// collector does not trace. A service meets new constants with every
+// request that brings new data, and none is ever freed. Kept in sync.Maps,
+// each is a handful of small heap objects that every collection traces
+// again, so mark work, and with it latency, would grow with every constant
+// the process has seen. Only the constants interned since the last freeze
+// stay in the sync.Maps. A freeze waits until they number a sixteenth of
+// the frozen ones, and at least minRecent, so over the process's life each
+// constant is copied a bounded number of times.
+const minRecent = 256
+
+// freeze moves the recent constants into a new frozen table. It publishes
+// the table before it deletes them from the sync.Maps, so a reader finds
+// each in one or the other. Callers hold mu.
+func (s *Symbols) freeze() {
+	ids := make([]int32, len(s.recent))
+	for i, c := range s.recent {
+		id, _ := s.constants.Load(c)
+		ids[i] = id.(int32)
+	}
+	s.frozen.Store(s.frozen.Load().with(s.recent, ids))
+	for i, c := range s.recent {
+		s.constants.Delete(c)
+		s.ground.Delete(ids[i])
+	}
+	s.recent = s.recent[:0]
+}
+
+// constSeed seeds the hash that places frozen constants.
+var constSeed = maphash.MakeSeed()
+
+func constTag(c Constant) uint32 { return uint32(maphash.String(constSeed, string(c)) >> 32) }
+
+// constTable is an immutable set of constants in interning order, so their
+// ids ascend. It holds no pointer but those to its four arrays.
+type constTable struct {
+	bytes  []byte   // every constant's bytes, back to back
+	offs   []int    // constant i is bytes[offs[i]:offs[i+1]]
+	ids    []int32  // constant i's symbol id
+	byName tagTable // top half of the hash of a constant's bytes -> i
+}
+
+func (c *constTable) name(i int) []byte { return c.bytes[c.offs[i]:c.offs[i+1]] }
+
+func (c *constTable) id(k Constant) (int32, bool) {
+	i, _ := c.byName.find(constTag(k), func(i int32) bool { return string(c.name(int(i))) == string(k) })
+	if i < 0 {
+		return 0, false
+	}
+	return c.ids[i], true
+}
+
+// constant returns the constant with the id, or nil.
+func (c *constTable) constant(id int32) Term {
+	if i, ok := slices.BinarySearch(c.ids, id); ok {
+		return Constant(c.name(i))
+	}
+	return nil
+}
+
+// with returns a table of c's constants followed by the given ones, whose
+// ids are aligned and above c's. c itself is left as it was.
+func (c *constTable) with(names []Constant, ids []int32) *constTable {
+	out := &constTable{
+		bytes:  slices.Clip(c.bytes),
+		offs:   slices.Clip(c.offs),
+		ids:    append(slices.Clip(c.ids), ids...),
+		byName: c.byName.clone(),
+	}
+	out.byName.reserve(len(names))
+	for k, name := range names {
+		out.bytes = append(out.bytes, name...)
+		out.offs = append(out.offs, len(out.bytes))
+		// name is not in c, so its probe ends at a free slot.
+		tag := constTag(name)
+		_, free := out.byName.find(tag, noValue)
+		out.byName.put(free, tag, int32(len(c.ids)+k))
+	}
+	return out
 }
 
 // registerNull assigns a fresh ground id to a newly created null, without

@@ -2,6 +2,8 @@ package logic
 
 import (
 	"fmt"
+	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 )
@@ -99,5 +101,88 @@ func TestAtomsConcurrentConstruction(t *testing.T) {
 				t.Fatalf("goroutine %d atom %d (%v) != goroutine 0's (%v)", g, i, a, atoms[0][i])
 			}
 		}
+	}
+}
+
+// Freezing moves recent constants into the flat table while readers may
+// still hold the previous state. Readers resolving earlier constants in
+// both directions must see the same ids throughout, and every constant
+// interned across the freezes must keep its id afterwards.
+func TestConstantsSurviveFreezes(t *testing.T) {
+	known := []Constant{"", "a\x00b", "é", "freeze-known"}
+	knownIDs := make([]int32, len(known))
+	for i, c := range known {
+		knownIDs[i] = IDOf(c)
+	}
+	var (
+		wg    sync.WaitGroup
+		stop  = make(chan struct{})
+		added []Constant
+		ids   []int32
+	)
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for i, c := range known {
+					if id := IDOf(c); id != knownIDs[i] {
+						t.Errorf("IDOf(%q) = %d during freezes, want %d", c, id, knownIDs[i])
+						return
+					}
+					if back := TermOfID(knownIDs[i]); back != c {
+						t.Errorf("TermOfID(%d) = %v during freezes, want %q", knownIDs[i], back, c)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for freezes := 0; freezes < 3; {
+		f := symtab.frozen.Load()
+		c := Constant(fmt.Sprintf("freeze-%d", len(added)))
+		added, ids = append(added, c), append(ids, IDOf(c))
+		if symtab.frozen.Load() != f {
+			freezes++
+		}
+	}
+	close(stop)
+	wg.Wait()
+	for i, c := range added {
+		if id, ok := lookupTermID(c); !ok || id != ids[i] {
+			t.Fatalf("lookupTermID(%q) = %d, %v after freezes, want %d", c, id, ok, ids[i])
+		}
+		if back := TermOfID(ids[i]); back != c {
+			t.Fatalf("TermOfID(%d) = %v after freezes, want %q", ids[i], back, c)
+		}
+	}
+	if _, ok := lookupTermID(Constant("freeze-never-interned")); ok {
+		t.Fatal("lookupTermID found a constant that was never interned")
+	}
+}
+
+// Frozen constants hold no pointers, so interning many new constants must
+// leave the collector a few objects to trace, not several per constant
+// (a sync.Map entry is about six).
+func TestFrozenConstantsAreNotTraced(t *testing.T) {
+	const n = 20000
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapObjects
+	for i := range n {
+		IDOf(Constant("untraced-" + strconv.Itoa(i)))
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	grown := int64(ms.HeapObjects) - int64(before)
+	t.Logf("%d new constants left %d more live heap objects", n, grown)
+	if grown > n/2 {
+		t.Errorf("%d new constants left %d more live heap objects, want at most %d", n, grown, n/2)
 	}
 }

@@ -109,6 +109,10 @@ func (t tagTable) clone() tagTable {
 // anyValue resolves a tag that is the whole key.
 func anyValue(int32) bool { return true }
 
+// noValue matches nothing, so find returns the free slot for a value the
+// caller knows to be absent.
+func noValue(int32) bool { return false }
+
 // Numbering numbers int32 keys densely in first-insertion order: the
 // first key gets 0, the next new key 1, and so on. It is a tagTable whose
 // tag is the key itself, as the instance's predicate table is, so it
