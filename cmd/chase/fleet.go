@@ -48,8 +48,11 @@ func runFleet(addrs, network string, req service.ChaseRequest, engineLabel strin
 	}
 	defer coord.Close()
 
+	if req.Name == "" {
+		req.Name = "chase"
+	}
 	job := fleet.Job{
-		Name:        "chase",
+		Name:        req.Name,
 		Tenant:      req.Meta.Tenant,
 		Priority:    req.Meta.Priority,
 		Fingerprint: h.Fingerprint,

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"net"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -93,5 +94,34 @@ func TestChaseFleetMisuse(t *testing.T) {
 	// the failure is a diagnostic, not a hang or a panic.
 	if code, errout := step("-program", quick, "-fleet", "127.0.0.1:1"); code != 2 || !strings.Contains(errout, "chase:") {
 		t.Fatalf("dead fleet: exit %d, stderr %q", code, errout)
+	}
+}
+
+// TestChaseFleetRequestName: a request file's name labels the job on
+// both routes, so a failure names the same job in-process and over
+// -fleet. A bounded request for an ontology with no learned bound fails
+// at admission on either side.
+func TestChaseFleetRequestName(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"nightly.dlgp": "nightly_src(a). nightly_src(X) -> nightly_dst(X).\n",
+		"req.json":     `{"kind": "chase", "name": "nightly", "qos": "bounded", "program": "nightly.dlgp"}`,
+	}
+	for name, body := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	req := filepath.Join(dir, "req.json")
+	for route, argv := range map[string][]string{
+		"in-process": {"-request", req},
+		"fleet":      {"-request", req, "-fleet", startFleetWorkers(t, 1), "-fleet-network", "unix"},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(argv, &stdout, &stderr)
+		errout := stderr.String()
+		if code != 2 || !strings.Contains(errout, `service: chase "nightly" [bad-request]`) || strings.Contains(errout, `"chase"`) {
+			t.Fatalf("%s: exit %d, stderr %q; want the bad request named \"nightly\"", route, code, errout)
+		}
 	}
 }

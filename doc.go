@@ -55,11 +55,11 @@
 // The public entry point is the service layer (internal/service): typed
 // request envelopes — ChaseRequest, DecideRequest, ExperimentRequest —
 // submitted to a Service and answered with typed Results (statistics,
-// derivation handle, classified error taxonomy with wrap-checkable
-// sentinels). The envelopes carry RequestMeta{Tenant, Priority}, which
-// maps onto the scheduler's admission queue: strict priority lanes with
-// round-robin per-tenant fair dequeue, so one tenant's backlog cannot
-// starve another's. The service realizes the paper's fixed-Σ,
+// classified error taxonomy with wrap-checkable sentinels). The
+// envelopes carry RequestMeta{Tenant, Priority}, which maps onto the
+// scheduler's admission queue: strict priority lanes with round-robin
+// per-tenant fair dequeue, so one tenant's backlog cannot starve
+// another's. The service realizes the paper's fixed-Σ,
 // many-databases access pattern as an API: RegisterOntology(Σ) pins Σ
 // under its canonical compile fingerprint and returns the handle, and
 // SubmitByFingerprint ships only fingerprint + database per job, with
@@ -133,7 +133,7 @@
 // portable identities — compile fingerprint for Σ, wire manifest for
 // instances, CanonicalKey for results — make the distribution
 // invisible: a coordinator fleet over cold chased processes is
-// byte-identical (key, stats, rendered derivation) to the in-process
+// byte-identical (key, stats, result snapshot) to the in-process
 // fleet, pinned per scenario and variant by the equivalence suites and
 // by cmd/chase -fleet, whose goldens are the single-process ones.
 //
@@ -145,8 +145,8 @@
 // owning format's sentinel, and FuzzReader fuzzes the cursor once for
 // all four formats. The term-record vocabulary (constants, fresh terms,
 // nulls as factory id + depth, variables, foreign keys) lives only in
-// internal/wire, whose ReadTerm the checkpoint decoder reuses to skip a
-// version-1 artifact's fired-trigger manifest.
+// internal/wire; a checkpoint artifact carries its terms inside a wire
+// snapshot.
 //
 // The anytime serving tier (internal/qos) turns the paper's central
 // hazard — non-uniform termination: whether the chase halts depends on

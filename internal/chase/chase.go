@@ -81,20 +81,11 @@ type Options struct {
 	// one round instead of ~1k trigger matches; the anytime QoS tier
 	// (internal/qos) accepts that trade for determinism.
 	RoundGranularInterrupt bool
-	// Progress, when non-nil, is invoked from the engine goroutine at every
-	// round boundary — the same barrier at which Interrupt is polled — with
-	// the run's statistics so far (the final round included). The engine
-	// calls it inline between the apply phase and the next round's
-	// collection, so a callback that blocks stalls the run: direct console
-	// diagnostics (chtrm's -stream probe) accept that, while the streaming
-	// scheduler (internal/runtime's Scheduler) decouples consumers through
-	// per-job latest-wins channels so a slow consumer throttles nothing.
-	Progress func(Stats)
-	// Observer, when non-nil, passively observes the run — every round
-	// boundary (right after Progress) and the run's end — so serving
-	// layers can meter rounds, derived atoms, and per-round trace spans
-	// without the engine knowing about telemetry. See Observer for the
-	// contract; nil is the fast path (one nil check per round).
+	// Observer, when non-nil, is the run's round-boundary hook: it sees
+	// the run's statistics at every round boundary and at the run's end.
+	// It runs inline on the engine goroutine, so one that blocks stalls
+	// the run; see Observer for the contract. nil is the fast path (one
+	// nil check per round).
 	Observer Observer
 	// Scratch, when non-nil, supplies the run's reusable allocation state
 	// (matcher buffers, atom arena, trigger slabs, fired-key interner) so
@@ -357,14 +348,8 @@ func (e *engine) run() bool {
 		// The round's trigger tuples (fire keys, frontier images) are dead
 		// once applied: recycle their slab blocks for the next round.
 		e.sc.slabs.rewind()
-		if e.opts.Progress != nil || e.opts.Observer != nil {
-			st := e.stats()
-			if e.opts.Progress != nil {
-				e.opts.Progress(st)
-			}
-			if e.opts.Observer != nil {
-				e.opts.Observer.ObserveRound(st)
-			}
+		if e.opts.Observer != nil {
+			e.opts.Observer.ObserveRound(e.stats())
 		}
 		if e.stop {
 			return false

@@ -1,22 +1,27 @@
 package chase
 
-// Observer is the engine's telemetry seam: a passive listener invoked at
-// the same round barrier as Options.Progress and once at run end. It
-// exists so the serving layers can meter rounds, derived atoms, and
-// per-round trace spans without the engine knowing anything about
-// metrics — the engine stays telemetry-agnostic, and internal/runtime
-// adapts an Observer onto internal/telemetry.
+// Observer is the engine's one round-boundary hook: a passive listener
+// invoked at every round boundary — the same barrier at which Interrupt
+// is polled — and once at run end. Serving layers use it to meter
+// rounds, derived atoms and per-round trace spans, and to stream
+// progress, without the engine knowing about telemetry or channels;
+// internal/runtime adapts it onto internal/telemetry and onto a
+// ticket's latest-wins Progress stream.
 //
 // Contract: both methods are called inline from the engine goroutine
-// (never concurrently), must not block, and must not mutate anything
-// the run depends on. Observation never reorders the chase — every
-// byte-identity suite runs unchanged with and without an Observer. The
-// nil Observer is the fast path: a disabled run pays one nil check per
-// round and nothing else.
+// (never concurrently), and ObserveRound runs before the next round's
+// collection starts, so an observer that blocks stalls the run. Direct
+// console diagnostics (chtrm's -stream probe) and tests that gate a
+// worker on a round accept that; the streaming scheduler decouples its
+// consumers through a latest-wins channel, so a slow consumer throttles
+// nothing. An observer must not mutate anything the run depends on.
+// Observation never reorders the chase — every byte-identity suite runs
+// unchanged with and without an Observer. The nil Observer is the fast
+// path: a disabled run pays one nil check per round and nothing else.
 type Observer interface {
 	// ObserveRound is invoked at every round boundary — after the round's
-	// apply phase, right after Options.Progress — with the run's
-	// statistics so far.
+	// apply phase — with the run's statistics so far (the final round
+	// included).
 	ObserveRound(Stats)
 	// ObserveDone is invoked exactly once, after the final round (or the
 	// budget/interrupt stop), with the run's final statistics and whether

@@ -118,16 +118,16 @@ func TestDecodeRejectsInternalDefects(t *testing.T) {
 		artifact []byte
 		mutate   func([]byte) []byte
 	}{
-		// The last byte of a version-2 payload is the snapshot's; of a
-		// version-1 payload, the fired sections'.
-		"snapshot cut":      {data, cutLast},
-		"fired section cut": {v1, cutLast},
-		"magic":             {data, func(p []byte) []byte { q := append([]byte{}, p...); q[0] = 'X'; return q }},
-		"version":           {data, withVersion(0x63)},
-		"version 0":         {data, withVersion(0)},
-		// A version-2 body labelled version 1 lacks the fired sections.
+		// The last byte of a version-2 payload is the snapshot's.
+		"snapshot cut": {data, cutLast},
+		"magic":        {data, func(p []byte) []byte { q := append([]byte{}, p...); q[0] = 'X'; return q }},
+		"version":      {data, withVersion(0x63)},
+		"version 0":    {data, withVersion(0)},
+		// Version 1 is rejected at its version number, whole or cut.
 		"version 1 without fired sections": {data, withVersion(1)},
-		// A version-1 body labelled version 2 has trailing bytes.
+		"fired section cut":                {v1, cutLast},
+		// A version-1 body labelled version 2 has trailing bytes: the
+		// fired sections past the snapshot.
 		"version 2 with fired sections": {v1, withVersion(2)},
 	}
 	for name, tc := range cases {

@@ -18,7 +18,7 @@
 // run had considered exactly the matches inside the snapshot's first
 // DeltaStart atoms, so a resumed run derives the set from the snapshot
 // (see internal/chase's resume.go). Version-1 artifacts, which carried
-// the set, still decode; their fired sections are skipped.
+// the set, no longer decode.
 //
 // The exact digest stays necessary without fired keys. The fingerprint
 // cannot tell a reordered but logically identical ontology from the
@@ -48,8 +48,8 @@ import (
 	"repro/internal/wire"
 )
 
-// Version is the artifact version this package encodes. Decode also
-// reads version 1, whose fired-trigger sections it skips (see codec.go).
+// Version is the artifact version this package encodes, and the only
+// one Decode reads.
 const Version = 2
 
 var (

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -386,38 +387,17 @@ func TestChainedCheckpoints(t *testing.T) {
 	sameInstance(t, "second-generation resume", res2.Instance, full.Instance)
 }
 
-// TestVersion1Artifact keeps version-1 artifacts readable. The fixture
-// is examples/dlgp/quickstart.checkpoint as recorded before version 2
-// dropped the fired-trigger sections; resumed with quickstart-delta.dlgp
-// it must give the same instance, byte for byte, and the same Stats as
-// the checked-in version-2 artifact.
+// TestVersion1Artifact: version-1 artifacts no longer decode. The
+// fixture is examples/dlgp/quickstart.checkpoint as recorded before
+// version 2 dropped the fired-trigger sections; it must fail typed,
+// naming its version.
 func TestVersion1Artifact(t *testing.T) {
-	progs := scenarios(t)
-	delta := progs["quickstart-delta"]
-	var results []*chase.Result
-	for _, path := range []string{
-		filepath.Join("testdata", "quickstart-v1.checkpoint"),
-		filepath.Join("..", "..", "examples", "dlgp", "quickstart.checkpoint"),
-	} {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cp, err := Decode(data)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		res, err := cp.Resume(delta.Rules, delta.Database.Atoms(), chase.Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		results = append(results, res)
+	data, err := os.ReadFile(filepath.Join("testdata", "quickstart-v1.checkpoint"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if v := results[1]; v == nil || v.Stats.Atoms == v.Stats.InitialAtoms {
-		t.Fatal("setup: the delta should derive atoms")
-	}
-	sameInstance(t, "version 1 vs version 2 resume", results[0].Instance, results[1].Instance)
-	if results[0].Stats != results[1].Stats || results[0].Terminated != results[1].Terminated {
-		t.Fatalf("stats diverge: version 1 %+v, version 2 %+v", results[0].Stats, results[1].Stats)
+	_, err = Decode(data)
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("version-1 artifact: err = %v, want ErrCorrupt naming version 1", err)
 	}
 }

@@ -15,13 +15,10 @@ package checkpoint
 //	snapshot: length varint + a wire snapshot of the instance
 //	checksum: first 8 bytes of the SHA-256 of everything before it
 //
-// Version 1 carried two more sections between the snapshot and the
-// checksum: the fired-trigger keys, as a term manifest (count, then one
-// wire term record per term) and the tuples over it (count; per tuple a
-// TGD index, an id count and that many manifest indexes). A resumed run
-// derives the fired set from the snapshot's first DeltaStart atoms, so
-// Decode still reads version 1, checks those sections' bounds and term
-// records, and discards them.
+// Version 1 also carried the fired-trigger keys between the snapshot
+// and the checksum. A resumed run derives the fired set from the
+// snapshot's first DeltaStart atoms, so nothing has written version 1
+// since version 2 dropped that section, and Decode rejects it.
 //
 // Like the wire codec, the encoding is a pure function of the
 // checkpoint's content — process-local symbol ids never appear — so
@@ -99,7 +96,7 @@ func (c *Checkpoint) Encode() ([]byte, error) {
 	return w.Bytes(), nil
 }
 
-// Decode parses and validates an artifact of version 1 or 2. The
+// Decode parses and validates an artifact of the current Version. The
 // returned checkpoint owns a wire stream positioned after the snapshot,
 // so ApplyDelta can append delta blobs with null identity resolved
 // correctly. Every defect — checksum mismatch, truncation, bad section,
@@ -122,8 +119,8 @@ func Decode(data []byte) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	if v != 1 && v != Version {
-		return nil, r.Errorf("version %d, want 1 or %d", v, Version)
+	if v != Version {
+		return nil, r.Errorf("version %d, want %d", v, Version)
 	}
 	c := &Checkpoint{State: &chase.ResumeState{}}
 	fp, err := r.Raw(sha256.Size, "fingerprint")
@@ -173,52 +170,8 @@ func Decode(data []byte) (*Checkpoint, error) {
 	if c.State.DeltaStart > c.Instance.Len() {
 		return nil, r.Errorf("delta window starts at %d, snapshot holds %d atoms", c.State.DeltaStart, c.Instance.Len())
 	}
-
-	if v == 1 {
-		if err := skipFired(r); err != nil {
-			return nil, err
-		}
-	}
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return c, nil
-}
-
-// skipFired reads a version-1 artifact's fired-trigger sections — the
-// term manifest and the tuples over it — and discards them, with the
-// bounds checks version 1's decoder applied.
-func skipFired(r *codec.Reader) error {
-	nterms, err := r.Len("fired term count")
-	if err != nil {
-		return err
-	}
-	for range nterms {
-		if _, _, _, err := wire.ReadTerm(r); err != nil {
-			return err
-		}
-	}
-	nfired, err := r.Len("fired tuple count")
-	if err != nil {
-		return err
-	}
-	for range nfired {
-		if _, err := r.Value("fired TGD index"); err != nil {
-			return err
-		}
-		nids, err := r.Len("fired key width")
-		if err != nil {
-			return err
-		}
-		for range nids {
-			ti, err := r.Value("fired term index")
-			if err != nil {
-				return err
-			}
-			if ti >= nterms {
-				return r.Errorf("fired key references term %d of %d", ti, nterms)
-			}
-		}
-	}
-	return nil
 }

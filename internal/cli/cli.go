@@ -46,9 +46,10 @@ func QoSFlag(fs *flag.FlagSet) *string {
 	return fs.String("qos", "", "QoS policy: exact (default), learn, bounded, or anytime:<deadline>[,<k>r]")
 }
 
-// ProgressPrinter returns a chase.Options.Progress callback that renders
-// each round-boundary snapshot as one diagnostic line on w, prefixed by
-// the tool name.
+// ProgressPrinter returns a callback that renders each round-boundary
+// snapshot as one diagnostic line on w, prefixed by the tool name: a
+// DecideRequest's or a fleet.Job's Progress, or the printer of a
+// ticket's Progress stream.
 func ProgressPrinter(w io.Writer, tool string) func(chase.Stats) {
 	return func(s chase.Stats) {
 		fmt.Fprintf(w, "%s: stream round=%d atoms=%d nulls=%d fired=%d/%d\n",

@@ -55,11 +55,6 @@ func (c *Cache) StoreBound(fp Fingerprint, v chase.Variant, b LearnedBound) {
 	if _, loaded := c.bounds.Swap(boundKey{fp: fp, v: v}, b); !loaded {
 		c.boundCount.Add(1)
 		c.bytes.Add(learnedBoundBytes)
-		if max := c.maxBytes.Load(); max > 0 && c.bytes.Load() > max {
-			c.mu.Lock()
-			c.evictBytesLocked(nil)
-			c.mu.Unlock()
-		}
 	}
 }
 

@@ -92,32 +92,6 @@ func TestBoundSurvivesEvictionAndReregistration(t *testing.T) {
 	}
 }
 
-// TestBoundStoreUnderByteBudget: storing a bound past the cache's byte
-// budget triggers eviction of unpinned entries, and the bound itself —
-// a pinned artifact — survives the pass it caused.
-func TestBoundStoreUnderByteBudget(t *testing.T) {
-	c := NewCache(8)
-	sigma := parser.MustParseRules(`p(X) -> ∃Y r(X, Y). r(X, Y) -> q(Y).`)
-	other := parser.MustParseRules(`a(X) -> b(X).`)
-	if _, _ = c.CompiledChase(sigma); c.Stats().Bytes == 0 {
-		t.Fatal("compiled entry reported zero bytes")
-	}
-	if _, _ = c.CompiledChase(other); c.Stats().Entries != 2 {
-		t.Fatalf("want 2 live entries, got %d", c.Stats().Entries)
-	}
-	// A budget the two entries exactly fill: the next StoreBound pushes
-	// past it and runs the evictor (which keeps the last entry and the
-	// pinned bound, so only one entry can go).
-	c.SetMaxBytes(c.Stats().Bytes)
-	c.StoreBound(Fingerprint{3}, chase.SemiOblivious, LearnedBound{Rounds: 1, Atoms: 1})
-	if s := c.Stats(); s.Evictions == 0 {
-		t.Fatalf("over-budget store ran no eviction: %+v", s)
-	}
-	if _, ok := c.Bound(Fingerprint{3}, chase.SemiOblivious); !ok {
-		t.Fatal("the bound that triggered eviction was itself dropped")
-	}
-}
-
 // TestBoundAccounting: each new (fingerprint, variant) record costs
 // learnedBoundBytes in Stats.Bytes and one in Stats.Bounds; overwrites
 // are free.

@@ -93,10 +93,10 @@ func TestCacheInvalidation(t *testing.T) {
 	c := NewCache(4)
 	sigma := parser.MustParseRules(`p(X) -> ∃Y r(X, Y).`)
 	c.CompiledChase(sigma)
-	if !c.InvalidateSet(sigma) {
+	if !c.Invalidate(Of(sigma)) {
 		t.Fatal("invalidation of a cached set reported absent")
 	}
-	if c.InvalidateSet(sigma) {
+	if c.Invalidate(Of(sigma)) {
 		t.Fatal("double invalidation reported present")
 	}
 	if _, hit := c.CompiledChase(sigma); hit {
@@ -304,68 +304,5 @@ func TestCacheAsChaseCompiler(t *testing.T) {
 	}
 	if res2.Instance.CanonicalKey() != res.Instance.CanonicalKey() {
 		t.Fatal("fallback run diverged from the cached run")
-	}
-}
-
-// A byte budget evicts the least-recently-used entries once the byte
-// accounting exceeds it, while an unset budget (the default) leaves the
-// entry-count bound alone.
-func TestCacheByteBudgetLRU(t *testing.T) {
-	c := NewCache(64) // entry bound far away: only the byte budget acts
-	sets := []*tgds.Set{
-		parser.MustParseRules(`p(X) -> q(X).`),
-		parser.MustParseRules(`q(X) -> r(X).`),
-		parser.MustParseRules(`r(X) -> s(X).`),
-	}
-	c.CompiledChase(sets[0])
-	per := c.Stats().Bytes
-	if per <= 0 {
-		t.Fatal("fixture: one compiled entry must account positive bytes")
-	}
-	// Budget for two entries' artifacts, then fill three: the oldest must
-	// go, and the accounting must hold the budget.
-	c.SetMaxBytes(2 * per)
-	for _, s := range sets[1:] {
-		c.CompiledChase(s)
-	}
-	if got := c.Stats().Bytes; got > 2*per {
-		t.Fatalf("bytes = %d over budget %d", got, 2*per)
-	}
-	if c.Len() != 2 {
-		t.Fatalf("entries = %d, want 2 under the byte budget", c.Len())
-	}
-	if _, hit := c.CompiledChase(sets[0]); hit {
-		t.Fatal("LRU victim of the byte budget served a hit")
-	}
-	if _, hit := c.CompiledChase(sets[2]); !hit {
-		t.Fatal("most recent entry must survive the byte budget")
-	}
-}
-
-// Tightening the budget below the live bytes evicts immediately; an
-// entry that alone exceeds the budget survives (degrading to uncached
-// behavior for it rather than thrashing the whole cache).
-func TestCacheByteBudgetTightenAndOversize(t *testing.T) {
-	c := NewCache(64)
-	a := parser.MustParseRules(`p(X) -> q(X).`)
-	b := parser.MustParseRules(`q(X) -> ∃Y r(X, Y). r(X, Y) -> s(Y).`)
-	c.CompiledChase(a)
-	c.CompiledChase(b)
-	if c.Len() != 2 {
-		t.Fatalf("fixture: entries = %d, want 2", c.Len())
-	}
-	c.SetMaxBytes(1) // below any single entry's size
-	if c.Len() != 1 {
-		t.Fatalf("entries = %d after tightening, want the single survivor", c.Len())
-	}
-	// The survivor is the most recently used one.
-	if _, hit := c.CompiledChase(b); !hit {
-		t.Fatal("most recently used entry did not survive tightening")
-	}
-	// Removing the budget restores pure entry-count behavior.
-	c.SetMaxBytes(0)
-	c.CompiledChase(a)
-	if c.Len() != 2 {
-		t.Fatalf("entries = %d with budget removed, want 2", c.Len())
 	}
 }

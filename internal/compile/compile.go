@@ -89,7 +89,6 @@ type Cache struct {
 	boundCount atomic.Int64
 
 	bytes         atomic.Int64 // approximate bytes held by live entries
-	maxBytes      atomic.Int64 // byte budget; 0 = entry-count bound only
 	hits          atomic.Uint64
 	misses        atomic.Uint64
 	evictions     atomic.Uint64
@@ -105,8 +104,8 @@ type fastEntry struct {
 // Stats is a snapshot of the cache's counters. Hits and Misses count
 // artifact requests (a request for a not-yet-built artifact of a cached
 // ontology counts as a miss). Bytes is the approximate memory held by
-// live entries' built artifacts (see size.go for the cost model), the
-// quantity SetMaxBytes budgets; Registered counts pinned ontologies.
+// live entries' built artifacts and learned bounds (see size.go for the
+// cost model); Registered counts pinned ontologies.
 type Stats struct {
 	Hits, Misses, Evictions, Invalidations uint64
 	Entries                                int
@@ -242,59 +241,6 @@ func (c *Cache) view(sigma *tgds.Set) (*entry, *view) {
 func (c *Cache) addBytes(e *entry, n int) {
 	e.bytes.Add(int64(n))
 	c.bytes.Add(int64(n))
-	if max := c.maxBytes.Load(); max > 0 && c.bytes.Load() > max {
-		c.mu.Lock()
-		c.evictBytesLocked(e)
-		c.mu.Unlock()
-	}
-}
-
-// SetMaxBytes sets the cache's approximate byte budget: whenever the
-// byte accounting exceeds it, least-recently-used entries are evicted
-// until it holds again (the most recent entry always survives, so one
-// oversized ontology degrades to exactly the uncached behavior rather
-// than thrashing). n <= 0 removes the budget, restoring the pure
-// entry-count bound. Safe for concurrent use with lookups.
-func (c *Cache) SetMaxBytes(n int64) {
-	if n < 0 {
-		n = 0
-	}
-	c.maxBytes.Store(n)
-	if n > 0 {
-		c.mu.Lock()
-		c.evictBytesLocked(nil)
-		c.mu.Unlock()
-	}
-}
-
-// evictBytesLocked drops least-recently-used entries (never keep) until
-// the byte budget holds or only one entry remains. Called with mu held.
-func (c *Cache) evictBytesLocked(keep *entry) {
-	max := c.maxBytes.Load()
-	if max <= 0 {
-		return
-	}
-	for c.bytes.Load() > max && c.count.Load() > 1 {
-		var victim *entry
-		c.entries.Range(func(_, v any) bool {
-			e := v.(*entry)
-			if e == keep {
-				return true
-			}
-			if victim == nil || e.lastUse.Load() < victim.lastUse.Load() {
-				victim = e
-			}
-			return true
-		})
-		if victim == nil {
-			return
-		}
-		c.entries.Delete(victim.fp)
-		c.count.Add(-1)
-		c.bytes.Add(-victim.bytes.Load())
-		c.evictions.Add(1)
-		c.clearFast()
-	}
 }
 
 // clearFast drops every pointer memo (after invalidation, reset, or
@@ -457,9 +403,6 @@ func (c *Cache) Invalidate(fp Fingerprint) bool {
 	c.clearFast()
 	return true
 }
-
-// InvalidateSet is Invalidate(Of(sigma)).
-func (c *Cache) InvalidateSet(sigma *tgds.Set) bool { return c.Invalidate(Of(sigma)) }
 
 // Reset empties the cache — entries, registrations, and counters.
 func (c *Cache) Reset() {

@@ -88,8 +88,8 @@ func TestByteAccounting(t *testing.T) {
 
 	// Invalidate returns sigma's bytes to the pool.
 	before := c.Stats().Bytes
-	if !c.InvalidateSet(sigma) {
-		t.Fatal("InvalidateSet found no entry")
+	if !c.Invalidate(Of(sigma)) {
+		t.Fatal("Invalidate found no entry")
 	}
 	if got := c.Stats().Bytes; got >= before || got < 0 {
 		t.Fatalf("Bytes = %d after invalidation, want in [0, %d)", got, before)
@@ -116,7 +116,7 @@ func TestByteAccounting(t *testing.T) {
 }
 
 // TestSizeModelScales: the structural cost model must grow with the
-// ontology — that is all a size-based eviction policy needs from it.
+// ontology, so the compile_cache_bytes gauge tracks the cache's footprint.
 func TestSizeModelScales(t *testing.T) {
 	small := mustRules(t, "p(X) -> q(X).")
 	big := mustRules(t, `

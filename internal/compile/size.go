@@ -7,14 +7,13 @@ import (
 	"repro/internal/tgds"
 )
 
-// Approximate per-artifact byte accounting. The cache's LRU is currently
-// entry-counted; the ROADMAP's follow-up is a size-based bound for very
-// large ontologies, and these estimates are its groundwork (and already
-// feed Stats.Bytes, which -stats surfaces). "Approximate" means a
+// Approximate per-artifact byte accounting. The cache's LRU is
+// entry-counted; these estimates feed Stats.Bytes, which the
+// compile_cache_bytes gauge and -stats surface. "Approximate" means a
 // structural cost model — counts of atoms, arguments, nodes, and edges
 // times plausible per-record costs — not a heap measurement: the numbers
 // are deterministic, cheap to compute at build time, and proportional to
-// the real footprint, which is all an eviction policy needs.
+// the real footprint.
 
 const (
 	wordB   = 8  // one pointer/int word

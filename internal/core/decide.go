@@ -190,10 +190,11 @@ type NaiveOptions struct {
 	// Compiler, when non-nil, serves the probe's compiled per-TGD programs
 	// from a cross-request cache.
 	Compiler chase.Compiler
-	// Progress, when non-nil, receives the probe's statistics at every
-	// round boundary (chase.Options.Progress); streaming callers use it to
-	// surface the long-running materialization incrementally.
-	Progress func(chase.Stats)
+	// Observer, when non-nil, observes the probe's materialization
+	// (chase.Options.Observer): inline at every round boundary and once at
+	// its end. Streaming callers use it to surface the long-running
+	// materialization incrementally.
+	Observer chase.Observer
 }
 
 // DecideNaive runs the paper's naive procedure (Section 3): materialize
@@ -215,7 +216,7 @@ func DecideNaive(ctx context.Context, db *logic.Instance, sigma *tgds.Set, o Nai
 	res := chase.Run(db, sigma, chase.Options{
 		MaxAtoms:  budget,
 		Compile:   o.Compiler,
-		Progress:  o.Progress,
+		Observer:  o.Observer,
 		Interrupt: func() bool { return ctx.Err() != nil },
 	})
 	if !res.Terminated && (budget == 0 || res.Instance.Len() <= budget) {

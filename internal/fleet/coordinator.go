@@ -92,9 +92,6 @@ type Job struct {
 	// its bound store (warmed by the cold-pull handshake).
 	QoS qos.Policy
 
-	RecordDerivation bool
-	TrackForest      bool
-	NoSemiNaive      bool
 	// Progress, when non-nil, observes the worker's round-boundary
 	// statistics (latest-wins upstream; called from the worker link's
 	// goroutine).
@@ -105,15 +102,13 @@ type Job struct {
 type Result struct {
 	Name   string
 	Worker string
-	// Terminated, Stats, Instance, and Derivation mirror the in-process
-	// chase result; Derivation is RenderDerivation's text (empty unless
-	// the job recorded one). Source names the budget that stopped a
-	// truncated run (service.Result.BudgetSource across the wire).
+	// Terminated, Stats, and Instance mirror the in-process chase
+	// result. Source names the budget that stopped a truncated run
+	// (service.Result.BudgetSource across the wire).
 	Terminated bool
 	Stats      chase.Stats
 	Source     qos.Source
 	Instance   *logic.Instance
-	Derivation string
 	Err        error
 }
 
@@ -337,22 +332,7 @@ func (w *workerLink) serve(job Job) Result {
 func (w *workerLink) exchange(job Job) (Result, error) {
 	pulled := false
 	for {
-		if err := w.send(kindSubmit, encodeSubmit(submitMsg{
-			Name:             job.Name,
-			Tenant:           job.Tenant,
-			Priority:         job.Priority,
-			Fingerprint:      job.Fingerprint,
-			Variant:          job.Variant,
-			MaxAtoms:         job.MaxAtoms,
-			MaxRounds:        job.MaxRounds,
-			QoS:              job.QoS,
-			RecordDerivation: job.RecordDerivation,
-			TrackForest:      job.TrackForest,
-			NoSemiNaive:      job.NoSemiNaive,
-			WantProgress:     job.Progress != nil,
-			Snapshot:         job.Snapshot,
-			Deltas:           job.Deltas,
-		})); err != nil {
+		if err := w.send(kindSubmit, encodeSubmit(submitMsg{Job: job, WantProgress: job.Progress != nil})); err != nil {
 			return Result{}, err
 		}
 		res, retry, err := w.answer(job, &pulled)
@@ -398,7 +378,6 @@ func (w *workerLink) answer(job Job, pulled *bool) (res Result, retry bool, err 
 				Stats:      m.Stats,
 				Source:     m.Source,
 				Instance:   inst,
-				Derivation: m.Derivation,
 			}, false, nil
 		case kindError:
 			m, err := decodeError(body)

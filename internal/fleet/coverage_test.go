@@ -13,6 +13,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/compile"
 	"repro/internal/parser"
+	"repro/internal/qos"
 	"repro/internal/service"
 	"repro/internal/tgds"
 )
@@ -48,18 +49,17 @@ func TestReadFrameStream(t *testing.T) {
 // encoding must fail its decoder — no prefix may silently parse as a
 // shorter valid message.
 func TestMessageTruncationSweep(t *testing.T) {
-	full := submitMsg{
+	full := submitMsg{Job: Job{
 		Name: "n", Tenant: "t", Priority: -2, Fingerprint: compile.Fingerprint{7},
-		Variant: chase.Restricted, MaxAtoms: 5, MaxRounds: 6,
-		RecordDerivation: true, TrackForest: true, NoSemiNaive: true, WantProgress: true,
+		Variant: chase.Restricted, MaxAtoms: 5, MaxRounds: 6, QoS: qos.Policy{Learn: true},
 		Snapshot: []byte("snap"), Deltas: [][]byte{[]byte("d")},
-	}
+	}, WantProgress: true}
 	bodies := map[string][]byte{
 		"register":   encodeRegister(registerMsg{Rules: "p(X) -> q(X)."}),
 		"registered": encodeRegistered(registeredMsg{Fingerprint: compile.Fingerprint{1}}),
 		"submit":     encodeSubmit(full),
 		"progress":   encodeProgress(chase.Stats{Atoms: 1, Rounds: 2}),
-		"result":     encodeResult(resultMsg{Terminated: true, Stats: chase.Stats{Atoms: 4}, Snapshot: []byte("s"), Derivation: "d"}),
+		"result":     encodeResult(resultMsg{Terminated: true, Stats: chase.Stats{Atoms: 4}, Snapshot: []byte("s")}),
 		"error":      encodeError(errorMsg{Code: "internal", Message: "m"}),
 	}
 	decoders := map[string]func([]byte) error{
@@ -86,7 +86,7 @@ func TestMessageTruncationSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.RecordDerivation || !m.TrackForest || !m.NoSemiNaive || !m.WantProgress ||
+	if !m.QoS.Learn || !m.WantProgress ||
 		m.Priority != -2 || m.Variant != chase.Restricted || string(m.Deltas[0]) != "d" {
 		t.Fatalf("submit round trip lost fields: %+v", m)
 	}
@@ -340,14 +340,6 @@ func TestCoordinatorColdPullFailures(t *testing.T) {
 				t.Fatalf("%s: err = %v, want ErrTransport", tc.name, res.Err)
 			}
 		})
-	}
-}
-
-// TestRenderDerivationNil pins the nil rendering (no derivation
-// recorded — the common case).
-func TestRenderDerivationNil(t *testing.T) {
-	if got := RenderDerivation(nil); got != "" {
-		t.Fatalf("RenderDerivation(nil) = %q", got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net"
@@ -75,13 +76,14 @@ func startWorkers(t *testing.T, n, svcWorkers int) []string {
 
 // TestCoordinatorFleetEquivalence is the tentpole acceptance property:
 // a coordinator-run fleet over cold chased-style workers is
-// byte-identical — CanonicalKey, termination, statistics (modulo the
-// compile-fetch counters, which describe per-process cache behavior),
-// and the full recorded derivation — to the in-process
-// SubmitByFingerprint fleet, for every examples/dlgp scenario × all
-// three chase variants, at fleet sizes 1 and 2 and scheduler workers 1
-// and 4. The workers start with empty registries, so every ontology
-// crosses the wire through the cold-pull handshake.
+// byte-identical — termination, statistics (modulo the compile-fetch
+// counters, which describe per-process cache behavior), and the wire
+// snapshot of the result: the same atoms, in the same order, with the
+// same null ids — to the in-process SubmitByFingerprint fleet, for every
+// examples/dlgp scenario × all three chase variants, at fleet sizes 1
+// and 2 and scheduler workers 1 and 4. The workers start with empty
+// registries, so every ontology crosses the wire through the cold-pull
+// handshake.
 func TestCoordinatorFleetEquivalence(t *testing.T) {
 	progs := scenarios(t)
 	variants := []chase.Variant{chase.SemiOblivious, chase.Oblivious, chase.Restricted}
@@ -117,22 +119,20 @@ func TestCoordinatorFleetEquivalence(t *testing.T) {
 					jobName := name + "/" + v.String()
 					lt, err := local.SubmitByFingerprint(context.Background(), h.Fingerprint,
 						service.Payload{Snapshot: snapshot}, service.ChaseRequest{
-							Name:             jobName,
-							Variant:          v,
-							MaxAtoms:         300,
-							RecordDerivation: true,
+							Name:     jobName,
+							Variant:  v,
+							MaxAtoms: 300,
 						})
 					if err != nil {
 						t.Fatal(err)
 					}
 					rt, err := coord.Submit(Job{
-						Name:             jobName,
-						Tenant:           name, // spread tenants over the fleet
-						Fingerprint:      h.Fingerprint,
-						Variant:          v,
-						Snapshot:         snapshot,
-						MaxAtoms:         300,
-						RecordDerivation: true,
+						Name:        jobName,
+						Tenant:      name, // spread tenants over the fleet
+						Fingerprint: h.Fingerprint,
+						Variant:     v,
+						Snapshot:    snapshot,
+						MaxAtoms:    300,
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -154,11 +154,8 @@ func TestCoordinatorFleetEquivalence(t *testing.T) {
 				if ls != rs {
 					t.Fatalf("fleet=%d workers=%d %s: stats %+v vs %+v", fleetSize, workers, p.name, ls, rs)
 				}
-				if lk, rk := lr.Chase.Instance.CanonicalKey(), rr.Instance.CanonicalKey(); lk != rk {
+				if !bytes.Equal(wire.EncodeSnapshot(lr.Chase.Instance), wire.EncodeSnapshot(rr.Instance)) {
 					t.Fatalf("fleet=%d workers=%d %s: coordinator fleet diverges from in-process fleet", fleetSize, workers, p.name)
-				}
-				if ld, rd := RenderDerivation(lr.Chase.Derivation), rr.Derivation; ld != rd {
-					t.Fatalf("fleet=%d workers=%d %s: derivations diverge:\nlocal:\n%s\nremote:\n%s", fleetSize, workers, p.name, ld, rd)
 				}
 			}
 			// Every worker started empty: each must have pulled every

@@ -25,23 +25,22 @@ func FuzzFleetFrame(f *testing.F) {
 		}),
 	})))
 	f.Add(appendFrame(nil, kindRegistered, encodeRegistered(registeredMsg{Fingerprint: compile.Fingerprint{1, 2, 3}})))
-	f.Add(appendFrame(nil, kindSubmit, encodeSubmit(submitMsg{
+	f.Add(appendFrame(nil, kindSubmit, encodeSubmit(submitMsg{Job: Job{
 		Name: "job", Tenant: "acme", Priority: -3, Variant: chase.Restricted,
 		MaxAtoms: 300, MaxRounds: 7,
-		RecordDerivation: true, WantProgress: true,
 		Snapshot: []byte("snap"), Deltas: [][]byte{[]byte("d1"), nil},
-	})))
-	f.Add(appendFrame(nil, kindSubmit, encodeSubmit(submitMsg{
+	}, WantProgress: true})))
+	f.Add(appendFrame(nil, kindSubmit, encodeSubmit(submitMsg{Job: Job{
 		Name: "anytime", Variant: chase.SemiOblivious,
 		QoS:      qos.Policy{Mode: qos.Anytime, Deadline: 250 * time.Millisecond, Rounds: 3},
 		Snapshot: []byte("snap"),
-	})))
-	f.Add(appendFrame(nil, kindSubmit, encodeSubmit(submitMsg{
+	}})))
+	f.Add(appendFrame(nil, kindSubmit, encodeSubmit(submitMsg{Job: Job{
 		Name: "learn", QoS: qos.Policy{Learn: true}, Snapshot: []byte("snap"),
-	})))
+	}})))
 	f.Add(appendFrame(nil, kindProgress, encodeProgress(chase.Stats{Atoms: 9, Rounds: 2, Nulls: 1})))
 	f.Add(appendFrame(nil, kindResult, encodeResult(resultMsg{
-		Terminated: true, Stats: chase.Stats{Atoms: 5}, Snapshot: []byte("s"), Derivation: "initial 1\n",
+		Terminated: true, Stats: chase.Stats{Atoms: 5}, Snapshot: []byte("s"),
 	})))
 	f.Add(appendFrame(nil, kindResult, encodeResult(resultMsg{
 		Stats: chase.Stats{Atoms: 5, Rounds: 3}, Source: qos.SourceDeadline, Snapshot: []byte("s"),

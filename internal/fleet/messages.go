@@ -29,47 +29,28 @@ type registeredMsg struct {
 	Fingerprint compile.Fingerprint
 }
 
-// submitMsg is one fingerprint-addressed chase job: exactly the
-// at-rest subset of service.ChaseRequest, with the database as a wire
-// snapshot plus deltas.
+// submitMsg is one fingerprint-addressed chase job: the Job's at-rest
+// fields — every field but Progress, which stays with the coordinator —
+// and whether the coordinator wants Progress frames. The QoS policy
+// travels as the mode byte, the anytime deadline (nanoseconds) and round
+// quota as varints, and the learn bit folded into the submit flags.
 type submitMsg struct {
-	Name     string
-	Tenant   string
-	Priority service.Priority
-	// Fingerprint addresses the worker-side registered ontology.
-	Fingerprint compile.Fingerprint
-	Variant     chase.Variant
-	MaxAtoms    int
-	MaxRounds   int
-	// QoS carries the request's serving policy: the mode byte, the
-	// anytime deadline (nanoseconds) and round quota as varints, and the
-	// learn bit folded into the submit flags.
-	QoS qos.Policy
-	// Flags.
-	RecordDerivation bool
-	TrackForest      bool
-	NoSemiNaive      bool
+	Job
 	// WantProgress asks the worker to stream Progress frames before the
 	// Result.
 	WantProgress bool
-
-	Snapshot []byte
-	Deltas   [][]byte
 }
 
 // resultMsg is a finished job: the materialized instance as a wire
-// snapshot, the engine statistics, and — when the job recorded its
-// derivation — the deterministic derivation rendering, which the
-// coordinator side compares byte-for-byte against in-process runs.
-// Source names the budget that stopped a truncated run (meaningful
-// only when Terminated is false), so the coordinator's truncation
-// marker matches the in-process one byte for byte.
+// snapshot and the engine statistics. Source names the budget that
+// stopped a truncated run (meaningful only when Terminated is false),
+// so the coordinator's truncation marker matches the in-process one
+// byte for byte.
 type resultMsg struct {
 	Terminated bool
 	Stats      chase.Stats
 	Source     qos.Source
 	Snapshot   []byte
-	Derivation string
 }
 
 // errorMsg is a typed failure: the service taxonomy name as the code
@@ -81,10 +62,7 @@ type errorMsg struct {
 
 // Submit flag bits.
 const (
-	flagRecordDerivation = 1 << iota
-	flagTrackForest
-	flagNoSemiNaive
-	flagWantProgress
+	flagWantProgress = 1 << iota
 	flagLearnBound
 )
 
@@ -183,15 +161,6 @@ func encodeSubmit(m submitMsg) []byte {
 	if m.QoS.Learn {
 		flags |= flagLearnBound
 	}
-	if m.RecordDerivation {
-		flags |= flagRecordDerivation
-	}
-	if m.TrackForest {
-		flags |= flagTrackForest
-	}
-	if m.NoSemiNaive {
-		flags |= flagNoSemiNaive
-	}
 	if m.WantProgress {
 		flags |= flagWantProgress
 	}
@@ -261,13 +230,10 @@ func decodeSubmit(body []byte) (submitMsg, error) {
 	if err != nil {
 		return m, err
 	}
-	if flags&^(flagRecordDerivation|flagTrackForest|flagNoSemiNaive|flagWantProgress|flagLearnBound) != 0 {
+	if flags&^(flagWantProgress|flagLearnBound) != 0 {
 		return m, r.Errorf("unknown submit flags %#x", flags)
 	}
 	m.QoS.Learn = flags&flagLearnBound != 0
-	m.RecordDerivation = flags&flagRecordDerivation != 0
-	m.TrackForest = flags&flagTrackForest != 0
-	m.NoSemiNaive = flags&flagNoSemiNaive != 0
 	m.WantProgress = flags&flagWantProgress != 0
 	if m.Snapshot, err = r.Blob("snapshot"); err != nil {
 		return m, err
@@ -311,7 +277,6 @@ func encodeResult(m resultMsg) []byte {
 	w.Byte(byte(m.Source))
 	writeStats(&w, m.Stats)
 	w.Blob(m.Snapshot)
-	w.Str(m.Derivation)
 	return w.Bytes()
 }
 
@@ -338,9 +303,6 @@ func decodeResult(body []byte) (resultMsg, error) {
 		return m, err
 	}
 	if m.Snapshot, err = r.Blob("snapshot"); err != nil {
-		return m, err
-	}
-	if m.Derivation, err = r.Str("derivation"); err != nil {
 		return m, err
 	}
 	return m, r.Done()

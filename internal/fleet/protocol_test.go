@@ -36,6 +36,9 @@ func TestFrameDecodeAdversarial(t *testing.T) {
 		{"torn body", valid[:len(valid)-1], ErrFrame},
 		{"bad magic", append([]byte("XX"), valid[2:]...), ErrFrame},
 		{"bad version", func() []byte { b := bytes.Clone(valid); b[2] = Version + 1; return b }(), ErrFrame},
+		// A peer one version behind fails at the header, before any
+		// message decoder reads a body laid out the old way.
+		{"previous version", func() []byte { b := bytes.Clone(valid); b[2] = Version - 1; return b }(), ErrFrame},
 		{"oversize body", oversize, ErrFrame},
 	}
 	for _, tc := range cases {
@@ -56,7 +59,7 @@ func TestFrameDecodeAdversarial(t *testing.T) {
 // TestMessageDecodeAdversarial: message bodies reject truncation,
 // trailing garbage, unknown flag bits, and out-of-range enums.
 func TestMessageDecodeAdversarial(t *testing.T) {
-	sub := encodeSubmit(submitMsg{Name: "n", Tenant: "t", Snapshot: []byte("s"), Deltas: [][]byte{[]byte("d")}})
+	sub := encodeSubmit(submitMsg{Job: Job{Name: "n", Tenant: "t", Snapshot: []byte("s"), Deltas: [][]byte{[]byte("d")}}})
 	if _, err := decodeSubmit(sub[:len(sub)-1]); err == nil {
 		t.Fatal("truncated submit decoded")
 	}
@@ -75,7 +78,7 @@ func TestMessageDecodeAdversarial(t *testing.T) {
 	w.Byte(0)      // qos mode
 	w.Uint(0)      // qos deadline
 	w.Uint(0)      // qos rounds
-	w.Byte(1 << 7) // unknown flag bit
+	w.Byte(1 << 2) // the lowest unassigned flag bit
 	w.Blob(nil)
 	w.Uint(0)
 	if _, err := decodeSubmit(w.Bytes()); err == nil {

@@ -165,14 +165,11 @@ func (s *Server) serveSubmit(conn net.Conn, body []byte) error {
 	tk, err := s.svc.SubmitByFingerprint(context.Background(), m.Fingerprint,
 		service.Payload{Snapshot: m.Snapshot, Deltas: m.Deltas},
 		service.ChaseRequest{
-			Meta:             service.RequestMeta{Tenant: m.Tenant, Priority: m.Priority, QoS: m.QoS},
-			Name:             m.Name,
-			Variant:          m.Variant,
-			MaxAtoms:         m.MaxAtoms,
-			MaxRounds:        m.MaxRounds,
-			TrackForest:      m.TrackForest,
-			RecordDerivation: m.RecordDerivation,
-			NoSemiNaive:      m.NoSemiNaive,
+			Meta:      service.RequestMeta{Tenant: m.Tenant, Priority: m.Priority, QoS: m.QoS},
+			Name:      m.Name,
+			Variant:   m.Variant,
+			MaxAtoms:  m.MaxAtoms,
+			MaxRounds: m.MaxRounds,
 		})
 	if err != nil {
 		return writeServiceError(conn, err)
@@ -197,7 +194,6 @@ func (s *Server) serveSubmit(conn net.Conn, body []byte) error {
 		Stats:      res.Chase.Stats,
 		Source:     res.BudgetSource,
 		Snapshot:   wire.EncodeSnapshot(res.Chase.Instance),
-		Derivation: RenderDerivation(res.Chase.Derivation),
 	}
 	return writeFrame(conn, kindResult, encodeResult(out))
 }

@@ -1,6 +1,5 @@
-// Package query implements conjunctive queries (CQs) and unions thereof
-// (UCQs) over instances, including certain-answer semantics over chase
-// materializations. This is the consumer side of the paper's motivation:
+// Package query implements conjunctive queries (CQs) over instances,
+// including certain-answer semantics over chase materializations. This is the consumer side of the paper's motivation:
 // ontological query answering computes the certain answers of a query q
 // over (D, Σ), which — whenever the chase terminates — equal the answers
 // of q over chase(D, Σ) that mention no labeled nulls (the universal-model
@@ -16,7 +15,8 @@ import (
 )
 
 // CQ is a conjunctive query: answer variables and a body of atoms over
-// variables and constants. A CQ with no answer variables is Boolean.
+// variables and constants. A CQ with no answer variables is Boolean: its
+// answers are one empty tuple when the body matches, and none otherwise.
 type CQ struct {
 	Answer []logic.Variable
 	Body   []*logic.Atom
@@ -124,71 +124,4 @@ func (q *CQ) answers(in *logic.Instance, groundOnly bool) []Tuple {
 	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
 	return out
-}
-
-// Holds reports whether the Boolean query is satisfied: some homomorphism
-// from the body into the instance exists. For non-Boolean queries it
-// reports whether any answer exists.
-func (q *CQ) Holds(in *logic.Instance) bool {
-	return logic.FindOne(q.Body, in) != nil
-}
-
-// CertainlyHolds reports Boolean certain-answer satisfaction over a chase
-// materialization: a match is allowed to use nulls (the query is Boolean,
-// so no null can leak into an answer).
-func (q *CQ) CertainlyHolds(chased *logic.Instance) bool {
-	return q.Holds(chased)
-}
-
-// UCQ is a union of conjunctive queries with identical answer arity.
-type UCQ struct {
-	Disjuncts []*CQ
-}
-
-// NewUCQ validates that all disjuncts share the answer arity.
-func NewUCQ(disjuncts ...*CQ) (*UCQ, error) {
-	if len(disjuncts) == 0 {
-		return nil, fmt.Errorf("query: empty UCQ")
-	}
-	n := len(disjuncts[0].Answer)
-	for _, d := range disjuncts[1:] {
-		if len(d.Answer) != n {
-			return nil, fmt.Errorf("query: disjuncts with different answer arities (%d vs %d)", n, len(d.Answer))
-		}
-	}
-	return &UCQ{Disjuncts: disjuncts}, nil
-}
-
-// Answers returns the union of the disjuncts' answers, deduplicated.
-func (u *UCQ) Answers(in *logic.Instance) []Tuple {
-	return u.union(in, (*CQ).Answers)
-}
-
-// CertainAnswers returns the union of the disjuncts' certain answers.
-func (u *UCQ) CertainAnswers(chased *logic.Instance) []Tuple {
-	return u.union(chased, (*CQ).CertainAnswers)
-}
-
-func (u *UCQ) union(in *logic.Instance, eval func(*CQ, *logic.Instance) []Tuple) []Tuple {
-	seen := make(map[string]bool)
-	var out []Tuple
-	for _, d := range u.Disjuncts {
-		for _, t := range eval(d, in) {
-			if k := t.Key(); !seen[k] {
-				seen[k] = true
-				out = append(out, t)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
-	return out
-}
-
-// String renders the UCQ.
-func (u *UCQ) String() string {
-	parts := make([]string, len(u.Disjuncts))
-	for i, d := range u.Disjuncts {
-		parts[i] = d.String()
-	}
-	return strings.Join(parts, "  ∨  ")
 }

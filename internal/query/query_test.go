@@ -57,14 +57,15 @@ func TestBooleanCertainty(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := chase.Run(prog.Database, prog.Rules, chase.Options{})
-	// ∃Y mentor(ada, Y) certainly holds although the witness is a null.
+	// ∃Y mentor(ada, Y) certainly holds although the witness is a null:
+	// its certain answers are the one empty tuple.
 	q := MustCQ(nil, []*logic.Atom{logic.MakeAtom("mentor", logic.Constant("ada"), y)})
-	if !q.CertainlyHolds(res.Instance) {
-		t.Fatal("boolean query must certainly hold")
+	if got := q.CertainAnswers(res.Instance); len(got) != 1 || len(got[0]) != 0 {
+		t.Fatalf("boolean query must certainly hold: certain answers %v", got)
 	}
 	q2 := MustCQ(nil, []*logic.Atom{logic.MakeAtom("mentor", logic.Constant("eve"), y)})
-	if q2.CertainlyHolds(res.Instance) {
-		t.Fatal("query about missing constant must fail")
+	if got := q2.CertainAnswers(res.Instance); len(got) != 0 {
+		t.Fatalf("query about missing constant must fail: certain answers %v", got)
 	}
 }
 
@@ -79,24 +80,6 @@ func TestJoinQuery(t *testing.T) {
 	got := q.Answers(db)
 	if len(got) != 2 {
 		t.Fatalf("answers = %v", got)
-	}
-}
-
-func TestUCQ(t *testing.T) {
-	db := parser.MustParseDatabase(`r(a). s(b). s(a).`)
-	q1 := MustCQ([]logic.Variable{x}, []*logic.Atom{logic.MakeAtom("r", x)})
-	q2 := MustCQ([]logic.Variable{x}, []*logic.Atom{logic.MakeAtom("s", x)})
-	u, err := NewUCQ(q1, q2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := u.Answers(db)
-	// {a, b}: a from both disjuncts deduplicated.
-	if len(got) != 2 {
-		t.Fatalf("UCQ answers = %v", got)
-	}
-	if _, err := NewUCQ(q1, MustCQ([]logic.Variable{x, y}, []*logic.Atom{logic.MakeAtom("e", x, y)})); err == nil {
-		t.Fatal("arity mismatch must be rejected")
 	}
 }
 
@@ -128,9 +111,5 @@ func TestStringRendering(t *testing.T) {
 	q := MustCQ([]logic.Variable{x}, []*logic.Atom{logic.MakeAtom("r", x, y)})
 	if q.String() != "ans(X) <- r(X,Y)" {
 		t.Fatalf("rendering = %q", q.String())
-	}
-	u, _ := NewUCQ(q, q)
-	if u.String() == "" {
-		t.Fatal("UCQ rendering empty")
 	}
 }

@@ -100,8 +100,8 @@ type Job struct {
 
 // ChaseSpec is one chase-engine job over (D, Σ): a fresh chase or one
 // resumed from a checkpoint. Every engine setting — variant, atom and
-// round budgets, compiler, progress and observer hooks — lives
-// on Options; the scheduler adds only its own wiring (see SubmitChase).
+// round budgets, compiler, the round observer — lives on Options; the
+// scheduler adds only its own wiring (see SubmitChase).
 type ChaseSpec struct {
 	Name string
 	Meta JobMeta
@@ -269,7 +269,7 @@ type Ticket struct {
 	ctx      context.Context
 	cancelFn context.CancelFunc
 	done     chan JobResult
-	progress chan chase.Stats
+	progress progressStream
 
 	// enqueued and trace are telemetry state, populated at admission only
 	// when the scheduler carries a Telemetry (and, for trace, a sink).
@@ -370,10 +370,10 @@ func (s *Scheduler) Submit(ctx context.Context, j Job) (*Ticket, error) {
 // backpressure and cancellation semantics. The scheduler wires the run
 // in one place (engineOptions): Interrupt polls the job's context, so
 // the wall budget and cancellation stop the engine mid-round; a nil
-// Options.Scratch becomes the worker's pooled scratch; each round's
-// Stats is forwarded, after any Options.Progress of the caller's, into
-// the ticket's latest-wins Progress stream; and with telemetry on, a
-// metering observer joins Options.Observer.
+// Options.Scratch becomes the worker's pooled scratch; and the ticket's
+// latest-wins Progress stream joins Options.Observer, after the
+// caller's observer and before the metering observer that telemetry
+// adds.
 func (s *Scheduler) SubmitChase(ctx context.Context, spec ChaseSpec) (*Ticket, error) {
 	return s.submit(ctx, Job{Name: spec.Name, Meta: spec.Meta, Wall: spec.Wall}, &spec)
 }
@@ -394,27 +394,30 @@ func (s *Scheduler) engineOptions(t *Ticket, ctx context.Context, sc *chase.Scra
 	if o.Scratch == nil {
 		o.Scratch = sc
 	}
-	prev, progress := o.Progress, t.progress
-	o.Progress = func(st chase.Stats) {
-		if prev != nil {
-			prev(st)
-		}
-		pushLatest(progress, st)
-	}
-	if s.tel != nil {
+	switch {
+	case s.tel != nil:
 		obs := &chaseObserver{m: s.tel, trace: t.trace, kind: "chase"}
 		if t.spec.Resume {
 			obs.kind = "resume"
 		}
-		o.Observer = chase.MultiObserver(o.Observer, obs)
+		o.Observer = chase.MultiObserver(o.Observer, t.progress, obs)
+	case o.Observer != nil:
+		o.Observer = chase.MultiObserver(o.Observer, t.progress)
+	default:
+		o.Observer = t.progress
 	}
 	return o
 }
 
-// pushLatest delivers st to a 1-buffered channel with latest-wins
-// semantics. Single producer (the engine goroutine); the consumer may
-// receive concurrently.
-func pushLatest(ch chan chase.Stats, st chase.Stats) {
+// progressStream is a ticket's Progress channel, and the chase.Observer
+// that feeds it: ObserveRound delivers each round's Stats to the
+// 1-buffered channel with latest-wins semantics. Single producer (the
+// engine goroutine); the consumer may receive concurrently. The
+// scheduler closes the channel once the job ends, so ObserveDone adds
+// nothing.
+type progressStream chan chase.Stats
+
+func (ch progressStream) ObserveRound(st chase.Stats) {
 	select {
 	case ch <- st:
 		return
@@ -432,6 +435,8 @@ func pushLatest(ch chan chase.Stats, st chase.Stats) {
 	default:
 	}
 }
+
+func (progressStream) ObserveDone(chase.Stats, bool) {}
 
 // admitted instruments one successful admission: the admission counter,
 // the queue-wait start mark, and — when tracing — the ticket's trace
@@ -469,7 +474,7 @@ func (s *Scheduler) submit(ctx context.Context, j Job, spec *ChaseSpec) (*Ticket
 		done:     make(chan JobResult, 1),
 	}
 	if spec != nil {
-		t.progress = make(chan chase.Stats, 1)
+		t.progress = make(progressStream, 1)
 	}
 	// Prefer admission: the non-blocking slot grab happens under the lock
 	// so the closed-check, index assignment, and admission are one atomic

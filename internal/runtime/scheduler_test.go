@@ -373,17 +373,25 @@ func TestSchedulerCancelBeforeStart(t *testing.T) {
 	}
 }
 
+// roundCounter is a caller's chase.Observer that counts round boundaries.
+type roundCounter struct{ rounds int }
+
+func (c *roundCounter) ObserveRound(chase.Stats)    { c.rounds++ }
+func (*roundCounter) ObserveDone(chase.Stats, bool) {}
+
 // SubmitChase tickets stream round-level progress: a multi-round run
 // delivers at least one event (latest-wins may collapse the rest), the
 // stream is closed before the result lands, and the final observed event
-// is consistent with the result's statistics.
+// is consistent with the result's statistics. The stream joins the
+// caller's own Observer, which still sees every round.
 func TestSchedulerChaseProgressStream(t *testing.T) {
 	db := parser.MustParseDatabase(`e(a, b).`)
 	sigma := parser.MustParseRules(`e(X, Y) -> ∃Z e(Y, Z).`)
 	s := NewScheduler(SchedulerConfig{Workers: 1, QueueBound: 1})
 	defer s.Close()
 
-	tk, err := s.SubmitChase(context.Background(), chaseSpec("walk", db, sigma, chase.Options{MaxRounds: 40}))
+	caller := &roundCounter{}
+	tk, err := s.SubmitChase(context.Background(), chaseSpec("walk", db, sigma, chase.Options{MaxRounds: 40, Observer: caller}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,6 +422,9 @@ func TestSchedulerChaseProgressStream(t *testing.T) {
 	last := events[len(events)-1]
 	if last.Rounds > res.Stats.Rounds || last.Atoms > res.Stats.Atoms {
 		t.Fatalf("last event %+v overshoots final stats %+v", last, res.Stats)
+	}
+	if caller.rounds != res.Stats.Rounds {
+		t.Fatalf("caller's observer saw %d rounds, the run had %d", caller.rounds, res.Stats.Rounds)
 	}
 	for i := 1; i < len(events); i++ {
 		if events[i].Rounds <= events[i-1].Rounds {

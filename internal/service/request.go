@@ -170,15 +170,6 @@ type ChaseRequest struct {
 	MaxAtoms  int
 	MaxRounds int
 	Wall      time.Duration
-	// TrackForest / RecordDerivation / NoSemiNaive are chase.Options
-	// passthroughs; Result.Derivation surfaces the recorded derivation.
-	TrackForest      bool
-	RecordDerivation bool
-	NoSemiNaive      bool
-	// Progress, when non-nil, additionally observes round-boundary
-	// statistics in-process (the ticket's Progress stream works either
-	// way). In-process only: request files cannot carry it.
-	Progress func(chase.Stats)
 	// Checkpoint asks the run to capture resumable state at a clean stop
 	// (chase.Options.Checkpoint), so the ticket's EncodeCheckpoint can
 	// emit a portable artifact a later DeltaRequest continues from. Off
@@ -216,16 +207,10 @@ type DeltaRequest struct {
 	MaxAtoms  int
 	MaxRounds int
 	Wall      time.Duration
-	// TrackForest / RecordDerivation / NoSemiNaive as in ChaseRequest.
-	TrackForest      bool
-	RecordDerivation bool
-	NoSemiNaive      bool
 	// Chain asks the resumed run to capture resumable state of its own,
 	// so EncodeCheckpoint on its ticket emits a second-generation
 	// artifact (checkpoints compose across cuts).
 	Chain bool
-	// Progress observes round boundaries (in-process only).
-	Progress func(chase.Stats)
 }
 
 // DecideRequest asks a ChTrm termination question. Method selects the
@@ -245,7 +230,9 @@ type DecideRequest struct {
 	// core.ErrUnboundedNaive.
 	AtomCap int
 	Wall    time.Duration
-	// Progress observes the naive probe's rounds (in-process only).
+	// Progress observes the naive probe's rounds (in-process only). It
+	// runs inline on the probe's goroutine, so one that blocks stalls the
+	// probe and holds its scheduler worker.
 	Progress func(chase.Stats)
 }
 

@@ -18,11 +18,12 @@ import (
 // "chase -request req.json" serving shape: a file a client writes and a
 // tool (or a future listener) replays through the service layer. Exactly
 // the envelope fields that make sense at rest are representable;
-// in-process-only fields (Progress callbacks, live payloads)
-// are not. Every referenced path is resolved against the request file's
-// own directory and confined to it: absolute paths and ".."-escapes are
-// rejected across all file fields (program, data, rules, snapshot,
-// deltas, checkpoint) by one shared resolver.
+// in-process-only fields (DecideRequest.Progress, ExperimentRequest's
+// Stream writer, live instance payloads) are not. Every referenced path
+// is resolved against the request file's own directory and confined to
+// it: absolute paths and ".."-escapes are rejected across all file
+// fields (program, data, rules, snapshot, deltas, checkpoint) by one
+// shared resolver.
 type RequestFile struct {
 	// Kind selects the operation: "chase", "decide", "experiment", or
 	// "resume" (continue a checkpointed chase over a delta).

@@ -209,14 +209,10 @@ func (s *Service) SubmitChase(ctx context.Context, req ChaseRequest) (*Ticket, e
 		return nil, err
 	}
 	opts := chase.Options{
-		Variant:          req.Variant,
-		MaxAtoms:         req.MaxAtoms,
-		TrackForest:      req.TrackForest,
-		RecordDerivation: req.RecordDerivation,
-		NoSemiNaive:      req.NoSemiNaive,
-		Progress:         req.Progress,
-		Compile:          s.cache,
-		Checkpoint:       req.Checkpoint,
+		Variant:    req.Variant,
+		MaxAtoms:   req.MaxAtoms,
+		Compile:    s.cache,
+		Checkpoint: req.Checkpoint,
 	}
 	s.applyChaseDecision(&opts, dec, fp)
 	t, err := s.sched.SubmitChase(ctx, rt.ChaseSpec{
@@ -287,13 +283,9 @@ func (s *Service) SubmitDelta(ctx context.Context, req DeltaRequest) (*Ticket, e
 		return nil, err
 	}
 	opts := chase.Options{
-		MaxAtoms:         req.MaxAtoms,
-		TrackForest:      req.TrackForest,
-		RecordDerivation: req.RecordDerivation,
-		NoSemiNaive:      req.NoSemiNaive,
-		Progress:         req.Progress,
-		Compile:          s.cache,
-		Checkpoint:       req.Chain,
+		MaxAtoms:   req.MaxAtoms,
+		Compile:    s.cache,
+		Checkpoint: req.Chain,
 	}
 	s.applyChaseDecision(&opts, dec, cp.Fingerprint)
 	delta := req.Delta
@@ -368,11 +360,15 @@ func (s *Service) decideRun(req DecideRequest, db *logic.Instance, sigma *tgds.S
 	case "naive":
 		// The probe polls the job's context, so the wall budget, Cancel
 		// and an anytime deadline stop the materialization.
+		var obs chase.Observer
+		if req.Progress != nil {
+			obs = progressFunc(req.Progress)
+		}
 		return func(ctx context.Context) (any, error) {
 			return core.DecideNaive(ctx, db, sigma, core.NaiveOptions{
 				AtomCap:  req.AtomCap,
 				Compiler: s.cache,
-				Progress: req.Progress,
+				Observer: obs,
 			})
 		}, nil
 	case "ucq":
@@ -383,6 +379,14 @@ func (s *Service) decideRun(req DecideRequest, db *logic.Instance, sigma *tgds.S
 		return nil, fmt.Errorf("unknown method %q (want syntactic, naive, ucq, or uniform)", req.Method)
 	}
 }
+
+// progressFunc adapts a DecideRequest's Progress callback to the naive
+// probe's chase.Observer: it sees every round boundary, and the run's
+// end adds nothing.
+type progressFunc func(chase.Stats)
+
+func (f progressFunc) ObserveRound(st chase.Stats) { f(st) }
+func (progressFunc) ObserveDone(chase.Stats, bool) {}
 
 // decideUCQ evaluates the termination UCQ Q_Σ (Theorems 6.6 / 7.7) with
 // the UCQ built once per ontology through the cache.
@@ -590,15 +594,6 @@ func (r Result) Stats() chase.Stats {
 		return chase.Stats{}
 	}
 	return r.Chase.Stats
-}
-
-// Derivation returns the recorded derivation handle of a chase run that
-// asked for one (RecordDerivation), nil otherwise.
-func (r Result) Derivation() *chase.Derivation {
-	if r.Chase == nil {
-		return nil
-	}
-	return r.Chase.Derivation
 }
 
 // resultOf converts a scheduler JobResult into the typed envelope.

@@ -174,15 +174,7 @@ func TestErrorTaxonomy(t *testing.T) {
 		var once, releaseOnce sync.Once
 		release := func() { releaseOnce.Do(func() { close(gate) }) }
 		defer release()
-		first, err := s.SubmitChase(context.Background(), ChaseRequest{
-			Database: Payload{Instance: prog.Database},
-			Ontology: OntologyRef{Set: prog.Rules},
-			MaxAtoms: 50,
-			Progress: func(chase.Stats) {
-				once.Do(func() { close(claimed) })
-				<-gate
-			},
-		})
+		first, err := s.SubmitDecide(context.Background(), gatedProbe(prog, &once, claimed, gate))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,15 +274,7 @@ func TestErrorTaxonomy(t *testing.T) {
 		gate := make(chan struct{})
 		claimed := make(chan struct{})
 		var once sync.Once
-		first, err := s.SubmitChase(context.Background(), ChaseRequest{
-			Database: Payload{Instance: prog.Database},
-			Ontology: OntologyRef{Set: prog.Rules},
-			MaxAtoms: 50,
-			Progress: func(chase.Stats) {
-				once.Do(func() { close(claimed) })
-				<-gate
-			},
-		})
+		first, err := s.SubmitDecide(context.Background(), gatedProbe(prog, &once, claimed, gate))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,6 +298,22 @@ func TestErrorTaxonomy(t *testing.T) {
 		}
 		first.Wait()
 	})
+}
+
+// gatedProbe is a naive decide probe whose first round boundary closes
+// claimed and then parks its worker until gate closes: a probe's
+// Progress runs inline on the engine goroutine, so it holds the worker.
+func gatedProbe(prog *parser.Program, once *sync.Once, claimed, gate chan struct{}) DecideRequest {
+	return DecideRequest{
+		Database: Payload{Instance: prog.Database},
+		Ontology: OntologyRef{Set: prog.Rules},
+		Method:   "naive",
+		AtomCap:  50,
+		Progress: func(chase.Stats) {
+			once.Do(func() { close(claimed) })
+			<-gate
+		},
+	}
 }
 
 // TestDecideMethods: every decision method routed through the service
@@ -505,33 +505,6 @@ func TestExperimentThroughService(t *testing.T) {
 	}
 	if got.String() != direct.String() {
 		t.Fatalf("service table differs from direct run:\n%s\nvs\n%s", got.String(), direct.String())
-	}
-}
-
-// TestDerivationHandle: RecordDerivation surfaces through the result's
-// derivation handle and validates.
-func TestDerivationHandle(t *testing.T) {
-	prog := parserProg(t, "e(a, b). e(X, Y) -> ∃Z e(Y, Z).")
-	s := newService(t, Config{Workers: 1})
-	tk, err := s.SubmitChase(context.Background(), ChaseRequest{
-		Database:         Payload{Instance: prog.Database},
-		Ontology:         OntologyRef{Set: prog.Rules},
-		MaxAtoms:         20,
-		RecordDerivation: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := tk.Wait()
-	if r.Err != nil {
-		t.Fatal(r.Err)
-	}
-	d := r.Derivation()
-	if d == nil || len(d.Steps) == 0 {
-		t.Fatal("no derivation handle on a RecordDerivation run")
-	}
-	if err := d.Validate(prog.Rules, r.Chase.Instance, r.Chase.Terminated); err != nil {
-		t.Fatalf("derivation does not validate: %v", err)
 	}
 }
 

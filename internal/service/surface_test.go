@@ -39,11 +39,8 @@ func TestTicketSurface(t *testing.T) {
 	if r.Stats().Atoms == 0 {
 		t.Fatal("chase result reports no atoms")
 	}
-	if r.Derivation() != nil {
-		t.Fatal("derivation handle without RecordDerivation")
-	}
 
-	// Non-chase results have zero stats and no derivation.
+	// Non-chase results have zero stats.
 	dtk, err := s.SubmitDecide(context.Background(), DecideRequest{
 		Database: Payload{Instance: prog.Database},
 		Ontology: OntologyRef{Set: prog.Rules},
@@ -52,7 +49,7 @@ func TestTicketSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	dr := dtk.Wait()
-	if dr.Op != OpDecide || dr.Stats().Atoms != 0 || dr.Derivation() != nil {
+	if dr.Op != OpDecide || dr.Stats().Atoms != 0 {
 		t.Fatalf("decide result surface: %+v", dr)
 	}
 	// A non-chase ticket's Progress is never nil — it is an

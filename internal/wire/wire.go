@@ -105,7 +105,7 @@ func (o opaque) String() string { return o.str }
 
 // builtinKeyPrefix reports whether the key belongs to one of logic's
 // built-in term kinds. Encoders never emit such keys under the foreign
-// tag; ReadTerm rejects them, because interning them as foreign would
+// tag; readTerm rejects them, because interning them as foreign would
 // create a second symbol id for an existing identity key.
 func builtinKeyPrefix(key string) bool {
 	if len(key) < 2 || key[1] != 0 {
@@ -190,7 +190,7 @@ func writeAtoms(w *codec.Writer, atoms []*logic.Atom) {
 	}
 	w.Uint(uint64(len(terms)))
 	for _, t := range terms {
-		AppendTerm(w, t)
+		appendTerm(w, t)
 	}
 	w.Uint(uint64(len(atoms)))
 	for _, r := range refs {
@@ -198,11 +198,10 @@ func writeAtoms(w *codec.Writer, atoms []*logic.Atom) {
 	}
 }
 
-// AppendTerm writes one manifest term record: the tag byte and its
+// appendTerm writes one manifest term record: the tag byte and its
 // payload (see the package doc's layout). Nulls are written under their
-// portable identity, (factory id, depth); internal/checkpoint's fired-key
-// manifest uses the same records.
-func AppendTerm(w *codec.Writer, t logic.Term) {
+// portable identity, (factory id, depth).
+func appendTerm(w *codec.Writer, t logic.Term) {
 	switch x := t.(type) {
 	case logic.Constant:
 		w.Byte('c')
@@ -217,7 +216,7 @@ func AppendTerm(w *codec.Writer, t logic.Term) {
 	case logic.Variable:
 		// Instances are normally ground, but the codec is total: a
 		// variable must not fall into the foreign branch, whose built-in
-		// "v\x00" key ReadTerm categorically rejects.
+		// "v\x00" key readTerm categorically rejects.
 		w.Byte('v')
 		w.Str(string(x))
 	default:
@@ -227,14 +226,14 @@ func AppendTerm(w *codec.Writer, t logic.Term) {
 	}
 }
 
-// ReadTerm reads one record written by AppendTerm and builds its term. A
-// null has no term outside its stream, so for a null record ReadTerm
+// readTerm reads one record written by appendTerm and builds its term. A
+// null has no term outside its stream, so for a null record readTerm
 // returns a nil term and the null's portable identity: the factory id and
 // depth the caller resolves against its stream's nulls. Its errors wrap
 // the reader's sentinel: an unknown tag, a truncated payload, or a foreign
 // record claiming a built-in identity key (interning it as foreign would
 // mint a second symbol id for an existing identity).
-func ReadTerm(r *codec.Reader) (t logic.Term, nullID, depth int, err error) {
+func readTerm(r *codec.Reader) (t logic.Term, nullID, depth int, err error) {
 	tag, err := r.Byte("term tag")
 	if err != nil {
 		return nil, 0, 0, err
@@ -423,7 +422,7 @@ func (d *Decoder) section(r *codec.Reader) ([]*logic.Atom, error) {
 	terms := make([]logic.Term, nterms)
 	var nulls []nullDecl
 	for i := range terms {
-		t, id, depth, err := ReadTerm(r)
+		t, id, depth, err := readTerm(r)
 		if err != nil {
 			return nil, err
 		}

@@ -112,15 +112,11 @@ func TestChaseOnDecoded(t *testing.T) {
 func TestDeltaStream(t *testing.T) {
 	for name, prog := range scenarios(t) {
 		t.Run(name, func(t *testing.T) {
-			// Progress fires at every round boundary with the instance
+			// The observer sees every round boundary with the instance
 			// length so far — exactly the per-round prefixes a delta
 			// publisher would ship.
-			var prefixes []int
-			opts := chase.Options{
-				MaxAtoms: 200,
-				Progress: func(s chase.Stats) { prefixes = append(prefixes, s.Atoms) },
-			}
-			res := chase.Run(prog.Database, prog.Rules, opts)
+			var prefixes roundPrefixes
+			res := chase.Run(prog.Database, prog.Rules, chase.Options{MaxAtoms: 200, Observer: &prefixes})
 			data := EncodeSnapshot(prog.Database)
 			d := NewDecoder()
 			if _, err := d.Snapshot(data); err != nil {
@@ -141,6 +137,12 @@ func TestDeltaStream(t *testing.T) {
 		})
 	}
 }
+
+// roundPrefixes records the instance length at every round boundary.
+type roundPrefixes []int
+
+func (p *roundPrefixes) ObserveRound(s chase.Stats)  { *p = append(*p, s.Atoms) }
+func (*roundPrefixes) ObserveDone(chase.Stats, bool) {}
 
 // sliceInstance rebuilds the insertion-order prefix of length n as its
 // own instance (the shape a per-round publisher would hold).
