@@ -58,7 +58,6 @@ func runFleet(addrs, network string, req service.ChaseRequest, engineLabel strin
 		Fingerprint: h.Fingerprint,
 		Variant:     req.Variant,
 		Snapshot:    snapshot,
-		Deltas:      req.Database.Deltas,
 		MaxAtoms:    req.MaxAtoms,
 		MaxRounds:   req.MaxRounds,
 		QoS:         req.Meta.QoS,

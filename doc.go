@@ -39,8 +39,8 @@
 // of independent chase and decision jobs — one per (D, Σ) request,
 // experiment point, or probe — from a long-lived worker set behind a
 // bounded admission queue:
-// concurrent admission with backpressure at the bound (block or reject)
-// through two calls — Submit for opaque jobs, SubmitChase for chase-engine
+// concurrent admission with backpressure at the bound (a Submit waits
+// for a slot) through two calls — Submit for opaque jobs, SubmitChase for chase-engine
 // jobs whose atom and round budgets live on chase.Options — wall-clock
 // budgets and cancellation, per-job results streamed over channels as
 // jobs finish, round-level progress events from running chase jobs, and
@@ -63,8 +63,8 @@
 // many-databases access pattern as an API: RegisterOntology(Σ) pins Σ
 // under its canonical compile fingerprint and returns the handle, and
 // SubmitByFingerprint ships only fingerprint + database per job, with
-// the database traveling as internal/wire's portable snapshot/delta
-// encoding. The wire codec's symbol manifest (predicates and terms in
+// the database traveling as one internal/wire portable snapshot. The
+// wire codec's symbol manifest (predicates and terms in
 // first-occurrence order, nulls as factory id + depth, no process-local
 // symbol ids) is the cross-process identity of an instance, exactly as
 // CanonicalKey is its cross-run identity and the compile fingerprint is
@@ -137,8 +137,8 @@
 // fleet, pinned per scenario and variant by the equivalence suites and
 // by cmd/chase -fleet, whose goldens are the single-process ones.
 //
-// Every binary format — wire snapshots and deltas, checkpoint artifacts,
-// fleet message bodies, and QoS learned-bound blobs — is written and
+// Every binary format — wire snapshots, checkpoint artifacts, fleet
+// message bodies, and QoS learned-bound blobs — is written and
 // read through one bounds-checked cursor, internal/codec. Each read names
 // its bound (a Value fits int32, a Len fits the remaining input, so no
 // count sizes an allocation beyond the input), every error wraps the

@@ -30,35 +30,51 @@ type Observer interface {
 }
 
 // MultiObserver fans one run's observations out to several observers in
-// order. Nil entries are skipped; a nil or empty list yields nil (the
-// disabled fast path).
+// order. Nil entries are skipped: none live yields nil (the disabled fast
+// path) and one live observer is returned as itself, both without
+// allocating. Joining two or three costs one allocation.
 func MultiObserver(obs ...Observer) Observer {
-	live := make([]Observer, 0, len(obs))
+	var n int
+	var last Observer
 	for _, o := range obs {
 		if o != nil {
-			live = append(live, o)
+			n, last = n+1, o
 		}
 	}
-	switch len(live) {
+	switch n {
 	case 0:
 		return nil
 	case 1:
-		return live[0]
-	default:
-		return multiObserver(live)
+		return last
 	}
+	m := &multiObserver{}
+	m.live = m.inline[:0]
+	if n > len(m.inline) {
+		m.live = make([]Observer, 0, n)
+	}
+	for _, o := range obs {
+		if o != nil {
+			m.live = append(m.live, o)
+		}
+	}
+	return m
 }
 
-type multiObserver []Observer
+// multiObserver is MultiObserver's fan-out. Its live list normally points
+// into its own inline array, so the fan-out is one heap object.
+type multiObserver struct {
+	live   []Observer
+	inline [3]Observer
+}
 
-func (m multiObserver) ObserveRound(s Stats) {
-	for _, o := range m {
+func (m *multiObserver) ObserveRound(s Stats) {
+	for _, o := range m.live {
 		o.ObserveRound(s)
 	}
 }
 
-func (m multiObserver) ObserveDone(s Stats, terminated bool) {
-	for _, o := range m {
+func (m *multiObserver) ObserveDone(s Stats, terminated bool) {
+	for _, o := range m.live {
 		o.ObserveDone(s, terminated)
 	}
 }

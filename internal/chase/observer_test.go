@@ -78,4 +78,35 @@ func TestMultiObserver(t *testing.T) {
 			t.Fatalf("observer %d missed fan-out: %+v", i, r)
 		}
 	}
+	// More observers than the fan-out's inline room.
+	four := []*recorder{{}, {}, {}, {}}
+	m = MultiObserver(four[0], nil, four[1], four[2], four[3])
+	m.ObserveRound(Stats{Rounds: 1})
+	m.ObserveDone(Stats{Rounds: 1}, false)
+	for i, r := range four {
+		if r.rounds != 1 || r.doneCalls != 1 || r.terminated {
+			t.Fatalf("observer %d of four missed fan-out: %+v", i, r)
+		}
+	}
+}
+
+// TestMultiObserverAllocs: joining observers allocates only when there
+// is a fan-out to build, and then once.
+func TestMultiObserverAllocs(t *testing.T) {
+	var a, b, c Observer = &recorder{}, &recorder{}, &recorder{}
+	cases := []struct {
+		name string
+		join func() Observer
+		want float64
+	}{
+		{"none", func() Observer { return MultiObserver(nil, nil) }, 0},
+		{"one", func() Observer { return MultiObserver(nil, a, nil) }, 0},
+		{"two", func() Observer { return MultiObserver(a, nil, b) }, 1},
+		{"three", func() Observer { return MultiObserver(a, b, c) }, 1},
+	}
+	for _, tc := range cases {
+		if got := testing.AllocsPerRun(100, func() { tc.join() }); got != tc.want {
+			t.Errorf("%s: %v allocs per join, want %v", tc.name, got, tc.want)
+		}
+	}
 }

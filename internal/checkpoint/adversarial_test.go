@@ -12,7 +12,6 @@ import (
 	"repro/internal/compile"
 	"repro/internal/logic"
 	"repro/internal/parser"
-	"repro/internal/wire"
 )
 
 func captureEncoded(t *testing.T, src string) (*parser.Program, *chase.Result, []byte) {
@@ -141,13 +140,13 @@ func TestDecodeRejectsInternalDefects(t *testing.T) {
 	}
 }
 
-// Delta blobs interact with checkpointed null ids: a blob that mentions
-// new nulls resolves them through the checkpoint's stream, and the
-// resumed run numbers its fresh nulls above both the high-water mark and
-// anything the delta introduced — no id is ever reused (the regression
-// this pins: seeding the factory from the instance's max null id alone
-// would collide with interned-but-unapplied checkpoint nulls).
-func TestApplyDeltaNullCollision(t *testing.T) {
+// Delta atoms interact with checkpointed null ids: a delta atom may carry
+// a null of its own, and the resumed run numbers its fresh nulls above
+// both the high-water mark and anything the delta introduced — no id is
+// ever reused (the regression this pins: seeding the factory from the
+// instance's max null id alone would collide with interned-but-unapplied
+// checkpoint nulls).
+func TestResumeDeltaNullCollision(t *testing.T) {
 	prog, res, data := captureEncoded(t, `r(a, b).
 		r(X, Y) -> ∃Z s(Y, Z).
 		s(Y, Z) -> t(Z).`)
@@ -156,19 +155,13 @@ func TestApplyDeltaNullCollision(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Craft a delta whose atom carries a null colliding with the
-	// checkpoint's high-water mark, as a hostile publisher could.
+	// A delta atom carrying a null above the checkpoint's high-water
+	// mark, as a hostile client could send.
 	hostile := logic.NewNullFactory()
 	n := hostile.NullAt(cp.State.NextNullID+2, 1)
-	grown := cp.Instance.Clone()
-	grown.Add(logic.MakeAtom("r", logic.Constant("z"), n))
-	blob := wire.EncodeDelta(grown, cp.Instance.Len())
+	delta := []*logic.Atom{logic.MakeAtom("r", logic.Constant("z"), n)}
 
-	added, err := cp.ApplyDelta(blob)
-	if err != nil || added != 1 {
-		t.Fatalf("ApplyDelta: added=%d err=%v", added, err)
-	}
-	out, err := cp.Resume(prog.Rules, nil, chase.Options{})
+	out, err := cp.Resume(prog.Rules, delta, chase.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,45 +182,6 @@ func TestApplyDeltaNullCollision(t *testing.T) {
 			}
 			seen[tm.Key()] = tm
 		}
-	}
-}
-
-// ApplyDelta's gates: in-process captures refuse blobs, mismatched bases
-// are ErrMismatch, corrupt blobs are ErrCorrupt, and a failed blob
-// poisons the stream for later blobs (the wire.Decoder contract).
-func TestApplyDeltaGates(t *testing.T) {
-	prog, res, data := captureEncoded(t, `r(a, b). r(b, c).
-		r(X, Y) -> p(X).`)
-	inproc, err := Capture(prog.Rules, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := inproc.ApplyDelta([]byte("CW")); err == nil {
-		t.Fatal("in-process capture must refuse delta blobs")
-	}
-
-	cp, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrongBase := wire.EncodeDelta(cp.Instance, 0)
-	if _, err := cp.ApplyDelta(wrongBase); !errors.Is(err, ErrMismatch) {
-		t.Fatalf("mismatched base: err = %v, want ErrMismatch", err)
-	}
-	// The mismatch poisoned the stream: even a well-based blob refuses.
-	grown := cp.Instance.Clone()
-	grown.Add(logic.MakeAtom("r", logic.Constant("d"), logic.Constant("e")))
-	good := wire.EncodeDelta(grown, cp.Instance.Len())
-	if _, err := cp.ApplyDelta(good); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("poisoned stream: err = %v, want ErrCorrupt", err)
-	}
-
-	cp2, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cp2.ApplyDelta(good[:len(good)-1]); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("corrupt blob: err = %v, want ErrCorrupt", err)
 	}
 }
 

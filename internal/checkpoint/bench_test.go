@@ -10,7 +10,6 @@ import (
 	"repro/internal/families"
 	"repro/internal/logic"
 	"repro/internal/parser"
-	"repro/internal/wire"
 )
 
 // benchProgram is transitive closure over an n-node path: the chase
@@ -38,8 +37,8 @@ func benchProgram(tb testing.TB, n int) *parser.Program {
 //   - resume/warm: a resident decoded checkpoint serves the delta
 //     directly (Resume clones the checkpointed instance; the checkpoint
 //     itself is reusable across requests) — the steady-state mode.
-//   - resume/decode+apply: the whole cold-artifact path per request —
-//     Decode, ApplyDelta, Resume.
+//   - resume/decode: the whole cold-artifact path per request — Decode,
+//     then Resume with the delta.
 //
 // The delta extends the path by one edge, so the resumed semi-naive
 // window holds one atom and only its ~n consequences are derived, while
@@ -63,9 +62,6 @@ func BenchmarkResumeVsFull(b *testing.B) {
 		b.Fatal(err)
 	}
 	deltaAtom := logic.MakeAtom("e", logic.Constant(fmt.Sprintf("n%d", n)), logic.Constant("fresh"))
-	grownWire := base.Instance.Clone()
-	grownWire.Add(deltaAtom)
-	blob := wire.EncodeDelta(grownWire, base.Instance.Len())
 
 	fullDB := prog.Database.Clone()
 	fullDB.Add(deltaAtom)
@@ -103,16 +99,13 @@ func BenchmarkResumeVsFull(b *testing.B) {
 			}
 		}
 	})
-	b.Run("resume/decode+apply", func(b *testing.B) {
+	b.Run("resume/decode", func(b *testing.B) {
 		for b.Loop() {
 			cp, err := Decode(artifact)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := cp.ApplyDelta(blob); err != nil {
-				b.Fatal(err)
-			}
-			res, err := cp.Resume(prog.Rules, nil, opts)
+			res, err := cp.Resume(prog.Rules, []*logic.Atom{deltaAtom}, opts)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -45,7 +45,6 @@ import (
 	"repro/internal/compile"
 	"repro/internal/logic"
 	"repro/internal/tgds"
-	"repro/internal/wire"
 )
 
 // Version is the artifact version this package encodes, and the only
@@ -92,18 +91,13 @@ type Checkpoint struct {
 	// Rounds is the checkpointed run's round count (its resumed rounds
 	// continue the same semi-naive sequence).
 	Rounds int
-	// Instance is the checkpointed instance. For a decoded checkpoint
-	// it is owned by the checkpoint's internal wire stream; ApplyDelta
-	// appends to it.
+	// Instance is the checkpointed instance: for a decoded checkpoint,
+	// the one wire snapshot the artifact carries; for a capture, the
+	// run's own instance. Resume reads it and never modifies it; new
+	// base atoms travel as Resume's delta argument.
 	Instance *logic.Instance
 	// State is the engine-level resume state.
 	State *chase.ResumeState
-
-	// dec is the wire stream a decoded checkpoint's instance came from;
-	// nil for in-process captures. ApplyDelta needs it: delta blobs
-	// resolve null identity against the snapshot's nulls, which only
-	// the stream's factory knows.
-	dec *wire.Decoder
 }
 
 // ExactDigest digests the ontology's exact clause sequence: each TGD's
@@ -171,36 +165,4 @@ func (c *Checkpoint) Resume(sigma *tgds.Set, delta []*logic.Atom, opts chase.Opt
 	}
 	opts.Variant = c.Variant
 	return chase.Resume(c.Instance, delta, sigma, c.State, opts)
-}
-
-// ApplyDelta appends a wire delta blob's atoms to a decoded checkpoint's
-// instance, returning the number added. Delta blobs are encoded against
-// the checkpointed instance (wire.EncodeDelta with the instance's length
-// as base), and their null identities resolve through the checkpoint's
-// own wire stream — which is why only decoded checkpoints accept them:
-// an in-process capture has no stream, and its caller holds real atoms
-// anyway (pass them to Resume directly).
-//
-// A mismatched base fails with ErrMismatch (wrapping
-// wire.ErrDeltaMismatch); a corrupt blob with ErrCorrupt. Either way the
-// underlying stream is poisoned (wire.Decoder): the instance keeps only
-// whole frames, and further ApplyDelta calls refuse.
-func (c *Checkpoint) ApplyDelta(blob []byte) (int, error) {
-	if c.dec == nil {
-		return 0, fmt.Errorf("checkpoint: delta blobs apply only to decoded checkpoints (in-process captures take atoms via Resume)")
-	}
-	n, err := c.dec.Apply(blob)
-	switch {
-	case err == nil:
-		return n, nil
-	case errors.Is(err, wire.ErrCorrupt):
-		// Includes a stream poisoned by an earlier defect, even when that
-		// defect was itself a base mismatch: the checkpoint is no longer
-		// known-whole, which is corruption, not a fresh mismatch.
-		return 0, fmt.Errorf("%w: %w", ErrCorrupt, err)
-	case errors.Is(err, wire.ErrDeltaMismatch):
-		return 0, fmt.Errorf("%w: delta does not extend the checkpointed instance: %w", ErrMismatch, err)
-	default:
-		return 0, fmt.Errorf("%w: %w", ErrCorrupt, err)
-	}
 }

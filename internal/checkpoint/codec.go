@@ -25,10 +25,10 @@ package checkpoint
 // equal checkpoints encode byte-identically in any process and
 // encode∘decode is a fixpoint (FuzzCheckpointRoundTrip pins both down).
 // Encoding enforces the snapshot's null identity precondition: two
-// distinct nulls sharing a factory id (as decoded instances from
-// independent streams can) would silently merge on the wire, so Encode
-// refuses such instances instead of producing an artifact that decodes
-// to something else.
+// distinct nulls sharing a factory id (as atoms from independent decodes
+// can) would silently merge on the wire, so Encode refuses such
+// instances instead of producing an artifact that decodes to something
+// else.
 
 import (
 	"crypto/sha256"
@@ -96,12 +96,11 @@ func (c *Checkpoint) Encode() ([]byte, error) {
 	return w.Bytes(), nil
 }
 
-// Decode parses and validates an artifact of the current Version. The
-// returned checkpoint owns a wire stream positioned after the snapshot,
-// so ApplyDelta can append delta blobs with null identity resolved
-// correctly. Every defect — checksum mismatch, truncation, bad section,
-// a delta window past the snapshot — fails with ErrCorrupt wrapping the
-// specifics; hostile input never panics.
+// Decode parses and validates an artifact of the current Version; its
+// instance is the artifact's one wire snapshot, decoded by
+// wire.DecodeSnapshot. Every defect — checksum mismatch, truncation, bad
+// section, a delta window past the snapshot — fails with ErrCorrupt
+// wrapping the specifics; hostile input never panics.
 func Decode(data []byte) (*Checkpoint, error) {
 	if len(data) < 2+1+2*sha256.Size+checksumLen {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than any artifact", ErrCorrupt, len(data))
@@ -163,8 +162,7 @@ func Decode(data []byte) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.dec = wire.NewDecoder()
-	if c.Instance, err = c.dec.Snapshot(snap); err != nil {
+	if c.Instance, err = wire.DecodeSnapshot(snap); err != nil {
 		return nil, r.Errorf("snapshot: %w", err)
 	}
 	if c.State.DeltaStart > c.Instance.Len() {

@@ -1,5 +1,5 @@
 // Package codec is the byte cursor every binary format of the system is
-// written and read through: internal/wire's snapshots and deltas,
+// written and read through: internal/wire's snapshots,
 // internal/checkpoint's artifacts, internal/fleet's message bodies and
 // internal/qos's learned-bound blobs. A Writer appends unsigned varints,
 // zigzag-signed varints (encoding/binary's forms), raw bytes, and

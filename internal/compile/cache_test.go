@@ -234,11 +234,11 @@ func TestCacheAsDeciderAnalyses(t *testing.T) {
 				t.Fatalf("set %d db %d: cached verdict %v differs from direct %v", si, di, got, want)
 			}
 		}
-		wantU, err := core.DecideUniform(sigma)
+		wantU, err := core.DecideUniform(sigma, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotU, err := core.DecideUniformWith(sigma, c)
+		gotU, err := core.DecideUniform(sigma, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,13 +246,10 @@ func TestCacheAsDeciderAnalyses(t *testing.T) {
 			t.Fatalf("set %d: cached uniform verdict %v differs from direct %v", si, gotU, wantU)
 		}
 	}
-	// Arbitrary TGD sets: DecideUniform errors, DecideUniformWith answers
-	// via the weak-acyclicity sufficient condition.
+	// Arbitrary TGD sets: DecideUniform answers via the weak-acyclicity
+	// sufficient condition.
 	arb := parser.MustParseRules(`e(X, Y), f(Y, Z) -> g(X, Z).`)
-	if _, err := core.DecideUniform(arb); err == nil {
-		t.Fatal("fixture: DecideUniform must error on class TGD")
-	}
-	v, err := core.DecideUniformWith(arb, c)
+	v, err := core.DecideUniform(arb, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +259,7 @@ func TestCacheAsDeciderAnalyses(t *testing.T) {
 	// Unguarded (no body atom holds X, Y, and Z) with a special self-loop
 	// on position e.2: Y feeds the existential W at its own position.
 	cyc := parser.MustParseRules(`e(X, Y), p(Z) -> ∃W e(Y, W).`)
-	v, err = core.DecideUniformWith(cyc, c)
+	v, err = core.DecideUniform(cyc, c)
 	if err != nil {
 		t.Fatal(err)
 	}

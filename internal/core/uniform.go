@@ -52,18 +52,6 @@ func CriticalInstance(sigma *tgds.Set) *logic.Instance {
 	return db
 }
 
-// DecideUniform decides whether Σ ∈ CT (the chase terminates on every
-// database) by deciding the non-uniform problem on the critical instance.
-// It supports the same classes as Decide.
-func DecideUniform(sigma *tgds.Set) (*Verdict, error) {
-	v, err := Decide(CriticalInstance(sigma), sigma, nil)
-	if err != nil {
-		return nil, err
-	}
-	v.Method = "critical instance + " + v.Method
-	return v, nil
-}
-
 // UniformAnalyses extends Analyses with the uniform weak-acyclicity
 // verdict, itself a Σ-only artifact (internal/compile.Cache implements
 // it).
@@ -72,14 +60,15 @@ type UniformAnalyses interface {
 	WeaklyAcyclic(sigma *tgds.Set) (bool, *depgraph.Certificate)
 }
 
-// DecideUniformWith is DecideUniform with the Σ-only analyses served by a
-// (nil = uncached). Unlike DecideUniform, it additionally answers for
-// arbitrary TGD sets via classical weak-acyclicity, which is a sufficient
-// condition for uniform termination for every class (Fagin et al.): a
-// weakly acyclic set is reported Finite, anything else Unknown (the
-// problem is undecidable there, so no certificate of non-termination
-// exists).
-func DecideUniformWith(sigma *tgds.Set, a UniformAnalyses) (*Verdict, error) {
+// DecideUniform decides whether Σ ∈ CT (the chase terminates on every
+// database) by deciding the non-uniform problem on the critical instance,
+// with the Σ-only analyses served by a (nil = uncached). For the classes
+// Decide supports that answer is exact. For arbitrary TGD sets it answers
+// by classical weak acyclicity, a sufficient condition for uniform
+// termination for every class (Fagin et al.): a weakly acyclic set is
+// reported Finite, anything else Unknown (the problem is undecidable
+// there, so no certificate of non-termination exists).
+func DecideUniform(sigma *tgds.Set, a UniformAnalyses) (*Verdict, error) {
 	if sigma.Classify() == tgds.ClassTGD {
 		var ok bool
 		if a != nil {

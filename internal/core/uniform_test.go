@@ -30,7 +30,7 @@ func TestCriticalInstance(t *testing.T) {
 
 func TestDecideUniform(t *testing.T) {
 	infinite := parser.MustParseRules(`r(X, Y) -> ∃Z r(Y, Z).`)
-	v, err := DecideUniform(infinite)
+	v, err := DecideUniform(infinite, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestDecideUniform(t *testing.T) {
 		t.Fatalf("verdict = %v", v)
 	}
 	finite := parser.MustParseRules(`r(X, Y) -> ∃Z s(Y, Z).`)
-	v, err = DecideUniform(finite)
+	v, err = DecideUniform(finite, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestUniformSemantics(t *testing.T) {
 		if sigma.Len() == 0 || sigma.Classify() != tgds.ClassSL {
 			continue
 		}
-		v, err := DecideUniform(sigma)
+		v, err := DecideUniform(sigma, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

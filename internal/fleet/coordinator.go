@@ -74,8 +74,7 @@ type Config struct {
 }
 
 // Job is one fleet chase: the at-rest subset of service.ChaseRequest,
-// addressed by fingerprint, with the database as a wire snapshot plus
-// deltas.
+// addressed by fingerprint, with the database as one wire snapshot.
 type Job struct {
 	Name     string
 	Tenant   string
@@ -84,7 +83,6 @@ type Job struct {
 	Fingerprint compile.Fingerprint
 	Variant     chase.Variant
 	Snapshot    []byte
-	Deltas      [][]byte
 
 	MaxAtoms  int
 	MaxRounds int
@@ -369,7 +367,7 @@ func (w *workerLink) answer(job Job, pulled *bool) (res Result, retry bool, err 
 			if err != nil {
 				return Result{}, false, fmt.Errorf("%w: %v", ErrTransport, err)
 			}
-			inst, err := decodePayload(m.Snapshot)
+			inst, err := wire.DecodeSnapshot(m.Snapshot)
 			if err != nil {
 				return Result{}, false, fmt.Errorf("%w: result snapshot: %v", ErrTransport, err)
 			}
@@ -454,12 +452,6 @@ func (w *workerLink) send(kind byte, body []byte) error {
 		return fmt.Errorf("%w: %v", ErrTransport, err)
 	}
 	return nil
-}
-
-// decodePayload materializes a result snapshot.
-func decodePayload(snapshot []byte) (*logic.Instance, error) {
-	d := wire.NewDecoder()
-	return d.Snapshot(snapshot)
 }
 
 // remoteError reconstructs a typed service error from a wire error

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -15,8 +16,65 @@ import (
 	"repro/internal/parser"
 	"repro/internal/qos"
 	"repro/internal/service"
+	"repro/internal/telemetry"
 	"repro/internal/tgds"
+	"repro/internal/wire"
 )
+
+// TestServerTracesEncode: a worker whose service traces jobs records the
+// encode of a fleet job's result as that job's "encode" span, with the
+// size of the snapshot it sent back.
+func TestServerTracesEncode(t *testing.T) {
+	prog, err := parser.Parse("p(a). p(b). p(X) -> ∃Y q(X, Y).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := telemetry.New()
+	tel.Trace = telemetry.NewTraceSink()
+	svc := service.New(service.Config{Workers: 1, Cache: compile.NewCache(0), Telemetry: tel})
+	defer svc.Close()
+	h, err := svc.RegisterOntology(prog.Rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(svc)
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if err := srv.Serve(lis); err != nil {
+			t.Errorf("worker serve: %v", err)
+		}
+	}()
+	defer func() { srv.Close(); <-done }()
+	coord, err := NewCoordinator(Config{Workers: []string{lis.Addr().String()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+
+	tk, err := coord.Submit(Job{Name: "traced", Fingerprint: h.Fingerprint, Snapshot: wire.EncodeSnapshot(prog.Database)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := tk.Wait()
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	want := [2]string{"bytes", strconv.Itoa(len(wire.EncodeSnapshot(res.Instance)))}
+	for _, ev := range tel.Trace.Events() {
+		if ev.Job == "traced" && ev.Span == "encode" {
+			if len(ev.Attrs) != 1 || ev.Attrs[0] != want {
+				t.Fatalf("encode span attrs %v, want [%v]", ev.Attrs, want)
+			}
+			return
+		}
+	}
+	t.Fatalf("no encode span for the fleet job among %+v", tel.Trace.Events())
+}
 
 // TestReadFrameStream: the stream reader's three outcomes — clean EOF
 // between frames, torn header, torn body — each land on their typed
@@ -52,7 +110,7 @@ func TestMessageTruncationSweep(t *testing.T) {
 	full := submitMsg{Job: Job{
 		Name: "n", Tenant: "t", Priority: -2, Fingerprint: compile.Fingerprint{7},
 		Variant: chase.Restricted, MaxAtoms: 5, MaxRounds: 6, QoS: qos.Policy{Learn: true},
-		Snapshot: []byte("snap"), Deltas: [][]byte{[]byte("d")},
+		Snapshot: []byte("snap"),
 	}, WantProgress: true}
 	bodies := map[string][]byte{
 		"register":   encodeRegister(registerMsg{Rules: "p(X) -> q(X)."}),
@@ -87,7 +145,7 @@ func TestMessageTruncationSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !m.QoS.Learn || !m.WantProgress ||
-		m.Priority != -2 || m.Variant != chase.Restricted || string(m.Deltas[0]) != "d" {
+		m.Priority != -2 || m.Variant != chase.Restricted || string(m.Snapshot) != "snap" {
 		t.Fatalf("submit round trip lost fields: %+v", m)
 	}
 	// A size field beyond int32 is corrupt even when bytes remain.

@@ -39,7 +39,7 @@ import (
 
 // Version is the protocol version this package speaks (and the only one
 // it accepts).
-const Version = 3
+const Version = 4
 
 // MaxFrameBytes caps a frame body. The cap bounds what a hostile or
 // corrupt peer can make the decoder allocate; real snapshots of

@@ -28,7 +28,7 @@ func FuzzFleetFrame(f *testing.F) {
 	f.Add(appendFrame(nil, kindSubmit, encodeSubmit(submitMsg{Job: Job{
 		Name: "job", Tenant: "acme", Priority: -3, Variant: chase.Restricted,
 		MaxAtoms: 300, MaxRounds: 7,
-		Snapshot: []byte("snap"), Deltas: [][]byte{[]byte("d1"), nil},
+		Snapshot: []byte("snap"),
 	}, WantProgress: true})))
 	f.Add(appendFrame(nil, kindSubmit, encodeSubmit(submitMsg{Job: Job{
 		Name: "anytime", Variant: chase.SemiOblivious,

@@ -166,10 +166,6 @@ func encodeSubmit(m submitMsg) []byte {
 	}
 	w.Byte(flags)
 	w.Blob(m.Snapshot)
-	w.Uint(uint64(len(m.Deltas)))
-	for _, d := range m.Deltas {
-		w.Blob(d)
-	}
 	return w.Bytes()
 }
 
@@ -237,17 +233,6 @@ func decodeSubmit(body []byte) (submitMsg, error) {
 	m.WantProgress = flags&flagWantProgress != 0
 	if m.Snapshot, err = r.Blob("snapshot"); err != nil {
 		return m, err
-	}
-	n, err := r.Len("delta count")
-	if err != nil {
-		return m, err
-	}
-	for i := 0; i < n; i++ {
-		d, err := r.Blob("delta")
-		if err != nil {
-			return m, err
-		}
-		m.Deltas = append(m.Deltas, d)
 	}
 	return m, r.Done()
 }

@@ -59,7 +59,7 @@ func TestFrameDecodeAdversarial(t *testing.T) {
 // TestMessageDecodeAdversarial: message bodies reject truncation,
 // trailing garbage, unknown flag bits, and out-of-range enums.
 func TestMessageDecodeAdversarial(t *testing.T) {
-	sub := encodeSubmit(submitMsg{Job: Job{Name: "n", Tenant: "t", Snapshot: []byte("s"), Deltas: [][]byte{[]byte("d")}}})
+	sub := encodeSubmit(submitMsg{Job: Job{Name: "n", Tenant: "t", Snapshot: []byte("s")}})
 	if _, err := decodeSubmit(sub[:len(sub)-1]); err == nil {
 		t.Fatal("truncated submit decoded")
 	}
@@ -80,7 +80,6 @@ func TestMessageDecodeAdversarial(t *testing.T) {
 	w.Uint(0)      // qos rounds
 	w.Byte(1 << 2) // the lowest unassigned flag bit
 	w.Blob(nil)
-	w.Uint(0)
 	if _, err := decodeSubmit(w.Bytes()); err == nil {
 		t.Fatal("submit with unknown flag bit decoded")
 	}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/parser"
 	"repro/internal/qos"
 	"repro/internal/service"
-	"repro/internal/wire"
 )
 
 // Server speaks the worker side of the fleet protocol: it accepts
@@ -163,7 +162,7 @@ func (s *Server) serveSubmit(conn net.Conn, body []byte) error {
 		return writeError(conn, service.KindBadRequest, err)
 	}
 	tk, err := s.svc.SubmitByFingerprint(context.Background(), m.Fingerprint,
-		service.Payload{Snapshot: m.Snapshot, Deltas: m.Deltas},
+		service.Payload{Snapshot: m.Snapshot},
 		service.ChaseRequest{
 			Meta:      service.RequestMeta{Tenant: m.Tenant, Priority: m.Priority, QoS: m.QoS},
 			Name:      m.Name,
@@ -185,15 +184,16 @@ func (s *Server) serveSubmit(conn net.Conn, body []byte) error {
 			}
 		}
 	}
-	res := tk.Wait()
-	if res.Err != nil {
-		return writeServiceError(conn, res.Err)
+	snap, err := tk.EncodeChase()
+	if err != nil {
+		return writeServiceError(conn, err)
 	}
+	res := tk.Wait()
 	out := resultMsg{
 		Terminated: res.Chase.Terminated,
 		Stats:      res.Chase.Stats,
 		Source:     res.BudgetSource,
-		Snapshot:   wire.EncodeSnapshot(res.Chase.Instance),
+		Snapshot:   snap,
 	}
 	return writeFrame(conn, kindResult, encodeResult(out))
 }

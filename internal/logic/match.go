@@ -187,17 +187,6 @@ func containsID(ids []int32, id int32) bool {
 	return false
 }
 
-// FindOne returns some homomorphism from body into inst, or nil if none
-// exists.
-func FindOne(body []*Atom, inst *Instance) Substitution {
-	var found Substitution
-	MatchAll(body, inst, -1, func(s Substitution) bool {
-		found = s
-		return false
-	})
-	return found
-}
-
 // ExtendOne reports whether the partial substitution base extends to a
 // homomorphism from body into inst, returning one such extension (or nil).
 // It is used by the restricted chase to test whether a trigger's head is

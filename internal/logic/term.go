@@ -227,17 +227,6 @@ func (f *NullFactory) GrowAt(n int) {
 	f.at = slices.Grow(f.at, n)
 }
 
-// LookupNullAt returns the NullAt-created null with the given factory id,
-// or nil when there is none. Unlike NullAt it never creates a null, so a
-// decoder can check a declaration against the stream's earlier ones
-// before it commits to anything.
-func (f *NullFactory) LookupNullAt(id int) *Null {
-	if i, _ := f.findAt(id); i >= 0 {
-		return f.at[i]
-	}
-	return nil
-}
-
 // findAt is the atIDs probe for id: the index in at of its null, or -1 and
 // the free slot that ended the probe.
 func (f *NullFactory) findAt(id int) (int32, int) {

@@ -12,12 +12,12 @@
 // goroutine: Submit takes an opaque Job (a decision, an experiment, a
 // trial), SubmitChase a chase-engine job (ChaseSpec) whose run — a fresh
 // chase or a resume — is configured entirely by its chase.Options, atom
-// and round budgets included. The queue bound exerts backpressure (Block
-// waits for a slot, Reject fails fast with ErrQueueFull); every job
-// carries a wall-clock budget and cancellation; results stream back over
-// per-ticket channels as jobs finish, engine tickets additionally stream
-// round-level progress (latest-wins); Drain and Close shut fleets down
-// gracefully. Gather collates a fleet's streamed results back into
-// submission order, so batch aggregates are identical for any worker
-// count.
+// and round budgets included. The queue bound exerts backpressure (a
+// Submit at the bound waits for a slot, or for its context or Close);
+// every job carries a wall-clock budget and cancellation; results stream
+// back over per-ticket channels as jobs finish, engine tickets
+// additionally stream round-level progress (latest-wins); Drain and Close
+// shut fleets down gracefully. Gather collates a fleet's streamed results
+// back into submission order, so batch aggregates are identical for any
+// worker count.
 package runtime

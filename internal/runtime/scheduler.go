@@ -13,36 +13,10 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Backpressure selects what Submit does when the admission queue is full.
-type Backpressure int
-
-const (
-	// Block makes Submit wait for a queue slot (or for Close, which fails
-	// the waiting Submit with ErrSchedulerClosed). This is the default.
-	Block Backpressure = iota
-	// Reject makes Submit fail fast with ErrQueueFull, leaving the caller
-	// to shed or retry the job.
-	Reject
-)
-
-// String returns the conventional name of the policy.
-func (b Backpressure) String() string {
-	if b == Reject {
-		return "reject"
-	}
-	return "block"
-}
-
-var (
-	// ErrQueueFull is returned by Submit under the Reject policy when the
-	// admission queue is at its bound. Callers across the service
-	// boundary receive it wrapped; test with errors.Is, never ==.
-	ErrQueueFull = errors.New("runtime: scheduler admission queue is full")
-	// ErrSchedulerClosed is returned by Submit once Close has been
-	// called. Like ErrQueueFull it crosses the service boundary wrapped;
-	// test with errors.Is.
-	ErrSchedulerClosed = errors.New("runtime: scheduler is closed")
-)
+// ErrSchedulerClosed is returned by Submit once Close has been called.
+// Callers across the service boundary receive it wrapped; test with
+// errors.Is, never ==.
+var ErrSchedulerClosed = errors.New("runtime: scheduler is closed")
 
 // Priority selects a job's admission lane. The scheduler dequeues
 // strictly by lane — every queued high-priority job before any normal
@@ -142,19 +116,15 @@ type JobResult struct {
 const DefaultQueueBound = 64
 
 // SchedulerConfig configures a Scheduler. The zero value is usable:
-// GOMAXPROCS workers, a DefaultQueueBound-deep queue, blocking
-// backpressure, telemetry off.
+// GOMAXPROCS workers, a DefaultQueueBound-deep queue, telemetry off.
 type SchedulerConfig struct {
 	// Workers is the number of job workers; <= 0 selects GOMAXPROCS(0).
 	Workers int
 	// QueueBound caps the admission queue (jobs accepted but not yet
-	// started); <= 0 selects DefaultQueueBound. The queue length never
-	// exceeds the bound — that is the backpressure invariant the stress
-	// tests pin down.
+	// started); <= 0 selects DefaultQueueBound. A Submit at the bound
+	// waits for a slot, so the queue length never exceeds the bound —
+	// that is the backpressure invariant the stress tests pin down.
 	QueueBound int
-	// Backpressure selects Submit's behavior at the bound: Block (default)
-	// or Reject.
-	Backpressure Backpressure
 	// Telemetry, when it carries a registry, turns on the scheduler's
 	// observability: admission/completion counters by lane and tenant,
 	// the queue-depth gauge, the per-lane queue-wait histogram, the
@@ -182,7 +152,6 @@ type SchedulerConfig struct {
 type Scheduler struct {
 	workers int
 	bound   int
-	policy  Backpressure
 	tel     *schedTelemetry // nil: telemetry off (the benched fast path)
 
 	// The admission queue is a fairQueue (priority lanes, per-tenant
@@ -222,7 +191,6 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 	s := &Scheduler{
 		workers: cfg.Workers,
 		bound:   cfg.QueueBound,
-		policy:  cfg.Backpressure,
 		tel:     newSchedTelemetry(cfg.Telemetry),
 		closing: make(chan struct{}),
 	}
@@ -352,16 +320,15 @@ func (t *Ticket) Wait() JobResult {
 }
 
 // Submit admits an opaque job. It is safe for concurrent use from any
-// goroutine. Under the Block policy a full queue makes Submit wait; under
-// Reject it returns ErrQueueFull. After Close, Submit returns
-// ErrSchedulerClosed. The job's context derives from ctx (in addition to
-// the ticket's own Cancel): cancelling ctx cancels the job. A job whose
-// context is already cancelled is still admitted when the queue has room
-// (it is skipped by its worker and reported as Canceled, so a fleet
-// queued behind a cancellation is classified job by job); a Submit
-// parked on a full queue, however, returns ctx.Err() as soon as ctx is
-// cancelled instead of waiting for a slot, so a dead request never leaks
-// a blocked submitter.
+// goroutine. A full queue makes Submit wait for a slot. After Close,
+// Submit returns ErrSchedulerClosed. The job's context derives from ctx
+// (in addition to the ticket's own Cancel): cancelling ctx cancels the
+// job. A job whose context is already cancelled is still admitted when
+// the queue has room (it is skipped by its worker and reported as
+// Canceled, so a fleet queued behind a cancellation is classified job by
+// job); a Submit parked on a full queue, however, returns ctx.Err() as
+// soon as ctx is cancelled instead of waiting for a slot, so a dead
+// request never leaks a blocked submitter.
 func (s *Scheduler) Submit(ctx context.Context, j Job) (*Ticket, error) {
 	return s.submit(ctx, j, nil)
 }
@@ -491,11 +458,6 @@ func (s *Scheduler) submit(ctx context.Context, j Job, spec *ChaseSpec) (*Ticket
 		s.enqueue(t)
 		return t, nil
 	default:
-	}
-	if s.policy == Reject {
-		s.mu.Unlock()
-		cancel()
-		return nil, ErrQueueFull
 	}
 	s.seq++
 	s.active++

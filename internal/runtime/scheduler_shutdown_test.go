@@ -89,7 +89,7 @@ func TestSchedulerCloseWakesParkedSubmits(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		const bound = 1
 		g := newGate(8)
-		s := NewScheduler(SchedulerConfig{Workers: 1, QueueBound: bound, Backpressure: Block})
+		s := NewScheduler(SchedulerConfig{Workers: 1, QueueBound: bound})
 
 		// Pin the worker, fill the queue.
 		running, err := s.Submit(context.Background(), g.job("running"))
@@ -149,7 +149,7 @@ func TestSchedulerCloseWakesParkedSubmits(t *testing.T) {
 // Drain's return implies its completion was delivered) or fails typed
 // after Close. Run with -race.
 func TestSchedulerDrainRacingSubmit(t *testing.T) {
-	s := NewScheduler(SchedulerConfig{Workers: 2, QueueBound: 2, Backpressure: Block})
+	s := NewScheduler(SchedulerConfig{Workers: 2, QueueBound: 2})
 
 	var wg sync.WaitGroup
 	var admitted, rejected int64

@@ -51,17 +51,14 @@ func (g *gate) waitStarted(t *testing.T, n int) {
 
 // The backpressure invariant, deterministically: with every worker pinned
 // on a running job, the queue admits exactly QueueBound more submissions;
-// under Reject the next Submit fails with ErrQueueFull, and the queue
-// length never exceeds the bound.
-func TestSchedulerRejectBackpressureBound(t *testing.T) {
+// the next Submit waits for a slot, so under a short deadline it returns
+// the context's error, and the queue length stays at the bound.
+func TestSchedulerQueueBound(t *testing.T) {
 	const workers, bound = 2, 3
-	s := NewScheduler(SchedulerConfig{Workers: workers, QueueBound: bound, Backpressure: Reject})
+	s := NewScheduler(SchedulerConfig{Workers: workers, QueueBound: bound})
 	defer s.Close()
 	if s.Workers() != workers || s.QueueBound() != bound {
 		t.Fatalf("scheduler sized %d/%d, want %d/%d", s.Workers(), s.QueueBound(), workers, bound)
-	}
-	if Block.String() != "block" || Reject.String() != "reject" {
-		t.Fatalf("policy names %q/%q", Block, Reject)
 	}
 	g := newGate(workers + bound + 1)
 
@@ -85,11 +82,13 @@ func TestSchedulerRejectBackpressureBound(t *testing.T) {
 	if got := s.QueueLen(); got != bound {
 		t.Fatalf("QueueLen = %d, want the bound %d", got, bound)
 	}
-	if _, err := s.Submit(context.Background(), g.job("overflow")); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("Submit beyond the bound: err = %v, want ErrQueueFull", err)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if tk, err := s.Submit(ctx, g.job("overflow")); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Submit beyond the bound: ticket %v, err = %v, want context.DeadlineExceeded", tk, err)
 	}
-	if got := s.QueueLen(); got > bound {
-		t.Fatalf("queue length %d exceeds bound %d", got, bound)
+	if got := s.QueueLen(); got != bound {
+		t.Fatalf("QueueLen = %d after the refused Submit, want the bound %d", got, bound)
 	}
 
 	close(g.release)

@@ -24,7 +24,7 @@ var ErrUnknownOntology = errors.New("service: unknown ontology fingerprint")
 // transport maps onto its status codes, and a caller dispatches on
 // without string-matching. The underlying cause is always preserved
 // through Unwrap, so errors.Is reaches the sentinels (ErrUnknownOntology,
-// runtime.ErrQueueFull, runtime.ErrSchedulerClosed, wire.ErrCorrupt, ...).
+// runtime.ErrSchedulerClosed, wire.ErrCorrupt, ...).
 type ErrorKind int
 
 const (
@@ -37,12 +37,9 @@ const (
 	// KindUnknownOntology is a fingerprint-addressed request for an
 	// unregistered ontology (wraps ErrUnknownOntology).
 	KindUnknownOntology
-	// KindDecode is a payload whose wire encoding failed to decode
-	// (wraps wire.ErrCorrupt or wire.ErrDeltaMismatch).
+	// KindDecode is a payload or checkpoint artifact that failed to
+	// decode (wraps wire.ErrCorrupt or checkpoint.ErrCorrupt).
 	KindDecode
-	// KindOverloaded is admission-queue backpressure under the Reject
-	// policy (wraps runtime.ErrQueueFull); the caller sheds or retries.
-	KindOverloaded
 	// KindUnavailable is a submission to a closed service (wraps
 	// runtime.ErrSchedulerClosed).
 	KindUnavailable
@@ -59,8 +56,6 @@ func (k ErrorKind) String() string {
 		return "unknown-ontology"
 	case KindDecode:
 		return "decode"
-	case KindOverloaded:
-		return "overloaded"
 	case KindUnavailable:
 		return "unavailable"
 	case KindCanceled:
@@ -82,8 +77,6 @@ func ParseErrorKind(s string) (ErrorKind, bool) {
 		return KindUnknownOntology, true
 	case "decode":
 		return KindDecode, true
-	case "overloaded":
-		return KindOverloaded, true
 	case "unavailable":
 		return KindUnavailable, true
 	case "canceled":
@@ -129,12 +122,9 @@ func classify(err error) ErrorKind {
 	switch {
 	case errors.Is(err, ErrUnknownOntology):
 		return KindUnknownOntology
-	case errors.Is(err, rt.ErrQueueFull):
-		return KindOverloaded
 	case errors.Is(err, rt.ErrSchedulerClosed):
 		return KindUnavailable
-	case errors.Is(err, wire.ErrCorrupt), errors.Is(err, wire.ErrDeltaMismatch),
-		errors.Is(err, checkpoint.ErrCorrupt):
+	case errors.Is(err, wire.ErrCorrupt), errors.Is(err, checkpoint.ErrCorrupt):
 		return KindDecode
 	case errors.Is(err, checkpoint.ErrMismatch), errors.Is(err, checkpoint.ErrNotResumable),
 		errors.Is(err, qos.ErrNoLearnedBound), errors.Is(err, core.ErrUnboundedNaive):

@@ -109,14 +109,11 @@ func ParseVariant(s string) (chase.Variant, error) {
 }
 
 // Payload carries a database (or instance) into a request in one of two
-// forms: an in-process *logic.Instance, or the portable wire encoding —
-// a snapshot plus any number of per-round deltas, decoded through one
-// internal/wire.Decoder so null identity resolves across the stream. The
-// in-process form wins when both are set.
+// forms: an in-process *logic.Instance, or one portable wire snapshot
+// (internal/wire). The in-process form wins when both are set.
 type Payload struct {
 	Instance *logic.Instance
 	Snapshot []byte
-	Deltas   [][]byte
 }
 
 // load materializes the payload's instance; wire payloads are decoded
@@ -129,16 +126,7 @@ func (p Payload) load() (*logic.Instance, error) {
 	if p.Snapshot == nil {
 		return nil, fmt.Errorf("empty payload: no instance and no snapshot")
 	}
-	d := wire.NewDecoder()
-	if _, err := d.Snapshot(p.Snapshot); err != nil {
-		return nil, err
-	}
-	for i, delta := range p.Deltas {
-		if _, err := d.Apply(delta); err != nil {
-			return nil, fmt.Errorf("delta %d: %w", i, err)
-		}
-	}
-	return d.Instance(), nil
+	return wire.DecodeSnapshot(p.Snapshot)
 }
 
 // OntologyRef names a request's Σ either directly (Set) or by its
@@ -196,13 +184,10 @@ type DeltaRequest struct {
 	// the set must match the checkpoint exactly (checkpoint.Validate);
 	// a mismatch is KindBadRequest wrapping checkpoint.ErrMismatch.
 	Ontology OntologyRef
-	// Delta carries new base atoms in-process; Deltas carries wire delta
-	// blobs encoded against the checkpointed instance, applied in order
-	// through the checkpoint's stream before the run starts. Both may be
-	// set; blobs apply first, then the atoms ride the resumed round's
-	// semi-naive window.
-	Delta  []*logic.Atom
-	Deltas [][]byte
+	// Delta carries the new base atoms. They ride the resumed first
+	// round's semi-naive window (chase.Resume), so only their
+	// consequences are chased.
+	Delta []*logic.Atom
 	// MaxAtoms / MaxRounds / Wall bound the resumed run (0 = unlimited).
 	MaxAtoms  int
 	MaxRounds int

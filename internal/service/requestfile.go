@@ -22,8 +22,8 @@ import (
 // Stream writer, live instance payloads) are not. Every referenced path
 // is resolved against the request file's own directory and confined to
 // it: absolute paths and ".."-escapes are rejected across all file
-// fields (program, data, rules, snapshot, deltas, checkpoint) by one
-// shared resolver.
+// fields (program, data, rules, snapshot, checkpoint) by one shared
+// resolver.
 type RequestFile struct {
 	// Kind selects the operation: "chase", "decide", "experiment", or
 	// "resume" (continue a checkpointed chase over a delta).
@@ -38,17 +38,15 @@ type RequestFile struct {
 	Name string `json:"name,omitempty"`
 
 	// Program is a combined facts+rules file; alternatively Data and
-	// Rules name separate files. Snapshot (plus Deltas) may replace the
-	// facts with a binary wire-encoded instance.
-	Program  string   `json:"program,omitempty"`
-	Data     string   `json:"data,omitempty"`
-	Rules    string   `json:"rules,omitempty"`
-	Snapshot string   `json:"snapshot,omitempty"`
-	Deltas   []string `json:"deltas,omitempty"`
+	// Rules name separate files. Snapshot may replace the facts with a
+	// binary wire snapshot.
+	Program  string `json:"program,omitempty"`
+	Data     string `json:"data,omitempty"`
+	Rules    string `json:"rules,omitempty"`
+	Snapshot string `json:"snapshot,omitempty"`
 	// Checkpoint names a checkpoint artifact for a "resume" request: the
-	// chase continues from it, with the file's facts (and Deltas, read as
-	// wire delta blobs against the checkpointed instance) as the
-	// base-data delta. Rules are optional — without them the checkpoint's
+	// chase continues from it, with the file's facts as the base-data
+	// delta. Rules are optional — without them the checkpoint's
 	// fingerprint resolves through the service registry.
 	Checkpoint string `json:"checkpoint,omitempty"`
 
@@ -165,11 +163,6 @@ func (f *RequestFile) inputs() (Payload, *tgds.Set, error) {
 	default:
 		return Payload{}, nil, fmt.Errorf("request names no program or rules")
 	}
-	if len(f.Deltas) > 0 && f.Snapshot == "" {
-		// Refuse rather than silently running against the parsed facts
-		// with the deltas never opened.
-		return Payload{}, nil, fmt.Errorf("request names deltas but no snapshot to apply them to")
-	}
 	if f.Snapshot != "" {
 		// A wire-encoded instance replaces the parsed facts; the service
 		// decodes it at admission.
@@ -177,15 +170,7 @@ func (f *RequestFile) inputs() (Payload, *tgds.Set, error) {
 		if err != nil {
 			return Payload{}, nil, err
 		}
-		p := Payload{Snapshot: snap}
-		for _, d := range f.Deltas {
-			delta, err := f.readRef("delta", d)
-			if err != nil {
-				return Payload{}, nil, err
-			}
-			p.Deltas = append(p.Deltas, delta)
-		}
-		return p, rules, nil
+		return Payload{Snapshot: snap}, rules, nil
 	}
 	if db == nil {
 		db = logic.NewInstance()
@@ -223,11 +208,11 @@ func (f *RequestFile) ChaseRequest() (ChaseRequest, error) {
 
 // DeltaRequest builds the typed envelope of a "resume" request file:
 // Checkpoint names the artifact, the file's facts (Program facts or
-// Data) are the in-process delta, Deltas are wire delta blobs, and the
-// rules — when present — pin Σ inline (otherwise the checkpoint's
-// fingerprint resolves through the registry). Engine is rejected: the
-// variant is pinned by the checkpoint. Snapshot is rejected: a resume's
-// base instance is the checkpoint, deltas are the only payload.
+// Data) are the delta, and the rules — when present — pin Σ inline
+// (otherwise the checkpoint's fingerprint resolves through the
+// registry). Engine is rejected: the variant is pinned by the
+// checkpoint. Snapshot is rejected: a resume's base instance is the
+// checkpoint, and the delta facts are its only payload.
 func (f *RequestFile) DeltaRequest() (DeltaRequest, error) {
 	if f.Kind != "resume" {
 		return DeltaRequest{}, fmt.Errorf("request kind %q, want \"resume\"", f.Kind)
@@ -243,7 +228,7 @@ func (f *RequestFile) DeltaRequest() (DeltaRequest, error) {
 		return DeltaRequest{}, fmt.Errorf("resume requests take no engine: the chase variant is pinned by the checkpoint")
 	}
 	if f.Snapshot != "" {
-		return DeltaRequest{}, fmt.Errorf("resume requests take no snapshot: the base instance is the checkpoint, ship new atoms as facts or deltas")
+		return DeltaRequest{}, fmt.Errorf("resume requests take no snapshot: the base instance is the checkpoint, ship new atoms as facts")
 	}
 	req := DeltaRequest{
 		Meta:      meta,
@@ -289,13 +274,6 @@ func (f *RequestFile) DeltaRequest() (DeltaRequest, error) {
 	}
 	if facts != nil {
 		req.Delta = facts.Atoms()
-	}
-	for _, d := range f.Deltas {
-		blob, err := f.readRef("delta", d)
-		if err != nil {
-			return DeltaRequest{}, err
-		}
-		req.Deltas = append(req.Deltas, blob)
 	}
 	return req, nil
 }

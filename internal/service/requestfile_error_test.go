@@ -32,9 +32,7 @@ func TestRequestFileBuildErrors(t *testing.T) {
 		"missing data":     {Rules: goodRules, Data: "nope.dlgp"},
 		"bad data":         {Rules: goodRules, Data: bad},
 		"no inputs":        {},
-		"orphaned deltas":  {Program: good, Deltas: []string{"d.bin"}},
 		"missing snapshot": {Program: good, Snapshot: "nope.bin"},
-		"missing delta":    {Program: good, Snapshot: good, Deltas: []string{"nope.bin"}},
 		"bad priority":     {Program: good, Priority: "urgent"},
 		"bad engine":       {Program: good, Engine: "turbo"},
 		// The shared resolver confines every file field to the request
@@ -45,7 +43,6 @@ func TestRequestFileBuildErrors(t *testing.T) {
 		"absolute rules":    {Rules: abs},
 		"escaping data":     {Rules: goodRules, Data: filepath.Join("sub", "..", "..", "data.dlgp")},
 		"absolute snapshot": {Program: good, Snapshot: abs},
-		"absolute delta":    {Program: good, Snapshot: good, Deltas: []string{abs}},
 	}
 	for name, f := range chase {
 		t.Run("chase/"+name, func(t *testing.T) {
@@ -99,7 +96,6 @@ func TestRequestFileBuildErrors(t *testing.T) {
 		"bad rules":           {Kind: "resume", Checkpoint: cp, Rules: bad},
 		"missing data":        {Kind: "resume", Checkpoint: cp, Rules: goodRules, Data: "nope.dlgp"},
 		"bad data":            {Kind: "resume", Checkpoint: cp, Rules: goodRules, Data: bad},
-		"missing delta blob":  {Kind: "resume", Checkpoint: cp, Deltas: []string{"nope.bin"}},
 		"absolute checkpoint": {Kind: "resume", Checkpoint: abs},
 		"escaping checkpoint": {Kind: "resume", Checkpoint: "../run.cp"},
 	}
@@ -112,9 +108,9 @@ func TestRequestFileBuildErrors(t *testing.T) {
 		})
 	}
 
-	// A resume file may ship its delta as separate rules + data, with
-	// wire blobs alongside; the happy path over Data exercises the
-	// parse-and-attach branch the rejection table above cannot.
+	// A resume file may ship its delta as separate rules + data; the
+	// happy path over Data exercises the parse-and-attach branch the
+	// rejection table above cannot.
 	f := RequestFile{Kind: "resume", Checkpoint: cp, Rules: goodRules, Data: goodData, dir: dir}
 	req, err := f.DeltaRequest()
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/chase"
@@ -103,6 +104,23 @@ func TestRequestFileSnapshot(t *testing.T) {
 	want := chase.Run(prog.Database, prog.Rules, chase.Options{})
 	if r.Chase.Instance.CanonicalKey() != want.Instance.CanonicalKey() {
 		t.Fatal("snapshot-filed chase diverges from the in-process run")
+	}
+}
+
+// TestRequestFileRejectsDeltas: request files once listed wire delta
+// blobs under "deltas". A file that still does, for a chase over a
+// snapshot or for a resume, fails at load as an unknown field instead of
+// running without the atoms it meant to add.
+func TestRequestFileRejectsDeltas(t *testing.T) {
+	dir := t.TempDir()
+	for name, body := range map[string]string{
+		"chase":  `{"kind": "chase", "rules": "rules.dlgp", "snapshot": "db.cw", "deltas": ["d0.cw"]}`,
+		"resume": `{"kind": "resume", "checkpoint": "run.cp", "deltas": ["d0.cw"]}`,
+	} {
+		f, err := LoadRequestFile(writeFile(t, dir, name+".json", body))
+		if err == nil || !strings.Contains(err.Error(), `unknown field "deltas"`) {
+			t.Fatalf("%s: loaded %+v, err = %v; want an unknown-field error naming deltas", name, f, err)
+		}
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"repro/internal/chase"
 	"repro/internal/checkpoint"
 	"repro/internal/logic"
-	"repro/internal/wire"
 )
 
 // tcProgram is a transitive-closure workload: null-free, so resumed and
@@ -54,10 +53,9 @@ func waitChase(t *testing.T, tk *Ticket) *chase.Result {
 }
 
 // TestServiceResumeRoundTrip: a DeltaRequest through the service — with
-// the ontology attached inline, resolved through the registry by the
-// checkpoint's own fingerprint, and with the delta shipped as a wire
-// blob — is byte-identical to resuming the decoded checkpoint directly,
-// at 1 and 4 scheduler workers.
+// the ontology attached inline, or resolved through the registry by the
+// checkpoint's own fingerprint — is byte-identical to resuming the
+// decoded checkpoint directly, at 1 and 4 scheduler workers.
 func TestServiceResumeRoundTrip(t *testing.T) {
 	prog := parserProg(t, tcProgram)
 	delta := []*logic.Atom{logic.MakeAtom("e", logic.Constant("n3"), logic.Constant("n4"))}
@@ -122,27 +120,6 @@ func TestServiceResumeRoundTrip(t *testing.T) {
 				tk, err := s.SubmitDelta(context.Background(), DeltaRequest{
 					Checkpoint: artifact,
 					Delta:      delta,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				check(t, tk)
-			})
-
-			t.Run("wire delta blob", func(t *testing.T) {
-				cpd, err := checkpoint.Decode(artifact)
-				if err != nil {
-					t.Fatal(err)
-				}
-				grown := cpd.Instance.Clone()
-				for _, a := range delta {
-					grown.Add(a)
-				}
-				blob := wire.EncodeDelta(grown, cpd.Instance.Len())
-				tk, err := s.SubmitDelta(context.Background(), DeltaRequest{
-					Checkpoint: artifact,
-					Ontology:   OntologyRef{Set: prog.Rules},
-					Deltas:     [][]byte{blob},
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -256,15 +233,6 @@ func TestResumeErrorTaxonomy(t *testing.T) {
 		if !errors.Is(err, checkpoint.ErrMismatch) {
 			t.Fatalf("err = %v, not errors.Is checkpoint.ErrMismatch", err)
 		}
-	})
-
-	t.Run("bad delta blob", func(t *testing.T) {
-		_, err := s.SubmitDelta(context.Background(), DeltaRequest{
-			Checkpoint: artifact,
-			Ontology:   OntologyRef{Set: prog.Rules},
-			Deltas:     [][]byte{[]byte("junk")},
-		})
-		wantKind(t, err, KindDecode)
 	})
 
 	t.Run("not resumable", func(t *testing.T) {

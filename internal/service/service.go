@@ -14,12 +14,12 @@
 // canonical fingerprint (internal/compile) and returns the Handle; a
 // submitter that shares the fingerprint with a worker then ships only
 // fingerprint + database payload per job (SubmitByFingerprint), with the
-// database traveling as a portable wire snapshot (+ per-round deltas,
-// internal/wire) when the caller is not in-process. An unregistered
-// fingerprint fails typed (ErrUnknownOntology): the submitter registers
-// Σ once and resumes. Fleets submitted by fingerprint are byte-identical
-// to fleets submitted with Σ attached — the equivalence tests pin that
-// down at 1 and 4 scheduler workers.
+// database traveling as one portable wire snapshot (internal/wire) when
+// the caller is not in-process. An unregistered fingerprint fails typed
+// (ErrUnknownOntology): the submitter registers Σ once and resumes.
+// Fleets submitted by fingerprint are byte-identical to fleets submitted
+// with Σ attached — the equivalence tests pin that down at 1 and 4
+// scheduler workers.
 //
 // Admission is the scheduler's bounded queue with priority lanes and
 // per-tenant fair dequeue; RequestMeta{Tenant, Priority} is the
@@ -48,17 +48,14 @@ import (
 )
 
 // Config configures a Service. The zero value serves: GOMAXPROCS
-// workers, the scheduler's default queue bound, blocking backpressure,
-// the process-wide compilation cache.
+// workers, the scheduler's default queue bound, the process-wide
+// compilation cache.
 type Config struct {
 	// Workers is the number of job workers (<= 0 selects GOMAXPROCS).
 	Workers int
 	// QueueBound caps the admission queue (<= 0 selects the scheduler
-	// default).
+	// default); a Submit at the bound waits for a slot.
 	QueueBound int
-	// Backpressure selects Submit's behavior at the bound: Block
-	// (default) or Reject, which surfaces as KindOverloaded.
-	Backpressure rt.Backpressure
 	// Cache is the compilation cache ontologies are registered in and
 	// artifacts served from; nil selects compile.Global().
 	Cache *compile.Cache
@@ -91,10 +88,9 @@ func New(cfg Config) *Service {
 	}
 	s := &Service{
 		sched: rt.NewScheduler(rt.SchedulerConfig{
-			Workers:      cfg.Workers,
-			QueueBound:   cfg.QueueBound,
-			Backpressure: cfg.Backpressure,
-			Telemetry:    cfg.Telemetry,
+			Workers:    cfg.Workers,
+			QueueBound: cfg.QueueBound,
+			Telemetry:  cfg.Telemetry,
 		}),
 		cache: cache,
 		tel:   cfg.Telemetry,
@@ -231,11 +227,11 @@ func (s *Service) SubmitChase(ctx context.Context, req ChaseRequest) (*Ticket, e
 // SubmitDelta admits an incremental re-chase request: the checkpoint
 // artifact is decoded, its ontology resolved (explicitly, or — the
 // steady-state shape — through the registry by the checkpoint's own
-// fingerprint) and validated against it, wire delta blobs are applied
-// through the checkpoint's stream, and the resumed run is scheduled
+// fingerprint) and validated against it, and the resumed run, with the
+// request's Delta atoms in its first semi-naive window, is scheduled
 // with the same admission metadata, budgets, and telemetry as a chase
 // (its terminal trace span is "resume"). All validation is synchronous:
-// a corrupt artifact or blob (KindDecode), an unregistered fingerprint
+// a corrupt artifact (KindDecode), an unregistered fingerprint
 // (KindUnknownOntology), and a mismatched ontology (KindBadRequest
 // wrapping checkpoint.ErrMismatch) fail the Submit, not the worker.
 func (s *Service) SubmitDelta(ctx context.Context, req DeltaRequest) (*Ticket, error) {
@@ -262,11 +258,6 @@ func (s *Service) SubmitDelta(ctx context.Context, req DeltaRequest) (*Ticket, e
 	}
 	if err := cp.Validate(sigma); err != nil {
 		return nil, wrapErr(OpResume, name, KindBadRequest, err)
-	}
-	for i, blob := range req.Deltas {
-		if _, err := cp.ApplyDelta(blob); err != nil {
-			return nil, wrapErr(OpResume, name, KindDecode, fmt.Errorf("delta blob %d: %w", i, err))
-		}
 	}
 	if req.Meta.QoS.Learn {
 		// A learned bound describes a from-scratch reference run; a
@@ -351,7 +342,7 @@ func (s *Service) decideRun(req DecideRequest, db *logic.Instance, sigma *tgds.S
 	switch req.Method {
 	case "uniform":
 		return func(context.Context) (any, error) {
-			return core.DecideUniformWith(sigma, s.cache)
+			return core.DecideUniform(sigma, s.cache)
 		}, nil
 	case "", "syntactic":
 		return func(context.Context) (any, error) {
@@ -528,7 +519,9 @@ func (t *Ticket) EncodeChase() ([]byte, error) {
 	tr := t.rt.Trace()
 	start := tr.Now()
 	data := wire.EncodeSnapshot(r.Chase.Instance)
-	tr.Span("encode", tr.Now().Sub(start), "bytes", strconv.Itoa(len(data)))
+	if tr != nil {
+		tr.Span("encode", tr.Now().Sub(start), "bytes", strconv.Itoa(len(data)))
+	}
 	return data, nil
 }
 
@@ -558,7 +551,9 @@ func (t *Ticket) EncodeCheckpoint() ([]byte, error) {
 	if err != nil {
 		return nil, wrapErr(t.op, r.Name, KindInternal, err)
 	}
-	tr.Span("checkpoint", tr.Now().Sub(start), "bytes", strconv.Itoa(len(data)))
+	if tr != nil {
+		tr.Span("checkpoint", tr.Now().Sub(start), "bytes", strconv.Itoa(len(data)))
+	}
 	return data, nil
 }
 

@@ -161,50 +161,11 @@ func TestUnknownFingerprint(t *testing.T) {
 	}
 }
 
-// TestErrorTaxonomy walks the submit-side taxonomy: overload, closed,
-// decode, bad request — every kind classified and every sentinel
-// reachable through errors.Is.
+// TestErrorTaxonomy walks the submit-side taxonomy: closed, decode, bad
+// request, canceled — every kind classified and every sentinel reachable
+// through errors.Is.
 func TestErrorTaxonomy(t *testing.T) {
 	prog := parserProg(t, "p(a). p(X) -> ∃Y p(Y).")
-
-	t.Run("overloaded", func(t *testing.T) {
-		s := newService(t, Config{Workers: 1, QueueBound: 1, Backpressure: rt.Reject})
-		gate := make(chan struct{})
-		claimed := make(chan struct{})
-		var once, releaseOnce sync.Once
-		release := func() { releaseOnce.Do(func() { close(gate) }) }
-		defer release()
-		first, err := s.SubmitDecide(context.Background(), gatedProbe(prog, &once, claimed, gate))
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Wait until the worker has claimed the job (its first round
-		// parks on the gate), then fill the queue bound.
-		<-claimed
-		if _, err := s.SubmitChase(context.Background(), ChaseRequest{
-			Database: Payload{Instance: prog.Database},
-			Ontology: OntologyRef{Set: prog.Rules},
-			MaxAtoms: 10,
-		}); err != nil {
-			t.Fatalf("queued submit: %v", err)
-		}
-		_, err = s.SubmitChase(context.Background(), ChaseRequest{
-			Database: Payload{Instance: prog.Database},
-			Ontology: OntologyRef{Set: prog.Rules},
-			MaxAtoms: 10,
-		})
-		if !errors.Is(err, rt.ErrQueueFull) {
-			t.Fatalf("err = %v, not errors.Is runtime.ErrQueueFull", err)
-		}
-		var se *Error
-		if !errors.As(err, &se) || se.Kind != KindOverloaded {
-			t.Fatalf("err = %v, want KindOverloaded", err)
-		}
-		release()
-		if r := first.Wait(); r.Err != nil {
-			t.Fatalf("gated job failed: %v", r.Err)
-		}
-	})
 
 	t.Run("unavailable", func(t *testing.T) {
 		s := New(Config{Workers: 1, Cache: compile.NewCache(0)})

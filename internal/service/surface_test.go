@@ -76,8 +76,8 @@ func TestNamesAndTaxonomyStrings(t *testing.T) {
 	if s := fmt.Sprint(OpChase, " ", OpDecide, " ", OpExperiment, " ", OpRegistry); s != "chase decide experiment registry" {
 		t.Fatalf("op names: %q", s)
 	}
-	kinds := []ErrorKind{KindInternal, KindBadRequest, KindUnknownOntology, KindDecode, KindOverloaded, KindUnavailable, KindCanceled}
-	want := "internal bad-request unknown-ontology decode overloaded unavailable canceled"
+	kinds := []ErrorKind{KindInternal, KindBadRequest, KindUnknownOntology, KindDecode, KindUnavailable, KindCanceled}
+	want := "internal bad-request unknown-ontology decode unavailable canceled"
 	got := ""
 	for i, k := range kinds {
 		if i > 0 {
@@ -88,11 +88,11 @@ func TestNamesAndTaxonomyStrings(t *testing.T) {
 	if got != want {
 		t.Fatalf("kind names: %q, want %q", got, want)
 	}
-	e := &Error{Kind: KindOverloaded, Op: OpChase, Name: "j", Err: rt.ErrQueueFull}
-	if !errors.Is(e, rt.ErrQueueFull) {
+	e := &Error{Kind: KindUnavailable, Op: OpChase, Name: "j", Err: rt.ErrSchedulerClosed}
+	if !errors.Is(e, rt.ErrSchedulerClosed) {
 		t.Fatal("Error does not unwrap to its sentinel")
 	}
-	if e.Error() == "" || classify(rt.ErrQueueFull) != KindOverloaded {
+	if e.Error() == "" || classify(rt.ErrSchedulerClosed) != KindUnavailable {
 		t.Fatal("error rendering/classification broken")
 	}
 	if classify(errors.New("boom")) != KindInternal {

@@ -60,9 +60,9 @@ func newSvcTelemetry(tel *telemetry.Telemetry, cache *compile.Cache) (*svcTeleme
 	r.AddCollector(func() { symbols.Set(logic.GroundIDs()) })
 	release := wire.RegisterMeter(&wireMeter{
 		encoded: r.Counter("wire_encode_bytes",
-			"Bytes produced by wire snapshot/delta encodes."),
+			"Bytes produced by wire snapshot encodes."),
 		decoded: r.Counter("wire_decode_bytes",
-			"Bytes consumed by successful wire snapshot/delta decodes."),
+			"Bytes consumed by successful wire snapshot decodes."),
 	})
 	return m, release
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/hex"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/chase"
+	"repro/internal/checkpoint"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -231,6 +233,56 @@ func TestServiceEncodeTraceSpan(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), `"span": "admit"`) {
 		t.Fatalf("trace rendering misses the admit span:\n%s", b.String())
+	}
+}
+
+// TestServiceEncodeUntracedAllocs: with tracing off, EncodeChase and
+// EncodeCheckpoint allocate exactly what the encodes underneath them do:
+// an untraced ticket skips its span, rendering of the byte count
+// included.
+func TestServiceEncodeUntracedAllocs(t *testing.T) {
+	var src strings.Builder
+	for i := range 12 {
+		fmt.Fprintf(&src, "e(n%d, n%d). ", i, i+1)
+	}
+	prog := parserProg(t, src.String()+"e(X, Y), e(Y, Z) -> e(X, Z).")
+	s := newService(t, Config{Workers: 1})
+	tk, err := s.SubmitChase(context.Background(), ChaseRequest{
+		Database:   Payload{Instance: prog.Database},
+		Ontology:   OntologyRef{Set: prog.Rules},
+		Checkpoint: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := waitChase(t, tk)
+	// strconv.Itoa allocates for any count of 100 or more.
+	if n := len(wire.EncodeSnapshot(res.Instance)); n < 100 {
+		t.Fatalf("fixture encodes to %d bytes, want at least 100", n)
+	}
+	encode := testing.AllocsPerRun(20, func() { wire.EncodeSnapshot(res.Instance) })
+	if got := testing.AllocsPerRun(20, func() {
+		if _, err := tk.EncodeChase(); err != nil {
+			t.Fatal(err)
+		}
+	}); got != encode {
+		t.Errorf("untraced EncodeChase: %v allocs, wire.EncodeSnapshot %v", got, encode)
+	}
+	capture := testing.AllocsPerRun(20, func() {
+		cp, err := checkpoint.Capture(prog.Rules, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cp.Encode(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got := testing.AllocsPerRun(20, func() {
+		if _, err := tk.EncodeCheckpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}); got != capture {
+		t.Errorf("untraced EncodeCheckpoint: %v allocs, Capture+Encode %v", got, capture)
 	}
 }
 

@@ -31,15 +31,14 @@ func FuzzWireRoundTrip(f *testing.F) {
 		logic.MakeAtom("r", n1, logic.Fresh(3)),
 		logic.MakeAtom("zero"),
 	)))
-	// A null declared at two depths must fail, not merge (the second seed
-	// is the delta form of the same defect).
+	// A null declared at two depths must fail, not merge, and so must the
+	// former delta kind.
 	f.Add(twoDepthSnapshot())
-	_, delta := redeclaringDelta()
-	f.Add(delta)
+	f.Add(deltaKind(EncodeSnapshot(logic.NewDatabase(logic.MakeAtom("r", n0, n1))), 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in, err := DecodeSnapshot(data)
 		if err != nil {
-			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrDeltaMismatch) {
+			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("decode failed with an untyped error: %v", err)
 			}
 			return

@@ -6,7 +6,7 @@ import (
 )
 
 // Meter is the codec's observability seam: a listener that sees the
-// byte size of every snapshot/delta encode and decode. The codec stays
+// byte size of every snapshot encode and decode. The codec stays
 // telemetry-agnostic — the interface is defined here so this package
 // imports nothing, and internal/service installs an adapter that feeds
 // wire_encode_bytes / wire_decode_bytes in its telemetry registry.
@@ -16,7 +16,7 @@ import (
 type Meter interface {
 	// WireEncoded observes one finished encode of n bytes.
 	WireEncoded(n int)
-	// WireDecoded observes one successfully decoded section of n bytes.
+	// WireDecoded observes one successfully decoded snapshot of n bytes.
 	WireDecoded(n int)
 }
 
@@ -88,7 +88,7 @@ func meterEncoded(n int) {
 	}
 }
 
-// meterDecoded fans one successfully decoded section of n bytes out to
+// meterDecoded fans one successfully decoded snapshot of n bytes out to
 // every registered meter.
 func meterDecoded(n int) {
 	if p := meters.Load(); p != nil {

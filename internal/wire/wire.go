@@ -1,49 +1,39 @@
-// Package wire is the portable binary codec for instances: snapshots of a
-// whole atom set and per-round deltas (the atoms appended since a known
-// prefix), encoded so that a fresh process — with its own empty symbol
-// table — decodes an instance that is byte-identical to the original
-// under every cross-process identity the system has: CanonicalKey,
-// insertion order (and hence semi-naive delta behavior), and null
-// depths. It is the database half of the ROADMAP's distributed-sharding
-// wire format; the ontology half is internal/compile's canonical
-// fingerprint, and internal/service composes the two into
-// fingerprint-addressed job submission.
+// Package wire is the portable binary codec for instances: a snapshot of
+// a whole atom set, encoded so that a fresh process — with its own empty
+// symbol table — decodes an instance that is byte-identical to the
+// original under every cross-process identity the system has:
+// CanonicalKey, insertion order (and hence semi-naive delta behavior),
+// and null depths. It is the database half of the ROADMAP's
+// distributed-sharding wire format; the ontology half is
+// internal/compile's canonical fingerprint, and internal/service composes
+// the two into fingerprint-addressed job submission.
 //
 // # Identity and the symbol manifest
 //
 // The process-local data plane addresses terms and predicates by dense
 // int32 ids handed out in interning order, so ids are meaningless outside
 // the process that assigned them. An encoding therefore never contains a
-// symbol-table id. Instead, every snapshot and delta carries a symbol
-// manifest — the distinct predicates and terms of its atoms, listed in
-// order of first occurrence in the encoded atom sequence — and the atom
-// section refers to symbols by manifest index. Terms appear in the
-// manifest under their portable identity: constants and fresh terms by
-// value, nulls by (factory id, depth) — the factory-local id is exactly
-// what Term.Key and hence Instance.CanonicalKey expose — and foreign term
-// kinds by their Key and rendering, carried opaquely. First-occurrence
-// order makes the encoding a pure function of the instance's ordered atom
-// sequence: two equal instances encode byte-identically no matter which
-// process, symbol table, or null factory produced them, and
-// encode→decode→encode is a fixpoint (FuzzWireRoundTrip pins both down).
+// symbol-table id. Instead, every snapshot carries a symbol manifest —
+// the distinct predicates and terms of its atoms, listed in order of
+// first occurrence in the encoded atom sequence — and the atom section
+// refers to symbols by manifest index. Terms appear in the manifest under
+// their portable identity: constants and fresh terms by value, nulls by
+// (factory id, depth) — the factory-local id is exactly what Term.Key and
+// hence Instance.CanonicalKey expose — and foreign term kinds by their
+// Key and rendering, carried opaquely. First-occurrence order makes the
+// encoding a pure function of the instance's ordered atom sequence: two
+// equal instances encode byte-identically no matter which process, symbol
+// table, or null factory produced them, and encode→decode→encode is a
+// fixpoint (FuzzWireRoundTrip pins both down).
 //
 // Neither direction keeps a Go map. The encoder numbers interned predicate
 // and term ids in logic.Numbering tables, whose first-occurrence numbers
 // are the manifest indexes. The decoder checks a manifest's null
-// declarations in another Numbering, builds a section's atoms over one
+// declarations in another Numbering, builds the snapshot's atoms over one
 // exactly sized array each of headers, id tuples and argument slices
-// (logic.NewAtomsFromIDs) and indexes a snapshot in bulk (logic.NewDatabase).
-//
-// # Deltas
-//
-// A delta is a snapshot of a suffix: the atoms with insertion sequence >=
-// some base length, plus that base length in the header. Deltas are
-// self-contained (their manifest re-lists every symbol they touch), but
-// null identity must be resolved against the nulls of the base snapshot
-// and earlier deltas, so decoding a snapshot+delta stream goes through
-// one Decoder, which owns the stream's NullFactory. Applying a delta
-// whose base length does not match the decoded instance fails with
-// ErrDeltaMismatch rather than silently misaligning the rounds.
+// (logic.NewAtomsFromIDs) and indexes them in bulk (logic.NewDatabase).
+// Each decode resolves null identity within its one section, through a
+// null factory private to the call: no decoder state outlives it.
 //
 // # Wire format
 //
@@ -51,8 +41,7 @@
 // are unsigned varints, except fresh-term values, which are zigzag-signed;
 // strings are length-prefixed. Layout:
 //
-//	magic "CW", kind byte ('S' snapshot, 'D' delta), version varint (1)
-//	delta only: base varint (required instance length before applying)
+//	magic "CW", kind byte 'S' (snapshot), version varint (1)
 //	predicate count; per predicate: name, arity
 //	term count; per term: tag byte + payload
 //	    'c' constant: value
@@ -65,7 +54,6 @@ package wire
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/codec"
 	"repro/internal/logic"
@@ -75,21 +63,14 @@ import (
 // decodes).
 const Version = 1
 
-var (
-	// ErrCorrupt reports an encoding this package cannot decode: bad
-	// magic, unknown version, truncated sections, out-of-range indexes,
-	// or a manifest record that violates the codec's invariants. It wraps
-	// the specific defect.
-	ErrCorrupt = errors.New("wire: corrupt encoding")
-	// ErrDeltaMismatch reports a delta whose recorded base length does
-	// not match the instance it is being applied to.
-	ErrDeltaMismatch = errors.New("wire: delta base does not match the decoded instance")
-)
+// ErrCorrupt reports an encoding this package cannot decode: bad magic,
+// an unknown kind or version, truncated sections, out-of-range indexes,
+// or a manifest record that violates the codec's invariants. It wraps the
+// specific defect.
+var ErrCorrupt = errors.New("wire: corrupt encoding")
 
-const (
-	kindSnapshot = 'S'
-	kindDelta    = 'D'
-)
+// kindSnapshot is the header's kind byte, the one payload form.
+const kindSnapshot = 'S'
 
 // opaque carries a foreign term kind across the wire: a term defined
 // outside internal/logic survives encoding as its identity key plus its
@@ -123,33 +104,14 @@ func builtinKeyPrefix(key string) bool {
 // in), so equal instances encode byte-identically across processes.
 func EncodeSnapshot(in *logic.Instance) []byte {
 	w := codec.NewWriter(64 + 16*in.Len())
-	writeHeader(w, kindSnapshot)
+	writeHeader(w)
 	writeAtoms(w, in.Atoms())
 	meterEncoded(len(w.Bytes()))
 	return w.Bytes()
 }
 
-// EncodeDelta encodes the atoms with insertion sequence >= from — one
-// semi-naive round's delta when from is the previous round's instance
-// length — against a base of length from.
-func EncodeDelta(in *logic.Instance, from int) []byte {
-	if from < 0 {
-		from = 0
-	}
-	all := in.Atoms()
-	if from > len(all) {
-		from = len(all)
-	}
-	w := codec.NewWriter(64 + 16*(len(all)-from))
-	writeHeader(w, kindDelta)
-	w.Uint(uint64(from))
-	writeAtoms(w, all[from:])
-	meterEncoded(len(w.Bytes()))
-	return w.Bytes()
-}
-
-func writeHeader(w *codec.Writer, kind byte) {
-	w.Raw([]byte{'C', 'W', kind})
+func writeHeader(w *codec.Writer) {
+	w.Raw([]byte{'C', 'W', kindSnapshot})
 	w.Uint(Version)
 }
 
@@ -227,12 +189,12 @@ func appendTerm(w *codec.Writer, t logic.Term) {
 }
 
 // readTerm reads one record written by appendTerm and builds its term. A
-// null has no term outside its stream, so for a null record readTerm
+// null has no term outside its section, so for a null record readTerm
 // returns a nil term and the null's portable identity: the factory id and
-// depth the caller resolves against its stream's nulls. Its errors wrap
-// the reader's sentinel: an unknown tag, a truncated payload, or a foreign
-// record claiming a built-in identity key (interning it as foreign would
-// mint a second symbol id for an existing identity).
+// depth the caller checks against the section's other nulls. Its errors
+// wrap the reader's sentinel: an unknown tag, a truncated payload, or a
+// foreign record claiming a built-in identity key (interning it as
+// foreign would mint a second symbol id for an existing identity).
 func readTerm(r *codec.Reader) (t logic.Term, nullID, depth int, err error) {
 	tag, err := r.Byte("term tag")
 	if err != nil {
@@ -271,117 +233,23 @@ func readTerm(r *codec.Reader) (t logic.Term, nullID, depth int, err error) {
 	return t, nullID, depth, nil
 }
 
-// Decoder decodes one snapshot and any number of subsequent deltas into a
-// single instance, resolving null identity across the whole stream
-// through one factory. A Decoder is single-use and not safe for
-// concurrent use.
-//
-// A decode error poisons the decoder: every later Snapshot or Apply call
-// fails with an error wrapping both ErrCorrupt and the original defect,
-// and Err reports it. Section decoding is atomic (parse-then-materialize,
-// see section), so the already-decoded instance is still exactly the
-// pre-error stream prefix — Instance remains valid for reading — but the
-// stream itself is unusable: a caller that fed one corrupt frame has lost
-// sync, and silently accepting the next frame would splice rounds across
-// the gap. Checkpoint loading composes snapshot + delta + trigger
-// sections on one decoder and relies on this latch.
-type Decoder struct {
-	nulls *logic.NullFactory
-	inst  *logic.Instance
-	err   error // first decode error; poisons all later calls
-}
-
-// NewDecoder returns a decoder for one snapshot+deltas stream.
-func NewDecoder() *Decoder {
-	return &Decoder{nulls: logic.NewNullFactory()}
-}
-
-// Instance returns the instance decoded so far (nil before Snapshot).
-func (d *Decoder) Instance() *logic.Instance { return d.inst }
-
-// Err returns the error that poisoned the decoder, or nil while the
-// stream is still healthy.
-func (d *Decoder) Err() error { return d.err }
-
-// poison latches the stream's first decode error and returns it. Misuse
-// errors (snapshot-after-snapshot, delta-before-snapshot, mismatched
-// delta base) poison too: each means the caller's framing is out of step
-// with the stream, after which no later frame can be trusted to land
-// where the caller thinks it does.
-func (d *Decoder) poison(err error) error {
-	if d.err == nil {
-		d.err = err
-	}
-	return err
-}
-
-// poisoned reports the standing error of a dead stream, wrapping
-// ErrCorrupt so callers matching the usual decode-failure sentinel catch
-// it without knowing about the latch.
-func (d *Decoder) poisoned() error {
-	return fmt.Errorf("%w: decoder poisoned by earlier error: %w", ErrCorrupt, d.err)
-}
-
-// Snapshot decodes a snapshot encoding into a fresh instance. It must be
-// the stream's first call and may be made only once.
-func (d *Decoder) Snapshot(data []byte) (*logic.Instance, error) {
-	if d.err != nil {
-		return nil, d.poisoned()
-	}
-	if d.inst != nil {
-		return nil, d.poison(fmt.Errorf("%w: decoder already holds a snapshot", ErrCorrupt))
-	}
-	r := codec.NewReader(data, ErrCorrupt)
-	if err := readHeader(r, kindSnapshot); err != nil {
-		return nil, d.poison(err)
-	}
-	atoms, err := d.section(r)
-	if err != nil {
-		return nil, d.poison(err)
-	}
-	meterDecoded(len(data))
-	d.inst = logic.NewDatabase(atoms...)
-	return d.inst, nil
-}
-
-// Apply decodes a delta encoding and appends its atoms to the decoded
-// instance, returning the number of atoms added. The delta's recorded
-// base length must equal the instance's current length.
-//
-// An error poisons the decoder (see Decoder): the instance keeps the
-// atoms of every frame that succeeded, nothing from the failed one, and
-// all later Snapshot/Apply calls refuse with an error wrapping
-// ErrCorrupt and the original defect.
-func (d *Decoder) Apply(data []byte) (int, error) {
-	if d.err != nil {
-		return 0, d.poisoned()
-	}
-	if d.inst == nil {
-		return 0, d.poison(fmt.Errorf("%w: delta applied before any snapshot", ErrCorrupt))
-	}
-	r := codec.NewReader(data, ErrCorrupt)
-	if err := readHeader(r, kindDelta); err != nil {
-		return 0, d.poison(err)
-	}
-	base, err := r.Value("delta base")
-	if err != nil {
-		return 0, d.poison(err)
-	}
-	if base != d.inst.Len() {
-		return 0, d.poison(fmt.Errorf("%w: delta base %d, instance holds %d atoms", ErrDeltaMismatch, base, d.inst.Len()))
-	}
-	atoms, err := d.section(r)
-	if err != nil {
-		return 0, d.poison(err)
-	}
-	meterDecoded(len(data))
-	return d.inst.AddAll(atoms), nil
-}
-
-// DecodeSnapshot decodes a self-contained snapshot with a private
-// decoder; use a Decoder directly when deltas will follow.
+// DecodeSnapshot decodes a snapshot encoding into a fresh instance. The
+// snapshot's nulls are created in a null factory private to the call, so
+// every decode stands alone: a null is resolved only against the other
+// declarations of its own manifest. A failed decode returns ErrCorrupt
+// wrapping the defect and leaves the symbol table as it was (see
+// section).
 func DecodeSnapshot(data []byte) (*logic.Instance, error) {
-	return NewDecoder().Snapshot(data)
+	r := codec.NewReader(data, ErrCorrupt)
+	if err := readHeader(r); err != nil {
+		return nil, err
+	}
+	atoms, err := section(r)
+	if err != nil {
+		return nil, err
+	}
+	meterDecoded(len(data))
+	return logic.NewDatabase(atoms...), nil
 }
 
 // nullDecl is a manifest null awaiting materialization: the manifest
@@ -391,12 +259,11 @@ type nullDecl struct{ term, id, depth int32 }
 // section decodes one manifest+atoms section into its atoms, in order.
 // Decoding is parse-then-materialize: the whole encoding is parsed and
 // validated — index ranges, tags, null depths, trailing bytes — before a
-// single symbol is interned or null created, so corrupt input leaves the
-// stream's instance, its null factory and the symbol table exactly as
-// they were (Apply's atomicity rests on this). Parsing builds the non-null
-// terms, which interns nothing, and only records the nulls; symbols are
-// then interned once per manifest entry, not once per occurrence.
-func (d *Decoder) section(r *codec.Reader) ([]*logic.Atom, error) {
+// single symbol is interned or null created, so corrupt input spends no
+// symbol id. Parsing builds the non-null terms, which interns nothing, and
+// only records the nulls; symbols are then interned once per manifest
+// entry, not once per occurrence.
+func section(r *codec.Reader) ([]*logic.Atom, error) {
 	npreds, err := r.Len("predicate count")
 	if err != nil {
 		return nil, err
@@ -430,13 +297,10 @@ func (d *Decoder) section(r *codec.Reader) ([]*logic.Atom, error) {
 			terms[i] = t
 			continue
 		}
-		// A null is one term at one depth. Accepting a second depth
-		// would silently merge two declared terms into the first one.
-		if n := d.nulls.LookupNullAt(id); n != nil && n.Depth() != depth {
-			return nil, r.Errorf("null %d declared at depth %d, the stream has it at depth %d", id, depth, n.Depth())
-		}
 		nulls = append(nulls, nullDecl{term: int32(i), id: int32(id), depth: int32(depth)})
 	}
+	// A null is one term at one depth. Accepting a second depth would
+	// silently merge two declared terms into the first one.
 	var nullIDs logic.Numbering // the section's distinct null ids
 	nullIDs.Grow(len(nulls))
 	depths := make([]int32, 0, len(nulls)) // number in nullIDs -> declared depth
@@ -483,9 +347,10 @@ func (d *Decoder) section(r *codec.Reader) ([]*logic.Atom, error) {
 		return nil, err
 	}
 	// Fully validated: materialize. Nothing below can fail.
-	d.nulls.GrowAt(len(nulls))
+	factory := logic.NewNullFactory()
+	factory.GrowAt(len(nulls))
 	for _, n := range nulls {
-		terms[n.term] = d.nulls.NullAt(int(n.id), int(n.depth))
+		terms[n.term] = factory.NullAt(int(n.id), int(n.depth))
 	}
 	termIDs := make([]int32, len(terms))
 	for i, t := range terms {
@@ -503,13 +368,13 @@ func (d *Decoder) section(r *codec.Reader) ([]*logic.Atom, error) {
 	return logic.NewAtomsFromIDs(preds, predIDs, atomPreds, atomArgs, atomIDs), nil
 }
 
-func readHeader(r *codec.Reader, kind byte) error {
+func readHeader(r *codec.Reader) error {
 	magic, err := r.Raw(3, "header")
 	if err != nil || magic[0] != 'C' || magic[1] != 'W' {
 		return r.Errorf("bad magic")
 	}
-	if magic[2] != kind {
-		return r.Errorf("kind %q, want %q", magic[2], kind)
+	if magic[2] != kindSnapshot {
+		return r.Errorf("kind %q, want %q", magic[2], kindSnapshot)
 	}
 	v, err := r.Value("version")
 	if err != nil {

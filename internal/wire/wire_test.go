@@ -107,53 +107,6 @@ func TestChaseOnDecoded(t *testing.T) {
 	}
 }
 
-// TestDeltaStream encodes a chase result as snapshot(D) + one delta per
-// round prefix and replays the stream through one Decoder.
-func TestDeltaStream(t *testing.T) {
-	for name, prog := range scenarios(t) {
-		t.Run(name, func(t *testing.T) {
-			// The observer sees every round boundary with the instance
-			// length so far — exactly the per-round prefixes a delta
-			// publisher would ship.
-			var prefixes roundPrefixes
-			res := chase.Run(prog.Database, prog.Rules, chase.Options{MaxAtoms: 200, Observer: &prefixes})
-			data := EncodeSnapshot(prog.Database)
-			d := NewDecoder()
-			if _, err := d.Snapshot(data); err != nil {
-				t.Fatal(err)
-			}
-			from := prog.Database.Len()
-			for _, upto := range append(prefixes, res.Instance.Len()) {
-				if upto < from {
-					continue
-				}
-				delta := EncodeDelta(sliceInstance(res.Instance, upto), from)
-				if _, err := d.Apply(delta); err != nil {
-					t.Fatal(err)
-				}
-				from = upto
-			}
-			sameInstance(t, d.Instance(), res.Instance)
-		})
-	}
-}
-
-// roundPrefixes records the instance length at every round boundary.
-type roundPrefixes []int
-
-func (p *roundPrefixes) ObserveRound(s chase.Stats)  { *p = append(*p, s.Atoms) }
-func (*roundPrefixes) ObserveDone(chase.Stats, bool) {}
-
-// sliceInstance rebuilds the insertion-order prefix of length n as its
-// own instance (the shape a per-round publisher would hold).
-func sliceInstance(in *logic.Instance, n int) *logic.Instance {
-	out := logic.NewInstance()
-	for _, a := range in.Atoms()[:n] {
-		out.Add(a)
-	}
-	return out
-}
-
 // TestEncodingIsProcessIndependent builds the same instance content twice
 // — through two independent null factories interleaved with unrelated
 // symbol interning, so every process-local id differs — and asserts the
@@ -261,7 +214,7 @@ func TestNullDepthSurvives(t *testing.T) {
 // encode→decode round trip unchanged.
 func TestChaseOnDecodedNullsStayDistinct(t *testing.T) {
 	// Produce a null-bearing snapshot: chase p(a) one round, then ship
-	// the result — the advertised snapshot/per-round-delta flow.
+	// the result, as a fleet worker ships its answer.
 	seedProg, err := parser.Parse("p(a). p(X) -> ∃Y q(X, Y).")
 	if err != nil {
 		t.Fatal(err)
@@ -314,9 +267,13 @@ func TestDecodeErrors(t *testing.T) {
 		"bad version":  []byte("CW" + string(kindSnapshot) + "\x63"),
 		"truncated":    good[:len(good)-1],
 		"trailing":     append(append([]byte{}, good...), 0),
-		"delta kind":   EncodeDelta(logic.NewInstance(), 0),
 		"foreign null": foreignWithKey("n\x00zz"),
 		"foreign var":  foreignWithKey("v\x00x"),
+		// A payload is one snapshot. The former delta kind is refused at
+		// its header, and a second snapshot after the first is trailing
+		// garbage, not a continuation.
+		"delta kind":      deltaKind(good, 1),
+		"double snapshot": append(append([]byte{}, good...), good...),
 	}
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -325,168 +282,50 @@ func TestDecodeErrors(t *testing.T) {
 			}
 		})
 	}
-	t.Run("delta mismatch", func(t *testing.T) {
-		d := NewDecoder()
-		if _, err := d.Snapshot(good); err != nil {
-			t.Fatal(err)
-		}
-		delta := EncodeDelta(logic.NewDatabase(logic.MakeAtom("q", logic.Constant("b"))), 0)
-		// The decoded instance holds 1 atom, the delta claims base 0.
-		if _, err := d.Apply(delta); !errors.Is(err, ErrDeltaMismatch) {
-			t.Fatalf("err = %v, want ErrDeltaMismatch", err)
-		}
-	})
-	t.Run("corrupt delta is atomic and poisons", func(t *testing.T) {
-		d := NewDecoder()
-		if _, err := d.Snapshot(good); err != nil {
-			t.Fatal(err)
-		}
-		base := logic.NewDatabase(logic.MakeAtom("p", logic.Constant("a")))
-		grown := base.Clone()
-		grown.Add(logic.MakeAtom("q", logic.Constant("b")))
-		grown.Add(logic.MakeAtom("q", logic.Constant("c")))
-		delta := EncodeDelta(grown, 1)
-		truncated := delta[:len(delta)-1] // lose the final atom's term index
-		before := d.Instance().CanonicalKey()
-		if d.Err() != nil {
-			t.Fatalf("healthy stream reports Err = %v", d.Err())
-		}
-		first, err := d.Apply(truncated)
-		if first != 0 || !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("err = %v, want ErrCorrupt", err)
-		}
-		if d.Instance().CanonicalKey() != before {
-			t.Fatal("corrupt delta half-applied: the decoded instance changed")
-		}
-		// The stream is poisoned: even the intact delta is refused, with an
-		// error that wraps both ErrCorrupt and the original defect, and
-		// Err() reports the defect itself.
-		if _, err := d.Apply(delta); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("poisoned Apply err = %v, want ErrCorrupt", err)
-		}
-		if _, err := d.Snapshot(good); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("poisoned Snapshot err = %v, want ErrCorrupt", err)
-		}
-		if d.Err() == nil || !errors.Is(d.Err(), ErrCorrupt) {
-			t.Fatalf("Err() = %v, want the poisoning defect", d.Err())
-		}
-		if d.Instance().CanonicalKey() != before {
-			t.Fatal("poisoned calls mutated the decoded instance")
-		}
-	})
-	t.Run("mismatched delta base poisons", func(t *testing.T) {
-		d := NewDecoder()
-		if _, err := d.Snapshot(good); err != nil {
-			t.Fatal(err)
-		}
-		bad := EncodeDelta(logic.NewDatabase(logic.MakeAtom("q", logic.Constant("b"))), 0)
-		if _, err := d.Apply(bad); !errors.Is(err, ErrDeltaMismatch) {
-			t.Fatalf("err = %v, want ErrDeltaMismatch", err)
-		}
-		// Framing misuse poisons too: the caller lost sync with the stream.
-		ok := EncodeDelta(logic.NewDatabase(logic.MakeAtom("p", logic.Constant("a")), logic.MakeAtom("q", logic.Constant("b"))), 1)
-		if _, err := d.Apply(ok); !errors.Is(err, ErrCorrupt) || !errors.Is(err, ErrDeltaMismatch) {
-			t.Fatalf("poisoned err = %v, want ErrCorrupt wrapping ErrDeltaMismatch", err)
-		}
-	})
-	t.Run("delta before snapshot", func(t *testing.T) {
-		d := NewDecoder()
-		if _, err := d.Apply(EncodeDelta(logic.NewInstance(), 0)); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("err = %v, want ErrCorrupt", err)
-		}
-	})
-	t.Run("double snapshot", func(t *testing.T) {
-		d := NewDecoder()
-		if _, err := d.Snapshot(good); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := d.Snapshot(good); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("err = %v, want ErrCorrupt", err)
-		}
-	})
+}
+
+// deltaKind rewrites a snapshot encoding into the layout of the former
+// delta kind: kind byte 'D', and a base length after the version.
+func deltaKind(snapshot []byte, base uint64) []byte {
+	var w codec.Writer
+	w.Raw([]byte{'C', 'W', 'D'})
+	w.Uint(Version)
+	w.Uint(base)
+	w.Raw(snapshot[4:]) // past "CW", the kind byte and the 1-byte version
+	return w.Bytes()
 }
 
 // TestDecodeRejectsNullAtTwoDepths: a null is one term at one depth, so
-// an encoding that declares the same null id at two depths — twice in one
-// manifest, or in a delta against the stream's snapshot — is corrupt.
-// Accepting it would merge the two declared terms into the first one:
-// two atoms decode as one, or a delta atom silently keeps the older
-// depth. The check runs in the parse phase, so the failed frame leaves the
-// instance and the null factory untouched.
+// an encoding whose manifest declares the same null id at two depths is
+// corrupt. Accepting it would merge the two declared terms into the first
+// one: two atoms would decode as one.
 func TestDecodeRejectsNullAtTwoDepths(t *testing.T) {
 	if in, err := DecodeSnapshot(twoDepthSnapshot()); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("snapshot with null 0 at depths 1 and 5: err = %v (decoded %v), want ErrCorrupt", err, in)
 	}
-
-	d := NewDecoder()
-	snap, delta := redeclaringDelta()
-	if _, err := d.Snapshot(snap); err != nil {
-		t.Fatal(err)
-	}
-	before := d.Instance().CanonicalKey()
-	if n, err := d.Apply(delta); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("delta re-declaring null 0 at depth 5: added %d atoms, err = %v, want ErrCorrupt", n, err)
-	}
-	if got := d.Instance().CanonicalKey(); got != before {
-		t.Fatalf("failed delta changed the instance: %s, want %s", got, before)
-	}
-	if n := d.nulls.LookupNullAt(0); n == nil || n.Depth() != 1 {
-		t.Fatalf("null 0 after the failed delta: %v, want depth 1", n)
-	}
-	if n := d.nulls.LookupNullAt(1); n != nil {
-		t.Fatalf("failed delta created null 1 (depth %d)", n.Depth())
-	}
 }
 
-// TestDecodeOutOfRangeTermMaterializesNothing: a section whose manifest
+// TestDecodeOutOfRangeTermMaterializesNothing: a snapshot whose manifest
 // is valid and declares a null, but whose atom references a term past the
-// manifest, fails with ErrCorrupt before anything is materialized: the
-// null is never created in the stream's factory, no symbol id is spent on
-// the manifest's terms, and the decoder's instance stays as it was — nil
-// for a snapshot, the earlier frames for a delta.
+// manifest, fails with ErrCorrupt before anything is materialized: no
+// symbol id is spent on the manifest's terms, nor on its null (a created
+// null takes one too).
 func TestDecodeOutOfRangeTermMaterializesNothing(t *testing.T) {
 	ids := logic.GroundIDs()
-	d := NewDecoder()
-	if _, err := d.Snapshot(outOfRangeTerm(kindSnapshot, 7)); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("snapshot: err = %v, want ErrCorrupt", err)
-	}
-	if n := d.nulls.LookupNullAt(7); n != nil || d.Instance() != nil {
-		t.Fatalf("failed snapshot left null %v and instance %v", n, d.Instance())
+	if in, err := DecodeSnapshot(outOfRangeTerm(7)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v (decoded %v), want ErrCorrupt", err, in)
 	}
 	if got := logic.GroundIDs(); got != ids {
 		t.Fatalf("failed snapshot spent %d symbol ids", got-ids)
 	}
-
-	d = NewDecoder()
-	snap := EncodeSnapshot(logic.NewDatabase(logic.MakeAtom("p", logic.Constant("a"))))
-	if _, err := d.Snapshot(snap); err != nil {
-		t.Fatal(err)
-	}
-	before := d.Instance().CanonicalKey()
-	ids = logic.GroundIDs()
-	if n, err := d.Apply(outOfRangeTerm(kindDelta, 8)); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("delta: added %d atoms, err = %v, want ErrCorrupt", n, err)
-	}
-	if n := d.nulls.LookupNullAt(8); n != nil {
-		t.Fatalf("failed delta created null 8 (depth %d)", n.Depth())
-	}
-	if got := d.Instance().CanonicalKey(); got != before {
-		t.Fatalf("failed delta changed the instance: %s, want %s", got, before)
-	}
-	if got := logic.GroundIDs(); got != ids {
-		t.Fatalf("failed delta spent %d symbol ids", got-ids)
-	}
 }
 
-// outOfRangeTerm hand-assembles a section of the given kind (a delta has
-// base 1) whose manifest declares null id at depth 1 and a constant no
-// other test interns, with one atom r(t0, t2) over the two-term manifest.
-func outOfRangeTerm(kind byte, id uint64) []byte {
+// outOfRangeTerm hand-assembles a snapshot whose manifest declares null
+// id at depth 1 and a constant no other test interns, with one atom
+// r(t0, t2) over the two-term manifest.
+func outOfRangeTerm(id uint64) []byte {
 	var w codec.Writer
-	writeHeader(&w, kind)
-	if kind == kindDelta {
-		w.Uint(1) // base
-	}
+	writeHeader(&w)
 	w.Uint(1) // one predicate
 	w.Str("r")
 	w.Uint(2) // arity
@@ -507,7 +346,7 @@ func outOfRangeTerm(kind byte, id uint64) []byte {
 // 0 at depth 1 and again at depth 5, with atoms p(t0) and p(t1).
 func twoDepthSnapshot() []byte {
 	var w codec.Writer
-	writeHeader(&w, kindSnapshot)
+	writeHeader(&w)
 	w.Uint(1) // one predicate
 	w.Str("p")
 	w.Uint(1) // arity
@@ -525,37 +364,11 @@ func twoDepthSnapshot() []byte {
 	return w.Bytes()
 }
 
-// redeclaringDelta returns a snapshot holding p(null 0 at depth 1) and a
-// delta on it whose manifest re-declares null 0 at depth 5 and a new null
-// 1, with atom q(t0, t1).
-func redeclaringDelta() (snapshot, delta []byte) {
-	nulls := logic.NewNullFactory()
-	snapshot = EncodeSnapshot(logic.NewDatabase(logic.MakeAtom("p", nulls.NullAt(0, 1))))
-	var w codec.Writer
-	writeHeader(&w, kindDelta)
-	w.Uint(1) // base
-	w.Uint(1) // one predicate
-	w.Str("q")
-	w.Uint(2) // arity
-	w.Uint(2) // two terms
-	w.Byte('n')
-	w.Uint(0)
-	w.Uint(5)
-	w.Byte('n')
-	w.Uint(1)
-	w.Uint(2)
-	w.Uint(1) // one atom
-	w.Uint(0)
-	w.Uint(0)
-	w.Uint(1)
-	return snapshot, w.Bytes()
-}
-
 // foreignWithKey hand-assembles a snapshot whose single manifest term is
 // a foreign record carrying the given identity key.
 func foreignWithKey(key string) []byte {
 	var w codec.Writer
-	writeHeader(&w, kindSnapshot)
+	writeHeader(&w)
 	w.Uint(1) // one predicate
 	w.Str("p")
 	w.Uint(1) // arity
