@@ -18,8 +18,15 @@
 // wire up an ephemeral fleet. -workers and -queue-bound shape the
 // embedded service's scheduler; they bound one worker's concurrency,
 // not the fleet's. With -http, the service's telemetry surface
-// (/healthz, /metrics, /metrics.json) is served on ADDR. SIGINT or
-// SIGTERM drains and exits 0.
+// (/healthz, /metrics, /metrics.json) is served on ADDR.
+//
+// SIGINT or SIGTERM stops the daemon and exits 0. It stops accepting,
+// severs every live connection and closes the service, which finishes
+// every job already admitted. A job in flight is never answered: it
+// runs to its end with its Result frame unwritten (one streaming
+// progress is canceled at its next round boundary instead), and its
+// coordinator sees the connection drop and, once its redials fail,
+// fails the job with KindUnavailable.
 package main
 
 import (

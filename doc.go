@@ -44,11 +44,12 @@
 // jobs whose atom and round budgets live on chase.Options — wall-clock
 // budgets and cancellation, per-job results streamed over channels as
 // jobs finish, round-level progress events from running chase jobs, and
-// graceful Drain/Close. Gather collates a fleet's streamed results back
-// into submission order, and a scheduled fleet is byte-identical to a
-// direct chase.Run per job (property-tested in internal/runtime). The
-// symbol table has lock-free reads and instances support concurrent
-// read-only access, so the scheduler's jobs may clone one shared input.
+// a graceful Close that finishes every admitted job. Gather collates a
+// fleet's streamed results back into submission order, and a scheduled
+// fleet is byte-identical to a direct chase.Run per job (property-tested
+// in internal/runtime). The symbol table has lock-free reads and
+// instances support concurrent read-only access, so the scheduler's jobs
+// may clone one shared input.
 // Every tool takes -stream, a pure observability knob; chased and
 // experiments take -workers, the width of their scheduler.
 //
@@ -81,13 +82,13 @@
 // termination UCQs — is memoized per ontology, so a fleet sharing Σ pays
 // analysis once. The cache key is a canonical SHA-256 fingerprint of Σ
 // (order-insensitive, α-invariant, duplicate-insensitive, stable across
-// processes — the future wire-level schema identity for distributed
-// sharding); within a fingerprint entry, compiled artifacts live in
+// processes — the ontology identity fleet jobs and checkpoints carry);
+// within a fingerprint entry, compiled artifacts live in
 // per-exact-clause-sequence views, because head programs address clauses
 // by index and variables by name, and chase.Run re-verifies the match
 // before trusting a served compilation. Reads are lock-free (sync.Map +
-// atomic recency, in the style of logic.Symbols), entries are LRU-bounded
-// with explicit invalidation, and sets are immutable by convention, so
+// atomic recency, in the style of logic.Symbols), entries are
+// LRU-bounded, and sets are immutable by convention, so
 // "mutating Σ" means building a new set — which fingerprints differently
 // and misses. Cached runs are byte-identical to cold runs for all three
 // chase variants (property-tested in internal/compile, fuzzed via
@@ -177,11 +178,11 @@
 // seq), and an HTTP Handler serving /healthz, /metrics (Prometheus
 // text), and /metrics.json. The layers feed it through seams that keep
 // the leaf packages free of telemetry imports: chase.Observer sees
-// round boundaries, wire.Meter sees codec bytes, and a snapshot-time
-// collector bridges compile.Stats. Telemetry is opt-in via
-// Config.Telemetry and free when off — every instrumentation site is a
-// nil check, and CI pins the disabled path's allocation profile
-// against the hot-path baselines its comments record. The CLIs
+// round boundaries and a snapshot-time collector bridges compile.Stats;
+// the service counts the bytes of its own codec calls. Telemetry is
+// opt-in via Config.Telemetry and free when off — every instrumentation
+// site is a nil check, and CI pins the disabled path's allocation
+// profile against the hot-path baselines its comments record. The CLIs
 // surface it as -stats (stderr key-value block), -metrics, and -trace;
 // stdout and the goldens stay byte-identical.
 package repro

@@ -195,18 +195,19 @@ func newEngine(inst *logic.Instance, sigma *tgds.Set, opts Options, nullBase int
 	}
 	if opts.Compile != nil {
 		cs, hit := opts.Compile.CompiledChase(sigma)
-		if cs.Matches(sigma) {
-			e.compiled = cs
-			if hit {
-				e.compileHits = 1
-			} else {
-				e.compileMisses = 1
-			}
-		} else {
+		switch {
+		case !cs.Matches(sigma):
 			// The compiler served programs for a different clause sequence;
-			// using them would corrupt the run, so compile cold instead.
+			// using them would corrupt the run, so compile cold below.
 			e.compileMisses = 1
+		case hit:
+			e.compiled, e.compileHits = cs, 1
+		default:
+			e.compiled, e.compileMisses = cs, 1
 		}
+	}
+	if e.compiled == nil {
+		e.compiled = Compile(sigma)
 	}
 	if opts.TrackForest {
 		e.forest = newForest(e.inst.Atoms())
@@ -267,8 +268,7 @@ type engine struct {
 	// interner, matcher, atom arena, trigger slabs, and work buffers —
 	// either private to this run or pooled by the caller (Options.Scratch).
 	sc         *Scratch
-	heads      [][]headAtom // per-TGD compiled head programs, by TGD id
-	compiled   *CompiledSet // shared precompiled programs (nil: compile lazily)
+	compiled   *CompiledSet // the run's programs, shared or compiled cold
 	forest     *Forest
 	derivation *Derivation
 	initial    int
@@ -400,9 +400,9 @@ func (e *engine) collect(deltaStart int) []pendingTrigger {
 			pending = append(pending, e.buildPending(t, ti, key, m))
 			return true
 		}
-		if ds >= 0 && e.compiled != nil {
-			// Shared precompiled per-seed body programs; enumeration order
-			// is identical to the fresh compile (logic.BodyProgram).
+		if ds >= 0 {
+			// Precompiled per-seed body programs; enumeration order is
+			// identical to the fresh compile (logic.BodyProgram).
 			e.sc.matcher.MatchAllProgs(e.compiled.bodies[ti], e.inst, ds, yield)
 		} else {
 			// Round 1 and NoSemiNaive enumerate the full instance; that
@@ -584,19 +584,7 @@ func indexOf32(ids []int32, id int32) int {
 // ⊥^z_{σ, h}) is realized as the interned integer tuple (TGD id,
 // existential index, key-variable image ids).
 func (e *engine) instantiateHead(p pendingTrigger) []*logic.Atom {
-	var prog []headAtom
-	if e.compiled != nil {
-		prog = e.compiled.heads[p.tgdIdx]
-	} else {
-		if e.heads == nil {
-			e.heads = make([][]headAtom, len(e.sigma.TGDs))
-		}
-		prog = e.heads[p.tgdIdx]
-		if prog == nil {
-			prog = compileHead(p.tgd)
-			e.heads[p.tgdIdx] = prog
-		}
-	}
+	prog := e.compiled.heads[p.tgdIdx]
 	depth := 1
 	for _, t := range p.frImgs {
 		if d := logic.TermDepth(t); d+1 > depth {

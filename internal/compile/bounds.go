@@ -49,8 +49,7 @@ const learnedBoundBytes = 96
 // truth). Bounds are byte-accounted into Stats.Bytes like other per-Σ
 // artifacts but, like registrations, they are pinned rather than
 // LRU-managed: a bound is a few dozen bytes of hard-won profiling, so it
-// survives entry eviction and re-registration and is dropped only by
-// Reset.
+// survives entry eviction and re-registration for the cache's lifetime.
 func (c *Cache) StoreBound(fp Fingerprint, v chase.Variant, b LearnedBound) {
 	if _, loaded := c.bounds.Swap(boundKey{fp: fp, v: v}, b); !loaded {
 		c.boundCount.Add(1)
@@ -59,7 +58,7 @@ func (c *Cache) StoreBound(fp Fingerprint, v chase.Variant, b LearnedBound) {
 }
 
 // Bound returns the learned bound for (fp, v); ok is false when none was
-// ever stored (or Reset dropped it).
+// was ever stored.
 func (c *Cache) Bound(fp Fingerprint, v chase.Variant) (LearnedBound, bool) {
 	bv, ok := c.bounds.Load(boundKey{fp: fp, v: v})
 	if !ok {

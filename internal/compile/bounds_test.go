@@ -49,9 +49,8 @@ func TestBoundsSortedExport(t *testing.T) {
 }
 
 // TestBoundSurvivesEvictionAndReregistration: bounds are pinned profiling
-// artifacts — entry eviction (capacity pressure), explicit invalidation,
-// and re-registration of the same ontology must all keep them; only
-// Reset drops them.
+// artifacts — entry eviction (capacity pressure) and re-registration of
+// the same ontology must both keep them.
 func TestBoundSurvivesEvictionAndReregistration(t *testing.T) {
 	c := NewCache(1)
 	sigma := parser.MustParseRules(`p(X) -> ∃Y r(X, Y). r(X, Y) -> q(Y).`)
@@ -67,12 +66,6 @@ func TestBoundSurvivesEvictionAndReregistration(t *testing.T) {
 		t.Fatal("entry eviction dropped the learned bound")
 	}
 
-	// Explicit invalidation of the fingerprint keeps the bound too.
-	c.Invalidate(fp)
-	if _, ok := c.Bound(fp, chase.SemiOblivious); !ok {
-		t.Fatal("Invalidate dropped the learned bound")
-	}
-
 	// Re-registering the same ontology resolves to the same fingerprint,
 	// so the bound is immediately servable again.
 	if again := c.Register(sigma); again != fp {
@@ -80,15 +73,6 @@ func TestBoundSurvivesEvictionAndReregistration(t *testing.T) {
 	}
 	if b, ok := c.Bound(fp, chase.SemiOblivious); !ok || b.Rounds != 6 {
 		t.Fatalf("bound after re-registration: %+v, %v", b, ok)
-	}
-
-	// Reset is the only eraser.
-	c.Reset()
-	if _, ok := c.Bound(fp, chase.SemiOblivious); ok {
-		t.Fatal("Reset kept the learned bound")
-	}
-	if s := c.Stats(); s.Bounds != 0 {
-		t.Fatalf("Stats.Bounds after Reset = %d", s.Bounds)
 	}
 }
 

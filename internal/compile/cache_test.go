@@ -89,24 +89,6 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
-func TestCacheInvalidation(t *testing.T) {
-	c := NewCache(4)
-	sigma := parser.MustParseRules(`p(X) -> ∃Y r(X, Y).`)
-	c.CompiledChase(sigma)
-	if !c.Invalidate(Of(sigma)) {
-		t.Fatal("invalidation of a cached set reported absent")
-	}
-	if c.Invalidate(Of(sigma)) {
-		t.Fatal("double invalidation reported present")
-	}
-	if _, hit := c.CompiledChase(sigma); hit {
-		t.Fatal("invalidated entry served a hit")
-	}
-	if c.Stats().Invalidations != 1 {
-		t.Fatalf("invalidations = %d, want 1", c.Stats().Invalidations)
-	}
-}
-
 func TestCacheMutatedSigmaMisses(t *testing.T) {
 	c := NewCache(8)
 	base := `p(X) -> ∃Y r(X, Y). r(X, Y) -> q(Y).`

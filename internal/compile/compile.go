@@ -9,13 +9,13 @@
 // (dg(Σ), pg(Σ), uniform weak acyclicity, the dangerous-predicate set),
 // and the termination UCQs Q_Σ of Theorems 6.6 and 7.7.
 //
-// # Keying and the invalidation contract
+// # Keying
 //
 // The cache key is the canonical Fingerprint of Σ (see fingerprint.go):
 // order-insensitive, α-invariant, duplicate-insensitive, and stable
-// across processes — the identity the ROADMAP's distributed-sharding item
-// uses as its wire-level schema name. Compiled artifacts, however, address
-// clauses by index and variables by name, so within a fingerprint entry
+// across processes — the identity fleet jobs and checkpoints carry on
+// the wire. Compiled artifacts, however, address clauses by index and
+// variables by name, so within a fingerprint entry
 // the cache keeps one view per exact clause sequence: fingerprint-equal
 // but reordered or α-renamed sets share the entry (and its LRU slot) but
 // compile their own view, which is what makes serving a cached artifact
@@ -23,9 +23,7 @@
 // CompiledSet.Matches). TGD sets are immutable by convention — tgds.Set
 // deduplicates on Add but callers never mutate a set after handing it to
 // a run — so entries never go stale by mutation; "mutating Σ" means
-// building a new set, which fingerprints differently and misses. Explicit
-// Invalidate/Reset exist for callers that intern unbounded ontology
-// streams.
+// building a new set, which fingerprints differently and misses.
 //
 // # Concurrency
 //
@@ -60,15 +58,15 @@ type Cache struct {
 	clock    atomic.Uint64 // logical time for LRU recency
 	entries  sync.Map      // Fingerprint -> *entry
 	count    atomic.Int64  // number of entries (tracked outside sync.Map)
-	mu       sync.Mutex    // serializes entry insertion, eviction, invalidation
+	mu       sync.Mutex    // serializes entry insertion and eviction
 
 	// fast short-circuits fingerprint and exact-key hashing for the
 	// overwhelmingly common lookup shape — a fleet of jobs sharing one
 	// *tgds.Set value. It is keyed by the set pointer and guarded by the
 	// clause count, so the supported mutation (Set.Add growing the set)
-	// falls back to the slow path; it is cleared wholesale on
-	// invalidation, reset, and eviction (rare events), and size-bounded to
-	// a multiple of the entry capacity.
+	// falls back to the slow path; it is cleared wholesale on eviction
+	// (a rare event), and size-bounded to a multiple of the entry
+	// capacity.
 	fast      sync.Map // *tgds.Set -> fastEntry
 	fastCount atomic.Int64
 
@@ -82,17 +80,15 @@ type Cache struct {
 
 	// bounds holds the learned termination bounds (bounds.go), keyed by
 	// (fingerprint, variant). Like registrations they are pinned — byte-
-	// accounted but exempt from LRU eviction, dropped only by Reset — so
-	// a bound survives its entry's eviction and the ontology's
-	// re-registration.
+	// accounted but exempt from LRU eviction — so a bound survives its
+	// entry's eviction and the ontology's re-registration.
 	bounds     sync.Map // boundKey -> LearnedBound
 	boundCount atomic.Int64
 
-	bytes         atomic.Int64 // approximate bytes held by live entries
-	hits          atomic.Uint64
-	misses        atomic.Uint64
-	evictions     atomic.Uint64
-	invalidations atomic.Uint64
+	bytes     atomic.Int64 // approximate bytes held by live entries
+	hits      atomic.Uint64
+	misses    atomic.Uint64
+	evictions atomic.Uint64
 }
 
 type fastEntry struct {
@@ -107,11 +103,11 @@ type fastEntry struct {
 // live entries' built artifacts and learned bounds (see size.go for the
 // cost model); Registered counts pinned ontologies.
 type Stats struct {
-	Hits, Misses, Evictions, Invalidations uint64
-	Entries                                int
-	Registered                             int
-	Bounds                                 int
-	Bytes                                  int64
+	Hits, Misses, Evictions uint64
+	Entries                 int
+	Registered              int
+	Bounds                  int
+	Bytes                   int64
 }
 
 // NewCache returns a cache bounded to the given number of fingerprint
@@ -235,16 +231,15 @@ func (c *Cache) view(sigma *tgds.Set) (*entry, *view) {
 
 // addBytes credits an artifact just built in e's views to the entry's
 // and the cache's approximate byte accounting. An in-flight build may
-// land after its entry was evicted or invalidated; the accounting is
-// approximate by contract, and the discrepancy is one artifact's
-// estimate, corrected at the next Reset.
+// land after its entry was evicted; the accounting is approximate by
+// contract, and the discrepancy is one artifact's estimate.
 func (c *Cache) addBytes(e *entry, n int) {
 	e.bytes.Add(int64(n))
 	c.bytes.Add(int64(n))
 }
 
-// clearFast drops every pointer memo (after invalidation, reset, or
-// eviction made some of them stale; correctness never depends on them).
+// clearFast drops every pointer memo (after an eviction made some of
+// them stale; correctness never depends on them).
 func (c *Cache) clearFast() {
 	c.fast.Range(func(k, _ any) bool {
 		c.fast.Delete(k)
@@ -385,52 +380,6 @@ func (c *Cache) UCQL(sigma *tgds.Set) (core.UCQ, error) {
 	return r.q, r.err
 }
 
-// Invalidate drops the entry for the fingerprint (all views) and reports
-// whether one was present. A Registered ontology stays registered —
-// registration pins source data, while the entry holds derived artifacts
-// that rebuild on the next request.
-func (c *Cache) Invalidate(fp Fingerprint) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ev, ok := c.entries.Load(fp)
-	if !ok {
-		return false
-	}
-	c.entries.Delete(fp)
-	c.count.Add(-1)
-	c.bytes.Add(-ev.(*entry).bytes.Load())
-	c.invalidations.Add(1)
-	c.clearFast()
-	return true
-}
-
-// Reset empties the cache — entries, registrations, and counters.
-func (c *Cache) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries.Range(func(k, _ any) bool {
-		c.entries.Delete(k)
-		return true
-	})
-	c.registered.Range(func(k, _ any) bool {
-		c.registered.Delete(k)
-		return true
-	})
-	c.bounds.Range(func(k, _ any) bool {
-		c.bounds.Delete(k)
-		return true
-	})
-	c.count.Store(0)
-	c.regCount.Store(0)
-	c.boundCount.Store(0)
-	c.bytes.Store(0)
-	c.clearFast()
-	c.hits.Store(0)
-	c.misses.Store(0)
-	c.evictions.Store(0)
-	c.invalidations.Store(0)
-}
-
 // Register pins the ontology under its canonical fingerprint and returns
 // the fingerprint — the identity a remote caller later submits jobs by
 // (internal/service.SubmitByFingerprint). The first registration of a
@@ -438,14 +387,9 @@ func (c *Cache) Reset() {
 // resolve to the first-registered exact form, so every job served under
 // one fingerprint shares one compiled view and fleets stay
 // byte-identical. Registration is not subject to the LRU bound; it holds
-// the set alive until Reset.
+// the set alive for the cache's lifetime.
 func (c *Cache) Register(sigma *tgds.Set) Fingerprint {
 	fp := Of(sigma)
-	// The writer mutex serializes registration against Reset's registry
-	// sweep, so a Register racing a Reset can neither lose its pin
-	// mid-promise nor skew the Registered counter.
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if _, loaded := c.registered.LoadOrStore(fp, sigma); !loaded {
 		c.regCount.Add(1)
 	}
@@ -453,7 +397,7 @@ func (c *Cache) Register(sigma *tgds.Set) Fingerprint {
 }
 
 // Registered resolves a fingerprint to its pinned ontology; ok is false
-// for fingerprints never registered (or dropped by Reset).
+// for fingerprints never registered.
 func (c *Cache) Registered(fp Fingerprint) (*tgds.Set, bool) {
 	v, ok := c.registered.Load(fp)
 	if !ok {
@@ -468,13 +412,12 @@ func (c *Cache) Len() int { return int(c.count.Load()) }
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats {
 	return Stats{
-		Hits:          c.hits.Load(),
-		Misses:        c.misses.Load(),
-		Evictions:     c.evictions.Load(),
-		Invalidations: c.invalidations.Load(),
-		Entries:       c.Len(),
-		Registered:    int(c.regCount.Load()),
-		Bounds:        int(c.boundCount.Load()),
-		Bytes:         c.bytes.Load(),
+		Hits:       c.hits.Load(),
+		Misses:     c.misses.Load(),
+		Evictions:  c.evictions.Load(),
+		Entries:    c.Len(),
+		Registered: int(c.regCount.Load()),
+		Bounds:     int(c.boundCount.Load()),
+		Bytes:      c.bytes.Load(),
 	}
 }

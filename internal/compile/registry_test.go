@@ -55,15 +55,10 @@ func TestRegister(t *testing.T) {
 	if c.Stats().Registered != 1 {
 		t.Fatalf("Stats().Registered = %d, want 1", c.Stats().Registered)
 	}
-
-	c.Reset()
-	if _, ok := c.Registered(fp); ok {
-		t.Fatal("registration survived Reset")
-	}
 }
 
-// TestByteAccounting: building artifacts grows Stats.Bytes; eviction and
-// invalidation return an entry's bytes; Reset zeroes the gauge.
+// TestByteAccounting: building artifacts grows Stats.Bytes; eviction
+// returns an entry's bytes.
 func TestByteAccounting(t *testing.T) {
 	c := NewCache(2)
 	sigma := mustRules(t, "p(X) -> ∃Y r(X, Y). r(X, Y) -> p(Y).")
@@ -86,18 +81,11 @@ func TestByteAccounting(t *testing.T) {
 		t.Fatalf("Bytes = %d after a second ontology's artifact, want > %d", got, afterChase)
 	}
 
-	// Invalidate returns sigma's bytes to the pool.
-	before := c.Stats().Bytes
-	if !c.Invalidate(Of(sigma)) {
-		t.Fatal("Invalidate found no entry")
-	}
-	if got := c.Stats().Bytes; got >= before || got < 0 {
-		t.Fatalf("Bytes = %d after invalidation, want in [0, %d)", got, before)
-	}
-
-	// Eviction subtracts the victim's bytes too: overfill the 2-entry
-	// cache and check the gauge stays the sum of live entries (non-
+	// Eviction subtracts the victim's bytes: overfill the 2-entry cache
+	// with ontologies costing no more than sigma and check the gauge
+	// falls below its peak and stays the sum of live entries (non-
 	// negative, bounded by total built).
+	peak := c.Stats().Bytes
 	for _, src := range []string{"a(X) -> b(X).", "b(X) -> c(X).", "c(X) -> d(X).", "d(X) -> e(X)."} {
 		c.CompiledChase(mustRules(t, src))
 	}
@@ -105,13 +93,8 @@ func TestByteAccounting(t *testing.T) {
 	if st.Evictions == 0 {
 		t.Fatal("expected evictions in an overfilled cache")
 	}
-	if st.Bytes < 0 {
-		t.Fatalf("Bytes = %d went negative across evictions", st.Bytes)
-	}
-
-	c.Reset()
-	if got := c.Stats().Bytes; got != 0 {
-		t.Fatalf("Bytes = %d after Reset, want 0", got)
+	if st.Bytes < 0 || st.Bytes >= peak {
+		t.Fatalf("Bytes = %d across evictions, want in [0, %d)", st.Bytes, peak)
 	}
 }
 

@@ -62,11 +62,6 @@ func (g *PredGraph) ReachableFrom(start []logic.Predicate) map[logic.Predicate]b
 	return reach
 }
 
-// Reaches reports R ⇝Σ P.
-func (g *PredGraph) Reaches(r, p logic.Predicate) bool {
-	return g.ReachableFrom([]logic.Predicate{r})[p]
-}
-
 // Certificate witnesses a violation of (non-uniform) weak-acyclicity: a
 // special edge on a cycle, a position of that cycle, and — in the
 // non-uniform case — a database predicate supporting it.

@@ -21,7 +21,7 @@ import (
 
 var (
 	// ErrTransport reports a worker connection failure (dial, torn
-	// stream, protocol violation) after the configured retries. It
+	// stream, protocol violation) after its retries. It
 	// arrives wrapped in a *service.Error of KindUnavailable, so fleet
 	// consumers dispatch on the same taxonomy as in-process ones.
 	ErrTransport = errors.New("fleet: worker transport failure")
@@ -31,17 +31,10 @@ var (
 
 // OntologySource resolves a fingerprint to its clauses for the
 // cold-pull handshake. *service.Service satisfies it (its Ontology
-// method serves the coordinator-side registry); cmd/chase adapts a
-// single parsed rule set with SourceFunc.
+// method serves the coordinator-side registry, as in cmd/chase -fleet).
 type OntologySource interface {
 	Ontology(fp compile.Fingerprint) (*tgds.Set, error)
 }
-
-// SourceFunc adapts a function to OntologySource.
-type SourceFunc func(fp compile.Fingerprint) (*tgds.Set, error)
-
-// Ontology implements OntologySource.
-func (f SourceFunc) Ontology(fp compile.Fingerprint) (*tgds.Set, error) { return f(fp) }
 
 // BoundSource is the optional second face of an ontology source: learned
 // termination bounds for the fingerprint, shipped to cold workers
@@ -63,15 +56,19 @@ type Config struct {
 	// Source resolves fingerprints for the cold-pull handshake. Without
 	// one, a cold worker's unknown-ontology failure is terminal.
 	Source OntologySource
-	// DialAttempts bounds connection attempts per exchange (default 5) —
-	// freshly started workers get retried, dead ones fail typed.
-	DialAttempts int
-	// DialBackoff sleeps between attempts (default 50ms).
-	DialBackoff time.Duration
-	// QueueBound caps each worker's pending jobs (default 64); Submit
-	// blocks when the chosen worker's lane is full.
-	QueueBound int
 }
+
+const (
+	// dialAttempts bounds connection attempts per dial, and exchange
+	// replays per job: freshly started workers get retried, dead ones
+	// fail typed.
+	dialAttempts = 5
+	// dialBackoff is the sleep between dial attempts.
+	dialBackoff = 50 * time.Millisecond
+	// laneBound caps each worker's pending jobs; Submit blocks when the
+	// chosen worker's lane is full.
+	laneBound = 64
+)
 
 // Job is one fleet chase: the at-rest subset of service.ChaseRequest,
 // addressed by fingerprint, with the database as one wire snapshot.
@@ -157,21 +154,12 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.Network == "" {
 		cfg.Network = "tcp"
 	}
-	if cfg.DialAttempts <= 0 {
-		cfg.DialAttempts = 5
-	}
-	if cfg.DialBackoff <= 0 {
-		cfg.DialBackoff = 50 * time.Millisecond
-	}
-	if cfg.QueueBound <= 0 {
-		cfg.QueueBound = 64
-	}
 	c := &Coordinator{cfg: cfg, cursors: make(map[string]int)}
 	for _, addr := range cfg.Workers {
 		w := &workerLink{
 			cfg:   cfg,
 			addr:  addr,
-			queue: make(chan task, cfg.QueueBound),
+			queue: make(chan task, laneBound),
 		}
 		w.wg.Add(1)
 		go w.loop()
@@ -228,16 +216,6 @@ func (c *Coordinator) ColdPulls() int {
 	return n
 }
 
-// Gather waits for every ticket and returns the results in submission
-// order — the same batch bridge runtime.Gather provides.
-func Gather(tickets []*Ticket) []Result {
-	out := make([]Result, len(tickets))
-	for i, t := range tickets {
-		out[i] = t.Wait()
-	}
-	return out
-}
-
 // workerLink drives one worker: a queue, one serving goroutine, one
 // lazily-dialed connection.
 type workerLink struct {
@@ -273,15 +251,15 @@ func (w *workerLink) drop() {
 	}
 }
 
-// dial ensures a live connection, retrying per the config.
+// dial ensures a live connection, retrying dialAttempts times.
 func (w *workerLink) dial() error {
 	if w.conn != nil {
 		return nil
 	}
 	var lastErr error
-	for attempt := 0; attempt < w.cfg.DialAttempts; attempt++ {
+	for attempt := 0; attempt < dialAttempts; attempt++ {
 		if attempt > 0 {
-			time.Sleep(w.cfg.DialBackoff)
+			time.Sleep(dialBackoff)
 		}
 		conn, err := net.Dial(w.cfg.Network, w.addr)
 		if err != nil {
@@ -300,7 +278,7 @@ func (w *workerLink) dial() error {
 // taxonomy.
 func (w *workerLink) serve(job Job) Result {
 	var lastErr error
-	for attempt := 0; attempt < w.cfg.DialAttempts; attempt++ {
+	for attempt := 0; attempt < dialAttempts; attempt++ {
 		if err := w.dial(); err != nil {
 			lastErr = err
 			break

@@ -168,22 +168,13 @@ func TestWriteServiceErrorTaxonomy(t *testing.T) {
 	if err := writeServiceError(&buf, errors.New("plain")); err != nil {
 		t.Fatal(err)
 	}
-	kind, body, _, err := DecodeFrame(buf.Bytes())
+	kind, body, err := readFrame(&buf)
 	if err != nil || kind != kindError {
 		t.Fatalf("frame: (%c, %v)", kind, err)
 	}
 	m, err := decodeError(body)
 	if err != nil || m.Code != service.KindInternal.String() {
 		t.Fatalf("plain error crossed as %+v, want internal", m)
-	}
-}
-
-// TestSourceFuncAdapter: the function adapter satisfies OntologySource.
-func TestSourceFuncAdapter(t *testing.T) {
-	want := errors.New("no such ontology")
-	src := SourceFunc(func(fp compile.Fingerprint) (*tgds.Set, error) { return nil, want })
-	if _, err := src.Ontology(compile.Fingerprint{}); err != want {
-		t.Fatalf("adapter returned %v", err)
 	}
 }
 
@@ -289,9 +280,7 @@ func TestCoordinatorCorruptAnswers(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			coord, err := NewCoordinator(Config{
-				Workers:      []string{corruptAnswerWorker(t, tc.kind, tc.body)},
-				DialAttempts: 2,
-				DialBackoff:  1,
+				Workers: []string{corruptAnswerWorker(t, tc.kind, tc.body)},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -307,6 +296,11 @@ func TestCoordinatorCorruptAnswers(t *testing.T) {
 		})
 	}
 }
+
+// failingSource is an OntologySource that has lost every ontology.
+type failingSource struct{ err error }
+
+func (s failingSource) Ontology(compile.Fingerprint) (*tgds.Set, error) { return nil, s.err }
 
 // TestCoordinatorColdPullFailures: a failing source is terminal (not a
 // transport replay); a worker that answers the cold-pull Register with
@@ -346,10 +340,8 @@ func TestCoordinatorColdPullFailures(t *testing.T) {
 	sourceErr := errors.New("registry lost the clauses")
 	t.Run("source failure", func(t *testing.T) {
 		coord, err := NewCoordinator(Config{
-			Workers:      []string{unknownThen(func(net.Conn) {})},
-			Source:       SourceFunc(func(compile.Fingerprint) (*tgds.Set, error) { return nil, sourceErr }),
-			DialAttempts: 2,
-			DialBackoff:  1,
+			Workers: []string{unknownThen(func(net.Conn) {})},
+			Source:  failingSource{sourceErr},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -377,10 +369,8 @@ func TestCoordinatorColdPullFailures(t *testing.T) {
 	for _, tc := range registerAnswers {
 		t.Run(tc.name, func(t *testing.T) {
 			coord, err := NewCoordinator(Config{
-				Workers:      []string{unknownThen(tc.ack)},
-				Source:       local,
-				DialAttempts: 2,
-				DialBackoff:  1,
+				Workers: []string{unknownThen(tc.ack)},
+				Source:  local,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -171,8 +171,8 @@ func TestCoordinatorFleetEquivalence(t *testing.T) {
 
 // TestCoordinatorProgressAndPlacement: progress frames stream back to
 // the job's callback (tail matching the result), tenant-fair placement
-// round-robins one tenant's jobs across distinct workers, and Gather
-// collates in submission order.
+// round-robins one tenant's jobs across distinct workers, and each
+// ticket answers its own job.
 func TestCoordinatorProgressAndPlacement(t *testing.T) {
 	prog, err := parser.Parse("e(a, b). e(X, Y) -> e(Y, X).")
 	if err != nil {
@@ -220,7 +220,10 @@ func TestCoordinatorProgressAndPlacement(t *testing.T) {
 		}
 		tickets = append(tickets, tk)
 	}
-	results := Gather(tickets)
+	results := make([]Result, len(tickets))
+	for i, tk := range tickets {
+		results[i] = tk.Wait()
+	}
 	workersSeen := make(map[string]bool)
 	for i, r := range results {
 		if r.Err != nil {
@@ -309,9 +312,7 @@ func TestCoordinatorTypedErrors(t *testing.T) {
 // KindUnavailable taxonomy entry.
 func TestCoordinatorDeadWorker(t *testing.T) {
 	coord, err := NewCoordinator(Config{
-		Workers:      []string{"127.0.0.1:1"}, // reserved port, nothing listens
-		DialAttempts: 2,
-		DialBackoff:  1,
+		Workers: []string{"127.0.0.1:1"}, // reserved port, nothing listens
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -50,6 +50,10 @@ const MaxFrameBytes = 1 << 28
 // big-endian body length.
 const headerSize = 8
 
+// frameChunk is the most of a body readFrame allocates before any of
+// its bytes arrive.
+const frameChunk = 64 << 10
+
 // ErrFrame reports a frame this package cannot decode: bad magic, an
 // unknown version, an oversized or truncated body, or a malformed
 // message payload. It wraps the specific defect.
@@ -91,7 +95,10 @@ func writeFrame(w io.Writer, kind byte, body []byte) error {
 
 // readFrame reads one frame. A clean EOF before any header byte returns
 // io.EOF (the peer closed between requests); anything torn mid-frame is
-// ErrFrame wrapping io.ErrUnexpectedEOF.
+// ErrFrame wrapping io.ErrUnexpectedEOF. A body up to frameChunk bytes
+// is allocated whole; a longer one doubles only once the bytes already
+// allocated have arrived, so a header claiming more than its peer sends
+// costs at most frameChunk bytes, or about twice what did arrive.
 func readFrame(r io.Reader) (kind byte, body []byte, err error) {
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -104,11 +111,17 @@ func readFrame(r io.Reader) (kind byte, body []byte, err error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	body = make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, fmt.Errorf("%w: %d-byte body truncated: %v", ErrFrame, n, err)
+	body = make([]byte, min(int(n), frameChunk))
+	for off := 0; ; {
+		if _, err := io.ReadFull(r, body[off:]); err != nil {
+			return 0, nil, fmt.Errorf("%w: %d-byte body truncated: %v", ErrFrame, n, err)
+		}
+		if len(body) == int(n) {
+			return kind, body, nil
+		}
+		off = len(body)
+		body = append(body, make([]byte, min(int(n)-off, off))...)
 	}
-	return kind, body, nil
 }
 
 // parseHeader validates the fixed prelude and extracts kind and body
@@ -125,24 +138,4 @@ func parseHeader(hdr [headerSize]byte) (kind byte, n uint32, err error) {
 		return 0, 0, fmt.Errorf("%w: %d-byte body exceeds the %d-byte frame cap", ErrFrame, n, MaxFrameBytes)
 	}
 	return hdr[3], n, nil
-}
-
-// DecodeFrame parses one whole frame from the front of data and returns
-// the remainder — the pure-bytes surface FuzzFleetFrame drives (the
-// socket paths share parseHeader and the message decoders with it).
-func DecodeFrame(data []byte) (kind byte, body []byte, rest []byte, err error) {
-	if len(data) < headerSize {
-		return 0, nil, nil, fmt.Errorf("%w: %d bytes, want at least a %d-byte header", ErrFrame, len(data), headerSize)
-	}
-	var hdr [headerSize]byte
-	copy(hdr[:], data)
-	kind, n, err := parseHeader(hdr)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	if uint32(len(data)-headerSize) < n {
-		return 0, nil, nil, fmt.Errorf("%w: %d-byte body, %d bytes remain", ErrFrame, n, len(data)-headerSize)
-	}
-	body = data[headerSize : headerSize+int(n)]
-	return kind, body, data[headerSize+int(n):], nil
 }

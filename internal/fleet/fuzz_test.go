@@ -10,7 +10,7 @@ import (
 	"repro/internal/qos"
 )
 
-// FuzzFleetFrame throws arbitrary bytes at the frame decoder and, for
+// FuzzFleetFrame throws arbitrary bytes at the frame reader and, for
 // frames that parse, at every message decoder. Decoders must never
 // panic, and any message that decodes must survive a re-encode →
 // re-decode round trip byte-identically (the encode∘decode fixpoint the
@@ -50,11 +50,12 @@ func FuzzFleetFrame(f *testing.F) {
 	f.Add([]byte("FL garbage"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		kind, body, rest, err := DecodeFrame(data)
+		r := bytes.NewReader(data)
+		kind, body, err := readFrame(r)
 		if err != nil {
 			return
 		}
-		if got := appendFrame(nil, kind, body); !bytes.Equal(got, data[:len(data)-len(rest)]) {
+		if got := appendFrame(nil, kind, body); !bytes.Equal(got, data[:len(data)-r.Len()]) {
 			t.Fatalf("frame re-encode differs: %x vs %x", got, data)
 		}
 		switch kind {

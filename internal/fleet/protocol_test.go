@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	goruntime "runtime"
 	"strings"
 	"testing"
 
@@ -18,9 +19,9 @@ import (
 	"repro/internal/wire"
 )
 
-// TestFrameDecodeAdversarial drives DecodeFrame through hostile inputs:
-// every failure must be a typed ErrFrame, never a panic or a silent
-// wrong answer.
+// TestFrameDecodeAdversarial drives readFrame through hostile inputs:
+// every failure must be a typed ErrFrame (io.EOF for a stream that ends
+// before any frame), never a panic or a silent wrong answer.
 func TestFrameDecodeAdversarial(t *testing.T) {
 	valid := appendFrame(nil, kindError, encodeError(errorMsg{Code: "internal", Message: "x"}))
 	oversize := make([]byte, headerSize)
@@ -31,7 +32,7 @@ func TestFrameDecodeAdversarial(t *testing.T) {
 		data []byte
 		want error
 	}{
-		{"empty", nil, ErrFrame},
+		{"empty", nil, io.EOF},
 		{"torn header", valid[:headerSize-1], ErrFrame},
 		{"torn body", valid[:len(valid)-1], ErrFrame},
 		{"bad magic", append([]byte("XX"), valid[2:]...), ErrFrame},
@@ -43,16 +44,43 @@ func TestFrameDecodeAdversarial(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, _, _, err := DecodeFrame(tc.data); !errors.Is(err, tc.want) {
-				t.Fatalf("DecodeFrame(%q) err = %v, want %v", tc.data, err, tc.want)
+			if _, _, err := readFrame(bytes.NewReader(tc.data)); !errors.Is(err, tc.want) {
+				t.Fatalf("readFrame(%q) err = %v, want %v", tc.data, err, tc.want)
 			}
 		})
 	}
 
-	// A valid frame followed by trailing bytes hands back the rest.
-	kind, body, rest, err := DecodeFrame(append(bytes.Clone(valid), 0xFF))
-	if err != nil || kind != kindError || len(rest) != 1 {
-		t.Fatalf("DecodeFrame with rest = (%c, %d, %d, %v)", kind, len(body), len(rest), err)
+	// A valid frame followed by trailing bytes leaves the rest unread.
+	r := bytes.NewReader(append(bytes.Clone(valid), 0xFF))
+	kind, body, err := readFrame(r)
+	if err != nil || kind != kindError || r.Len() != 1 {
+		t.Fatalf("readFrame with rest = (%c, %d, %d, %v)", kind, len(body), r.Len(), err)
+	}
+}
+
+// TestFrameHostileLength: a header claiming a body just under the cap,
+// followed by EOF, fails typed and allocates a small fraction of what
+// it claims; a body longer than frameChunk that does arrive is read
+// whole.
+func TestFrameHostileLength(t *testing.T) {
+	const claim = MaxFrameBytes - 1
+	hdr := []byte{'F', 'L', Version, kindSubmit, 0, 0, 0, 0}
+	binary.BigEndian.PutUint32(hdr[4:], claim)
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	_, _, err := readFrame(bytes.NewReader(hdr))
+	goruntime.ReadMemStats(&after)
+	if !errors.Is(err, ErrFrame) {
+		t.Fatalf("hostile header err = %v, want ErrFrame", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > claim/64 {
+		t.Fatalf("a %d-byte claim with no body allocated %d bytes, want at most %d", claim, got, claim/64)
+	}
+
+	big := bytes.Repeat([]byte("chase"), 3*frameChunk/5+7)
+	kind, body, err := readFrame(bytes.NewReader(appendFrame(nil, kindResult, big)))
+	if err != nil || kind != kindResult || !bytes.Equal(body, big) {
+		t.Fatalf("%d-byte frame read back as (%c, %d bytes, %v)", len(big), kind, len(body), err)
 	}
 }
 
@@ -230,7 +258,7 @@ func TestCoordinatorMidStreamDisconnect(t *testing.T) {
 		// Stream one progress frame, then hang up before the result.
 		writeFrame(conn, kindProgress, encodeProgress(chase.Stats{Rounds: 1}))
 	})
-	coord, err := NewCoordinator(Config{Workers: []string{addr}, DialAttempts: 2, DialBackoff: 1})
+	coord, err := NewCoordinator(Config{Workers: []string{addr}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +294,7 @@ func TestCoordinatorGarbageAnswer(t *testing.T) {
 			}
 		}
 	})
-	coord, err := NewCoordinator(Config{Workers: []string{addr}, DialAttempts: 2, DialBackoff: 1})
+	coord, err := NewCoordinator(Config{Workers: []string{addr}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +338,7 @@ func TestCoordinatorColdPullFingerprintMismatch(t *testing.T) {
 			}
 		}
 	})
-	coord, err := NewCoordinator(Config{Workers: []string{addr}, Source: local, DialAttempts: 2, DialBackoff: 1})
+	coord, err := NewCoordinator(Config{Workers: []string{addr}, Source: local})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -404,9 +404,6 @@ func TestCanonicalize(t *testing.T) {
 	if typ.Guard.String() != "R(1,1,2,3)" {
 		t.Fatalf("canonical guard = %v", typ.Guard)
 	}
-	if typ.Width() != 3 {
-		t.Fatalf("width = %d", typ.Width())
-	}
 	back, ok := ren.InvertAtom(logic.MakeAtom("Q", logic.Fresh(1), logic.Fresh(3)))
 	if !ok || back.String() != "Q(a,c)" {
 		t.Fatalf("invert = %v", back)

@@ -188,14 +188,14 @@ func (l *Linearizer) linearizeTrigger(t *Type, sig *tgds.TGD, h logic.Substituti
 	for i, z := range sig.Existential() {
 		h[z] = logic.Fresh(l.arity + i + 1)
 	}
-	alphas := make([]*logic.Atom, len(sig.Head))
-	for i, ha := range sig.Head {
-		alphas[i] = h.ApplyAtom(ha)
+	// I = atoms(τ) ∪ {α1..αm}, completed, built in one bulk index.
+	atoms := make([]*logic.Atom, len(t.Atoms), len(t.Atoms)+len(sig.Head))
+	copy(atoms, t.Atoms)
+	for _, ha := range sig.Head {
+		atoms = append(atoms, h.ApplyAtom(ha))
 	}
-	// I = {α1..αm} ∪ atoms(τ), completed.
-	inst := logic.NewDatabase(t.Atoms...)
-	inst.AddAll(alphas)
-	completed := l.engine.Complete(inst)
+	alphas := atoms[len(t.Atoms):]
+	completed := l.engine.Complete(logic.NewDatabase(atoms...))
 
 	body := logic.NewAtom(l.intern(t), sig.Guard().Args...)
 	heads := make([]*logic.Atom, len(sig.Head))

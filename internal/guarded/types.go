@@ -78,17 +78,6 @@ func (t *Type) Key() string {
 	return t.key
 }
 
-// Width returns the number of distinct canonical integers of the guard.
-func (t *Type) Width() int {
-	max := 0
-	for _, a := range t.Guard.Args {
-		if f, ok := a.(logic.Fresh); ok && int(f) > max {
-			max = int(f)
-		}
-	}
-	return max
-}
-
 // String renders the type as "R(1,1,2) | {S(2,1), T(1)}".
 func (t *Type) String() string {
 	others := make([]string, 0, len(t.Atoms)-1)

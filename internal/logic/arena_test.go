@@ -77,7 +77,7 @@ func TestAtomArenaMatchesConstructor(t *testing.T) {
 	ids := []int32{IDOf(args[0]), IDOf(args[1])}
 	got := ar.NewAtomFromIDs(pred, args, pid, ids)
 	want := NewAtomFromIDs(pred, append([]Term(nil), args...), pid, append([]int32(nil), ids...))
-	if got.Key() != want.Key() || got.Hash() != want.Hash() || got.PredID() != want.PredID() {
+	if got.Key() != want.Key() || got.hash != want.hash || got.PredID() != want.PredID() {
 		t.Fatalf("arena atom %v diverges from constructor atom %v", got, want)
 	}
 	// The arena copied: mutating the caller's slices must not reach the atom.

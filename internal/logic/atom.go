@@ -125,9 +125,6 @@ func (a *Atom) PredID() int32 { return a.pid }
 // ArgID returns the interned id of the i-th argument.
 func (a *Atom) ArgID(i int) int32 { return a.ids[i] }
 
-// Hash returns the atom's precomputed 64-bit identity hash.
-func (a *Atom) Hash() uint64 { return a.hash }
-
 // sameAtom reports id-tuple equality; callers have typically already
 // matched hash tags through a table probe.
 func (a *Atom) sameAtom(b *Atom) bool {

@@ -32,30 +32,20 @@ func CompileBodySeed(body []*Atom, seed int) *BodyProgram {
 	if len(body) == 0 || seed < 0 || seed >= len(body) {
 		return nil
 	}
+	// The scratch matcher is private to this call, so the program takes
+	// over its compiled buffers instead of copying them.
 	var m matcher
 	m.compile(body, m.anyAgeCons(len(body)), seed)
-	prog := &BodyProgram{
-		body:    append([]*Atom(nil), m.body...),
-		perm:    append([]int(nil), m.ordPerm...),
-		slotVar: append([]Variable(nil), m.slotVar...),
-		slotID:  append([]int32(nil), m.slotID...),
+	return &BodyProgram{
+		body:    m.body,
+		perm:    m.ordPerm,
+		code:    m.code,
+		slotVar: m.slotVar,
+		slotID:  m.slotID,
 		seed:    seed,
 		seedPid: body[seed].pid,
 	}
-	// Re-slice the code views over a private arena so the program does not
-	// retain the scratch matcher.
-	arena := append([]int32(nil), m.codeArena[:len(m.codeArena)]...)
-	prog.code = make([][]int32, len(m.code))
-	off := 0
-	for i, c := range m.code {
-		prog.code[i] = arena[off : off+len(c)]
-		off += len(c)
-	}
-	return prog
 }
-
-// Seed returns the original body index of the program's seed atom.
-func (p *BodyProgram) Seed() int { return p.seed }
 
 // install points the matcher at the program's read-only compiled body and
 // materializes this round's delta constraints: atoms before the seed (in

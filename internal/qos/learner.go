@@ -3,8 +3,6 @@ package qos
 import (
 	"repro/internal/chase"
 	"repro/internal/compile"
-	"repro/internal/logic"
-	"repro/internal/tgds"
 )
 
 // BoundSink is the write side of the learned-bound artifact store;
@@ -52,13 +50,4 @@ func (r *Recorder) Attach(opts *chase.Options) {
 	} else {
 		opts.Observer = r
 	}
-}
-
-// Profile runs a reference chase under opts, stores the learned bound
-// for (Of(sigma), opts.Variant) into sink, and returns the run's result
-// — the direct form of bound learning for callers not going through the
-// service (the experiments harness, tests).
-func Profile(sink BoundSink, db *logic.Instance, sigma *tgds.Set, opts chase.Options) *chase.Result {
-	NewRecorder(sink, compile.Of(sigma), opts.Variant).Attach(&opts)
-	return chase.Run(db, sigma, opts)
 }

@@ -97,19 +97,6 @@ func (s Source) String() string {
 	}
 }
 
-// ParseSource is the inverse of Source.String.
-func ParseSource(s string) (Source, bool) {
-	switch s {
-	case "flag":
-		return SourceFlag, true
-	case "deadline":
-		return SourceDeadline, true
-	case "learned-bound":
-		return SourceLearnedBound, true
-	}
-	return SourceFlag, false
-}
-
 // Policy is a request's QoS ask. The zero value is Exact with no
 // learning — byte-for-byte today's behavior.
 type Policy struct {

@@ -72,14 +72,8 @@ func TestModeAndSourceNames(t *testing.T) {
 	if Exact.String() != "exact" || Bounded.String() != "bounded" || Anytime.String() != "anytime" {
 		t.Fatal("mode names drifted from the CLI grammar")
 	}
-	for _, s := range []Source{SourceFlag, SourceDeadline, SourceLearnedBound} {
-		back, ok := ParseSource(s.String())
-		if !ok || back != s {
-			t.Fatalf("ParseSource(%q) = %v, %v; want %v", s.String(), back, ok, s)
-		}
-	}
-	if _, ok := ParseSource("vibes"); ok {
-		t.Fatal("ParseSource accepted an unknown source name")
+	if SourceFlag.String() != "flag" || SourceDeadline.String() != "deadline" || SourceLearnedBound.String() != "learned-bound" {
+		t.Fatal("budget source names drifted from the truncation marker's vocabulary")
 	}
 }
 
@@ -290,8 +284,9 @@ type countingObserver struct{ done int }
 func (c *countingObserver) ObserveRound(chase.Stats)      {}
 func (c *countingObserver) ObserveDone(chase.Stats, bool) { c.done++ }
 
-// TestProfileThenBounded is the package-level serving loop: Profile a
-// terminating program, then replay it under the learned bound — the
+// TestProfileThenBounded is the package-level serving loop: record a
+// terminating program's reference run, then replay it under the learned
+// bound — the
 // bound includes the final empty round, so the replay reaches the same
 // fixpoint and still terminates.
 func TestProfileThenBounded(t *testing.T) {
@@ -304,11 +299,13 @@ func TestProfileThenBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := compile.NewCache(0)
-	ref := Profile(cache, prog.Database, prog.Rules, chase.Options{MaxAtoms: 1000})
+	fp := compile.Of(prog.Rules)
+	opts := chase.Options{MaxAtoms: 1000}
+	NewRecorder(cache, fp, chase.SemiOblivious).Attach(&opts)
+	ref := chase.Run(prog.Database, prog.Rules, opts)
 	if !ref.Terminated {
 		t.Fatal("reference run must terminate")
 	}
-	fp := compile.Of(prog.Rules)
 	d, err := Policy{Mode: Bounded}.Apply(cache, fp, chase.SemiOblivious, 0, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -59,7 +59,7 @@ func TestTenantFairAlternation(t *testing.T) {
 		}
 	}
 	open()
-	s.Drain()
+	s.Close()
 	if len(seq) != 2*perTenant {
 		t.Fatalf("ran %d jobs, want %d", len(seq), 2*perTenant)
 	}
@@ -96,7 +96,7 @@ func TestPriorityLanes(t *testing.T) {
 		}
 	}
 	open()
-	s.Drain()
+	s.Close()
 	want := []string{"high1", "high2", "norm1", "norm2", "low1", "low2"}
 	if fmt.Sprint(seq) != fmt.Sprint(want) {
 		t.Fatalf("dequeue order %v, want %v", seq, want)
@@ -179,7 +179,6 @@ func TestTenantStarvationBound(t *testing.T) {
 	}
 	close(stop)
 	flood.Wait()
-	s.Drain()
 }
 
 // TestFairQueueSingleTenantFIFO: with one (anonymous) tenant at one
@@ -199,7 +198,7 @@ func TestFairQueueSingleTenantFIFO(t *testing.T) {
 		}
 	}
 	open()
-	s.Drain()
+	s.Close()
 	for i, tag := range seq {
 		if want := fmt.Sprintf("j%02d", i); tag != want {
 			t.Fatalf("position %d is %s, want %s (single-tenant order must be FIFO)", i, tag, want)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
 	"repro/internal/chase"
 	"repro/internal/checkpoint"
@@ -44,7 +43,6 @@ func TestSchedulerResume(t *testing.T) {
 
 	tel := telemetry.New()
 	tel.Trace = telemetry.NewTraceSink()
-	tel.Trace.SetClock(func() time.Time { return time.Unix(42, 0) })
 	s := NewScheduler(SchedulerConfig{Workers: 1, QueueBound: 2, Telemetry: tel})
 	defer s.Close()
 

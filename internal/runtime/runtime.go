@@ -16,8 +16,8 @@
 // Submit at the bound waits for a slot, or for its context or Close);
 // every job carries a wall-clock budget and cancellation; results stream
 // back over per-ticket channels as jobs finish, engine tickets
-// additionally stream round-level progress (latest-wins); Drain and Close
-// shut fleets down gracefully. Gather collates a fleet's streamed results
+// additionally stream round-level progress (latest-wins); Close shuts
+// the scheduler down gracefully, finishing every admitted job. Gather collates a fleet's streamed results
 // back into submission order, so batch aggregates are identical for any
 // worker count.
 package runtime

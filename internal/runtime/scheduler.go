@@ -144,7 +144,7 @@ type SchedulerConfig struct {
 // ways — Submit for opaque jobs, SubmitChase for chase-engine jobs —
 // from any goroutine at any time, delivers every job's result over its
 // Ticket as the job finishes, supports per-job cancellation, and shuts
-// down gracefully via Drain and Close. A panicking job is contained: it
+// down gracefully via Close. A panicking job is contained: it
 // fails its own ticket (the panic value wrapped in the result's Err)
 // and the workers keep serving. It is the serving shape of the paper's
 // non-uniform setting: chase/decision requests for (Σ, D) pairs arrive
@@ -507,8 +507,8 @@ func (s *Scheduler) enqueue(t *Ticket) {
 	s.work <- struct{}{}
 }
 
-// release retires one admitted ticket and wakes Drain/Close waiters when
-// the scheduler goes idle.
+// release retires one admitted ticket and wakes a Close waiting for the
+// scheduler to go idle.
 func (s *Scheduler) release() {
 	s.mu.Lock()
 	s.active--
@@ -607,17 +607,6 @@ func (s *Scheduler) invoke(t *Ticket, ctx context.Context, sc *chase.Scratch) (v
 		return nil, err
 	}
 	return res, nil
-}
-
-// Drain blocks until every admitted job has completed and its result been
-// delivered. It does not stop admission: jobs submitted while draining
-// extend the wait. Use Close for a terminal drain.
-func (s *Scheduler) Drain() {
-	s.mu.Lock()
-	for s.active > 0 {
-		s.idle.Wait()
-	}
-	s.mu.Unlock()
 }
 
 // Close shuts the scheduler down gracefully: admission stops (concurrent

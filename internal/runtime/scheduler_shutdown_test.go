@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	goruntime "runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -145,14 +147,14 @@ func TestSchedulerCloseWakesParkedSubmits(t *testing.T) {
 	}
 }
 
-// Drain racing late Submits never hangs: every Submit either lands (and
-// Drain's return implies its completion was delivered) or fails typed
-// after Close. Run with -race.
-func TestSchedulerDrainRacingSubmit(t *testing.T) {
+// Close racing Submits never hangs: every Submit either lands (and its
+// result is delivered by the time Close returns) or fails typed with
+// ErrSchedulerClosed. Run with -race.
+func TestSchedulerCloseRacingSubmit(t *testing.T) {
 	s := NewScheduler(SchedulerConfig{Workers: 2, QueueBound: 2})
 
 	var wg sync.WaitGroup
-	var admitted, rejected int64
+	var admitted atomic.Int64
 	var mu sync.Mutex
 	tickets := make([]*Ticket, 0, 64)
 	for i := 0; i < 8; i++ {
@@ -163,45 +165,47 @@ func TestSchedulerDrainRacingSubmit(t *testing.T) {
 				tk, err := s.Submit(context.Background(), Job{Name: fmt.Sprintf("d-%d-%d", i, j), Run: func(context.Context) (any, error) {
 					return nil, nil
 				}})
-				mu.Lock()
-				if err == nil {
-					admitted++
+				switch {
+				case err == nil:
+					admitted.Add(1)
+					mu.Lock()
 					tickets = append(tickets, tk)
-				} else if errors.Is(err, ErrSchedulerClosed) {
-					rejected++
-				} else {
+					mu.Unlock()
+				case !errors.Is(err, ErrSchedulerClosed):
 					t.Errorf("submit err = %v", err)
 				}
-				mu.Unlock()
 			}
 		}(i)
 	}
+	for admitted.Load() == 0 {
+		goruntime.Gosched()
+	}
 	done := make(chan struct{})
 	go func() {
-		s.Drain()
-		s.Drain() // idempotent mid-traffic
+		s.Close()
+		s.Close() // idempotent
 		close(done)
 	}()
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("Drain hung against racing Submits")
+		t.Fatal("Close hung against racing Submits")
 	}
 	wg.Wait()
-	s.Close()
 
-	// After Close, every admitted ticket's result is deliverable and a
-	// late Submit fails typed instead of hanging.
+	// Every admitted ticket's result was delivered before Close
+	// returned, and a late Submit fails typed instead of hanging.
 	for _, tk := range tickets {
-		if r := tk.Wait(); r.Err != nil {
-			t.Fatalf("admitted job lost: %+v", r)
+		select {
+		case r := <-tk.Done():
+			if r.Err != nil {
+				t.Fatalf("admitted job failed: %+v", r)
+			}
+		default:
+			t.Fatalf("admitted job %s undelivered after Close", tk.Name())
 		}
 	}
 	if _, err := s.Submit(context.Background(), Job{Name: "late", Run: func(context.Context) (any, error) { return nil, nil }}); !errors.Is(err, ErrSchedulerClosed) {
 		t.Fatalf("post-Close submit err = %v, want ErrSchedulerClosed", err)
 	}
-	if admitted == 0 {
-		t.Fatal("no submission was admitted; the race never happened")
-	}
-	_ = rejected
 }

@@ -92,17 +92,16 @@ func TestSchedulerQueueBound(t *testing.T) {
 	}
 
 	close(g.release)
-	s.Drain()
 	for _, tk := range tickets {
 		r := tk.Wait()
 		if r.Err != nil || r.Value != tk.Name() {
-			t.Fatalf("%s: result %+v after drain", tk.Name(), r)
+			t.Fatalf("%s: result %+v after release", tk.Name(), r)
 		}
 	}
 }
 
-// Race/stress: concurrent Submit + Cancel + Drain against a small bounded
-// queue, under -race in CI. No deadlock (the test finishes), no lost or
+// Race/stress: concurrent Submit + Cancel against a small bounded queue,
+// then Close, under -race in CI. No deadlock (the test finishes), no lost or
 // duplicated results (every ticket yields exactly one result and the
 // outcome tallies add up), and a sampling monitor observes the queue
 // length never exceeding the bound.
@@ -174,14 +173,11 @@ func TestSchedulerStress(t *testing.T) {
 				mu.Lock()
 				tickets = append(tickets, tk)
 				mu.Unlock()
-				if i%5 == 0 {
-					s.Drain() // Drain must be safe concurrently with Submit
-				}
 			}
 		}(g)
 	}
 	submitWG.Wait()
-	s.Drain()
+	s.Close()
 	close(monitorStop)
 	monitorWG.Wait()
 
@@ -200,7 +196,7 @@ func TestSchedulerStress(t *testing.T) {
 	for _, tk := range tickets {
 		select {
 		case r := <-tk.Done():
-			// Drain guarantees delivery already happened: the result must
+			// Close guarantees delivery already happened: the result must
 			// be immediately available, not produced later.
 			tk.once.Do(func() { tk.result = r })
 		default:
@@ -304,11 +300,13 @@ func TestSchedulerBlockedSubmitHonorsContext(t *testing.T) {
 	defer s.Close()
 	g := newGate(4)
 
-	if _, err := s.Submit(context.Background(), g.job("running")); err != nil {
+	running, err := s.Submit(context.Background(), g.job("running"))
+	if err != nil {
 		t.Fatal(err)
 	}
 	g.waitStarted(t, 1)
-	if _, err := s.Submit(context.Background(), g.job("queued")); err != nil {
+	queued, err := s.Submit(context.Background(), g.job("queued"))
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -335,7 +333,8 @@ func TestSchedulerBlockedSubmitHonorsContext(t *testing.T) {
 
 	// An already-cancelled context with queue room: admitted, then skipped.
 	close(g.release)
-	s.Drain() // empty the queue so the next Submit finds a free slot
+	running.Wait() // empty the queue so the next Submit finds a free slot
+	queued.Wait()
 	tk, err := s.Submit(ctx, g.job("doomed"))
 	if err != nil {
 		t.Fatalf("Submit with room must admit a cancelled-context job, got %v", err)
@@ -458,8 +457,9 @@ func TestSchedulerContainsJobPanic(t *testing.T) {
 	}
 }
 
-// A long-lived scheduler serves successive fleets: Drain is a fleet
-// boundary, not an end of life, and Submit keeps working after it.
+// A long-lived scheduler serves successive fleets: an idle scheduler is
+// a fleet boundary, not an end of life, and Submit keeps working after
+// every earlier job has finished.
 func TestSchedulerServesSuccessiveFleets(t *testing.T) {
 	s := NewScheduler(SchedulerConfig{Workers: 2, QueueBound: 2})
 	defer s.Close()
@@ -474,7 +474,6 @@ func TestSchedulerServesSuccessiveFleets(t *testing.T) {
 			}
 			tickets = append(tickets, tk)
 		}
-		s.Drain()
 		for _, tk := range tickets {
 			if r := tk.Wait(); r.Err != nil || r.Value != fleet {
 				t.Fatalf("fleet %d: %+v", fleet, r)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -13,6 +14,19 @@ import (
 	"repro/internal/parser"
 	"repro/internal/telemetry"
 )
+
+// series returns the value of the named labeled counter or gauge series
+// identified by its label values in registration order.
+func series(s *telemetry.Snapshot, name string, values ...string) (float64, bool) {
+	for _, f := range s.Families {
+		for _, sr := range f.Series {
+			if f.Name == name && f.Kind != telemetry.KindHistogram && slices.Equal(sr.Values, values) {
+				return sr.Value, true
+			}
+		}
+	}
+	return 0, false
+}
 
 // TestSchedulerTelemetryMetrics runs a small mixed fleet through a
 // telemetry-enabled scheduler and checks every scheduler family: the
@@ -42,7 +56,6 @@ func TestSchedulerTelemetryMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Drain()
 
 	wantAtoms := uint64(0)
 	wantRounds := uint64(0)
@@ -60,16 +73,16 @@ func TestSchedulerTelemetryMetrics(t *testing.T) {
 	}
 
 	snap := tel.Registry.Snapshot()
-	if got, _ := snap.GetSeries("scheduler_jobs_admitted_total", "high", "acme"); got != chaseJobs {
+	if got, _ := series(snap, "scheduler_jobs_admitted_total", "high", "acme"); got != chaseJobs {
 		t.Fatalf("admitted{high,acme} = %v, want %d", got, chaseJobs)
 	}
-	if got, _ := snap.GetSeries("scheduler_jobs_admitted_total", "normal", "anon"); got != 1 {
+	if got, _ := series(snap, "scheduler_jobs_admitted_total", "normal", "anon"); got != 1 {
 		t.Fatalf("admitted{normal,anon} = %v, want 1", got)
 	}
-	if got, _ := snap.GetSeries("scheduler_jobs_completed_total", "succeeded"); got != chaseJobs {
+	if got, _ := series(snap, "scheduler_jobs_completed_total", "succeeded"); got != chaseJobs {
 		t.Fatalf("completed{succeeded} = %v, want %d", got, chaseJobs)
 	}
-	if got, _ := snap.GetSeries("scheduler_jobs_completed_total", "failed"); got != 1 {
+	if got, _ := series(snap, "scheduler_jobs_completed_total", "failed"); got != 1 {
 		t.Fatalf("completed{failed} = %v, want 1", got)
 	}
 	if got, _ := snap.Get("scheduler_queue_depth"); got != 0 {
@@ -106,8 +119,6 @@ func TestSchedulerTelemetryMetrics(t *testing.T) {
 func TestSchedulerTelemetryTrace(t *testing.T) {
 	tel := telemetry.New()
 	tel.Trace = telemetry.NewTraceSink()
-	base := time.Unix(42, 0)
-	tel.Trace.SetClock(func() time.Time { return base })
 	s := NewScheduler(SchedulerConfig{Workers: 1, QueueBound: 1, Telemetry: tel})
 	defer s.Close()
 

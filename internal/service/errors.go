@@ -13,8 +13,7 @@ import (
 )
 
 // ErrUnknownOntology is returned when a request addresses an ontology by
-// a fingerprint that was never registered (or was dropped by a cache
-// Reset). It is the service's "cold worker" signal: the submitter must
+// a fingerprint that was never registered. It is the service's "cold worker" signal: the submitter must
 // ship Σ itself (RegisterOntology) before submitting by fingerprint
 // again. Like every sentinel that crosses the service boundary it
 // arrives wrapped in a *Error — test with errors.Is, never ==.

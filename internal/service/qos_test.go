@@ -326,7 +326,7 @@ func TestServiceQoSTelemetry(t *testing.T) {
 		{"exact", "terminated", 2}, // the plain and the learn-mode run
 		{"anytime", "truncated", 1},
 	} {
-		if got, ok := snap.GetSeries("service_qos_requests_total", c.mode, c.outcome); !ok || got != c.want {
+		if got, ok := series(snap, "service_qos_requests_total", c.mode, c.outcome); !ok || got != c.want {
 			t.Fatalf("service_qos_requests_total{%s,%s} = %v, %v (want %v)", c.mode, c.outcome, got, ok, c.want)
 		}
 	}

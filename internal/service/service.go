@@ -60,9 +60,10 @@ type Config struct {
 	// artifacts served from; nil selects compile.Global().
 	Cache *compile.Cache
 	// Telemetry, when non-nil with a Registry, turns the serving plane's
-	// observability on: request/scheduler/chase metrics feed the
-	// registry, the compile cache and wire codec are bridged into it,
-	// and (when Telemetry.Trace is set) every job records trace spans.
+	// observability on: request/scheduler/chase metrics and the bytes of
+	// this service's own codec calls feed the registry, the compile cache
+	// is bridged into it, and (when Telemetry.Trace is set) every job
+	// records trace spans.
 	// Nil is the default and the benchmarked fast path — no metric is
 	// touched anywhere on the submit or run path.
 	Telemetry *telemetry.Telemetry
@@ -75,9 +76,8 @@ type Service struct {
 	sched *rt.Scheduler
 	cache *compile.Cache
 
-	tel          *telemetry.Telemetry
-	stel         *svcTelemetry
-	meterRelease func()
+	tel  *telemetry.Telemetry
+	stel *svcTelemetry
 }
 
 // New starts a service.
@@ -95,7 +95,7 @@ func New(cfg Config) *Service {
 		cache: cache,
 		tel:   cfg.Telemetry,
 	}
-	s.stel, s.meterRelease = newSvcTelemetry(cfg.Telemetry, cache)
+	s.stel = newSvcTelemetry(cfg.Telemetry, cache)
 	return s
 }
 
@@ -106,20 +106,9 @@ func (s *Service) Cache() *compile.Cache { return s.cache }
 // already-warmed chase scratch (for stats surfaces).
 func (s *Service) ScratchReuses() int64 { return s.sched.ScratchReuses() }
 
-// Drain blocks until every admitted job has completed.
-func (s *Service) Drain() { s.sched.Drain() }
-
 // Close shuts the service down gracefully: admission stops, admitted
-// jobs run to completion, workers exit. A telemetry-enabled service
-// also withdraws its wire-meter registration, so codec traffic stops
-// billing this service's registry while any other live Service keeps
-// its own accounting undisturbed.
-func (s *Service) Close() {
-	s.sched.Close()
-	if s.meterRelease != nil {
-		s.meterRelease()
-	}
-}
+// jobs run to completion, workers exit.
+func (s *Service) Close() { s.sched.Close() }
 
 // Handle names a registered ontology: the canonical compile fingerprint
 // is the cross-process identity jobs are submitted by.
@@ -166,8 +155,8 @@ func (s *Service) resolve(op Op, name string, ref OntologyRef) (*tgds.Set, error
 }
 
 // loadPayload materializes a request's database payload with decode
-// failures typed.
-func loadPayload(op Op, name string, p Payload) (*logic.Instance, error) {
+// failures typed; a decoded snapshot bills wire_decode_bytes.
+func (s *Service) loadPayload(op Op, name string, p Payload) (*logic.Instance, error) {
 	db, err := p.load()
 	if err != nil {
 		kind := KindBadRequest
@@ -175,6 +164,9 @@ func loadPayload(op Op, name string, p Payload) (*logic.Instance, error) {
 			kind = KindDecode
 		}
 		return nil, wrapErr(op, name, kind, err)
+	}
+	if s.stel != nil && p.Instance == nil {
+		s.stel.wireDecoded.Add(uint64(len(p.Snapshot)))
 	}
 	return db, nil
 }
@@ -195,7 +187,7 @@ func (s *Service) SubmitChase(ctx context.Context, req ChaseRequest) (*Ticket, e
 	if err != nil {
 		return nil, err
 	}
-	db, err := loadPayload(OpChase, name, req.Database)
+	db, err := s.loadPayload(OpChase, name, req.Database)
 	if err != nil {
 		return nil, err
 	}
@@ -242,6 +234,9 @@ func (s *Service) SubmitDelta(ctx context.Context, req DeltaRequest) (*Ticket, e
 	cp, err := checkpoint.Decode(req.Checkpoint)
 	if err != nil {
 		return nil, wrapErr(OpResume, name, KindDecode, err)
+	}
+	if s.stel != nil {
+		s.stel.wireDecoded.Add(uint64(len(req.Checkpoint)))
 	}
 	var sigma *tgds.Set
 	if req.Ontology.Set != nil || req.Ontology.Fingerprint != (compile.Fingerprint{}) {
@@ -312,7 +307,7 @@ func (s *Service) SubmitDecide(ctx context.Context, req DecideRequest) (*Ticket,
 	}
 	var db *logic.Instance
 	if req.Method != "uniform" {
-		if db, err = loadPayload(OpDecide, name, req.Database); err != nil {
+		if db, err = s.loadPayload(OpDecide, name, req.Database); err != nil {
 			return nil, err
 		}
 	}
@@ -502,9 +497,9 @@ func (t *Ticket) Wait() Result {
 
 // EncodeChase waits for a chase result and encodes its materialized
 // instance as a portable wire snapshot — the reply-path encode of a
-// remote-shaped serving flow. The encode is metered (wire_encode_bytes
-// on a telemetry-enabled service) and, when the job is traced,
-// recorded as the job's terminal "encode" span. The bytes are
+// remote-shaped serving flow. The snapshot's bytes bill
+// wire_encode_bytes on a telemetry-enabled service and, when the job is
+// traced, the encode is recorded as the job's terminal "encode" span. The bytes are
 // byte-identical to calling wire.EncodeSnapshot on the result
 // directly.
 func (t *Ticket) EncodeChase() ([]byte, error) {
@@ -522,6 +517,9 @@ func (t *Ticket) EncodeChase() ([]byte, error) {
 	if tr != nil {
 		tr.Span("encode", tr.Now().Sub(start), "bytes", strconv.Itoa(len(data)))
 	}
+	if t.stel != nil {
+		t.stel.wireEncoded.Add(uint64(len(data)))
+	}
 	return data, nil
 }
 
@@ -530,8 +528,10 @@ func (t *Ticket) EncodeChase() ([]byte, error) {
 // re-chase flow: serve the artifact now, continue it later through a
 // DeltaRequest. The run must have captured resumable state (the
 // request's Checkpoint/Chain flag, and a clean stop); otherwise the
-// error wraps checkpoint.ErrNotResumable as KindBadRequest. When the
-// job is traced, the encode is recorded as a "checkpoint" span.
+// error wraps checkpoint.ErrNotResumable as KindBadRequest. The
+// artifact's bytes bill wire_encode_bytes on a telemetry-enabled
+// service and, when the job is traced, the encode is recorded as a
+// "checkpoint" span.
 func (t *Ticket) EncodeCheckpoint() ([]byte, error) {
 	r := t.Wait()
 	if r.Err != nil {
@@ -553,6 +553,9 @@ func (t *Ticket) EncodeCheckpoint() ([]byte, error) {
 	}
 	if tr != nil {
 		tr.Span("checkpoint", tr.Now().Sub(start), "bytes", strconv.Itoa(len(data)))
+	}
+	if t.stel != nil {
+		t.stel.wireEncoded.Add(uint64(len(data)))
 	}
 	return data, nil
 }

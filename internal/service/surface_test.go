@@ -31,7 +31,6 @@ func TestTicketSurface(t *testing.T) {
 	if tk.Name() != "chase" || tk.Op() != OpChase || tk.Index() != 0 {
 		t.Fatalf("ticket surface: name=%q op=%v index=%d", tk.Name(), tk.Op(), tk.Index())
 	}
-	s.Drain()
 	r := tk.Wait()
 	if r.Err != nil || r.Op != OpChase {
 		t.Fatalf("result %+v", r)

@@ -10,7 +10,6 @@ import (
 	"repro/internal/logic"
 	"repro/internal/qos"
 	"repro/internal/telemetry"
-	"repro/internal/wire"
 )
 
 // svcTelemetry holds the service layer's pre-resolved metric handles.
@@ -24,18 +23,20 @@ type svcTelemetry struct {
 	qosRequests *telemetry.CounterVec // service_qos_requests_total{mode,outcome}
 	qosSlack    *telemetry.Histogram  // service_qos_deadline_slack_seconds
 	qosLearned  *telemetry.Counter    // service_qos_bounds_learned_total
+
+	wireEncoded *telemetry.Counter // wire_encode_bytes
+	wireDecoded *telemetry.Counter // wire_decode_bytes
 }
 
 // newSvcTelemetry wires the service families into tel's registry and
-// bridges the subsystems that keep their own counters: the compile
-// cache and the symbol table's id high-water mark (published via
-// snapshot collectors) and the wire codec (via its registered-meter
-// seam). It returns the meter's release so Close can withdraw exactly
-// this service's registration — concurrent Services each keep their own
-// codec byte accounting, and Close order does not matter.
-func newSvcTelemetry(tel *telemetry.Telemetry, cache *compile.Cache) (*svcTelemetry, func()) {
+// bridges the subsystems that keep their own counters, the compile cache
+// and the symbol table's id high-water mark, through snapshot
+// collectors. The codec byte counters are billed by the service itself,
+// at the four codec calls it makes, so each service counts only its own
+// payloads and artifacts.
+func newSvcTelemetry(tel *telemetry.Telemetry, cache *compile.Cache) *svcTelemetry {
 	if !tel.Enabled() {
-		return nil, nil
+		return nil
 	}
 	r := tel.Registry
 	m := &svcTelemetry{
@@ -53,18 +54,16 @@ func newSvcTelemetry(tel *telemetry.Telemetry, cache *compile.Cache) (*svcTeleme
 			[]float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5}),
 		qosLearned: r.Counter("service_qos_bounds_learned_total",
 			"Termination bounds stored by learn-mode runs."),
+		wireEncoded: r.Counter("wire_encode_bytes",
+			"Bytes this service encoded: result snapshots (EncodeChase) and checkpoint artifacts (EncodeCheckpoint)."),
+		wireDecoded: r.Counter("wire_decode_bytes",
+			"Bytes this service decoded successfully at admission: snapshot payloads and checkpoint artifacts."),
 	}
 	registerCacheCollector(r, cache)
 	symbols := r.Gauge("symbol_ground_ids",
 		"Ground symbol ids handed out by the process: one per constant, fresh or foreign term interned and one per null created, never reused; interning fails at 2^31.")
 	r.AddCollector(func() { symbols.Set(logic.GroundIDs()) })
-	release := wire.RegisterMeter(&wireMeter{
-		encoded: r.Counter("wire_encode_bytes",
-			"Bytes produced by wire snapshot encodes."),
-		decoded: r.Counter("wire_decode_bytes",
-			"Bytes consumed by successful wire snapshot decodes."),
-	})
-	return m, release
+	return m
 }
 
 // observeRequest bills one admitted request. The ontology label is the
@@ -117,15 +116,16 @@ func (m *svcTelemetry) observeQoS(dec qos.Decision, r Result) {
 // registerCacheCollector publishes the compile cache's own counters
 // through the registry: a Snapshot-time collector converts the cache's
 // cumulative Stats into counter deltas (hits, misses, evictions) and
-// gauge levels (bytes, entries). The collector keeps its last-seen
-// cursor under a lock so concurrent snapshots never double-bill.
+// gauge levels (bytes, entries). The cache's counters only grow, and the
+// collector keeps its last-seen cursor under a lock so concurrent
+// snapshots never double-bill.
 func registerCacheCollector(r *telemetry.Registry, cache *compile.Cache) {
 	hits := r.Counter("compile_cache_hits",
 		"Compilation cache artifact hits.")
 	misses := r.Counter("compile_cache_misses",
 		"Compilation cache artifact misses (first build of an artifact).")
 	evictions := r.Counter("compile_cache_evictions",
-		"Compilation cache entries evicted (LRU or byte-budget pressure).")
+		"Compilation cache entries evicted by its LRU entry bound.")
 	bytes := r.Gauge("compile_cache_bytes",
 		"Approximate bytes held by cached compilation artifacts.")
 	entries := r.Gauge("compile_cache_entries",
@@ -137,33 +137,15 @@ func registerCacheCollector(r *telemetry.Registry, cache *compile.Cache) {
 	r.AddCollector(func() {
 		st := cache.Stats()
 		mu.Lock()
-		hits.Add(monotone(st.Hits, prev.Hits))
-		misses.Add(monotone(st.Misses, prev.Misses))
-		evictions.Add(monotone(st.Evictions, prev.Evictions))
+		hits.Add(st.Hits - prev.Hits)
+		misses.Add(st.Misses - prev.Misses)
+		evictions.Add(st.Evictions - prev.Evictions)
 		prev = st
 		mu.Unlock()
 		bytes.Set(st.Bytes)
 		entries.Set(int64(st.Entries))
 	})
 }
-
-// monotone is cur-prev clamped at zero, so a reset cache never
-// underflows the published counters.
-func monotone(cur, prev uint64) uint64 {
-	if cur < prev {
-		return 0
-	}
-	return cur - prev
-}
-
-// wireMeter adapts the codec's Meter seam onto two registry counters.
-type wireMeter struct {
-	encoded *telemetry.Counter
-	decoded *telemetry.Counter
-}
-
-func (m *wireMeter) WireEncoded(n int) { m.encoded.Add(uint64(n)) }
-func (m *wireMeter) WireDecoded(n int) { m.decoded.Add(uint64(n)) }
 
 // Metrics snapshots the service's registry — the programmatic face of
 // the /metrics endpoint. It returns nil when the service was built

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,6 +17,19 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
+
+// series returns the value of the named labeled counter or gauge series
+// identified by its label values in registration order.
+func series(s *telemetry.Snapshot, name string, values ...string) (float64, bool) {
+	for _, f := range s.Families {
+		for _, sr := range f.Series {
+			if f.Name == name && f.Kind != telemetry.KindHistogram && slices.Equal(sr.Values, values) {
+				return sr.Value, true
+			}
+		}
+	}
+	return 0, false
+}
 
 // TestServiceTelemetryDisabled: a service without telemetry keeps the
 // whole surface nil-safe — Metrics, Telemetry, Handler.
@@ -62,7 +76,7 @@ func TestServiceRequestMetrics(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	s.Drain()
+	s.Close() // finishes every admitted job
 
 	snap := s.Metrics()
 	for _, c := range []struct {
@@ -74,18 +88,18 @@ func TestServiceRequestMetrics(t *testing.T) {
 		{[]string{"decide", "normal", "anon"}, 1},
 		{[]string{"experiment", "normal", "anon"}, 1},
 	} {
-		if got, ok := snap.GetSeries("service_requests_total", c.values...); !ok || got != c.want {
+		if got, ok := series(snap, "service_requests_total", c.values...); !ok || got != c.want {
 			t.Fatalf("service_requests_total%v = %v, %v (want %v)", c.values, got, ok, c.want)
 		}
 	}
 	prefix := hex.EncodeToString(h.Fingerprint[:4])
-	if got, _ := snap.GetSeries("service_requests_by_ontology_total", prefix); got != 1 {
+	if got, _ := series(snap, "service_requests_by_ontology_total", prefix); got != 1 {
 		t.Fatalf("by-ontology{%s} = %v, want 1", prefix, got)
 	}
-	if got, _ := snap.GetSeries("service_requests_by_ontology_total", "inline"); got != 2 {
+	if got, _ := series(snap, "service_requests_by_ontology_total", "inline"); got != 2 {
 		t.Fatalf("by-ontology{inline} = %v, want 2", got)
 	}
-	if got, _ := snap.GetSeries("service_requests_by_ontology_total", "none"); got != 1 {
+	if got, _ := series(snap, "service_requests_by_ontology_total", "none"); got != 1 {
 		t.Fatalf("by-ontology{none} = %v, want 1 (the experiment)", got)
 	}
 	// The compile-cache bridge published through the same snapshot.
@@ -137,18 +151,27 @@ func TestServiceSymbolGauge(t *testing.T) {
 	}
 }
 
-// TestServiceWireMeter: wire payload decodes and EncodeChase encodes
-// feed wire_decode_bytes / wire_encode_bytes while the service is live,
-// and Close restores the previous process-wide meter.
+// TestServiceWireMeter: the service's own codec calls feed
+// wire_decode_bytes and wire_encode_bytes with exactly their bytes: a
+// snapshot payload decoded at admission, EncodeChase's snapshot, a
+// checkpoint artifact decoded by SubmitDelta and EncodeCheckpoint's
+// artifact. An encode the service does not make bills nothing.
 func TestServiceWireMeter(t *testing.T) {
 	prog := parserProg(t, "p(a). p(X) -> q(X).")
 	snapBytes := wire.EncodeSnapshot(prog.Database)
 
 	tel := telemetry.New()
-	s := New(Config{Workers: 1, Telemetry: tel})
+	s := newService(t, Config{Workers: 1, Telemetry: tel})
+	counts := func() (enc, dec float64) {
+		m := s.Metrics()
+		enc, _ = m.Get("wire_encode_bytes")
+		dec, _ = m.Get("wire_decode_bytes")
+		return enc, dec
+	}
 	tk, err := s.SubmitChase(context.Background(), ChaseRequest{
-		Database: Payload{Snapshot: snapBytes},
-		Ontology: OntologyRef{Set: prog.Rules},
+		Database:   Payload{Snapshot: snapBytes},
+		Ontology:   OntologyRef{Set: prog.Rules},
+		Checkpoint: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -156,9 +179,6 @@ func TestServiceWireMeter(t *testing.T) {
 	data, err := tk.EncodeChase()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(data) == 0 {
-		t.Fatal("empty encoded result")
 	}
 	// The encoded result round-trips to the materialized instance.
 	dec, err := wire.DecodeSnapshot(data)
@@ -168,24 +188,29 @@ func TestServiceWireMeter(t *testing.T) {
 	if dec.Len() != tk.Wait().Chase.Instance.Len() {
 		t.Fatal("encoded result does not round-trip")
 	}
-
-	m := s.Metrics()
-	decoded, _ := m.Get("wire_decode_bytes")
-	if decoded < float64(len(snapBytes)) {
-		t.Fatalf("wire_decode_bytes = %v, want >= %d", decoded, len(snapBytes))
-	}
-	encoded, _ := m.Get("wire_encode_bytes")
-	if encoded < float64(len(data)) {
-		t.Fatalf("wire_encode_bytes = %v, want >= %d", encoded, len(data))
+	if enc, dec := counts(); enc != float64(len(data)) || dec != float64(len(snapBytes)) {
+		t.Fatalf("after one chase: encode %v, decode %v bytes; want %d, %d", enc, dec, len(data), len(snapBytes))
 	}
 
-	// Close withdraws the registration: encodes after Close no longer
-	// bill this service's registry.
-	s.Close()
+	art, err := tk.EncodeCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rtk, err := s.SubmitDelta(context.Background(), DeltaRequest{Checkpoint: art, Ontology: OntologyRef{Set: prog.Rules}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitChase(t, rtk)
+	wantEnc, wantDec := len(data)+len(art), len(snapBytes)+len(art)
+	if enc, dec := counts(); enc != float64(wantEnc) || dec != float64(wantDec) {
+		t.Fatalf("after a checkpoint round trip: encode %v, decode %v bytes; want %d, %d", enc, dec, wantEnc, wantDec)
+	}
 	_ = wire.EncodeSnapshot(prog.Database)
-	after, _ := s.Metrics().Get("wire_encode_bytes")
-	if after != encoded {
-		t.Fatalf("post-Close encode billed a closed service: %v -> %v", encoded, after)
+	if _, err := wire.DecodeSnapshot(snapBytes); err != nil {
+		t.Fatal(err)
+	}
+	if enc, dec := counts(); enc != float64(wantEnc) || dec != float64(wantDec) {
+		t.Fatalf("codec calls outside the service billed it: encode %v, decode %v bytes", enc, dec)
 	}
 
 	// EncodeChase on a non-chase result fails typed.
@@ -324,55 +349,60 @@ func TestServiceHandler(t *testing.T) {
 	}
 }
 
-// TestTwoServiceWireMeters: two concurrent telemetry-enabled Services —
-// exactly what cmd/chased plus a test coordinator create in one process
-// — each bill codec traffic to their own registry, and closing the
-// FIRST-constructed one leaves the second's accounting live. Under the
-// old process-global SetMeter, the second install stomped the first and
-// the inverted Close restored a stale meter.
+// TestTwoServiceWireMeters: two live telemetry-enabled Services in one
+// process each count only their own codec traffic, snapshots and
+// checkpoint artifacts alike, whatever the other one does and whichever
+// closes first.
 func TestTwoServiceWireMeters(t *testing.T) {
 	prog := parserProg(t, "p(a). p(X) -> q(X).")
 	snap := wire.EncodeSnapshot(prog.Database)
 
-	tel1, tel2 := telemetry.New(), telemetry.New()
-	s1 := New(Config{Workers: 1, Telemetry: tel1})
-	s2 := New(Config{Workers: 1, Telemetry: tel2})
-	defer s2.Close()
+	s1 := newService(t, Config{Workers: 1, Telemetry: telemetry.New()})
+	s2 := newService(t, Config{Workers: 1, Telemetry: telemetry.New()})
 
-	submit := func(s *Service) {
+	// run decodes a snapshot payload and encodes a checkpoint artifact;
+	// it returns the artifact's size.
+	run := func(s *Service) int {
 		t.Helper()
 		tk, err := s.SubmitChase(context.Background(), ChaseRequest{
-			Database: Payload{Snapshot: snap},
-			Ontology: OntologyRef{Set: prog.Rules},
+			Database:   Payload{Snapshot: snap},
+			Ontology:   OntologyRef{Set: prog.Rules},
+			Checkpoint: true,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r := tk.Wait(); r.Err != nil {
-			t.Fatal(r.Err)
+		art, err := tk.EncodeCheckpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(art)
+	}
+	counts := func(s *Service) (enc, dec float64) {
+		m := s.Metrics()
+		enc, _ = m.Get("wire_encode_bytes")
+		dec, _ = m.Get("wire_decode_bytes")
+		return enc, dec
+	}
+	want := func(name string, s *Service, enc, dec int) {
+		t.Helper()
+		if e, d := counts(s); e != float64(enc) || d != float64(dec) {
+			t.Fatalf("%s: encode %v, decode %v bytes; want %d, %d", name, e, d, enc, dec)
 		}
 	}
 
-	// A decode through either service bills BOTH registries: the meter
-	// seam is additive, not last-install-wins.
-	submit(s1)
-	d1, _ := s1.Metrics().Get("wire_decode_bytes")
-	d2, _ := s2.Metrics().Get("wire_decode_bytes")
-	if d1 < float64(len(snap)) || d2 < float64(len(snap)) {
-		t.Fatalf("decode billing stomped: s1=%v s2=%v, want both >= %d", d1, d2, len(snap))
-	}
+	art := run(s1)
+	want("s2 after s1's chase", s2, 0, 0)
+	want("s1 after its chase", s1, art, len(snap))
 
-	// Closing s1 (constructed first — the ordering inversion) must leave
-	// s2's meter registered: further traffic keeps billing s2 and stops
-	// billing s1.
+	run(s2)
+	run(s2)
+	want("s1 after s2's traffic", s1, art, len(snap))
+	want("s2 after its two chases", s2, 2*art, 2*len(snap))
+
+	// Closing the first-constructed service leaves the second counting.
 	s1.Close()
-	submit(s2)
-	d1after, _ := s1.Metrics().Get("wire_decode_bytes")
-	d2after, _ := s2.Metrics().Get("wire_decode_bytes")
-	if d1after != d1 {
-		t.Fatalf("closed service still billed: %v -> %v", d1, d1after)
-	}
-	if d2after < d2+float64(len(snap)) {
-		t.Fatalf("surviving service lost its meter: %v -> %v", d2, d2after)
-	}
+	run(s2)
+	want("closed s1", s1, art, len(snap))
+	want("s2 after s1 closed", s2, 3*art, 3*len(snap))
 }

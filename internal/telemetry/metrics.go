@@ -33,12 +33,11 @@ func (k Kind) String() string {
 	}
 }
 
-// SeriesCap is the default per-family bound on distinct label sets.
-// Once a family holds this many series, every further label combination
+// SeriesCap is the per-family bound on distinct label sets. Once a
+// family holds this many series, every further label combination
 // collapses into one series whose label values are all "other" — the
 // cardinality cap that keeps an abusive tenant from growing the
-// registry without bound. Adjust per family with Vec SetCap before the
-// first With.
+// registry without bound.
 const SeriesCap = 64
 
 // OverflowLabel is the label value of the capped overflow series.
@@ -127,7 +126,6 @@ type family struct {
 	bounds []float64 // histogram families only
 
 	mu       sync.RWMutex
-	cap      int
 	series   map[string]*labeled
 	overflow *labeled // lazily created cap spill, all labels "other"
 }
@@ -210,7 +208,6 @@ func (r *Registry) register(name, help string, kind Kind, bounds []float64, labe
 		kind:   kind,
 		labels: append([]string(nil), labels...),
 		bounds: append([]float64(nil), bounds...),
-		cap:    SeriesCap,
 		series: make(map[string]*labeled),
 	}
 	r.families[name] = f
@@ -254,14 +251,6 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	return &CounterVec{r.register(name, help, KindCounter, nil, labels)}
 }
 
-// GaugeVec registers a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	if len(labels) == 0 {
-		panic(fmt.Sprintf("telemetry: %s: a vec needs labels (use Gauge)", name))
-	}
-	return &GaugeVec{r.register(name, help, KindGauge, nil, labels)}
-}
-
 // HistogramVec registers a labeled histogram family.
 func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...string) *HistogramVec {
 	if len(labels) == 0 {
@@ -278,35 +267,11 @@ type CounterVec struct{ fam *family }
 // returned handle where updates are hot.
 func (v *CounterVec) With(values ...string) *Counter { return v.fam.slot(values).c }
 
-// SetCap adjusts the family's series cap (default SeriesCap).
-func (v *CounterVec) SetCap(n int) *CounterVec { v.fam.setCap(n); return v }
-
-// GaugeVec is a labeled gauge family.
-type GaugeVec struct{ fam *family }
-
-// With resolves the series for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge { return v.fam.slot(values).g }
-
-// SetCap adjusts the family's series cap (default SeriesCap).
-func (v *GaugeVec) SetCap(n int) *GaugeVec { v.fam.setCap(n); return v }
-
 // HistogramVec is a labeled histogram family.
 type HistogramVec struct{ fam *family }
 
 // With resolves the series for the given label values.
 func (v *HistogramVec) With(values ...string) *Histogram { return v.fam.slot(values).h }
-
-// SetCap adjusts the family's series cap (default SeriesCap).
-func (v *HistogramVec) SetCap(n int) *HistogramVec { v.fam.setCap(n); return v }
-
-func (f *family) setCap(n int) {
-	if n < 1 {
-		n = 1
-	}
-	f.mu.Lock()
-	f.cap = n
-	f.mu.Unlock()
-}
 
 // slot resolves (creating if necessary, capping if full) the series for
 // the given label values.
@@ -326,7 +291,7 @@ func (f *family) slot(values []string) *labeled {
 	if s, ok = f.series[key]; ok {
 		return s
 	}
-	if len(f.series) >= f.cap {
+	if len(f.series) >= SeriesCap {
 		// Cardinality cap: the family is full, so this — and every further
 		// unknown — label combination shares the "other" series.
 		if f.overflow == nil {

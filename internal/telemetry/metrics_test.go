@@ -1,10 +1,25 @@
 package telemetry
 
 import (
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 )
+
+// series returns the value of the named labeled counter or gauge series
+// identified by its label values in registration order.
+func series(s *Snapshot, name string, values ...string) (float64, bool) {
+	for _, f := range s.Families {
+		for _, sr := range f.Series {
+			if f.Name == name && f.Kind != KindHistogram && slices.Equal(sr.Values, values) {
+				return sr.Value, true
+			}
+		}
+	}
+	return 0, false
+}
 
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
@@ -70,32 +85,34 @@ func mustHist(t *testing.T, s *Snapshot, name string) *HistValue {
 	return nil
 }
 
-// TestSeriesCap: once a family holds its cap of distinct label sets,
+// TestSeriesCap: once a family holds SeriesCap distinct label sets,
 // every unknown combination collapses into the all-"other" overflow
 // series — the cardinality defense against abusive tenants.
 func TestSeriesCap(t *testing.T) {
 	r := NewRegistry()
-	v := r.CounterVec("reqs", "requests", "tenant").SetCap(2)
+	v := r.CounterVec("reqs", "requests", "tenant")
 	v.With("acme").Inc()
-	v.With("umbrella").Inc()
+	for i := 1; i < SeriesCap; i++ {
+		v.With("tenant-" + strconv.Itoa(i)).Inc()
+	}
 	v.With("attacker-1").Inc()
 	v.With("attacker-2").Inc()
 	v.With("attacker-2").Inc()
 	// Known series are unaffected; the two unknowns share "other".
 	snap := r.Snapshot()
-	if got, ok := snap.GetSeries("reqs", "acme"); !ok || got != 1 {
+	if got, ok := series(snap, "reqs", "acme"); !ok || got != 1 {
 		t.Fatalf("acme = %v, %v", got, ok)
 	}
-	if got, ok := snap.GetSeries("reqs", OverflowLabel); !ok || got != 3 {
+	if got, ok := series(snap, "reqs", OverflowLabel); !ok || got != 3 {
 		t.Fatalf("overflow = %v, %v (want 3)", got, ok)
 	}
-	if got, ok := snap.GetSeries("reqs", "attacker-1"); ok {
+	if got, ok := series(snap, "reqs", "attacker-1"); ok {
 		t.Fatalf("capped label got its own series: %v", got)
 	}
 	// The overflow series pins the cap: re-resolving a known value
 	// still works after the spill.
 	v.With("acme").Inc()
-	if got, _ := r.Snapshot().GetSeries("reqs", "acme"); got != 2 {
+	if got, _ := series(r.Snapshot(), "reqs", "acme"); got != 2 {
 		t.Fatalf("acme after spill = %v", got)
 	}
 }
@@ -117,9 +134,6 @@ func TestRegistrationPanics(t *testing.T) {
 			r.Histogram("h2", "", []float64{2, 1})
 		},
 		"vec without labels": func() { r.CounterVec("v3", "") },
-		"gauge vec without labels": func() {
-			r.GaugeVec("v4", "")
-		},
 		"histogram vec without labels": func() {
 			r.HistogramVec("v5", "", []float64{1})
 		},
@@ -139,18 +153,18 @@ func TestRegistrationPanics(t *testing.T) {
 	}
 }
 
-// TestVecKinds covers the gauge and histogram vec surfaces.
+// TestVecKinds covers the counter and histogram vec surfaces.
 func TestVecKinds(t *testing.T) {
 	r := NewRegistry()
-	g := r.GaugeVec("levels", "", "shard").SetCap(8)
-	g.With("0").Set(3)
-	g.With("1").Set(4)
-	h := r.HistogramVec("lat", "", []float64{1}, "lane").SetCap(8)
+	c := r.CounterVec("levels", "", "shard")
+	c.With("0").Add(3)
+	c.With("1").Add(4)
+	h := r.HistogramVec("lat", "", []float64{1}, "lane")
 	h.With("high").Observe(0.5)
 	h.With("high").Observe(2)
 	snap := r.Snapshot()
-	if v, ok := snap.GetSeries("levels", "1"); !ok || v != 4 {
-		t.Fatalf("gauge series = %v, %v", v, ok)
+	if v, ok := series(snap, "levels", "1"); !ok || v != 4 {
+		t.Fatalf("counter series = %v, %v", v, ok)
 	}
 	found := false
 	for _, f := range snap.Families {
@@ -168,14 +182,14 @@ func TestVecKinds(t *testing.T) {
 	if _, ok := snap.Get("lat"); ok {
 		t.Fatal("Get resolved a histogram")
 	}
-	if _, ok := snap.GetSeries("lat", "high"); ok {
-		t.Fatal("GetSeries resolved a histogram")
+	if _, ok := series(snap, "lat", "high"); ok {
+		t.Fatal("a histogram resolved as a scalar series")
 	}
 	if _, ok := snap.Get("absent"); ok {
 		t.Fatal("Get resolved an absent family")
 	}
-	if _, ok := snap.GetSeries("levels", "nope"); ok {
-		t.Fatal("GetSeries resolved an absent series")
+	if _, ok := series(snap, "levels", "nope"); ok {
+		t.Fatal("an absent series resolved")
 	}
 }
 
@@ -187,19 +201,19 @@ func TestConcurrentRegistryWrites(t *testing.T) {
 	c := r.Counter("c", "")
 	g := r.Gauge("g", "")
 	h := r.Histogram("h", "", []float64{0.5})
-	vec := r.CounterVec("v", "", "who").SetCap(4)
+	vec := r.CounterVec("v", "", "who")
 	const goroutines, per = 8, 200
 	var wg sync.WaitGroup
 	for i := 0; i < goroutines; i++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			who := string(rune('a' + id%6)) // 6 names through a cap of 4: exercises the spill
 			for j := 0; j < per; j++ {
 				c.Inc()
 				g.Add(1)
 				h.Observe(float64(j))
-				vec.With(who).Inc()
+				// 2·SeriesCap names through the cap: exercises the spill.
+				vec.With(strconv.Itoa((id*per + j) % (2 * SeriesCap))).Inc()
 				if j%50 == 0 {
 					_ = r.Snapshot()
 				}
@@ -331,29 +345,10 @@ func TestTelemetryEnabled(t *testing.T) {
 	if !New().Enabled() {
 		t.Fatal("New() telemetry not enabled")
 	}
-	if Default() == nil || Default() != Default() {
-		t.Fatal("Default registry is not process-stable")
-	}
 }
 
 func TestKindString(t *testing.T) {
 	if KindCounter.String() != "counter" || KindGauge.String() != "gauge" || KindHistogram.String() != "histogram" {
 		t.Fatal("kind names broken")
-	}
-}
-
-// TestSetCapFloor: caps below one clamp to one, so a family always has
-// room for at least the overflow series.
-func TestSetCapFloor(t *testing.T) {
-	r := NewRegistry()
-	v := r.CounterVec("tiny", "", "k").SetCap(0)
-	v.With("a").Inc()
-	v.With("b").Inc()
-	snap := r.Snapshot()
-	if got, ok := snap.GetSeries("tiny", "a"); !ok || got != 1 {
-		t.Fatalf("first series = %v, %v", got, ok)
-	}
-	if got, ok := snap.GetSeries("tiny", OverflowLabel); !ok || got != 1 {
-		t.Fatalf("overflow = %v, %v", got, ok)
 	}
 }

@@ -190,19 +190,3 @@ func (s *Snapshot) Get(name string) (float64, bool) {
 	}
 	return 0, false
 }
-
-// GetSeries returns the value of the named labeled counter or gauge
-// series identified by its values in registration order.
-func (s *Snapshot) GetSeries(name string, values ...string) (float64, bool) {
-	for _, f := range s.Families {
-		if f.Name != name || f.Kind == KindHistogram {
-			continue
-		}
-		for _, sr := range f.Series {
-			if equalStrings(sr.Values, values) {
-				return sr.Value, true
-			}
-		}
-	}
-	return 0, false
-}

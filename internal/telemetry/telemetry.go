@@ -1,8 +1,9 @@
 // Package telemetry is the observability layer of the serving plane: a
 // zero-dependency (stdlib-only) metrics registry plus a per-job trace
 // sink, wired through internal/service, internal/runtime,
-// internal/compile (via its Stats bridge), internal/chase (via the
-// chase.Observer seam), and internal/wire (via the wire.Meter seam).
+// internal/compile (via its Stats bridge) and internal/chase (via the
+// chase.Observer seam). The service bills the wire codec's bytes at the
+// codec calls it makes itself.
 //
 // The paper's central hazard is non-uniform termination: one ontology's
 // chase blows up exponentially while its neighbors finish in
@@ -33,19 +34,18 @@
 // sampled chase rounds, result encode — as structured events. WriteTo
 // renders them as JSON lines, one event per line, deterministically
 // ordered by (job index, sequence) with a fixed key order, so tests can
-// pin whole traces byte for byte once the sink's clock is stubbed.
+// pin a deterministic fleet's span sequence.
 //
 // # Disabled path
 //
-// Everything is opt-in. A nil *Telemetry (or nil Observer / Meter /
-// JobTrace) disables the corresponding instrumentation at the cost of
+// Everything is opt-in. A nil *Telemetry (or nil Observer / JobTrace)
+// disables the corresponding instrumentation at the cost of
 // one nil check on the hot path; BenchmarkTelemetryOverhead and CI's
 // allocs/op ceilings pin that the disabled-path allocation profile of
 // the serving benches is unchanged.
 //
 // Handler exposes a registry (plus a health callback) over HTTP —
-// GET /healthz, /metrics, /metrics.json — the first piece of the future
-// cmd/chased worker's health surface.
+// GET /healthz, /metrics, /metrics.json — cmd/chased's health surface.
 package telemetry
 
 // Telemetry bundles the two observability channels a serving layer
@@ -65,11 +65,3 @@ func New() *Telemetry { return &Telemetry{Registry: NewRegistry()} }
 // Enabled reports whether t carries a usable registry; it is nil-safe
 // and is the single gate instrumented layers test.
 func (t *Telemetry) Enabled() bool { return t != nil && t.Registry != nil }
-
-var defaultRegistry = NewRegistry()
-
-// Default returns the process-wide registry, for long-lived processes
-// (the future cmd/chased worker) that want one shared exposition
-// surface. The CLIs build private registries instead, so one-shot runs
-// never leak state into each other's -metrics files.
-func Default() *Registry { return defaultRegistry }

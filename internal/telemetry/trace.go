@@ -12,12 +12,10 @@ import (
 // TraceSink collects per-job span events. One sink serves a whole
 // serving plane (scheduler + service); every job records into its own
 // JobTrace, and WriteTo renders the union as JSON lines ordered by
-// (job index, sequence) — a deterministic order, so a trace of a
-// deterministic fleet is pinnable byte for byte once the clock is
-// stubbed (SetClock).
+// (job index, sequence) — a deterministic order, so the span sequence
+// of a deterministic fleet is pinnable.
 type TraceSink struct {
 	mu     sync.Mutex
-	clock  func() time.Time
 	events []TraceEvent
 }
 
@@ -34,28 +32,16 @@ type TraceEvent struct {
 	Attrs [][2]string
 }
 
-// NewTraceSink returns an empty sink on the real clock.
-func NewTraceSink() *TraceSink {
-	return &TraceSink{clock: time.Now}
-}
+// NewTraceSink returns an empty sink.
+func NewTraceSink() *TraceSink { return &TraceSink{} }
 
-// SetClock replaces the sink's clock — the test hook that makes span
-// durations (and hence whole trace renderings) deterministic.
-func (s *TraceSink) SetClock(fn func() time.Time) {
-	s.mu.Lock()
-	s.clock = fn
-	s.mu.Unlock()
-}
-
-// Now reads the sink's clock; nil-safe (zero time when disabled).
+// Now reads the clock; nil-safe (zero time when disabled, so an
+// untraced span costs no clock read).
 func (s *TraceSink) Now() time.Time {
 	if s == nil {
 		return time.Time{}
 	}
-	s.mu.Lock()
-	fn := s.clock
-	s.mu.Unlock()
-	return fn()
+	return time.Now()
 }
 
 // Job opens the trace of one job, identified by its name and scheduler

@@ -11,12 +11,6 @@ import (
 // orders by (index, seq) with a fixed key order.
 func TestTraceDeterministicRendering(t *testing.T) {
 	sink := NewTraceSink()
-	base := time.Unix(1000, 0)
-	sink.SetClock(func() time.Time { return base })
-	if !sink.Now().Equal(base) {
-		t.Fatal("stubbed clock not in effect")
-	}
-
 	j0 := sink.Job("chase", 0)
 	j1 := sink.Job("decide", 1)
 	j1.Event("admit", "tenant", "acme")

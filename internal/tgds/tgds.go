@@ -27,9 +27,7 @@ type TGD struct {
 	frontier    []logic.Variable
 	frontierIDs []int32 // interned ids, aligned with frontier
 	existential []logic.Variable
-	bodyVars    []logic.Variable // distinct body variables, first-occurrence order
-	sortedBody  []logic.Variable // distinct body variables, sorted by name
-	sortedIDs   []int32          // interned ids, aligned with sortedBody
+	sortedIDs   []int32 // interned ids of the distinct body variables, sorted by name
 	guardIndex  int
 	key         string
 }
@@ -56,25 +54,23 @@ func New(body, head []*logic.Atom) (*TGD, error) {
 		}
 	}
 	t := &TGD{ID: -1, Body: body, Head: head, guardIndex: -1}
-	bodyVars := variableSet(body)
-	headVars := variableSet(head)
+	inBody := variableSet(body)
 	for _, v := range variablesInOrder(head) {
-		if bodyVars[v] {
+		if inBody[v] {
 			t.frontier = append(t.frontier, v)
 		} else {
 			t.existential = append(t.existential, v)
 		}
 	}
 	sort.Slice(t.frontier, func(i, j int) bool { return t.frontier[i] < t.frontier[j] })
-	_ = headVars
 	t.frontierIDs = internVars(t.frontier)
-	t.bodyVars = variablesInOrder(body)
-	t.sortedBody = append([]logic.Variable{}, t.bodyVars...)
-	sort.Slice(t.sortedBody, func(i, j int) bool { return t.sortedBody[i] < t.sortedBody[j] })
-	t.sortedIDs = internVars(t.sortedBody)
+	bodyVars := variablesInOrder(body)
+	sorted := append([]logic.Variable{}, bodyVars...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	t.sortedIDs = internVars(sorted)
 	// Guard: the leftmost body atom containing every body variable.
 	for i, a := range body {
-		if containsAll(a, t.bodyVars) {
+		if containsAll(a, bodyVars) {
 			t.guardIndex = i
 			break
 		}
@@ -113,14 +109,6 @@ func (t *TGD) FrontierIDs() []int32 { return t.frontierIDs }
 // order of first occurrence in the head.
 func (t *TGD) Existential() []logic.Variable { return t.existential }
 
-// BodyVariables returns the distinct body variables in order of first
-// occurrence. The result is a fresh copy on every call: the memoized
-// slice must not leak, because callers (historically the oblivious chase's
-// trigger keying) sort it in place.
-func (t *TGD) BodyVariables() []logic.Variable {
-	return append([]logic.Variable{}, t.bodyVars...)
-}
-
 // SortedBodyVarIDs returns the interned symbol ids of the distinct body
 // variables, sorted by variable name; the oblivious chase keys triggers
 // and nulls by the images of exactly this sequence. The returned slice is
@@ -138,9 +126,6 @@ func (t *TGD) Guard() *logic.Atom {
 	}
 	return t.Body[t.guardIndex]
 }
-
-// GuardIndex returns the index of the guard atom in the body, or -1.
-func (t *TGD) GuardIndex() int { return t.guardIndex }
 
 // IsLinear reports whether the body consists of a single atom.
 func (t *TGD) IsLinear() bool { return len(t.Body) == 1 }

@@ -74,8 +74,8 @@ func TestGuardLeftmost(t *testing.T) {
 		[]*logic.Atom{atom("A", x, y), atom("B", y, x)},
 		[]*logic.Atom{atom("C", x)},
 	)
-	if tg.GuardIndex() != 0 {
-		t.Fatalf("guard index = %d, want 0 (leftmost)", tg.GuardIndex())
+	if tg.Guard() != tg.Body[0] {
+		t.Fatalf("guard = %v, want the leftmost body atom %v", tg.Guard(), tg.Body[0])
 	}
 }
 

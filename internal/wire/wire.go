@@ -106,7 +106,6 @@ func EncodeSnapshot(in *logic.Instance) []byte {
 	w := codec.NewWriter(64 + 16*in.Len())
 	writeHeader(w)
 	writeAtoms(w, in.Atoms())
-	meterEncoded(len(w.Bytes()))
 	return w.Bytes()
 }
 
@@ -248,7 +247,6 @@ func DecodeSnapshot(data []byte) (*logic.Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	meterDecoded(len(data))
 	return logic.NewDatabase(atoms...), nil
 }
 
