@@ -254,7 +254,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		if v, ok := tel.Registry.Snapshot().Get("chase_rounds_total"); !ok || v <= 0 {
+		if obs.rounds.Value() == 0 {
 			b.Fatal("observer billed nothing")
 		}
 	})

@@ -20,8 +20,9 @@
 // results.
 //
 // The data plane is integer-interned: internal/logic maintains a
-// process-wide symbol table mapping every term and predicate to a dense
-// int32 id, atoms carry their id tuple with a precomputed 64-bit hash,
+// process-wide symbol table mapping every constant and predicate to a
+// dense int32 id below 2^30 (a null's id is 2^30 plus its factory id, so
+// creating one touches no shared state), atoms carry their id tuple with a precomputed 64-bit hash,
 // instances index atoms by insertion sequence (flat open-addressed tables
 // with no pointers map hashes, predicate ids and (column, term id) keys to
 // int32 sequence lists kept in one arena, and atoms are read back from
@@ -178,8 +179,9 @@
 // seq), and an HTTP Handler serving /healthz, /metrics (Prometheus
 // text), and /metrics.json. The layers feed it through seams that keep
 // the leaf packages free of telemetry imports: chase.Observer sees
-// round boundaries and a snapshot-time collector bridges compile.Stats;
-// the service counts the bytes of its own codec calls. Telemetry is
+// round boundaries and snapshot-time collectors bridge compile.Stats and
+// the symbol table's id high-water mark (symbol_ground_ids); the service
+// counts the bytes of its own codec calls. Telemetry is
 // opt-in via Config.Telemetry and free when off — every instrumentation
 // site is a nil check, and CI pins the disabled path's allocation
 // profile against the hot-path baselines its comments record. The CLIs

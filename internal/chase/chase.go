@@ -169,8 +169,8 @@ func (r *Result) MaxDepth() int { return r.Stats.MaxDepth }
 func Run(db *logic.Instance, sigma *tgds.Set, opts Options) *Result {
 	// Number invented nulls after the input's own nulls, so chasing
 	// an instance that already contains nulls (a decoded wire
-	// snapshot, a previous chase result) never reuses a
-	// factory-local id — and hence a Key — an input null carries.
+	// snapshot, a previous chase result) never reuses the factory id —
+	// and hence the identity — of an input null.
 	e := newEngine(db.Clone(), sigma, opts, db.MaxNullID()+1)
 	return e.finish()
 }

@@ -41,7 +41,8 @@ type Derivation struct {
 //     of the definition: the result must satisfy Σ).
 func (d *Derivation) Validate(sigma *tgds.Set, final *logic.Instance, terminated bool) error {
 	inst := d.Initial.Clone()
-	nulls := logic.NewNullFactory()
+	// Replayed nulls number above Initial's, which they must not name.
+	nulls := logic.NewNullFactoryAt(d.Initial.MaxNullID() + 1)
 	resultOf := func(t *tgds.TGD, h logic.Substitution) []*logic.Atom {
 		mu := h.Clone()
 		for _, z := range t.Existential() {

@@ -46,6 +46,26 @@ func TestDerivationValidationOnPrefix(t *testing.T) {
 	}
 }
 
+// TestDerivationValidatesOverInitialNulls: a resumed run's Initial
+// instance carries the checkpointed run's nulls, and the replay numbers
+// its own nulls above them. A replay numbering from 0 would name ⊥0 again,
+// find s(⊥0) already present and count one atom short.
+func TestDerivationValidatesOverInitialNulls(t *testing.T) {
+	rules := parser.MustParseRules(`p(X) -> ∃Z q(X, Z), s(Z).`)
+	first := Run(parser.MustParseDatabase(`p(a).`), rules, Options{Checkpoint: true})
+	if first.Instance.MaxNullID() != 0 {
+		t.Fatalf("setup: first run's nulls end at %d, want 0", first.Instance.MaxNullID())
+	}
+	delta := parser.MustParseDatabase(`p(b).`).Atoms()
+	res, err := Resume(first.Instance, delta, rules, first.Resume, Options{RecordDerivation: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Derivation.Validate(rules, res.Instance, true); err != nil {
+		t.Fatalf("valid resumed derivation rejected: %v", err)
+	}
+}
+
 func TestDerivationValidationDetectsTampering(t *testing.T) {
 	db := parser.MustParseDatabase(`e(a, b).`)
 	rules := parser.MustParseRules(`e(X, Y) -> p(X).`)

@@ -6,8 +6,8 @@ package chase
 //
 // The state a resumed run needs is two numbers the engine already
 // maintains: the null factory's high-water mark (so new nulls never
-// reuse a factory-local id, and hence a Key, a checkpointed null
-// carries — the NewNullFactoryAt discipline), and the instance length
+// reuse the factory id, and hence the identity, of a checkpointed null —
+// the NewNullFactoryAt discipline), and the instance length
 // where the last unprocessed semi-naive window begins (so a checkpoint
 // taken mid-saturation continues with the window its next round would
 // have used). The delta atoms a caller injects land after the
@@ -33,6 +33,7 @@ package chase
 // order-sensitive.
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -64,17 +65,36 @@ type ResumeState struct {
 	Variant Variant
 }
 
+// ErrDeltaNull reports a resume delta atom that carries a null. A null is
+// its factory id, and a delta's nulls come from another factory than
+// base's, so such a null would be whichever base or invented null shares
+// its id. A delta is base data, which holds no nulls: parsed facts
+// cannot.
+var ErrDeltaNull = errors.New("chase: resume delta carries a null")
+
+// CheckDelta returns ErrDeltaNull, naming the atom, when a delta atom
+// carries a null.
+func CheckDelta(delta []*logic.Atom) error {
+	for _, a := range delta {
+		for _, t := range a.Args {
+			if _, ok := t.(*logic.Null); ok {
+				return fmt.Errorf("%w: %v", ErrDeltaNull, a)
+			}
+		}
+	}
+	return nil
+}
+
 // Resume continues a chase from a captured ResumeState: base is the
 // checkpointed instance, delta the base-data atoms added since (they are
 // appended to a clone of base, so they land inside the resumed first
-// round's semi-naive window). Triggers whose matches lie inside base's
-// first st.DeltaStart atoms count as fired, new nulls are numbered from
-// st.NextNullID (or above the delta's own nulls, whichever is higher —
-// delta atoms carrying null ids that collide with checkpointed ones can
-// never capture an invented id), and iteration proceeds exactly as Run's
-// would have: budgets, scratch pooling, compile cache, forest
-// and derivation tracking all apply unchanged. Stats count the resumed
-// rounds only.
+// round's semi-naive window). A delta atom that carries a null fails
+// CheckDelta. Triggers whose matches lie inside base's first
+// st.DeltaStart atoms count as fired, new nulls are numbered from
+// st.NextNullID (or above base's own nulls, whichever is higher), and
+// iteration proceeds exactly as Run's would have: budgets, scratch
+// pooling, compile cache, forest and derivation tracking all apply
+// unchanged. Stats count the resumed rounds only.
 //
 // opts.Variant must equal st.Variant — fire keys mean different things
 // per variant — and a resumed run may itself set Options.Checkpoint,
@@ -82,6 +102,9 @@ type ResumeState struct {
 func Resume(base *logic.Instance, delta []*logic.Atom, sigma *tgds.Set, st *ResumeState, opts Options) (*Result, error) {
 	if st == nil {
 		return nil, fmt.Errorf("chase: resume without a resume state")
+	}
+	if err := CheckDelta(delta); err != nil {
+		return nil, err
 	}
 	if opts.Variant != st.Variant {
 		return nil, fmt.Errorf("chase: resume under the %v chase, state captured from the %v chase", opts.Variant, st.Variant)

@@ -1,6 +1,7 @@
 package chase
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -211,9 +212,11 @@ func TestNoCheckpointAtDirtyBoundary(t *testing.T) {
 	}
 }
 
-// High-water-mark seeding: delta atoms that themselves carry nulls with
-// factory ids colliding with checkpointed ones must not let the resumed
-// run mint a null reusing an existing id.
+// High-water-mark seeding: a resumed run numbers its fresh nulls from the
+// state's NextNullID, even above the instance's largest null id (a trigger
+// whose atoms were all duplicates still interned its nulls). A delta atom
+// that carries a null is refused: its id could name a checkpointed or an
+// invented null.
 func TestResumeNullIDHighWater(t *testing.T) {
 	full := run(t, `r(a, b).`, `r(X, Y) -> ∃Z s(Y, Z).`, Options{Checkpoint: true})
 	if !full.Terminated || full.Resume == nil {
@@ -223,33 +226,26 @@ func TestResumeNullIDHighWater(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Forge a delta atom holding a null whose factory id collides with the
-	// high-water mark (as a hostile decoded payload could).
-	hostile := logic.NewNullFactoryAt(0)
-	n := hostile.NullAt(full.Resume.NextNullID+3, 1)
-	delta := []*logic.Atom{logic.MakeAtom("r", logic.Constant("z"), n)}
-	res, err := Resume(full.Instance, delta, sigma, full.Resume, Options{})
+	hostile, _ := logic.NewNullFactoryAt(full.Resume.NextNullID).Intern("h", 1)
+	bad := []*logic.Atom{logic.MakeAtom("r", logic.Constant("z"), hostile)}
+	if _, err := Resume(full.Instance, bad, sigma, full.Resume, Options{}); !errors.Is(err, ErrDeltaNull) {
+		t.Fatalf("delta null: err = %v, want ErrDeltaNull", err)
+	}
+	st := *full.Resume
+	st.NextNullID += 3
+	delta := []*logic.Atom{logic.MakeAtom("r", logic.Constant("z"), logic.Constant("c"))}
+	res, err := Resume(full.Instance, delta, sigma, &st, Options{Checkpoint: true})
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
-	if !res.Terminated {
-		t.Fatal("resumed run must terminate")
+	if !res.Terminated || res.Stats.Nulls != 1 {
+		t.Fatalf("resumed run: terminated %v, %d nulls, want one null", res.Terminated, res.Stats.Nulls)
 	}
-	// Every null key in the final instance must be unique per distinct term.
-	seen := map[string]logic.Term{}
-	for _, a := range res.Instance.Atoms() {
-		for _, tm := range a.Args {
-			if _, ok := tm.(*logic.Null); !ok {
-				continue
-			}
-			if prev, dup := seen[tm.Key()]; dup && prev != tm {
-				t.Fatalf("two distinct nulls share key %q", tm.Key())
-			}
-			seen[tm.Key()] = tm
-		}
+	if got := res.Instance.MaxNullID(); got != st.NextNullID {
+		t.Fatalf("fresh null numbered %d, want NextNullID %d", got, st.NextNullID)
 	}
-	if res.Stats.Nulls == 0 {
-		t.Fatal("delta should have fired the existential rule")
+	if res.Resume.NextNullID != st.NextNullID+1 {
+		t.Fatalf("chained NextNullID = %d, want %d", res.Resume.NextNullID, st.NextNullID+1)
 	}
 }
 

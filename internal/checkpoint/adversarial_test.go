@@ -140,12 +140,13 @@ func TestDecodeRejectsInternalDefects(t *testing.T) {
 	}
 }
 
-// Delta atoms interact with checkpointed null ids: a delta atom may carry
-// a null of its own, and the resumed run numbers its fresh nulls above
-// both the high-water mark and anything the delta introduced — no id is
-// ever reused (the regression this pins: seeding the factory from the
-// instance's max null id alone would collide with interned-but-unapplied
-// checkpoint nulls).
+// Delta atoms and checkpointed null ids: a delta atom that carries a null
+// is refused, since its id could name a checkpointed or an invented null.
+// A null-free delta's fresh nulls number from the artifact's NextNullID,
+// above every null the checkpointed run interned and not only above the
+// instance's largest (the regression this pins: seeding the factory from
+// the instance's max null id alone would collide with interned-but-
+// unapplied checkpoint nulls).
 func TestResumeDeltaNullCollision(t *testing.T) {
 	prog, res, data := captureEncoded(t, `r(a, b).
 		r(X, Y) -> ∃Z s(Y, Z).
@@ -154,13 +155,22 @@ func TestResumeDeltaNullCollision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	hostile, _ := logic.NewNullFactoryAt(cp.State.NextNullID+2).Intern("h", 1)
+	bad := []*logic.Atom{logic.MakeAtom("r", logic.Constant("z"), hostile)}
+	if _, err := cp.Resume(prog.Rules, bad, chase.Options{}); !errors.Is(err, chase.ErrDeltaNull) {
+		t.Fatalf("delta null: err = %v, want chase.ErrDeltaNull", err)
+	}
 
-	// A delta atom carrying a null above the checkpoint's high-water
-	// mark, as a hostile client could send.
-	hostile := logic.NewNullFactory()
-	n := hostile.NullAt(cp.State.NextNullID+2, 1)
-	delta := []*logic.Atom{logic.MakeAtom("r", logic.Constant("z"), n)}
-
+	// Raise the mark above the instance's nulls, as interned but unapplied
+	// nulls do, and carry it through an artifact.
+	cp.State.NextNullID += 2
+	if data, err = cp.Encode(); err != nil {
+		t.Fatal(err)
+	}
+	if cp, err = Decode(data); err != nil {
+		t.Fatal(err)
+	}
+	delta := []*logic.Atom{logic.MakeAtom("r", logic.Constant("z"), logic.Constant("c"))}
 	out, err := cp.Resume(prog.Rules, delta, chase.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -171,17 +181,8 @@ func TestResumeDeltaNullCollision(t *testing.T) {
 	if out.Instance.Len() <= res.Instance.Len()+1 {
 		t.Fatal("delta should have fired the existential rule")
 	}
-	seen := map[string]logic.Term{}
-	for _, a := range out.Instance.Atoms() {
-		for _, tm := range a.Args {
-			if _, ok := tm.(*logic.Null); !ok {
-				continue
-			}
-			if prev, dup := seen[tm.Key()]; dup && prev != tm {
-				t.Fatalf("two distinct nulls share key %q", tm.Key())
-			}
-			seen[tm.Key()] = tm
-		}
+	if got := out.Instance.MaxNullID(); got != cp.State.NextNullID {
+		t.Fatalf("fresh null numbered %d, want NextNullID %d", got, cp.State.NextNullID)
 	}
 }
 
@@ -206,33 +207,41 @@ func TestCaptureRequiresResumableState(t *testing.T) {
 	}
 }
 
-// Encode refuses instances whose nulls cannot be expressed portably:
-// two distinct nulls sharing a factory id would silently merge on the
-// wire (the conflation hazard the wire identity has by construction).
-func TestEncodeRejectsConflatableNulls(t *testing.T) {
+// TestEncodeOneNullPerFactoryID: a null is its factory id, so two
+// factories' nulls with one id are one term. The instance holds them as
+// one atom, and the artifact decodes to the same one-null instance. A
+// NextNullID past the null id space does not decode.
+func TestEncodeOneNullPerFactoryID(t *testing.T) {
 	f1, f2 := logic.NewNullFactory(), logic.NewNullFactory()
 	n1, _ := f1.Intern("a", 1)
 	n2, _ := f2.Intern("b", 1)
-	if n1.ID() != n2.ID() {
-		t.Fatal("setup: ids should collide")
-	}
 	inst := logic.NewInstance()
 	inst.Add(logic.MakeAtom("p", n1))
-	inst.Add(logic.MakeAtom("p", n2))
-	cp := &Checkpoint{
-		Instance: inst,
-		State:    &chase.ResumeState{DeltaStart: inst.Len()},
+	if inst.Add(logic.MakeAtom("p", n2)) {
+		t.Fatal("p(n2) added beside p(n1)")
 	}
-	if _, err := cp.Encode(); err == nil || !strings.Contains(err.Error(), "share factory id") {
-		t.Fatalf("err = %v, want factory-id conflation refusal", err)
+	inst.Add(logic.MakeAtom("q", n1, n2))
+	cp := &Checkpoint{Instance: inst, State: &chase.ResumeState{NextNullID: 1, DeltaStart: inst.Len()}}
+	data, err := cp.Encode()
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A factory id past MaxInt32 is refused too: the wire could not read
-	// it back, and its low 32 bits agree with n1's.
-	wide, _ := logic.NewNullFactoryAt(1<<32).Intern("c", 1)
-	inst = logic.NewDatabase(logic.MakeAtom("p", n1), logic.MakeAtom("p", wide))
-	cp = &Checkpoint{Instance: inst, State: &chase.ResumeState{DeltaStart: inst.Len()}}
-	if _, err := cp.Encode(); err == nil || !strings.Contains(err.Error(), "exceeds the wire's range") {
-		t.Fatalf("err = %v, want out-of-range refusal", err)
+	back, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Instance.CanonicalKey() != inst.CanonicalKey() {
+		t.Fatalf("decoded %v, want %v", back.Instance, inst)
+	}
+	if q := back.Instance.Atoms()[1]; q.Args[0] != q.Args[1] {
+		t.Fatalf("decoded %v: want one null in both positions", q)
+	}
+	cp.State.NextNullID = logic.NullIDs
+	if data, err = cp.Encode(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(data); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("NextNullID 2^30: err = %v, want ErrCorrupt", err)
 	}
 }
 

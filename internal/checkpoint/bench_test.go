@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -116,43 +117,74 @@ func BenchmarkResumeVsFull(b *testing.B) {
 	})
 }
 
-// BenchmarkCheckpointCycle is one resume-delta request at the layer
-// level: Decode a University(100) artifact, Resume it with one new
-// student's enrolment, Capture the result and Encode the next artifact,
-// with a warm compile cache. CI pins its allocs/op.
-func BenchmarkCheckpointCycle(b *testing.B) {
+// resumeDeltaCycle is one resume-delta request at the layer level over a
+// University(100) artifact: Decode it, Resume it with one new student's
+// enrolment, Capture the result and Encode the next artifact, with a warm
+// compile cache. The returned func runs one request and returns its
+// artifact.
+func resumeDeltaCycle(tb testing.TB) func() []byte {
+	tb.Helper()
 	w := families.University(100, 1)
-	cache := compile.NewCache(8)
-	opts := chase.Options{Compile: cache, Checkpoint: true}
+	opts := chase.Options{Compile: compile.NewCache(8), Checkpoint: true}
 	base := chase.Run(w.Database, w.Sigma, opts)
 	if !base.Terminated {
-		b.Fatal("base run must terminate")
+		tb.Fatal("base run must terminate")
 	}
 	cp, err := Capture(w.Sigma, base)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	artifact, err := cp.Encode()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	delta := []*logic.Atom{logic.MakeAtom("enrolled", logic.Constant("new0"), logic.Constant("c0"))}
-	b.ReportAllocs()
-	for b.Loop() {
+	return func() []byte {
 		dec, err := Decode(artifact)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		res, err := dec.Resume(w.Sigma, delta, opts)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		next, err := Capture(w.Sigma, res)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		if _, err := next.Encode(); err != nil {
-			b.Fatal(err)
+		out, err := next.Encode()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return out
+	}
+}
+
+// BenchmarkCheckpointCycle times resumeDeltaCycle's request. CI pins its
+// allocs/op.
+func BenchmarkCheckpointCycle(b *testing.B) {
+	cycle := resumeDeltaCycle(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		cycle()
+	}
+}
+
+// TestResumeDeltaSpendsNoSymbolIDs is a soak test of resume-delta serving:
+// resumeDeltaCycle's request, 20 times. A decoded or invented null takes
+// no symbol id, and every constant is known after the first request, so
+// the symbol table's high-water mark must not move after it, and every
+// request must encode the same artifact.
+func TestResumeDeltaSpendsNoSymbolIDs(t *testing.T) {
+	cycle := resumeDeltaCycle(t)
+	first := cycle()
+	ids := logic.GroundIDs()
+	for i := 1; i < 20; i++ {
+		if !bytes.Equal(cycle(), first) {
+			t.Fatalf("request %d encoded another artifact", i)
+		}
+		if got := logic.GroundIDs(); got != ids {
+			t.Fatalf("request %d: symbol ids rose from %d to %d", i, ids, got)
 		}
 	}
 }

@@ -24,16 +24,10 @@ package checkpoint
 // checkpoint's content — process-local symbol ids never appear — so
 // equal checkpoints encode byte-identically in any process and
 // encode∘decode is a fixpoint (FuzzCheckpointRoundTrip pins both down).
-// Encoding enforces the snapshot's null identity precondition: two
-// distinct nulls sharing a factory id (as atoms from independent decodes
-// can) would silently merge on the wire, so Encode refuses such
-// instances instead of producing an artifact that decodes to something
-// else.
 
 import (
 	"crypto/sha256"
 	"fmt"
-	"math"
 
 	"repro/internal/chase"
 	"repro/internal/codec"
@@ -43,36 +37,12 @@ import (
 
 const checksumLen = 8
 
-// Encode serializes the checkpoint. It fails when the instance cannot
-// be expressed portably: distinct nulls sharing a factory id would
-// collide on the wire and decode as one null.
+// Encode serializes the checkpoint. It fails only on a checkpoint
+// without an instance or a state.
 func (c *Checkpoint) Encode() ([]byte, error) {
 	if c.State == nil || c.Instance == nil {
 		return nil, fmt.Errorf("checkpoint: encode of an incomplete checkpoint")
 	}
-	// The (factory id -> null) injection the wire identity requires, over
-	// the ids the wire can read back (up to MaxInt32).
-	var (
-		ids  logic.Numbering // factory id -> number
-		syms []int32         // number -> symbol id of the null first seen with it
-	)
-	for _, a := range c.Instance.Atoms() {
-		for i, t := range a.Args {
-			n, ok := t.(*logic.Null)
-			if !ok {
-				continue
-			}
-			if n.ID() > math.MaxInt32 {
-				return nil, fmt.Errorf("checkpoint: null id %d exceeds the wire's range; the instance is not portable", n.ID())
-			}
-			if j, fresh := ids.Number(int32(n.ID())); fresh {
-				syms = append(syms, a.ArgID(i))
-			} else if syms[j] != a.ArgID(i) {
-				return nil, fmt.Errorf("checkpoint: distinct nulls share factory id %d; the instance is not portable", n.ID())
-			}
-		}
-	}
-
 	snap := wire.EncodeSnapshot(c.Instance)
 	// 128 bytes hold the header (two digests, a flag byte and five
 	// varints of at most 10 bytes each) and the checksum.
@@ -99,8 +69,9 @@ func (c *Checkpoint) Encode() ([]byte, error) {
 // Decode parses and validates an artifact of the current Version; its
 // instance is the artifact's one wire snapshot, decoded by
 // wire.DecodeSnapshot. Every defect — checksum mismatch, truncation, bad
-// section, a delta window past the snapshot — fails with ErrCorrupt
-// wrapping the specifics; hostile input never panics.
+// section, a next null id outside [0, logic.NullIDs), a delta window past
+// the snapshot — fails with ErrCorrupt wrapping the specifics; hostile
+// input never panics.
 func Decode(data []byte) (*Checkpoint, error) {
 	if len(data) < 2+1+2*sha256.Size+checksumLen {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than any artifact", ErrCorrupt, len(data))
@@ -154,6 +125,9 @@ func Decode(data []byte) (*Checkpoint, error) {
 	}
 	if c.State.NextNullID, err = r.Value("next null id"); err != nil {
 		return nil, err
+	}
+	if c.State.NextNullID >= logic.NullIDs {
+		return nil, r.Errorf("next null id %d outside [0, 2^30)", c.State.NextNullID)
 	}
 	if c.State.DeltaStart, err = r.Value("delta start"); err != nil {
 		return nil, err

@@ -43,7 +43,7 @@ func TestStreamServiceTicketRendersFinalRound(t *testing.T) {
 			t.Fatal("no progress lines rendered")
 		}
 		want := fmt.Sprintf("tool: stream round=%d atoms=%d nulls=%d",
-			r.Stats().Rounds, r.Stats().Atoms, r.Stats().Nulls)
+			r.Chase.Stats.Rounds, r.Chase.Stats.Atoms, r.Chase.Stats.Nulls)
 		if last := lines[len(lines)-1]; !strings.HasPrefix(last, want) {
 			t.Fatalf("run %d: last rendered line %q, want the final round %q", i, last, want)
 		}

@@ -148,7 +148,7 @@ func TestCoordinatorFleetEquivalence(t *testing.T) {
 				if lr.Chase.Terminated != rr.Terminated {
 					t.Fatalf("fleet=%d workers=%d %s: Terminated %v vs %v", fleetSize, workers, p.name, lr.Chase.Terminated, rr.Terminated)
 				}
-				ls, rs := lr.Stats(), rr.Stats
+				ls, rs := lr.Chase.Stats, rr.Stats
 				ls.CompileHits, ls.CompileMisses = 0, 0
 				rs.CompileHits, rs.CompileMisses = 0, 0
 				if ls != rs {

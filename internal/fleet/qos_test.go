@@ -202,7 +202,7 @@ func TestFleetAnytimeEquivalence(t *testing.T) {
 		if lr.BudgetSource != rr.Source {
 			t.Fatalf("%s: budget source %v vs %v", p.name, lr.BudgetSource, rr.Source)
 		}
-		ls, rs := lr.Stats(), rr.Stats
+		ls, rs := lr.Chase.Stats, rr.Stats
 		ls.CompileHits, ls.CompileMisses = 0, 0
 		rs.CompileHits, rs.CompileMisses = 0, 0
 		if ls != rs {

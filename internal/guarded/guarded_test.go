@@ -408,11 +408,11 @@ func TestCanonicalize(t *testing.T) {
 	if !ok || back.String() != "Q(a,c)" {
 		t.Fatalf("invert = %v", back)
 	}
-	// Same pattern over different constants gives the same type key.
+	// Same pattern over different constants gives the same type.
 	guard2 := logic.MakeAtom("R", b, b, c, a)
 	side2 := logic.MakeAtom("Q", b, a)
 	typ2, _ := Canonicalize(guard2, []*logic.Atom{side2})
-	if typ.Key() != typ2.Key() {
+	if typ.String() != typ2.String() {
 		t.Fatal("canonicalization must be pattern-invariant")
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // Property: canonicalization is invariant under injective renaming of the
-// terms — the canonical type key depends only on the equality pattern.
+// terms — the canonical type depends only on the equality pattern.
 func TestCanonicalizeRenamingInvariant(t *testing.T) {
 	f := func(raw []uint8, shift uint8) bool {
 		if len(raw) == 0 || len(raw) > 6 {
@@ -27,7 +27,7 @@ func TestCanonicalizeRenamingInvariant(t *testing.T) {
 		g2, s2 := mk(int(shift%20) + 4) // disjoint constant range
 		t1, _ := Canonicalize(g1, s1)
 		t2, _ := Canonicalize(g2, s2)
-		return t1.Key() == t2.Key()
+		return t1.String() == t2.String()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -58,24 +58,7 @@ type Type struct {
 	Guard *logic.Atom
 	// Atoms holds the type's atoms (guard included), sorted by key.
 	Atoms []*logic.Atom
-	id    int32  // dense id in its engine's registry; -1 outside one
-	key   string // built lazily by Key
-}
-
-// Key returns the canonical identity of the type as a string, comparable
-// across engines and processes. Engines identify types by their id key
-// and never build it. Like Atom.Key, it is cached without synchronization.
-func (t *Type) Key() string {
-	if t.key == "" {
-		var b strings.Builder
-		b.WriteString(t.Guard.Key())
-		for _, a := range t.Atoms {
-			b.WriteByte('\x03')
-			b.WriteString(a.Key())
-		}
-		t.key = b.String()
-	}
-	return t.key
+	id    int32 // dense id in its engine's registry; -1 outside one
 }
 
 // String renders the type as "R(1,1,2) | {S(2,1), T(1)}".

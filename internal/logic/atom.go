@@ -159,16 +159,6 @@ func (a *Atom) IsFact() bool {
 	return true
 }
 
-// IsGround reports whether the atom contains no variables.
-func (a *Atom) IsGround() bool {
-	for _, t := range a.Args {
-		if !IsGround(t) {
-			return false
-		}
-	}
-	return true
-}
-
 // Variables returns the distinct variables of the atom in order of first
 // occurrence.
 func (a *Atom) Variables() []Variable {

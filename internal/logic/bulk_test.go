@@ -134,26 +134,3 @@ func TestNewDatabaseMatchesAdd(t *testing.T) {
 	CheckBulkMatchesAdd(t, []*Atom{p, p, p, p, p}, []*Atom{p})
 	CheckBulkMatchesAdd(t, []*Atom{p, MakeAtom("p", Constant("a"), Constant("b"))}, []*Atom{MakeAtom("p", Constant("b"), Constant("a"))})
 }
-
-// TestNullAtKeepsIDsApart: NullAt's table tags an id by its low 32 bits,
-// yet ids that share them, and ids past 2^31, each stay their own null,
-// found again by NullAt with the depth they were created at.
-func TestNullAtKeepsIDsApart(t *testing.T) {
-	f := NewNullFactory()
-	ids := []int{0, 1 << 32, 1<<32 + 1, 1, 1<<31 + 5, 5, -1 << 40}
-	made := make([]*Null, len(ids))
-	for i, id := range ids {
-		if at, _ := f.findAt(id); at >= 0 {
-			t.Fatalf("id %d found before creation", id)
-		}
-		made[i] = f.NullAt(id, i+1)
-		if n := made[i]; n.ID() != id || n.Depth() != i+1 {
-			t.Fatalf("NullAt(%d) = null %d at depth %d", id, n.ID(), n.Depth())
-		}
-	}
-	for i, id := range ids {
-		if n := f.NullAt(id, 99); n != made[i] || n.Depth() != i+1 {
-			t.Fatalf("id %d resolves to %v", id, n)
-		}
-	}
-}

@@ -371,18 +371,6 @@ func (in *Instance) MaxNullID() int {
 	return max
 }
 
-// MaxDepth returns the maximum atom depth over the instance (0 when empty
-// or all facts).
-func (in *Instance) MaxDepth() int {
-	max := 0
-	for _, a := range in.order {
-		if d := a.Depth(); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // IsDatabase reports whether every atom is a fact (constants only).
 func (in *Instance) IsDatabase() bool {
 	for _, a := range in.order {

@@ -83,13 +83,6 @@ func TestAtomDepthAndGroundness(t *testing.T) {
 	if a.IsFact() {
 		t.Fatal("atom with null is not a fact")
 	}
-	if !a.IsGround() {
-		t.Fatal("atom with null and constant is ground")
-	}
-	b := MakeAtom("R", Variable("X"))
-	if b.IsGround() {
-		t.Fatal("atom with variable is not ground")
-	}
 }
 
 func TestAtomVariablesAndPositions(t *testing.T) {

@@ -275,19 +275,23 @@ type deltaConstraint struct {
 	bound int // mustBeOld: exclusive upper; mustBeNew: inclusive lower
 }
 
-// matcher is a compiled body join. Per ordered body atom, code holds one
-// int32 per argument: a ground term id (>= 0), or -1-slot for a variable's
-// binding slot. Bindings are flat arrays indexed by slot; the trail
-// records bound slots for backtracking.
-type matcher struct {
-	inst        *Instance
-	body        []*Atom
-	constraints []deltaConstraint
-	code        [][]int32 // views into codeArena
-	codeArena   []int32
-
+// compiled is a body compiled for the join: the ordered body atoms and
+// their codes, one int32 per argument — a ground term id (>= 0), or
+// -1-slot for a variable's binding slot.
+type compiled struct {
+	body    []*Atom
+	code    [][]int32  // per ordered atom
 	slotVar []Variable // slot -> source variable
 	slotID  []int32    // slot -> the variable's interned id
+}
+
+// matcher is a compiled body join. Bindings are flat arrays indexed by
+// slot; the trail records bound slots for backtracking.
+type matcher struct {
+	inst *Instance
+	compiled
+	constraints []deltaConstraint
+	codeArena   []int32 // backs code after a fresh compile
 
 	boundID   []int32 // slot -> image id, -1 when unbound (ground ids are >= 0)
 	boundTerm []Term  // slot -> image term
@@ -298,10 +302,11 @@ type matcher struct {
 	ordPerm []int             // ordered position -> original body index
 	consIn  []deltaConstraint // reusable input-constraint buffer
 
-	// borrowed marks that body/code/slotVar/slotID point into a shared
-	// read-only BodyProgram rather than the matcher's own buffers; the next
-	// fresh compile must drop them instead of appending in place.
+	// borrowed marks that compiled points into a shared read-only
+	// BodyProgram; own keeps the matcher's buffers meanwhile, and the next
+	// fresh compile takes them back instead of appending to the program.
 	borrowed bool
+	own      compiled
 
 	view    Match
 	stopped bool
@@ -311,10 +316,7 @@ type matcher struct {
 // matcher's buffers so semi-naive seeds recompile without allocating.
 func (m *matcher) compile(body []*Atom, cons []deltaConstraint, start int) {
 	if m.borrowed {
-		// The previous call installed a shared BodyProgram; appending into
-		// its slices would corrupt the cached program, so start fresh.
-		m.body, m.code, m.slotVar, m.slotID = nil, nil, nil, nil
-		m.borrowed = false
+		m.compiled, m.borrowed = m.own, false
 	}
 	m.orderBody(body, cons, start)
 	m.slotVar = m.slotVar[:0]

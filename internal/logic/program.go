@@ -16,13 +16,10 @@ package logic
 // any number of Matchers concurrently: running matchers read the program
 // and keep their bindings in their own slot arrays.
 type BodyProgram struct {
-	body    []*Atom   // join-ordered body atoms (seed first)
-	perm    []int     // ordered position -> original body index
-	code    [][]int32 // per ordered atom: ground id (>= 0) or -1-slot
-	slotVar []Variable
-	slotID  []int32
-	seed    int   // original index of the seed atom
-	seedPid int32 // the seed atom's predicate id (delta-skip probe)
+	compiled       // join-ordered body (seed first) and its slot codes
+	perm     []int // ordered position -> original body index
+	seed     int   // original index of the seed atom
+	seedPid  int32 // the seed atom's predicate id (delta-skip probe)
 }
 
 // CompileBodySeed compiles the body for the given seed position. It
@@ -37,13 +34,10 @@ func CompileBodySeed(body []*Atom, seed int) *BodyProgram {
 	var m matcher
 	m.compile(body, m.anyAgeCons(len(body)), seed)
 	return &BodyProgram{
-		body:    m.body,
-		perm:    m.ordPerm,
-		code:    m.code,
-		slotVar: m.slotVar,
-		slotID:  m.slotID,
-		seed:    seed,
-		seedPid: body[seed].pid,
+		compiled: m.compiled,
+		perm:     m.ordPerm,
+		seed:     seed,
+		seedPid:  body[seed].pid,
 	}
 }
 
@@ -53,11 +47,10 @@ func CompileBodySeed(body []*Atom, seed int) *BodyProgram {
 // at or after it, later atoms are unconstrained — the same windows
 // seedConstraints builds before a fresh compile permutes them.
 func (m *matcher) install(prog *BodyProgram, deltaStart int) {
-	m.body = prog.body
-	m.code = prog.code
-	m.slotVar = prog.slotVar
-	m.slotID = prog.slotID
-	m.borrowed = true
+	if !m.borrowed {
+		m.own, m.borrowed = m.compiled, true
+	}
+	m.compiled = prog.compiled
 	n := len(prog.body)
 	if cap(m.constraints) < n {
 		m.constraints = make([]deltaConstraint, n)

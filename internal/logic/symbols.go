@@ -7,27 +7,23 @@ import (
 	"sync/atomic"
 )
 
-// This file implements the interned-ID data plane. A process-wide Symbols
-// table maps every term and every predicate to a dense int32 symbol id;
-// atoms carry their interned id tuple plus a precomputed 64-bit hash,
-// instances index atoms by ids, and the matcher unifies on ids, so the
-// chase hot path never builds or hashes Term.Key() strings.
+// This file implements the interned-ID data plane. Every term and every
+// predicate has an int32 symbol id; atoms carry their id tuple plus a
+// precomputed 64-bit hash, instances index atoms by ids, and the matcher
+// unifies on ids, so the chase hot path never builds or hashes Term.Key()
+// strings.
 //
-// Id space: ground terms — constants, nulls, fresh terms and foreign term
-// kinds — receive ids >= 0; variables receive ids < 0, so a sign test
-// classifies a term during matching. Within one Symbols table, term
-// identity is id identity: IDOf(s) == IDOf(t) iff s and t are the same
-// term. For every kind except nulls this coincides with Key() equality;
-// null keys are factory-local (two factories render their first null as
-// the same key, while their ids stay distinct), which is exactly what
-// keeps Key() — and hence CanonicalKey and rendering — usable as the
-// cross-run identity when comparing instances produced by independent
-// chase runs.
+// Id space: variables receive ids < 0, so a sign test classifies a term
+// during matching. Constants, fresh terms and foreign term kinds are
+// interned into a process-wide Symbols table, which hands them dense ids
+// in [0, NullIDs). A null's id is NullIDs plus its factory id, so nulls
+// take [NullIDs, 2^31) and creating one touches no shared state. Term
+// identity is id identity: IDOf(s) == IDOf(t) iff s.Key() == t.Key().
 
-// Symbols interns terms and predicates into dense int32 ids. The zero
-// value is not usable; the package maintains one process-wide table that
-// all atoms share, so ids are comparable across instances, TGD sets and
-// chase runs within one process.
+// Symbols interns every term kind but nulls, and predicates, into dense
+// int32 ids. The zero value is not usable; the package maintains one
+// process-wide table that all atoms share, so ids are comparable across
+// instances, TGD sets and chase runs within one process.
 //
 // Concurrency: the table is safe for concurrent use. Lookups (IDOf on a
 // known symbol, TermOfID, PredOfID, and the internal lookup helpers) are
@@ -39,13 +35,13 @@ import (
 // assignment; symbols are append-only and never removed, so a published
 // (symbol, id) pair is immutable.
 //
-// Nulls draw their ids from the same ground id space but are not stored
-// in the table: a null's identity lives in its factory, and keeping every
-// null ever chased alive in a process-wide table would leak across runs.
-// TermOfID therefore resolves every term kind except nulls.
+// Nulls are not stored in the table: a null's id is a function of its
+// factory id, and keeping every null ever chased alive in a process-wide
+// table would leak across runs. TermOfID therefore resolves every term
+// kind except nulls.
 type Symbols struct {
 	mu     sync.Mutex   // serializes writers; readers never take it
-	nextID atomic.Int32 // next unassigned ground id (shared with nulls)
+	nextID atomic.Int32 // next unassigned ground id, below NullIDs
 
 	frozen    atomic.Pointer[constTable] // constants frozen so far; see freeze
 	recent    []Constant                 // writers only: the constants not yet frozen
@@ -73,20 +69,24 @@ func newSymbols() *Symbols {
 // symtab is the process-wide symbol table.
 var symtab = newSymbols()
 
-// IDOf returns the interned symbol id of the term, interning it first if
-// necessary. Ground terms get ids >= 0, variables ids < 0. Nulls carry
-// their id from creation, so the common chase case takes no lock; known
-// symbols resolve through the lock-free read path.
+// NullIDs bounds the factory ids of nulls and the ids the symbol table
+// hands out: a null's symbol id is NullIDs plus its factory id.
+const NullIDs = 1 << 30
+
+// IDOf returns the symbol id of the term, interning it first if
+// necessary. Ground terms get ids >= 0, variables ids < 0. A null's id is
+// NullIDs plus its factory id, so the common chase case takes no lock;
+// known symbols resolve through the lock-free read path.
 func IDOf(t Term) int32 {
 	if n, ok := t.(*Null); ok {
-		return n.gid
+		return NullIDs + int32(n.id)
 	}
 	return symtab.intern(t)
 }
 
 // TermOfID returns the term interned under the id, or nil for ids that
-// were never handed out or belong to nulls (which live in their factory,
-// not the table). It is lock-free and safe for concurrent use.
+// were never handed out or name nulls (a null lives in its factory, not
+// the table). It is lock-free and safe for concurrent use.
 func TermOfID(id int32) Term {
 	if id < 0 {
 		vars := *symtab.vars.Load()
@@ -103,11 +103,11 @@ func TermOfID(id int32) Term {
 	return symtab.frozen.Load().constant(id)
 }
 
-// GroundIDs returns the number of ground symbol ids handed out so far —
-// every constant, fresh term and foreign term interned, and every null
-// created — which is the high-water mark of the id space: interning panics
-// once it reaches 2^31. It is lock-free and safe for concurrent use.
-func GroundIDs() int64 { return int64(uint32(symtab.nextID.Load())) }
+// GroundIDs returns the number of ground symbol ids the table has handed
+// out — one per constant, fresh term and foreign term interned; nulls take
+// none. Interning panics once it reaches NullIDs. It is lock-free and safe
+// for concurrent use.
+func GroundIDs() int64 { return int64(symtab.nextID.Load()) }
 
 // PredIDOf returns the interned id of the predicate, interning it first if
 // necessary. Known predicates resolve lock-free.
@@ -140,8 +140,8 @@ func PredOfID(id int32) Predicate {
 // false when the term was never seen. Read-only queries use it so that
 // probing for absent symbols does not grow the table.
 func lookupTermID(t Term) (int32, bool) {
-	if n, isNull := t.(*Null); isNull {
-		return n.gid, true
+	if _, isNull := t.(*Null); isNull {
+		return IDOf(t), true
 	}
 	return symtab.lookup(t)
 }
@@ -225,12 +225,14 @@ func (s *Symbols) lookup(t Term) (int32, bool) {
 
 // addGround assigns the next ground id and publishes the id -> term view
 // before the caller publishes the term -> id entry, so a reader that finds
-// an id can always resolve it back.
+// an id can always resolve it back. Callers hold mu.
 func (s *Symbols) addGround(t Term) int32 {
-	id := s.nextID.Add(1) - 1
-	if id < 0 {
-		panic("logic: ground symbol id space exhausted (2^31 ids)")
+	id := s.nextID.Load()
+	if id == NullIDs {
+		// Past it, ids would name nulls.
+		panic("logic: ground symbol id space exhausted (2^30 ids)")
 	}
+	s.nextID.Store(id + 1)
 	s.ground.Store(id, t)
 	return id
 }
@@ -314,19 +316,6 @@ func (c *constTable) with(names []Constant, ids []int32) *constTable {
 		out.byName.put(free, tag, int32(len(c.ids)+k))
 	}
 	return out
-}
-
-// registerNull assigns a fresh ground id to a newly created null, without
-// the writer mutex and without retaining the null: the id counter is
-// atomic, and the factory owns the null's lifetime.
-func registerNull(*Null) int32 {
-	id := symtab.nextID.Add(1) - 1
-	if id < 0 {
-		// Wraparound would flip the sign-based variable/ground
-		// classification and silently corrupt matching; fail loudly.
-		panic("logic: ground symbol id space exhausted (2^31 ids)")
-	}
-	return id
 }
 
 // internAtom interns the predicate and every argument of an atom and
@@ -426,9 +415,6 @@ func (ti *TupleInterner) Reset() {
 	ti.starts = ti.starts[:1]
 	ti.arena = ti.arena[:0]
 }
-
-// Len returns the number of distinct tuples interned.
-func (ti *TupleInterner) Len() int { return len(ti.starts) - 1 }
 
 func (ti *TupleInterner) at(id int32) []int32 {
 	return ti.arena[ti.starts[id]:ti.starts[id+1]]

@@ -7,10 +7,9 @@ import (
 )
 
 // Id-based term identity must agree with the old Key()-string identity for
-// every built-in term kind (nulls within one factory: their keys are
-// factory-local by design).
+// every built-in term kind, nulls of two factories included.
 func TestTermIDAgreesWithKeyEquality(t *testing.T) {
-	f := NewNullFactory()
+	f, g := NewNullFactory(), NewNullFactoryAt(2)
 	pool := []Term{
 		Constant("a"), Constant("b"), Constant("a"), Constant(""),
 		Variable("a"), Variable("X"), Variable("X"),
@@ -18,7 +17,8 @@ func TestTermIDAgreesWithKeyEquality(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		n, _ := f.Intern("k"+string(rune('0'+i%3)), 1)
-		pool = append(pool, n)
+		m, _ := g.Intern("k"+string(rune('0'+i%3)), 1)
+		pool = append(pool, n, m)
 	}
 	for _, s := range pool {
 		for _, u := range pool {
@@ -28,6 +28,52 @@ func TestTermIDAgreesWithKeyEquality(t *testing.T) {
 				t.Errorf("IDOf(%v)==IDOf(%v) is %v but Key equality is %v", s, u, idEq, keyEq)
 			}
 		}
+	}
+}
+
+// TestNullIDIsFactoryID: a null's symbol id is NullIDs plus its factory
+// id, so two factories' nulls with one id are one term, creating nulls
+// spends no table id, and a factory refuses ids outside [0, NullIDs).
+func TestNullIDIsFactoryID(t *testing.T) {
+	before := GroundIDs()
+	f, g := NewNullFactory(), NewNullFactory()
+	var n1, n2 *Null
+	for i := range 100 {
+		n1, _ = f.Intern(string(rune('a'+i)), 1)
+		n2 = g.NullAt(i, 1)
+	}
+	if GroundIDs() != before {
+		t.Fatalf("creating 200 nulls spent %d table ids", GroundIDs()-before)
+	}
+	if got := IDOf(n1); got != NullIDs+99 {
+		t.Fatalf("IDOf(null 99) = %d, want %d", got, NullIDs+99)
+	}
+	if id, ok := lookupTermID(n2); !ok || id != IDOf(n1) {
+		t.Fatalf("lookupTermID(null 99) = %d, %v, want %d", id, ok, IDOf(n1))
+	}
+	if TermOfID(IDOf(n1)) != nil {
+		t.Fatal("TermOfID resolved a null")
+	}
+	in := NewDatabase(MakeAtom("p", n1), MakeAtom("p", n2))
+	if in.Len() != 1 {
+		t.Fatalf("two factories' nulls with one id made %d atoms, want 1", in.Len())
+	}
+	if last, _ := NewNullFactoryAt(NullIDs-1).Intern("x", 1); IDOf(last) != 1<<31-1 {
+		t.Fatalf("the last null id maps to %d", IDOf(last))
+	}
+	for _, mk := range []func(){
+		func() { NewNullFactory().NullAt(NullIDs, 1) },
+		func() { NewNullFactory().NullAt(-1, 1) },
+		func() { NewNullFactoryAt(NullIDs).InternTuple([]int32{1}, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("a null id outside [0, NullIDs) was accepted")
+				}
+			}()
+			mk()
+		}()
 	}
 }
 
@@ -161,7 +207,7 @@ func TestTupleInterner(t *testing.T) {
 			seen[key] = id
 		}
 	}
-	if ti.Len() != len(seen) {
-		t.Fatalf("interner has %d tuples, want %d", ti.Len(), len(seen))
+	if len(ti.starts)-1 != len(seen) {
+		t.Fatalf("interner has %d tuples, want %d", len(ti.starts)-1, len(seen))
 	}
 }

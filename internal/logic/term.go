@@ -2,21 +2,24 @@
 // terms (constants, labeled nulls, variables), predicates and positions,
 // atoms, substitutions, instances and databases, and homomorphism search.
 //
-// Identity is two-layered. The data plane is integer-based: every term and
-// predicate is interned into a process-wide symbol table (see symbols.go)
-// that assigns dense int32 ids, atoms carry their interned id tuple plus a
+// The data plane is integer-based: every term and predicate has an int32
+// symbol id (see symbols.go), atoms carry their id tuple plus a
 // precomputed 64-bit hash, and instances and the matcher operate on ids
-// only — within one Symbols table, term identity is interned-id identity.
-// Strings remain the presentation and cross-table layer: two terms are the
-// same term if and only if their Keys are equal, and keys are what gets
-// compared across independently produced instances (CanonicalKey) and
-// rendered by the parser and formatters, the only places strings enter or
-// leave the system.
+// only. Within one process, two terms are the same term if and only if
+// their ids are equal, which for every built-in kind is Key equality.
+// Constants, fresh and foreign terms are interned into a process-wide
+// symbol table; a null's id is a pure function of its factory id, the
+// identity its Key renders. Strings remain the presentation layer and
+// the cross-process identity: keys are what gets compared across
+// independently produced instances (CanonicalKey) and rendered by the
+// parser and formatters, the only places strings enter or leave the
+// system.
 //
-// Nulls are interned through a NullFactory, which realizes the
-// semi-oblivious naming scheme of the paper (a null is uniquely determined
-// by the trigger that invents it, restricted to the frontier, and the
-// existential variable it stands for).
+// Nulls are created by a NullFactory, which realizes the semi-oblivious
+// naming scheme of the paper (a null is uniquely determined by the
+// trigger that invents it, restricted to the frontier, and the
+// existential variable it stands for). A null is named only within its
+// instance, so an instance holds the nulls of one factory numbering.
 //
 // Concurrency: the process-wide symbol table is safe for concurrent use
 // with lock-free reads (see symbols.go), and instances support concurrent
@@ -27,7 +30,6 @@ package logic
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 )
 
@@ -74,19 +76,17 @@ func (f Fresh) Key() string { return "f\x00" + strconv.Itoa(int(f)) }
 func (f Fresh) String() string { return strconv.Itoa(int(f)) }
 
 // Null is a term from the countably infinite set N of labeled nulls.
-// Nulls are created exclusively through a NullFactory; two nulls are the
-// same value if and only if they were interned under the same key, so
-// pointer equality coincides with term equality within one factory.
+// Nulls are created exclusively through a NullFactory. A null's identity
+// is its factory id: two nulls with one id are one term, by symbol id
+// and by Key.
 type Null struct {
 	id    int
-	gid   int32  // process-wide symbol id, assigned at creation
 	name  string // lazily built by String; not synchronized (presentation, like Atom.Key)
 	depth int
 }
 
-// Key implements Term. The key is factory-local (it identifies the null
-// among its factory's nulls), which keeps instances produced by
-// independent chase runs comparable by CanonicalKey.
+// Key implements Term. The key is the factory id, which keeps instances
+// produced by independent chase runs comparable by CanonicalKey.
 func (n *Null) Key() string { return "n\x00" + strconv.Itoa(n.id) }
 
 // String returns the printable name of the null (for example "⊥3"). The
@@ -100,7 +100,7 @@ func (n *Null) String() string {
 	return n.name
 }
 
-// ID returns the factory-assigned identifier of the null.
+// ID returns the factory-assigned identifier of the null, in [0, NullIDs).
 func (n *Null) ID() int { return n.id }
 
 // Depth returns the depth of the null per Definition 4.3 of the paper:
@@ -120,9 +120,7 @@ type NullFactory struct {
 	tuples   *TupleInterner
 	byTuple  []*Null // tuple id -> null
 	all      []*Null
-	atIDs    tagTable // NullAt id's low 32 bits -> index in at
-	at       []*Null  // NullAt-created nulls, in creation order
-	base     int      // first id this factory hands out
+	base     int // first id this factory hands out
 	maxDepth int
 	chunk    []Null // block the next nulls are carved from (newNull)
 }
@@ -134,11 +132,11 @@ func NewNullFactory() *NullFactory {
 
 // NewNullFactoryAt returns an empty factory numbering nulls from base
 // upward. The chase engine passes 1 + the largest null id of its input
-// instance, so the nulls it invents never reuse a factory-local id (and
-// hence a Key) already carried by an input null — chasing an instance
-// that itself contains nulls (a decoded wire snapshot, a previous chase
-// result) keeps old and new nulls distinct under every Key-derived
-// identity (CanonicalKey, rendering, re-encoding).
+// instance, so the nulls it invents never reuse a factory id already
+// carried by an input null: an input null and an invented null with one
+// id would be one term. Chasing an instance that itself contains nulls (a
+// decoded wire snapshot, a previous chase result) thus keeps old and new
+// nulls apart.
 func NewNullFactoryAt(base int) *NullFactory {
 	if base < 0 {
 		base = 0
@@ -183,55 +181,31 @@ func (f *NullFactory) newNull(depth int) *Null {
 // carve creates a null in the factory's current block: nulls escape with
 // the instance that references them, so blocks are abandoned (never
 // recycled) once full, and the per-null heap cost amortizes to 1/nullChunk
-// allocations. Names are built lazily by String.
+// allocations. Names are built lazily by String. An id outside
+// [0, NullIDs) has no symbol id, so carve panics on it.
 func (f *NullFactory) carve(id, depth int) *Null {
 	const nullChunk = 64
+	if id < 0 || id >= NullIDs {
+		panic("logic: null id " + strconv.Itoa(id) + " outside the null id space [0, 2^30)")
+	}
 	if len(f.chunk) == cap(f.chunk) {
 		f.chunk = make([]Null, 0, nullChunk)
 	}
 	f.chunk = f.chunk[:len(f.chunk)+1]
 	n := &f.chunk[len(f.chunk)-1]
 	*n = Null{id: id, depth: depth}
-	n.gid = registerNull(n)
 	if depth > f.maxDepth {
 		f.maxDepth = depth
 	}
 	return n
 }
 
-// NullAt returns the factory's null with the given factory id, creating
-// it with the given depth if absent. It exists for decoders that must
-// reproduce another factory's id assignment exactly (internal/wire): a
-// flat table tags NullAt-created nulls by the low 32 bits of their ids and
-// tells them apart by their stored ids, so an id set with gaps round-trips
-// without inventing nulls, and the depth argument is ignored for an id
-// that already exists. A factory used through NullAt must not also use
-// Intern/InternTuple — the two numbering disciplines would collide — and
-// its Len excludes NullAt-created nulls.
-func (f *NullFactory) NullAt(id, depth int) *Null {
-	f.atIDs.reserve(1)
-	i, free := f.findAt(id)
-	if i >= 0 {
-		return f.at[i]
-	}
-	f.atIDs.put(free, uint32(id), int32(len(f.at)))
-	n := f.carve(id, depth)
-	f.at = append(f.at, n)
-	return n
-}
-
-// GrowAt makes room for n more NullAt-created nulls, so a decoder that
-// knows how many nulls a section declares creates them without regrowing.
-func (f *NullFactory) GrowAt(n int) {
-	f.atIDs.reserve(n)
-	f.at = slices.Grow(f.at, n)
-}
-
-// findAt is the atIDs probe for id: the index in at of its null, or -1 and
-// the free slot that ended the probe.
-func (f *NullFactory) findAt(id int) (int32, int) {
-	return f.atIDs.find(uint32(id), func(i int32) bool { return f.at[i].id == id })
-}
+// NullAt creates a null with the given factory id and depth. It exists
+// for decoders that reproduce another factory's id assignment
+// (internal/wire), which call it once per id. A factory used through
+// NullAt must not also use Intern/InternTuple, whose ids would collide
+// with the reproduced ones, and its Len excludes NullAt-created nulls.
+func (f *NullFactory) NullAt(id, depth int) *Null { return f.carve(id, depth) }
 
 // Len returns the number of nulls created so far.
 func (f *NullFactory) Len() int { return len(f.all) }
@@ -268,13 +242,6 @@ func TermDepth(t Term) int {
 		return n.depth
 	}
 	return 0
-}
-
-// IsGround reports whether the term contains no variables, i.e. it is a
-// constant, null, or fresh term.
-func IsGround(t Term) bool {
-	_, isVar := t.(Variable)
-	return !isVar
 }
 
 func formatTerms(args []Term) string {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -116,69 +115,56 @@ func TestPriorityString(t *testing.T) {
 	}
 }
 
-// TestTenantStarvationBound stresses a noisy tenant flooding the queue
-// while a quiet tenant submits occasionally, under full concurrency
-// (run with -race in CI). The fairness bound under test: between a quiet
-// job's admission and its start, at most one noisy job per competing
-// tenant is dequeued ahead of it, plus whatever was already claimed by
-// the workers — so the number of noisy starts in between is bounded by
-// workers + competing tenants, never by the noisy backlog depth.
+// TestTenantStarvationBound: a noisy tenant keeps a deep backlog queued
+// while a quiet tenant submits one job at a time. Once a quiet job is
+// queued behind the noisy backlog, at most one noisy job leaves the queue
+// before it — the starvation bound for one competing tenant — where plain
+// FIFO would run the whole backlog first. The single worker reports each
+// job it starts and then holds it until the test releases it, so every
+// submission lands while the worker holds a job, and the dequeue order,
+// not the timing of starts, is what the test reads.
 func TestTenantStarvationBound(t *testing.T) {
 	const (
-		workers   = 2
 		bound     = 32
+		backlog   = bound - 2 // noisy jobs kept queued
 		quietJobs = 20
-		slack     = workers + 1 // one competing tenant + claimed jobs
 	)
-	s := NewScheduler(SchedulerConfig{Workers: workers, QueueBound: bound})
+	s := NewScheduler(SchedulerConfig{Workers: 1, QueueBound: bound})
 	defer s.Close()
-
-	var noisyStarts atomic.Int64
-	stop := make(chan struct{})
-	var flood sync.WaitGroup
-	flood.Add(1)
-	go func() {
-		defer flood.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			_, err := s.Submit(context.Background(), Job{Name: "noisy", Meta: JobMeta{Tenant: "noisy"}, Run: func(context.Context) (any, error) {
-				noisyStarts.Add(1)
-				return nil, nil
-			}})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-
-	for i := 0; i < quietJobs; i++ {
-		started := make(chan int64, 1)
-		tk, err := s.Submit(context.Background(), Job{Name: "quiet", Meta: JobMeta{Tenant: "quiet"}, Run: func(context.Context) (any, error) {
-			started <- noisyStarts.Load()
+	started := make(chan string, bound+1)
+	release := make(chan struct{})
+	defer close(release) // frees the held and queued jobs, so Close returns
+	submit := func(tenant string) {
+		t.Helper()
+		if _, err := s.Submit(context.Background(), Job{Name: tenant, Meta: JobMeta{Tenant: tenant}, Run: func(context.Context) (any, error) {
+			started <- tenant
+			<-release
 			return nil, nil
-		}})
-		if err != nil {
+		}}); err != nil {
 			t.Fatal(err)
 		}
-		// Measured from admission (Submit may legitimately park on the
-		// full queue first — backpressure, not unfairness): once quiet is
-		// queued, the rotation admits at most one noisy dequeue ahead of
-		// it, and each worker may already be holding a claimed noisy job
-		// whose start has not yet been counted.
-		before := noisyStarts.Load()
-		tk.Wait()
-		after := <-started
-		if delta := after - before; delta > slack {
-			t.Fatalf("quiet job %d waited behind %d noisy starts, want <= %d (starvation)", i, delta, slack)
+	}
+	submit("noisy")
+	<-started // the worker holds it
+	queued := 0
+	for i := 0; i < quietJobs; i++ {
+		for ; queued < backlog; queued++ {
+			submit("noisy")
+		}
+		submit("quiet")
+		ahead := 0
+		for {
+			release <- struct{}{}
+			if <-started == "quiet" {
+				break
+			}
+			queued--
+			ahead++
+		}
+		if ahead > 1 {
+			t.Fatalf("quiet job %d left the queue behind %d noisy jobs, want <= 1 (starvation)", i, ahead)
 		}
 	}
-	close(stop)
-	flood.Wait()
 }
 
 // TestFairQueueSingleTenantFIFO: with one (anonymous) tenant at one

@@ -96,7 +96,14 @@ type ChaseSpec struct {
 
 // JobResult is one job's outcome.
 type JobResult struct {
-	Name     string
+	Name string
+	// Index is the ticket's submission sequence number: unique per
+	// scheduler and monotone in the order concurrent Submit calls entered
+	// the scheduler — which is the submission order itself whenever one
+	// goroutine submits the fleet, as Gather's callers do. It is not an
+	// execution order (two racing Submits may be claimed by workers in
+	// either order), and a blocked Submit that fails on cancellation or
+	// Close leaves a gap in the sequence.
 	Index    int
 	Value    any // an engine job's *chase.Result, an opaque job's own value
 	Err      error
@@ -227,16 +234,16 @@ func (s *Scheduler) QueueLen() int {
 	return s.queued
 }
 
-// Ticket is one submitted job's handle: its result arrives on Done (or
-// through Wait) exactly once, round-level progress events of chase jobs
-// arrive on Progress, and Cancel preempts the job.
+// Ticket is one submitted job's handle: its result arrives through Wait
+// exactly once, round-level progress events of chase jobs arrive on
+// Progress, and Cancel preempts the job.
 type Ticket struct {
 	job      Job        // an engine job's Name, Meta and Wall; Run unset
 	spec     *ChaseSpec // engine jobs only
 	index    int
 	ctx      context.Context
 	cancelFn context.CancelFunc
-	done     chan JobResult
+	done     chan JobResult // buffered, one send: delivery never blocks a worker
 	progress progressStream
 
 	// enqueued and trace are telemetry state, populated at admission only
@@ -247,28 +254,6 @@ type Ticket struct {
 	once   sync.Once
 	result JobResult
 }
-
-// Name returns the job's name.
-func (t *Ticket) Name() string { return t.job.Name }
-
-// Meta returns the job's admission metadata (tenant and priority lane).
-func (t *Ticket) Meta() JobMeta { return t.job.Meta }
-
-// Index returns the ticket's submission sequence number: unique per
-// scheduler and monotone in the order concurrent Submit calls entered the
-// scheduler — which is the submission order itself whenever one goroutine
-// submits the fleet, as Gather's callers do. It is not an execution order
-// (two racing Submits may be claimed by workers in either order), and a
-// blocked Submit that fails on cancellation or Close leaves a gap in the
-// sequence.
-func (t *Ticket) Index() int { return t.index }
-
-// Done returns the channel on which the job's result is delivered
-// (buffered, exactly one send — a worker never blocks on delivery and a
-// result is never lost). Use Done in select loops; use Wait when blocking
-// is fine. Mixing both on one ticket is a mistake: a result received from
-// Done is consumed and Wait would block forever.
-func (t *Ticket) Done() <-chan JobResult { return t.done }
 
 // closedProgress is the sentinel stream of jobs that never produce
 // progress events: already closed, so both a range loop and a select

@@ -71,7 +71,7 @@ func TestTicketCancelCompletionRace(t *testing.T) {
 		}
 		go tk.Cancel()
 		select {
-		case r := <-tk.Done():
+		case r := <-tk.done:
 			// Either outcome is legal; a lost delivery is not.
 			if r.Err != nil && !r.Canceled {
 				t.Fatalf("non-cancellation error: %+v", r)
@@ -197,12 +197,12 @@ func TestSchedulerCloseRacingSubmit(t *testing.T) {
 	// returned, and a late Submit fails typed instead of hanging.
 	for _, tk := range tickets {
 		select {
-		case r := <-tk.Done():
+		case r := <-tk.done:
 			if r.Err != nil {
 				t.Fatalf("admitted job failed: %+v", r)
 			}
 		default:
-			t.Fatalf("admitted job %s undelivered after Close", tk.Name())
+			t.Fatalf("admitted job %s undelivered after Close", tk.job.Name)
 		}
 	}
 	if _, err := s.Submit(context.Background(), Job{Name: "late", Run: func(context.Context) (any, error) { return nil, nil }}); !errors.Is(err, ErrSchedulerClosed) {

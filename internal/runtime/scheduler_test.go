@@ -94,8 +94,8 @@ func TestSchedulerQueueBound(t *testing.T) {
 	close(g.release)
 	for _, tk := range tickets {
 		r := tk.Wait()
-		if r.Err != nil || r.Value != tk.Name() {
-			t.Fatalf("%s: result %+v after release", tk.Name(), r)
+		if r.Err != nil || r.Value != tk.job.Name {
+			t.Fatalf("%s: result %+v after release", tk.job.Name, r)
 		}
 	}
 }
@@ -195,7 +195,7 @@ func TestSchedulerStress(t *testing.T) {
 	completed, canceled := 0, 0
 	for _, tk := range tickets {
 		select {
-		case r := <-tk.Done():
+		case r := <-tk.done:
 			// Close guarantees delivery already happened: the result must
 			// be immediately available, not produced later.
 			tk.once.Do(func() { tk.result = r })
@@ -215,8 +215,8 @@ func TestSchedulerStress(t *testing.T) {
 			t.Fatalf("%s: unexpected result %+v", r.Name, r)
 		}
 		select {
-		case <-tk.Done():
-			t.Fatalf("%s: second result delivered", tk.Name())
+		case <-tk.done:
+			t.Fatalf("%s: second result delivered", tk.job.Name)
 		default:
 		}
 	}
@@ -282,7 +282,7 @@ func TestSchedulerBlockedSubmitUnblocksOnClose(t *testing.T) {
 
 	for _, tk := range []*Ticket{running, queued} {
 		if r := tk.Wait(); r.Err != nil {
-			t.Fatalf("%s: %+v — Close must run admitted jobs to completion", tk.Name(), r)
+			t.Fatalf("%s: %+v — Close must run admitted jobs to completion", tk.job.Name, r)
 		}
 	}
 	if _, err := s.Submit(context.Background(), g.job("late")); !errors.Is(err, ErrSchedulerClosed) {
@@ -404,7 +404,7 @@ func TestSchedulerChaseProgressStream(t *testing.T) {
 				continue
 			}
 			events = append(events, st)
-		case result = <-tk.Done():
+		case result = <-tk.done:
 			if result.Value == nil {
 				t.Fatalf("nil result value: %+v", result)
 			}
@@ -500,7 +500,7 @@ func TestSchedulerTicketIndicesUnique(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				indices <- tk.Index()
+				indices <- tk.index
 			}
 		}()
 	}
@@ -621,23 +621,4 @@ func TestSchedulerCancellationSkipsQueuedJobs(t *testing.T) {
 	if n := ran.Load(); n != 0 {
 		t.Fatalf("%d queued jobs ran after the cancellation", n)
 	}
-}
-
-// A ticket surfaces the admission metadata the job was submitted with.
-func TestTicketMeta(t *testing.T) {
-	s := NewScheduler(SchedulerConfig{Workers: 1, QueueBound: 1})
-	defer s.Close()
-	meta := JobMeta{Tenant: "acme", Priority: PriorityHigh}
-	tk, err := s.Submit(context.Background(), Job{
-		Name: "meta",
-		Meta: meta,
-		Run:  func(context.Context) (any, error) { return nil, nil },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tk.Meta(); got != meta {
-		t.Fatalf("Meta() = %+v, want %+v", got, meta)
-	}
-	tk.Wait()
 }

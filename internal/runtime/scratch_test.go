@@ -98,7 +98,7 @@ func TestExplicitScratchWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := <-tk.Done(); r.Err != nil {
+	if r := <-tk.done; r.Err != nil {
 		t.Fatal(r.Err)
 	}
 	if sc.Runs() != 1 {

@@ -15,8 +15,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// series returns the value of the named labeled counter or gauge series
-// identified by its label values in registration order.
+// series returns the value of the named counter or gauge series
+// identified by its label values in registration order (none for an
+// unlabeled family).
 func series(s *telemetry.Snapshot, name string, values ...string) (float64, bool) {
 	for _, f := range s.Families {
 		for _, sr := range f.Series {
@@ -85,16 +86,16 @@ func TestSchedulerTelemetryMetrics(t *testing.T) {
 	if got, _ := series(snap, "scheduler_jobs_completed_total", "failed"); got != 1 {
 		t.Fatalf("completed{failed} = %v, want 1", got)
 	}
-	if got, _ := snap.Get("scheduler_queue_depth"); got != 0 {
+	if got, _ := series(snap, "scheduler_queue_depth"); got != 0 {
 		t.Fatalf("queue depth after drain = %v, want 0", got)
 	}
-	if got, _ := snap.Get("chase_atoms_derived_total"); got != float64(wantAtoms) {
+	if got, _ := series(snap, "chase_atoms_derived_total"); got != float64(wantAtoms) {
 		t.Fatalf("chase_atoms_derived_total = %v, want %d", got, wantAtoms)
 	}
-	if got, _ := snap.Get("chase_rounds_total"); got != float64(wantRounds) {
+	if got, _ := series(snap, "chase_rounds_total"); got != float64(wantRounds) {
 		t.Fatalf("chase_rounds_total = %v, want %d", got, wantRounds)
 	}
-	if got, _ := snap.Get("chase_triggers_fired_total"); got <= 0 {
+	if got, _ := series(snap, "chase_triggers_fired_total"); got <= 0 {
 		t.Fatalf("chase_triggers_fired_total = %v, want > 0", got)
 	}
 	// Every admitted job waited in the queue measurably (>= 0s lands in
@@ -138,7 +139,7 @@ func TestSchedulerTelemetryTrace(t *testing.T) {
 
 	var spans []string
 	for _, ev := range tel.Trace.Events() {
-		if ev.Index != tk.Index() {
+		if ev.Index != tk.index {
 			t.Fatalf("event for foreign index: %+v", ev)
 		}
 		if ev.Job != "walk" {
@@ -242,7 +243,7 @@ func TestChaseObserverRemainder(t *testing.T) {
 	}
 	st := r.Value.(*chase.Result).Stats
 	snap := tel.Registry.Snapshot()
-	if got, _ := snap.Get("chase_atoms_derived_total"); got != float64(st.Atoms-st.InitialAtoms) {
+	if got, _ := series(snap, "chase_atoms_derived_total"); got != float64(st.Atoms-st.InitialAtoms) {
 		t.Fatalf("derived total = %v, want %d", got, st.Atoms-st.InitialAtoms)
 	}
 }

@@ -330,7 +330,7 @@ func TestServiceQoSTelemetry(t *testing.T) {
 			t.Fatalf("service_qos_requests_total{%s,%s} = %v, %v (want %v)", c.mode, c.outcome, got, ok, c.want)
 		}
 	}
-	if got, _ := snap.Get("service_qos_bounds_learned_total"); got != 1 {
+	if got, _ := series(snap, "service_qos_bounds_learned_total"); got != 1 {
 		t.Fatalf("service_qos_bounds_learned_total = %v, want 1", got)
 	}
 }

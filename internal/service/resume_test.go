@@ -235,6 +235,19 @@ func TestResumeErrorTaxonomy(t *testing.T) {
 		}
 	})
 
+	t.Run("delta null", func(t *testing.T) {
+		n, _ := logic.NewNullFactory().Intern("n", 1)
+		_, err := s.SubmitDelta(context.Background(), DeltaRequest{
+			Checkpoint: artifact,
+			Ontology:   OntologyRef{Set: prog.Rules},
+			Delta:      []*logic.Atom{logic.MakeAtom("e", logic.Constant("n3"), n)},
+		})
+		wantKind(t, err, KindBadRequest)
+		if !errors.Is(err, chase.ErrDeltaNull) {
+			t.Fatalf("err = %v, not errors.Is chase.ErrDeltaNull", err)
+		}
+	})
+
 	t.Run("not resumable", func(t *testing.T) {
 		// A chase that never asked for checkpoint capture cannot be
 		// encoded as one.

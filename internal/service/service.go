@@ -99,9 +99,6 @@ func New(cfg Config) *Service {
 	return s
 }
 
-// Cache returns the service's compilation cache (for stats surfaces).
-func (s *Service) Cache() *compile.Cache { return s.cache }
-
 // ScratchReuses returns how many jobs so far ran on a scheduler worker's
 // already-warmed chase scratch (for stats surfaces).
 func (s *Service) ScratchReuses() int64 { return s.sched.ScratchReuses() }
@@ -224,8 +221,10 @@ func (s *Service) SubmitChase(ctx context.Context, req ChaseRequest) (*Ticket, e
 // with the same admission metadata, budgets, and telemetry as a chase
 // (its terminal trace span is "resume"). All validation is synchronous:
 // a corrupt artifact (KindDecode), an unregistered fingerprint
-// (KindUnknownOntology), and a mismatched ontology (KindBadRequest
-// wrapping checkpoint.ErrMismatch) fail the Submit, not the worker.
+// (KindUnknownOntology), a mismatched ontology (KindBadRequest wrapping
+// checkpoint.ErrMismatch) and a delta atom that carries a null
+// (KindBadRequest wrapping chase.ErrDeltaNull) fail the Submit, not the
+// worker.
 func (s *Service) SubmitDelta(ctx context.Context, req DeltaRequest) (*Ticket, error) {
 	name := orDefault(req.Name, "resume")
 	if len(req.Checkpoint) == 0 {
@@ -252,6 +251,9 @@ func (s *Service) SubmitDelta(ctx context.Context, req DeltaRequest) (*Ticket, e
 		}
 	}
 	if err := cp.Validate(sigma); err != nil {
+		return nil, wrapErr(OpResume, name, KindBadRequest, err)
+	}
+	if err := chase.CheckDelta(req.Delta); err != nil {
 		return nil, wrapErr(OpResume, name, KindBadRequest, err)
 	}
 	if req.Meta.QoS.Learn {
@@ -433,8 +435,7 @@ func (s *Service) SubmitExperiment(ctx context.Context, req ExperimentRequest) (
 	return s.ticket(OpExperiment, t, nil, dec, 0), nil
 }
 
-// Ticket is one admitted request's handle: Wait (or Done) for the typed
-// Result, Progress for a chase request's round-level statistics stream,
+// Ticket is one admitted request's handle: Wait for the typed Result, Progress for a chase request's round-level statistics stream,
 // Cancel to preempt.
 type Ticket struct {
 	op Op
@@ -457,15 +458,6 @@ type Ticket struct {
 func (s *Service) ticket(op Op, t *rt.Ticket, sigma *tgds.Set, dec qos.Decision, maxAtoms int) *Ticket {
 	return &Ticket{op: op, rt: t, sigma: sigma, dec: dec, maxAtoms: maxAtoms, stel: s.stel}
 }
-
-// Name returns the job's name.
-func (t *Ticket) Name() string { return t.rt.Name() }
-
-// Op returns the request's operation.
-func (t *Ticket) Op() Op { return t.op }
-
-// Index returns the scheduler's submission sequence number.
-func (t *Ticket) Index() int { return t.rt.Index() }
 
 // Cancel preempts the job (idempotent; the Result still arrives, marked
 // Canceled when preemption won).
@@ -584,14 +576,6 @@ type Result struct {
 	// exhausted" marker. Meaningful only when Chase is non-nil and not
 	// terminated; the zero value is qos.SourceFlag, the pre-QoS behavior.
 	BudgetSource qos.Source
-}
-
-// Stats returns the chase statistics of a chase result (zero otherwise).
-func (r Result) Stats() chase.Stats {
-	if r.Chase == nil {
-		return chase.Stats{}
-	}
-	return r.Chase.Stats
 }
 
 // resultOf converts a scheduler JobResult into the typed envelope.

@@ -111,7 +111,7 @@ func TestFingerprintFleetEquivalence(t *testing.T) {
 			if dr.Chase.Terminated != fr.Chase.Terminated {
 				t.Fatalf("workers=%d %s: Terminated %v vs %v", workers, dr.Name, dr.Chase.Terminated, fr.Chase.Terminated)
 			}
-			ds, fs := dr.Stats(), fr.Stats()
+			ds, fs := dr.Chase.Stats, fr.Chase.Stats
 			ds.CompileHits, ds.CompileMisses = 0, 0
 			fs.CompileHits, fs.CompileMisses = 0, 0
 			if ds != fs {

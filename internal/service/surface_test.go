@@ -12,14 +12,11 @@ import (
 	rt "repro/internal/runtime"
 )
 
-// TestTicketSurface covers the envelope-facing accessors: names, ops,
-// indexes, meta, drains — the surface a transport renders.
+// TestTicketSurface covers the envelope-facing surface a transport
+// renders: the result's name, op and index, and the progress stream.
 func TestTicketSurface(t *testing.T) {
 	prog := parserProg(t, "p(a). p(X) -> q(X).")
 	s := newService(t, Config{Workers: 1})
-	if s.Cache() == nil {
-		t.Fatal("service has no cache")
-	}
 	tk, err := s.SubmitChase(context.Background(), ChaseRequest{
 		Meta:     RequestMeta{Tenant: "acme", Priority: PriorityLow},
 		Database: Payload{Instance: prog.Database},
@@ -28,18 +25,15 @@ func TestTicketSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tk.Name() != "chase" || tk.Op() != OpChase || tk.Index() != 0 {
-		t.Fatalf("ticket surface: name=%q op=%v index=%d", tk.Name(), tk.Op(), tk.Index())
-	}
 	r := tk.Wait()
-	if r.Err != nil || r.Op != OpChase {
+	if r.Err != nil || r.Name != "chase" || r.Op != OpChase || r.Index != 0 {
 		t.Fatalf("result %+v", r)
 	}
-	if r.Stats().Atoms == 0 {
+	if r.Chase.Stats.Atoms == 0 {
 		t.Fatal("chase result reports no atoms")
 	}
 
-	// Non-chase results have zero stats.
+	// Non-chase results carry no chase run.
 	dtk, err := s.SubmitDecide(context.Background(), DecideRequest{
 		Database: Payload{Instance: prog.Database},
 		Ontology: OntologyRef{Set: prog.Rules},
@@ -48,7 +42,7 @@ func TestTicketSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	dr := dtk.Wait()
-	if dr.Op != OpDecide || dr.Stats().Atoms != 0 {
+	if dr.Op != OpDecide || dr.Chase != nil {
 		t.Fatalf("decide result surface: %+v", dr)
 	}
 	// A non-chase ticket's Progress is never nil — it is an

@@ -61,7 +61,7 @@ func newSvcTelemetry(tel *telemetry.Telemetry, cache *compile.Cache) *svcTelemet
 	}
 	registerCacheCollector(r, cache)
 	symbols := r.Gauge("symbol_ground_ids",
-		"Ground symbol ids handed out by the process: one per constant, fresh or foreign term interned and one per null created, never reused; interning fails at 2^31.")
+		"Ground symbol ids handed out by the process: one per constant, fresh or foreign term interned, never reused; nulls take none. Interning fails at 2^30.")
 	r.AddCollector(func() { symbols.Set(logic.GroundIDs()) })
 	return m
 }
@@ -156,10 +156,6 @@ func (s *Service) Metrics() *telemetry.Snapshot {
 	}
 	return s.tel.Registry.Snapshot()
 }
-
-// Telemetry returns the service's telemetry (nil when disabled) — the
-// registry and trace sink the front end wired in via Config.
-func (s *Service) Telemetry() *telemetry.Telemetry { return s.tel }
 
 // Handler returns the service's serving-plane health surface — the
 // telemetry HTTP handler (GET /healthz, /metrics, /metrics.json)

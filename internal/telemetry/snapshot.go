@@ -179,14 +179,3 @@ func writeJSONValue(b *strings.Builder, f Family, sr Series, indent string) {
 	}
 	fmt.Fprintf(b, `"+Inf": %d}}`, cum)
 }
-
-// Get returns the value of the named unlabeled counter or gauge (0,
-// false when absent) — the convenience tests and stats blocks use.
-func (s *Snapshot) Get(name string) (float64, bool) {
-	for _, f := range s.Families {
-		if f.Name == name && len(f.Labels) == 0 && len(f.Series) == 1 && f.Kind != KindHistogram {
-			return f.Series[0].Value, true
-		}
-	}
-	return 0, false
-}

@@ -18,8 +18,9 @@
 // first occurrence in the encoded atom sequence — and the atom section
 // refers to symbols by manifest index. Terms appear in the manifest under
 // their portable identity: constants and fresh terms by value, nulls by
-// (factory id, depth) — the factory-local id is exactly what Term.Key and
-// hence Instance.CanonicalKey expose — and foreign term kinds by their
+// (factory id, depth) — the factory id is the null's identity, which
+// Term.Key, Instance.CanonicalKey and its symbol id all derive from — and
+// foreign term kinds by their
 // Key and rendering, carried opaquely. First-occurrence order makes the
 // encoding a pure function of the instance's ordered atom sequence: two
 // equal instances encode byte-identically no matter which process, symbol
@@ -191,9 +192,10 @@ func appendTerm(w *codec.Writer, t logic.Term) {
 // null has no term outside its section, so for a null record readTerm
 // returns a nil term and the null's portable identity: the factory id and
 // depth the caller checks against the section's other nulls. Its errors
-// wrap the reader's sentinel: an unknown tag, a truncated payload, or a
-// foreign record claiming a built-in identity key (interning it as
-// foreign would mint a second symbol id for an existing identity).
+// wrap the reader's sentinel: an unknown tag, a truncated payload, a null
+// id outside [0, logic.NullIDs), or a foreign record claiming a built-in
+// identity key (interning it as foreign would mint a second symbol id for
+// an existing identity).
 func readTerm(r *codec.Reader) (t logic.Term, nullID, depth int, err error) {
 	tag, err := r.Byte("term tag")
 	if err != nil {
@@ -209,7 +211,10 @@ func readTerm(r *codec.Reader) (t logic.Term, nullID, depth int, err error) {
 		v, err = r.Int("fresh value")
 		t = logic.Fresh(v)
 	case 'n':
-		if nullID, err = r.Value("null id"); err == nil {
+		if nullID, err = r.Value("null id"); err == nil && nullID >= logic.NullIDs {
+			err = r.Errorf("null id %d outside [0, 2^30)", nullID)
+		}
+		if err == nil {
 			depth, err = r.Value("null depth")
 		}
 	case 'v':
@@ -251,8 +256,9 @@ func DecodeSnapshot(data []byte) (*logic.Instance, error) {
 }
 
 // nullDecl is a manifest null awaiting materialization: the manifest
-// index it fills, and its portable identity.
-type nullDecl struct{ term, id, depth int32 }
+// index it fills, its portable identity, and the number of its id among
+// the section's distinct null ids.
+type nullDecl struct{ term, id, depth, num int32 }
 
 // section decodes one manifest+atoms section into its atoms, in order.
 // Decoding is parse-then-materialize: the whole encoding is parsed and
@@ -302,12 +308,14 @@ func section(r *codec.Reader) ([]*logic.Atom, error) {
 	var nullIDs logic.Numbering // the section's distinct null ids
 	nullIDs.Grow(len(nulls))
 	depths := make([]int32, 0, len(nulls)) // number in nullIDs -> declared depth
-	for _, n := range nulls {
-		if j, fresh := nullIDs.Number(n.id); fresh {
+	for i, n := range nulls {
+		j, fresh := nullIDs.Number(n.id)
+		if fresh {
 			depths = append(depths, n.depth)
 		} else if depths[j] != n.depth {
 			return nil, r.Errorf("null %d declared at depths %d and %d", n.id, depths[j], n.depth)
 		}
+		nulls[i].num = j
 	}
 	natoms, err := r.Len("atom count")
 	if err != nil {
@@ -344,11 +352,15 @@ func section(r *codec.Reader) ([]*logic.Atom, error) {
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
-	// Fully validated: materialize. Nothing below can fail.
+	// Fully validated: materialize. Nothing below can fail. Each distinct
+	// null id makes one null.
 	factory := logic.NewNullFactory()
-	factory.GrowAt(len(nulls))
+	made := make([]*logic.Null, len(depths))
 	for _, n := range nulls {
-		terms[n.term] = factory.NullAt(int(n.id), int(n.depth))
+		if made[n.num] == nil {
+			made[n.num] = factory.NullAt(int(n.id), int(n.depth))
+		}
+		terms[n.term] = made[n.num]
 	}
 	termIDs := make([]int32, len(terms))
 	for i, t := range terms {

@@ -194,9 +194,6 @@ func TestNullDepthSurvives(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameInstance(t, dec, in)
-	if got := dec.MaxDepth(); got != in.MaxDepth() {
-		t.Fatalf("MaxDepth %d, want %d", got, in.MaxDepth())
-	}
 	for i, a := range dec.Atoms() {
 		for j, trm := range a.Args {
 			if logic.TermDepth(trm) != logic.TermDepth(in.Atoms()[i].Args[j]) {
@@ -305,11 +302,62 @@ func TestDecodeRejectsNullAtTwoDepths(t *testing.T) {
 	}
 }
 
+// TestDecodeNullIDRange: a null's symbol id is logic.NullIDs plus its
+// factory id, so a manifest null id of 2^30 or more is corrupt, while
+// 2^30-1, the last id, decodes to the last symbol id.
+func TestDecodeNullIDRange(t *testing.T) {
+	in, err := DecodeSnapshot(nullSnapshot(logic.NullIDs - 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := in.Atoms()[0].Args[0].(*logic.Null); n.ID() != logic.NullIDs-1 || logic.IDOf(n) != 1<<31-1 {
+		t.Fatalf("null %d has symbol id %d", n.ID(), logic.IDOf(n))
+	}
+	for _, id := range []uint64{logic.NullIDs, 1<<31 - 1} {
+		if in, err := DecodeSnapshot(nullSnapshot(id)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("null id %d: err = %v (decoded %v), want ErrCorrupt", id, err, in)
+		}
+	}
+}
+
+// TestDecodeOneNullPerID: a manifest that declares one null id twice, at
+// one depth, decodes both declarations to one null.
+func TestDecodeOneNullPerID(t *testing.T) {
+	in, err := DecodeSnapshot(nullSnapshot(3, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := in.Atoms()[0]; a.Args[0] != a.Args[1] || a.Args[0].Key() != "n\x003" {
+		t.Fatalf("decoded %v: want one null ⊥3 in both positions", a)
+	}
+}
+
+// nullSnapshot hand-assembles a snapshot whose manifest declares one null
+// per id, each at depth 1, with the one atom p(t0, ..., tk).
+func nullSnapshot(ids ...uint64) []byte {
+	var w codec.Writer
+	writeHeader(&w)
+	w.Uint(1) // one predicate
+	w.Str("p")
+	w.Uint(uint64(len(ids)))
+	w.Uint(uint64(len(ids)))
+	for _, id := range ids {
+		w.Byte('n')
+		w.Uint(id)
+		w.Uint(1)
+	}
+	w.Uint(1) // one atom
+	w.Uint(0)
+	for i := range ids {
+		w.Uint(uint64(i))
+	}
+	return w.Bytes()
+}
+
 // TestDecodeOutOfRangeTermMaterializesNothing: a snapshot whose manifest
 // is valid and declares a null, but whose atom references a term past the
 // manifest, fails with ErrCorrupt before anything is materialized: no
-// symbol id is spent on the manifest's terms, nor on its null (a created
-// null takes one too).
+// symbol id is spent on the manifest's terms.
 func TestDecodeOutOfRangeTermMaterializesNothing(t *testing.T) {
 	ids := logic.GroundIDs()
 	if in, err := DecodeSnapshot(outOfRangeTerm(7)); !errors.Is(err, ErrCorrupt) {
