@@ -409,7 +409,7 @@ func BenchmarkMatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		count := 0
-		logic.MatchAll(body, in, -1, func(logic.Substitution) bool {
+		logic.MatchAll(body, in, func(logic.Substitution) bool {
 			count++
 			return true
 		})

@@ -79,22 +79,10 @@ func runFleet(addrs, network string, req service.ChaseRequest, engineLabel strin
 		return code
 	}
 	if stats {
-		s := res.Stats
-		cli.StatsBlock(stderr, "chase", [][2]string{
-			{"engine", engineLabel},
-			{"atoms", fmt.Sprint(s.Atoms)},
-			{"initial-atoms", fmt.Sprint(s.InitialAtoms)},
-			{"rounds", fmt.Sprint(s.Rounds)},
-			{"triggers-fired", fmt.Sprint(s.TriggersFired)},
-			{"triggers-considered", fmt.Sprint(s.TriggersConsidered)},
-			{"nulls", fmt.Sprint(s.Nulls)},
-			{"max-depth", fmt.Sprint(s.MaxDepth)},
-			{"terminated", fmt.Sprint(res.Terminated)},
-			{"cache", cli.CacheState(s)},
-			{"arena-blocks", fmt.Sprint(s.ArenaBlocks)},
-			{"worker", res.Worker},
-			{"cold-pulls", fmt.Sprint(coord.ColdPulls())},
-		}, nil)
+		lines := append(statsLines(engineLabel, res.Stats, res.Terminated),
+			[2]string{"worker", res.Worker},
+			[2]string{"cold-pulls", fmt.Sprint(coord.ColdPulls())})
+		cli.StatsBlock(stderr, "chase", lines, nil)
 	}
 	if !res.Terminated {
 		return 1

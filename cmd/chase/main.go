@@ -267,21 +267,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *stats {
-		s := res.Stats
-		cli.StatsBlock(stderr, "chase", [][2]string{
-			{"engine", engineLabel},
-			{"atoms", fmt.Sprint(s.Atoms)},
-			{"initial-atoms", fmt.Sprint(s.InitialAtoms)},
-			{"rounds", fmt.Sprint(s.Rounds)},
-			{"triggers-fired", fmt.Sprint(s.TriggersFired)},
-			{"triggers-considered", fmt.Sprint(s.TriggersConsidered)},
-			{"nulls", fmt.Sprint(s.Nulls)},
-			{"max-depth", fmt.Sprint(s.MaxDepth)},
-			{"terminated", fmt.Sprint(res.Terminated)},
-			{"cache", cli.CacheState(s)},
-			{"arena-blocks", fmt.Sprint(s.ArenaBlocks)},
-			{"scratch-reuses", fmt.Sprint(svc.ScratchReuses())},
-		}, svc.Metrics())
+		lines := append(statsLines(engineLabel, res.Stats, res.Terminated),
+			[2]string{"scratch-reuses", fmt.Sprint(svc.ScratchReuses())})
+		cli.StatsBlock(stderr, "chase", lines, svc.Metrics())
 	}
 	if err := cli.WriteTelemetry(tel, *metricsPath, *tracePath); err != nil {
 		fmt.Fprintln(stderr, "chase:", err)
@@ -291,6 +279,24 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// statsLines returns the -stats lines both routes print first; each
+// route appends its own.
+func statsLines(engineLabel string, s chase.Stats, terminated bool) [][2]string {
+	return [][2]string{
+		{"engine", engineLabel},
+		{"atoms", fmt.Sprint(s.Atoms)},
+		{"initial-atoms", fmt.Sprint(s.InitialAtoms)},
+		{"rounds", fmt.Sprint(s.Rounds)},
+		{"triggers-fired", fmt.Sprint(s.TriggersFired)},
+		{"triggers-considered", fmt.Sprint(s.TriggersConsidered)},
+		{"nulls", fmt.Sprint(s.Nulls)},
+		{"max-depth", fmt.Sprint(s.MaxDepth)},
+		{"terminated", fmt.Sprint(terminated)},
+		{"cache", cli.CacheState(s)},
+		{"arena-blocks", fmt.Sprint(s.ArenaBlocks)},
+	}
 }
 
 // emitChase renders a finished chase to stdout: the result instance

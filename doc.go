@@ -27,7 +27,10 @@
 // with no pointers map hashes, predicate ids and (column, term id) keys to
 // int32 sequence lists kept in one arena, and atoms are read back from
 // the insertion order), and the chase keys triggers and canonical nulls by
-// interned integer tuples in tables of the same kind. The wire codec
+// interned integer tuples in tables of the same kind. Every join runs a
+// logic.BodyProgram, a body compiled once per seed position: the chase
+// compiles Σ's bodies once per set, the guarded engine once per engine,
+// and a one-shot query compiles the one program it runs. The wire codec
 // numbers its manifests in tables of that kind too, and builds and indexes
 // a decoded section in bulk. Strings appear only at the boundaries
 // (internal/parser and rendering) and as the cross-run canonical identity

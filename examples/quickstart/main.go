@@ -51,7 +51,7 @@ func main() {
 	x := logic.Variable("X")
 	pattern := []*logic.Atom{logic.MakeAtom("likes", logic.Constant("bob"), x)}
 	fmt.Print("bob likes:")
-	logic.MatchAll(pattern, res.Instance, -1, func(s logic.Substitution) bool {
+	logic.MatchAll(pattern, res.Instance, func(s logic.Substitution) bool {
 		fmt.Printf(" %v", s[x])
 		return true
 	})

@@ -17,6 +17,8 @@
 package chase
 
 import (
+	"fmt"
+
 	"repro/internal/logic"
 	"repro/internal/tgds"
 )
@@ -166,13 +168,20 @@ func (r *Result) MaxDepth() int { return r.Stats.MaxDepth }
 
 // Run chases the database db with the TGD set sigma under the given
 // options and returns the result. The input instance is not modified.
+// Run has no error result: it panics with an error wrapping
+// logic.ErrNullIDsExhausted when the input's nulls leave too few null
+// ids for the nulls the run invents (Resume returns that error).
 func Run(db *logic.Instance, sigma *tgds.Set, opts Options) *Result {
 	// Number invented nulls after the input's own nulls, so chasing
 	// an instance that already contains nulls (a decoded wire
 	// snapshot, a previous chase result) never reuses the factory id —
 	// and hence the identity — of an input null.
 	e := newEngine(db.Clone(), sigma, opts, db.MaxNullID()+1)
-	return e.finish()
+	res, err := e.finish()
+	if err != nil {
+		panic(err)
+	}
+	return res
 }
 
 // newEngine readies an engine over inst (which the engine owns and
@@ -218,9 +227,13 @@ func newEngine(inst *logic.Instance, sigma *tgds.Set, opts Options, nullBase int
 	return e
 }
 
-// finish saturates the engine's instance and assembles the result.
-func (e *engine) finish() *Result {
+// finish saturates the engine's instance and assembles the result. A run
+// that ran out of null ids has no result, only its error.
+func (e *engine) finish() (*Result, error) {
 	terminated := e.run()
+	if e.err != nil {
+		return nil, e.err
+	}
 	res := &Result{Instance: e.inst, Terminated: terminated, Forest: e.forest, Derivation: e.derivation, nulls: e.nulls}
 	res.Stats = e.stats()
 	if e.opts.Checkpoint && !e.dirty {
@@ -229,7 +242,7 @@ func (e *engine) finish() *Result {
 	if e.opts.Observer != nil {
 		e.opts.Observer.ObserveDone(res.Stats, terminated)
 	}
-	return res
+	return res, nil
 }
 
 type pendingTrigger struct {
@@ -297,6 +310,9 @@ type engine struct {
 	// atoms never applied, so the state is not a whole-round prefix and
 	// must not be checkpointed.
 	dirty bool
+	// err fails the run: a trigger's nulls would have left the null id
+	// space (logic.ErrNullIDsExhausted).
+	err error
 }
 
 // interrupted polls Options.Interrupt and latches the result.
@@ -345,6 +361,9 @@ func (e *engine) run() bool {
 		}
 		e.delta = e.inst.Len()
 		added := e.apply(pending)
+		if e.err != nil {
+			return false
+		}
 		// The round's trigger tuples (fire keys, frontier images) are dead
 		// once applied: recycle their slab blocks for the next round.
 		e.sc.slabs.rewind()
@@ -400,15 +419,7 @@ func (e *engine) collect(deltaStart int) []pendingTrigger {
 			pending = append(pending, e.buildPending(t, ti, key, m))
 			return true
 		}
-		if ds >= 0 {
-			// Precompiled per-seed body programs; enumeration order is
-			// identical to the fresh compile (logic.BodyProgram).
-			e.sc.matcher.MatchAllProgs(e.compiled.bodies[ti], e.inst, ds, yield)
-		} else {
-			// Round 1 and NoSemiNaive enumerate the full instance; that
-			// join order is chosen per instance, so it is never cached.
-			e.sc.matcher.MatchAllExt(t.Body, e.inst, ds, yield)
-		}
+		e.sc.matcher.Match(e.compiled.bodies[ti], e.inst, ds, yield)
 		if e.stop {
 			break
 		}
@@ -481,6 +492,14 @@ func (e *engine) apply(pending []pendingTrigger) int {
 		}
 		if e.opts.Variant == Restricted && e.headSatisfied(p) {
 			continue
+		}
+		if need := len(p.tgd.Existential()); need > logic.NullIDs-e.nulls.NextID() {
+			// A fired trigger interns a fresh null per existential (a
+			// restricted one may find them interned), so the factory
+			// would leave the null id space: fail the run instead.
+			e.err = fmt.Errorf("chase: %w: a trigger of TGD %d needs %d nulls from id %d",
+				logic.ErrNullIDsExhausted, p.tgdIdx, need, e.nulls.NextID())
+			break
 		}
 		atoms := e.instantiateHead(p)
 		fired := false

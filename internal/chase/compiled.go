@@ -6,9 +6,9 @@ package chase
 // once. CompiledSet freezes those artifacts into an immutable value;
 // Options.Compile lets a run fetch one from a cross-request cache
 // (internal/compile) instead of recompiling. A run with a compiled set is
-// byte-identical to a cold run: head programs are the ones compileHead
-// would build, and body programs reproduce the matcher's fresh-compile
-// enumeration order exactly (see logic.BodyProgram).
+// byte-identical to a cold run: the head and body programs depend on Σ
+// alone, so a cached set holds exactly the programs a cold compile builds
+// (see logic.BodyProgram).
 
 import (
 	"repro/internal/logic"
@@ -20,29 +20,26 @@ import (
 // concurrent runs and worker goroutines.
 type CompiledSet struct {
 	sigma  *tgds.Set
-	keys   []string     // per-TGD canonical keys, for Matches
-	heads  [][]headAtom // per-TGD head programs, by TGD index
-	bodies [][]*logic.BodyProgram
+	keys   []string              // per-TGD canonical keys, for Matches
+	heads  [][]headAtom          // per-TGD head programs, by TGD index
+	bodies [][]logic.BodyProgram // per-TGD body programs, by seed position
 }
 
 // Compile builds the compiled artifacts for every TGD of the set: the head
 // program (compileHead) and one body program per seed position.
 func Compile(sigma *tgds.Set) *CompiledSet {
 	cs := &CompiledSet{
-		sigma:  sigma,
-		keys:   make([]string, len(sigma.TGDs)),
-		heads:  make([][]headAtom, len(sigma.TGDs)),
-		bodies: make([][]*logic.BodyProgram, len(sigma.TGDs)),
+		sigma: sigma,
+		keys:  make([]string, len(sigma.TGDs)),
+		heads: make([][]headAtom, len(sigma.TGDs)),
 	}
+	bodies := make([][]*logic.Atom, len(sigma.TGDs))
 	for i, t := range sigma.TGDs {
 		cs.keys[i] = t.Key()
 		cs.heads[i] = compileHead(t)
-		progs := make([]*logic.BodyProgram, len(t.Body))
-		for seed := range t.Body {
-			progs[seed] = logic.CompileBodySeed(t.Body, seed)
-		}
-		cs.bodies[i] = progs
+		bodies[i] = t.Body
 	}
+	cs.bodies = logic.CompileBodies(bodies)
 	return cs
 }
 

@@ -126,7 +126,7 @@ func (d *Derivation) Validate(sigma *tgds.Set, final *logic.Instance, terminated
 		for _, t := range sigma.TGDs {
 			t := t
 			var active error
-			logic.MatchAll(t.Body, inst, -1, func(h logic.Substitution) bool {
+			logic.MatchAll(t.Body, inst, func(h logic.Substitution) bool {
 				fr := h.Restrict(t.Frontier())
 				for _, a := range resultOf(t, fr) {
 					if !inst.Has(a) {

@@ -94,7 +94,9 @@ func CheckDelta(delta []*logic.Atom) error {
 // st.NextNullID (or above base's own nulls, whichever is higher), and
 // iteration proceeds exactly as Run's would have: budgets, scratch
 // pooling, compile cache, forest and derivation tracking all apply
-// unchanged. Stats count the resumed rounds only.
+// unchanged. Stats count the resumed rounds only. A run whose nulls would
+// leave the null id space fails with an error wrapping
+// logic.ErrNullIDsExhausted.
 //
 // opts.Variant must equal st.Variant — fire keys mean different things
 // per variant — and a resumed run may itself set Options.Checkpoint,
@@ -120,7 +122,7 @@ func Resume(base *logic.Instance, delta []*logic.Atom, sigma *tgds.Set, st *Resu
 	e.resumed = true
 	e.delta = st.DeltaStart
 	e.prefix = st.DeltaStart
-	return e.finish(), nil
+	return e.finish()
 }
 
 // firedBefore reports whether the checkpointed prefix of a resumed run
@@ -131,11 +133,8 @@ func Resume(base *logic.Instance, delta []*logic.Atom, sigma *tgds.Set, st *Resu
 // oblivious and restricted chases a membership probe. The collector
 // calls it after a fresh intern when prefix > 0; a fresh run never does.
 func (e *engine) firedBefore(key []int32) bool {
-	if e.sc.prefix == nil {
-		e.sc.prefix = new(logic.Matcher)
-	}
-	t := e.sigma.TGDs[key[0]]
-	return e.sc.prefix.ExistsBefore(t.Body, e.inst, e.prefix, fireVarsOf(t, e.opts.Variant), key[1:])
+	ti := key[0]
+	return e.sc.prefix.ExistsBefore(e.compiled.bodies[ti], e.inst, e.prefix, fireVarsOf(e.sigma.TGDs[ti], e.opts.Variant), key[1:])
 }
 
 // NullNames assigns every null this run invented its canonical,

@@ -1,7 +1,7 @@
 package chase
 
 // Scratch owns the reusable allocation state of a chase run: the
-// matcher's binding/ordering buffers, the fired-trigger interner, the
+// matcher's binding buffers, the fired-trigger interner, the
 // atom arena, the per-round trigger slabs, and the engine's assorted
 // work buffers. A run without an explicit Scratch allocates a private one
 // (Run's pre-scratch behavior); long-lived callers — the runtime
@@ -44,8 +44,8 @@ func (s *trigSlabs) rewind() {
 // Scratch is the pooled allocation state; see the package comment above.
 // The zero value is not usable — construct with NewScratch.
 type Scratch struct {
-	matcher logic.Matcher        // collect's compiled-body buffers
-	prefix  *logic.Matcher       // resumed runs' prefix searches; nil until the first
+	matcher logic.Matcher        // collect's binding buffers
+	prefix  logic.Matcher        // resumed runs' prefix searches
 	fired   *logic.TupleInterner // fired-trigger keys; Reset keeps table+arena capacity
 	arena   logic.AtomArena      // head-instantiation atoms; reset abandons (atoms escape)
 	slabs   trigSlabs            // the round's trigger tuples

@@ -186,6 +186,44 @@ func TestResumeDeltaNullCollision(t *testing.T) {
 	}
 }
 
+// A resume that runs out of null ids fails typed, through the artifact
+// and through chase.Resume alike, and does not panic. One id below the
+// limit is room for exactly one fresh null.
+func TestResumeNullIDsExhausted(t *testing.T) {
+	prog, _, data := captureEncoded(t, `r(a, b).
+		r(X, Y) -> ∃Z s(Y, Z).`)
+	cp, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp.State.NextNullID = logic.NullIDs - 1
+	if data, err = cp.Encode(); err != nil {
+		t.Fatal(err)
+	}
+	if cp, err = Decode(data); err != nil {
+		t.Fatal(err)
+	}
+	r := func(x, y string) *logic.Atom {
+		return logic.MakeAtom("r", logic.Constant(x), logic.Constant(y))
+	}
+	one, err := cp.Resume(prog.Rules, []*logic.Atom{r("z", "c")}, chase.Options{})
+	if err != nil {
+		t.Fatalf("one fresh null at id 2^30-1: %v", err)
+	}
+	if got := one.Instance.MaxNullID(); got != logic.NullIDs-1 {
+		t.Fatalf("fresh null numbered %d, want 2^30-1", got)
+	}
+	delta := []*logic.Atom{r("z", "c"), r("z", "d")}
+	_, viaArtifact := cp.Resume(prog.Rules, delta, chase.Options{})
+	if !errors.Is(viaArtifact, logic.ErrNullIDsExhausted) {
+		t.Fatalf("Checkpoint.Resume: err = %v, want logic.ErrNullIDsExhausted", viaArtifact)
+	}
+	_, direct := chase.Resume(cp.Instance, delta, prog.Rules, cp.State, chase.Options{Variant: cp.Variant})
+	if direct == nil || direct.Error() != viaArtifact.Error() {
+		t.Fatalf("chase.Resume: err = %v, want %v", direct, viaArtifact)
+	}
+}
+
 // Capture demands resumable state: no Options.Checkpoint, or a dirty
 // stop, → ErrNotResumable.
 func TestCaptureRequiresResumableState(t *testing.T) {

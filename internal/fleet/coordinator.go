@@ -142,6 +142,11 @@ type Coordinator struct {
 	mu      sync.Mutex
 	cursors map[string]int
 	closed  bool
+	// done is closed by Close; a Submit waiting for lane room gives up
+	// on it. sends counts Submits admitted but not yet off to a lane, so
+	// Close closes the lanes only once none can send.
+	done  chan struct{}
+	sends sync.WaitGroup
 }
 
 // NewCoordinator connects a coordinator to its worker fleet. Dialing is
@@ -154,7 +159,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.Network == "" {
 		cfg.Network = "tcp"
 	}
-	c := &Coordinator{cfg: cfg, cursors: make(map[string]int)}
+	c := &Coordinator{cfg: cfg, cursors: make(map[string]int), done: make(chan struct{})}
 	for _, addr := range cfg.Workers {
 		w := &workerLink{
 			cfg:   cfg,
@@ -169,25 +174,36 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 }
 
 // Submit places a job on a worker lane (blocking while the lane is
-// full) and returns its ticket. After Close it fails with a
-// KindUnavailable service error wrapping ErrCoordinatorClosed.
+// full) and returns its ticket. After Close, or while Close runs and the
+// lane is still full, it fails with a KindUnavailable service error
+// wrapping ErrCoordinatorClosed.
 func (c *Coordinator) Submit(job Job) (*Ticket, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, &service.Error{Kind: service.KindUnavailable, Op: service.OpChase, Name: job.Name, Err: ErrCoordinatorClosed}
+		return nil, closedError(job.Name)
 	}
 	idx := c.cursors[job.Tenant]
 	c.cursors[job.Tenant] = (idx + 1) % len(c.workers)
 	w := c.workers[idx]
+	c.sends.Add(1)
 	c.mu.Unlock()
+	defer c.sends.Done()
 	tk := &Ticket{done: make(chan Result, 1)}
-	w.queue <- task{job: job, tk: tk}
-	return tk, nil
+	select {
+	case w.queue <- task{job: job, tk: tk}:
+		return tk, nil
+	case <-c.done:
+		return nil, closedError(job.Name)
+	}
 }
 
-// Close stops admission, lets queued jobs finish, and severs the worker
-// connections. Idempotent.
+func closedError(name string) error {
+	return &service.Error{Kind: service.KindUnavailable, Op: service.OpChase, Name: name, Err: ErrCoordinatorClosed}
+}
+
+// Close stops admission, fails the Submits still waiting for lane room,
+// lets queued jobs finish, and severs the worker connections. Idempotent.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -195,7 +211,9 @@ func (c *Coordinator) Close() {
 		return
 	}
 	c.closed = true
+	close(c.done)
 	c.mu.Unlock()
+	c.sends.Wait()
 	for _, w := range c.workers {
 		close(w.queue)
 	}

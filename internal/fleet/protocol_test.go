@@ -5,10 +5,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	goruntime "runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/chase"
@@ -279,6 +281,82 @@ func TestCoordinatorMidStreamDisconnect(t *testing.T) {
 	if events == 0 {
 		t.Fatal("progress before the tear was dropped")
 	}
+}
+
+// TestCoordinatorCloseFailsParkedSubmits: Submits parked on a full lane,
+// or racing Close, fail typed instead of sending on a closed lane, and
+// every job Close admitted still finishes. The worker holds its first job
+// until every Submit has returned, so the lane stays full.
+func TestCoordinatorCloseFailsParkedSubmits(t *testing.T) {
+	held, gate := make(chan struct{}, 1), make(chan struct{})
+	addr := fakeWorker(t, func(conn net.Conn, r *bufio.Reader) {
+		for {
+			if _, _, err := readFrame(r); err != nil {
+				return
+			}
+			select {
+			case held <- struct{}{}:
+			default:
+			}
+			<-gate
+			if err := writeError(conn, service.KindBadRequest, errors.New("refused")); err != nil {
+				return
+			}
+		}
+	})
+	coord, err := NewCoordinator(Config{Workers: []string{addr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var admitted []*Ticket
+	submit := func(name string) error {
+		tk, err := coord.Submit(Job{Name: name})
+		if err == nil {
+			admitted = append(admitted, tk)
+		}
+		return err
+	}
+	// One job at the worker, then a full lane.
+	for i := range laneBound + 1 {
+		if err := submit(fmt.Sprint("admitted", i)); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			<-held
+		}
+	}
+	const parked = 200
+	errs := make(chan error, parked)
+	var started sync.WaitGroup
+	started.Add(parked)
+	for i := range parked {
+		go func() {
+			started.Done()
+			_, err := coord.Submit(Job{Name: fmt.Sprint("parked", i)})
+			errs <- err
+		}()
+	}
+	started.Wait()
+	closed := make(chan struct{})
+	go func() {
+		coord.Close()
+		close(closed)
+	}()
+	for range parked {
+		err := <-errs
+		var se *service.Error
+		if !errors.Is(err, ErrCoordinatorClosed) || !errors.As(err, &se) || se.Kind != service.KindUnavailable {
+			t.Fatalf("parked submit err = %v, want KindUnavailable wrapping ErrCoordinatorClosed", err)
+		}
+	}
+	close(gate)
+	for _, tk := range admitted {
+		var se *service.Error
+		if res := tk.Wait(); !errors.As(res.Err, &se) || se.Kind != service.KindBadRequest {
+			t.Fatalf("admitted job finished with %v, want the worker's answer", res.Err)
+		}
+	}
+	<-closed
 }
 
 // TestCoordinatorGarbageAnswer: a worker that answers with a

@@ -48,12 +48,12 @@ type state struct {
 	atoms *logic.Instance
 }
 
-// rule is a TGD compiled for derivation. terms and ids are its value
-// table: the frontier images of the current match first (overwritten per
-// match), then the placeholders of the existential variables, then the
-// head's constants.
+// rule is a TGD compiled for derivation: its body programs, by seed
+// position, and its head. terms and ids are its value table: the frontier
+// images of the current match first (overwritten per match), then the
+// placeholders of the existential variables, then the head's constants.
 type rule struct {
-	body  []*logic.Atom
+	progs []logic.BodyProgram
 	frIDs []int32
 	heads []headAtom
 	terms []logic.Term
@@ -68,7 +68,8 @@ type headAtom struct {
 }
 
 // NewEngine validates that every TGD of sigma is guarded and returns an
-// engine.
+// engine. It compiles every body once, for every seed position; the
+// engine's Linearizer runs the same programs.
 func NewEngine(sigma *tgds.Set) (*Engine, error) {
 	for _, t := range sigma.TGDs {
 		if !t.IsGuarded() {
@@ -83,18 +84,23 @@ func NewEngine(sigma *tgds.Set) (*Engine, error) {
 	for _, p := range sigma.Schema() {
 		e.notePred(p, logic.PredIDOf(p))
 	}
-	for _, t := range sigma.TGDs {
+	bodies := make([][]*logic.Atom, len(sigma.TGDs))
+	for i, t := range sigma.TGDs {
 		e.rules = append(e.rules, e.compile(t))
+		bodies[i] = t.Body
+	}
+	for i, progs := range logic.CompileBodies(bodies) {
+		e.rules[i].progs = progs
 	}
 	return e, nil
 }
 
-// compile builds the rule of a TGD. The i-th existential variable is
-// placeholder i+1 in every trigger of every TGD: placeholders only need to
-// be distinct within one trigger's head.
+// compile builds the head of a TGD's rule. The i-th existential variable
+// is placeholder i+1 in every trigger of every TGD: placeholders only need
+// to be distinct within one trigger's head.
 func (e *Engine) compile(t *tgds.TGD) rule {
 	fr := t.FrontierIDs()
-	r := rule{body: t.Body, frIDs: fr, terms: make([]logic.Term, len(fr)), ids: make([]int32, len(fr))}
+	r := rule{frIDs: fr, terms: make([]logic.Term, len(fr)), ids: make([]int32, len(fr))}
 	var exIDs []int32
 	for i, z := range t.Existential() {
 		if i == len(e.phIDs) {
@@ -185,7 +191,7 @@ func (e *Engine) deriveOver(atoms *logic.Instance, keep map[int32]bool) []*logic
 	e.adds = e.adds[:0]
 	for i := range e.rules {
 		r := &e.rules[i]
-		e.mm.MatchAllExt(r.body, atoms, -1, func(m *logic.Match) bool {
+		e.mm.Match(r.progs, atoms, -1, func(m *logic.Match) bool {
 			// Overwrite the frontier entries of the value table in place.
 			m.AppendImageTerms(r.terms[:0], r.frIDs)
 			m.AppendImageIDs(r.ids[:0], r.frIDs)

@@ -161,8 +161,9 @@ func (l *Linearizer) linearizeType(t *Type) ([]*tgds.TGD, []*Type, error) {
 		var homs []logic.Substitution
 		// All homomorphisms are collected before any trigger is
 		// linearized: linearizing completes instances through the same
-		// engine, and so through the same matcher.
-		l.engine.mm.MatchAllExt(sig.Body, tatoms, -1, func(m *logic.Match) bool {
+		// engine, and so through the same matcher. The engine's rules are
+		// Σ's TGDs in order, so rule k holds σ's programs.
+		l.engine.mm.Match(l.engine.rules[k].progs, tatoms, -1, func(m *logic.Match) bool {
 			img = m.AppendImageIDs(img[:0], l.guardIDs[k])
 			if slices.Equal(img, want) {
 				homs = append(homs, m.Substitution())

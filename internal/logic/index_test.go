@@ -51,7 +51,7 @@ func TestInstanceHashCollision(t *testing.T) {
 	atom := func(i int) *Atom { return withHash(NewAtom(p, Constant(fmt.Sprint("coll:", i))), h) }
 	collided := func(in *Instance) []string {
 		var got []string
-		MatchAll([]*Atom{NewAtom(p, Variable("X"))}, in, -1, func(s Substitution) bool {
+		MatchAll([]*Atom{NewAtom(p, Variable("X"))}, in, func(s Substitution) bool {
 			got = append(got, s[Variable("X")].String())
 			return true
 		})
@@ -340,11 +340,13 @@ func TestCloneConcurrentDivergence(t *testing.T) {
 	for range 200 {
 		base.Add(fx.atom(rng))
 	}
+	progs := CompileBodies([][]*Atom{{NewAtom(fx.preds[0], Variable("X"), Variable("Y")), NewAtom(fx.preds[2], Variable("Y"))}})[0]
 	grow := func(in *Instance, seed int64) {
 		r := rand.New(rand.NewSource(seed))
+		var mm Matcher
 		for range 100 {
 			in.Add(fx.atom(r))
-			MatchAll([]*Atom{NewAtom(fx.preds[0], Variable("X"), Variable("Y")), NewAtom(fx.preds[2], Variable("Y"))}, in, in.Len()-1, func(Substitution) bool { return true })
+			mm.Match(progs, in, in.Len()-1, func(*Match) bool { return true })
 		}
 	}
 

@@ -160,7 +160,7 @@ func TestMatchAllSimpleJoin(t *testing.T) {
 	x, y := Variable("X"), Variable("Y")
 	body := []*Atom{MakeAtom("R", x, y), MakeAtom("S", y)}
 	var results []string
-	MatchAll(body, in, -1, func(s Substitution) bool {
+	MatchAll(body, in, func(s Substitution) bool {
 		results = append(results, s.String())
 		return true
 	})
@@ -179,7 +179,7 @@ func TestMatchAllRepeatedVariable(t *testing.T) {
 	)
 	x := Variable("X")
 	count := 0
-	MatchAll([]*Atom{MakeAtom("R", x, x)}, in, -1, func(Substitution) bool {
+	MatchAll([]*Atom{MakeAtom("R", x, x)}, in, func(Substitution) bool {
 		count++
 		return true
 	})
@@ -195,7 +195,7 @@ func TestMatchAllConstantInPattern(t *testing.T) {
 	)
 	y := Variable("Y")
 	count := 0
-	MatchAll([]*Atom{MakeAtom("R", Constant("a"), y)}, in, -1, func(Substitution) bool {
+	MatchAll([]*Atom{MakeAtom("R", Constant("a"), y)}, in, func(Substitution) bool {
 		count++
 		return true
 	})
@@ -218,8 +218,9 @@ func TestMatchAllDelta(t *testing.T) {
 	body := []*Atom{MakeAtom("E", x, y), MakeAtom("E", y, z)}
 
 	seen := map[string]int{}
-	MatchAll(body, in, deltaStart, func(s Substitution) bool {
-		seen[s.String()]++
+	var mm Matcher
+	mm.Match(CompileBodies([][]*Atom{body})[0], in, deltaStart, func(m *Match) bool {
+		seen[m.Substitution().String()]++
 		return true
 	})
 	// Full join yields (a,b,c) and (b,c,d); only (b,c,d) touches delta.
@@ -264,16 +265,18 @@ func TestMatchDeltaEquivalence(t *testing.T) {
 		x, y, z := Variable("X"), Variable("Y"), Variable("Z")
 		body := []*Atom{MakeAtom("E", x, y), MakeAtom("E", y, z)}
 		want := map[string]bool{}
-		MatchAll(body, combined, -1, func(s Substitution) bool {
+		MatchAll(body, combined, func(s Substitution) bool {
 			want[s.String()] = true
 			return true
 		})
-		MatchAll(body, old, -1, func(s Substitution) bool {
+		MatchAll(body, old, func(s Substitution) bool {
 			delete(want, s.String())
 			return true
 		})
 		got := map[string]bool{}
-		MatchAll(body, combined, deltaStart, func(s Substitution) bool {
+		var mm Matcher
+		mm.Match(CompileBodies([][]*Atom{body})[0], combined, deltaStart, func(m *Match) bool {
+			s := m.Substitution()
 			if got[s.String()] {
 				t.Logf("duplicate delta match %s", s)
 				return false
@@ -325,8 +328,9 @@ func TestSortAtomsDeterminism(t *testing.T) {
 
 // TestExistsBefore compares the prefix-bounded existence search with a
 // brute-force filter: enumerate every match inside the instance's first
-// bound atoms and keep those that agree with the pre-bound images. One
-// Matcher serves every call, so buffer reuse across bodies is covered.
+// bound atoms and keep those that agree with the pre-bound images. The
+// bodies are compiled once, and one Matcher runs every call, so buffer
+// reuse across bodies is covered.
 func TestExistsBefore(t *testing.T) {
 	x, y, z := Variable("X"), Variable("Y"), Variable("Z")
 	bodies := [][]*Atom{
@@ -336,6 +340,7 @@ func TestExistsBefore(t *testing.T) {
 		{MakeAtom("E", x, Constant("a"))},
 		{},
 	}
+	progs := CompileBodies(bodies)
 	consts := []Term{Constant("a"), Constant("b"), Constant("c"), Constant("d")}
 	rng := rand.New(rand.NewSource(5))
 	var mm Matcher
@@ -350,7 +355,7 @@ func TestExistsBefore(t *testing.T) {
 		}
 		bound := rng.Intn(in.Len() + 1)
 		prefix := NewDatabase(in.Atoms()[:bound]...)
-		body := bodies[trial%len(bodies)]
+		body, bodyProgs := bodies[trial%len(bodies)], progs[trial%len(bodies)]
 		var vars, ids []int32
 		want := Substitution{}
 		for _, v := range []Variable{x, y, z} {
@@ -361,7 +366,7 @@ func TestExistsBefore(t *testing.T) {
 			}
 		}
 		brute := false
-		MatchAll(body, prefix, -1, func(s Substitution) bool {
+		MatchAll(body, prefix, func(s Substitution) bool {
 			for v, c := range want {
 				if img, ok := s[v]; ok && img != c {
 					return true
@@ -370,7 +375,7 @@ func TestExistsBefore(t *testing.T) {
 			brute = true
 			return false
 		})
-		if got := mm.ExistsBefore(body, in, bound, vars, ids); got != brute {
+		if got := mm.ExistsBefore(bodyProgs, in, bound, vars, ids); got != brute {
 			t.Fatalf("trial %d: ExistsBefore(%v, bound %d, %v) = %v, brute force %v over\n%v",
 				trial, body, bound, want, got, brute, in)
 		}

@@ -5,11 +5,12 @@ import (
 	"testing"
 )
 
-// A precompiled BodyProgram must reproduce the fresh-compile enumeration
-// exactly: MatchAllProgs against MatchAllExt, for random instances and
-// deltas. The same Matcher alternates between program-driven and
-// fresh-compile calls, exercising the borrowed-buffer handoff.
-func TestBodyProgramMatchesFreshCompile(t *testing.T) {
+// Each semi-naive enumeration must be the definition's: the full join's
+// matches that use a delta atom, each yielded exactly once, for random
+// instances and deltas. One Matcher runs every call, and the full join
+// through a body's programs must enumerate exactly what MatchAll's one
+// program does, in the same order.
+func TestBodyProgramMatchesDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	x, y, z := Variable("X"), Variable("Y"), Variable("Z")
 	bodies := [][]*Atom{
@@ -18,14 +19,8 @@ func TestBodyProgramMatchesFreshCompile(t *testing.T) {
 		{MakeAtom("e", x, y), MakeAtom("p", y), MakeAtom("e", y, z)},
 		{MakeAtom("e", x, x), MakeAtom("p", x)},
 	}
-	progs := make([][]*BodyProgram, len(bodies))
-	for bi, body := range bodies {
-		progs[bi] = make([]*BodyProgram, len(body))
-		for seed := range body {
-			progs[bi][seed] = CompileBodySeed(body, seed)
-		}
-	}
-	render := func(m *Match) string { return m.Substitution().String() }
+	progs := CompileBodies(bodies)
+	var mm Matcher
 	for trial := 0; trial < 30; trial++ {
 		in := NewInstance()
 		total := 20 + rng.Intn(60)
@@ -39,33 +34,50 @@ func TestBodyProgramMatchesFreshCompile(t *testing.T) {
 			}
 		}
 		deltaStart := rng.Intn(in.Len())
-		var mm Matcher // shared across program-driven and fresh calls on purpose
 		for bi, body := range bodies {
-			var want, got []string
-			mm.MatchAllExt(body, in, deltaStart, func(m *Match) bool {
-				want = append(want, render(m))
-				return true
-			})
-			mm.MatchAllProgs(progs[bi], in, deltaStart, func(m *Match) bool {
-				got = append(got, render(m))
-				return true
-			})
-			if len(got) != len(want) {
-				t.Fatalf("trial %d body %v: programs yield %d matches, fresh compile %d",
-					trial, body, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d body %v: match %d differs: program %q, fresh %q",
-						trial, body, i, got[i], want[i])
+			var full, oneShot []string
+			want := map[string]int{}
+			mm.Match(progs[bi], in, -1, func(m *Match) bool {
+				s := m.Substitution()
+				full = append(full, s.String())
+				for _, a := range body {
+					if in.lookup(s.ApplyAtom(a)) >= deltaStart {
+						want[s.String()] = 1
+					}
 				}
+				return true
+			})
+			MatchAll(body, in, func(s Substitution) bool {
+				oneShot = append(oneShot, s.String())
+				return true
+			})
+			if len(full) != len(oneShot) {
+				t.Fatalf("trial %d body %v: programs yield %d matches, MatchAll %d", trial, body, len(full), len(oneShot))
+			}
+			for i := range full {
+				if full[i] != oneShot[i] {
+					t.Fatalf("trial %d body %v: match %d differs: programs %q, MatchAll %q", trial, body, i, full[i], oneShot[i])
+				}
+			}
+			got := map[string]int{}
+			mm.Match(progs[bi], in, deltaStart, func(m *Match) bool {
+				got[m.Substitution().String()]++
+				return true
+			})
+			for s, n := range got {
+				if want[s] != n {
+					t.Fatalf("trial %d body %v delta %d: %s yielded %d times, want %d", trial, body, deltaStart, s, n, want[s])
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("trial %d body %v delta %d: %d delta matches, want %d", trial, body, deltaStart, len(got), len(want))
 			}
 		}
 	}
 }
 
-// Early yield-stop through a program must not poison later fresh compiles
-// on the same matcher, and vice versa.
+// Early yield-stop must not poison the matcher or the program: a rerun
+// on the same matcher enumerates everything.
 func TestBodyProgramEarlyStopAndReuse(t *testing.T) {
 	x, y := Variable("X"), Variable("Y")
 	body := []*Atom{MakeAtom("e", x, y)}
@@ -73,21 +85,15 @@ func TestBodyProgramEarlyStopAndReuse(t *testing.T) {
 	for _, c := range "abcd" {
 		in.Add(MakeAtom("e", Constant(string(c)), Constant("t")))
 	}
-	progs := []*BodyProgram{CompileBodySeed(body, 0)}
+	progs := CompileBodies([][]*Atom{body})[0]
 	var mm Matcher
 	n := 0
-	mm.MatchAllProgs(progs, in, 0, func(*Match) bool { n++; return false })
+	mm.Match(progs, in, 0, func(*Match) bool { n++; return false })
 	if n != 1 {
 		t.Fatalf("expected 1 yield before stop, got %d", n)
 	}
 	count := 0
-	mm.MatchAllExt(body, in, -1, func(*Match) bool { count++; return true })
-	if count != 4 {
-		t.Fatalf("fresh compile after program run found %d matches, want 4", count)
-	}
-	// The program itself must be untouched by the interleaved fresh compile.
-	count = 0
-	mm.MatchAllProgs(progs, in, 0, func(*Match) bool { count++; return true })
+	mm.Match(progs, in, 0, func(*Match) bool { count++; return true })
 	if count != 4 {
 		t.Fatalf("program rerun found %d matches, want 4", count)
 	}

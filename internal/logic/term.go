@@ -29,6 +29,7 @@
 package logic
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 )
@@ -107,6 +108,10 @@ func (n *Null) ID() int { return n.id }
 // 1 + the maximum depth over the frontier terms of the trigger that
 // invented it (0 if the frontier is empty).
 func (n *Null) Depth() int { return n.depth }
+
+// ErrNullIDsExhausted reports a null that would need a factory id at or
+// above NullIDs: its run has used up the null id space.
+var ErrNullIDsExhausted = errors.New("logic: null id space [0, 2^30) exhausted")
 
 // NullFactory interns nulls by a caller-chosen key: either an arbitrary
 // string, or — on the chase hot path — an int32 tuple of interned symbol

@@ -75,8 +75,8 @@ func (m Mode) String() string {
 type Source int
 
 const (
-	// SourceFlag is an explicit request budget (-max-atoms, -max-rounds,
-	// -wall).
+	// SourceFlag is an explicit request budget: the request's MaxAtoms
+	// (chase -max-atoms), MaxRounds or Wall.
 	SourceFlag Source = iota
 	// SourceDeadline is the anytime policy's budget — the wall deadline
 	// or its explicit round quota.

@@ -104,7 +104,7 @@ func (q *CQ) CertainAnswers(chased *logic.Instance) []Tuple {
 func (q *CQ) answers(in *logic.Instance, groundOnly bool) []Tuple {
 	seen := make(map[string]bool)
 	var out []Tuple
-	logic.MatchAll(q.Body, in, -1, func(h logic.Substitution) bool {
+	logic.MatchAll(q.Body, in, func(h logic.Substitution) bool {
 		tuple := make(Tuple, len(q.Answer))
 		for i, v := range q.Answer {
 			tuple[i] = h[v]

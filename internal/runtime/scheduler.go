@@ -581,7 +581,13 @@ func (s *Scheduler) run(t *Ticket, sc *chase.Scratch) {
 func (s *Scheduler) invoke(t *Ticket, ctx context.Context, sc *chase.Scratch) (v any, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			v, err = nil, fmt.Errorf("runtime: job %s panicked: %v", t.job.Name, p)
+			cause, ok := p.(error)
+			if !ok {
+				cause = fmt.Errorf("%v", p)
+			}
+			// Wrapping keeps a typed panic (chase.Run's null id
+			// exhaustion) classifiable.
+			v, err = nil, fmt.Errorf("runtime: job %s panicked: %w", t.job.Name, cause)
 		}
 	}()
 	if t.spec == nil {

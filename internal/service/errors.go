@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/logic"
 	"repro/internal/qos"
 	rt "repro/internal/runtime"
 	"repro/internal/wire"
@@ -40,7 +41,8 @@ const (
 	// decode (wraps wire.ErrCorrupt or checkpoint.ErrCorrupt).
 	KindDecode
 	// KindUnavailable is a submission to a closed service (wraps
-	// runtime.ErrSchedulerClosed).
+	// runtime.ErrSchedulerClosed), or a job that ran out of null ids
+	// (wraps logic.ErrNullIDsExhausted).
 	KindUnavailable
 	// KindCanceled is a job preempted through its context or Cancel.
 	KindCanceled
@@ -121,7 +123,7 @@ func classify(err error) ErrorKind {
 	switch {
 	case errors.Is(err, ErrUnknownOntology):
 		return KindUnknownOntology
-	case errors.Is(err, rt.ErrSchedulerClosed):
+	case errors.Is(err, rt.ErrSchedulerClosed), errors.Is(err, logic.ErrNullIDsExhausted):
 		return KindUnavailable
 	case errors.Is(err, wire.ErrCorrupt), errors.Is(err, checkpoint.ErrCorrupt):
 		return KindDecode

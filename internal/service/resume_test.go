@@ -281,6 +281,62 @@ func TestResumeErrorTaxonomy(t *testing.T) {
 	})
 }
 
+// TestNullIDsExhaustedUnavailable: a job that runs out of null ids fails
+// as KindUnavailable wrapping logic.ErrNullIDsExhausted, not as a
+// panicked internal job: a resume whose artifact leaves one null id for
+// a delta that needs two, and a chase whose input already holds the last
+// null id.
+func TestNullIDsExhaustedUnavailable(t *testing.T) {
+	const src = `r(a, b).
+		r(X, Y) -> ∃Z s(Y, Z).`
+	prog := parserProg(t, src)
+	s := newService(t, Config{Workers: 1})
+	wantExhausted := func(t *testing.T, tk *Ticket) {
+		t.Helper()
+		err := tk.Wait().Err
+		var se *Error
+		if !errors.As(err, &se) || se.Kind != KindUnavailable || !errors.Is(err, logic.ErrNullIDsExhausted) {
+			t.Fatalf("err = %v, want KindUnavailable wrapping logic.ErrNullIDsExhausted", err)
+		}
+	}
+
+	t.Run("resume", func(t *testing.T) {
+		cp, err := checkpoint.Decode(serveArtifact(t, s, src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp.State.NextNullID = logic.NullIDs - 1
+		artifact, err := cp.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tk, err := s.SubmitDelta(context.Background(), DeltaRequest{
+			Checkpoint: artifact,
+			Ontology:   OntologyRef{Set: prog.Rules},
+			Delta: []*logic.Atom{
+				logic.MakeAtom("r", logic.Constant("z"), logic.Constant("c")),
+				logic.MakeAtom("r", logic.Constant("z"), logic.Constant("d")),
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantExhausted(t, tk)
+	})
+
+	t.Run("chase", func(t *testing.T) {
+		last, _ := logic.NewNullFactoryAt(logic.NullIDs-1).Intern("last", 1)
+		tk, err := s.SubmitChase(context.Background(), ChaseRequest{
+			Database: Payload{Instance: logic.NewDatabase(logic.MakeAtom("r", last, logic.Constant("b")))},
+			Ontology: OntologyRef{Set: prog.Rules},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantExhausted(t, tk)
+	})
+}
+
 // TestRequestFileResume: the on-disk "resume" request shape round-trips
 // — artifact plus delta facts in, the resumed materialization out — and
 // the rejected field combinations fail loudly.
